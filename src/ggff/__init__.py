@@ -25,8 +25,9 @@ from .network import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                       edge_key, load_network, save_network, subdivide, validate)
 from .spectral import (GreenMatrix, LaplacianMatrix, cover_green,
                        cover_green_relations, det_ratio, green, laplacian,
-                       loop_mass, negative_holonomy_mass,
-                       subspace_determinants, twisted_green,
-                       twisted_laplacian, twisted_loop_mass, write_csv)
+                       loop_mass, negative_holonomy_mass, restricted_green,
+                       subspace_determinants, subspace_log_determinants,
+                       twisted_green, twisted_laplacian, twisted_loop_mass,
+                       write_csv)
 
 __version__ = "0.1.0"

@@ -1,14 +1,19 @@
 """Laplacians, Green functions, and the closed-form determinant identities.
 
 All matrices are dense and restricted to the interior vertices in sorted-id
-order, with zero boundary conditions.  Determinants are accumulated as log
-determinants from Cholesky factors, so ratios never overflow.
+order, with zero boundary conditions.  Each LaplacianMatrix is factored once,
+by a Cholesky factor cached on it; its positive-definiteness check, its log
+determinant and its full inverse all reuse that factor.  Determinants are
+accumulated as log determinants, so ratios never overflow.  A Green matrix is
+formed in full only where all its entries are used: restricted_green solves
+for the columns of a vertex list alone.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,15 +30,23 @@ class LaplacianMatrix:
     entries: np.ndarray
     kind: str  # "untwisted" | "twisted" | "cover"
 
-    def cholesky(self) -> np.ndarray:
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, bool]:
+        """The lower Cholesky factor in scipy's (c, lower) form, computed once.
+
+        Only the lower triangle of c is the factor; the upper one is left over.
+        """
         try:
-            return np.linalg.cholesky(self.entries)
+            return sla.cho_factor(self.entries, lower=True)
         except np.linalg.LinAlgError as exc:
             raise InvalidNetworkError(
                 [f"{self.kind} Laplacian is not positive definite: {exc}"]) from exc
 
+    def cholesky(self) -> np.ndarray:
+        return np.tril(self.factor[0])
+
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.cholesky()))))
+        return 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,7 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str) -
             a[idx[u], idx[v]] = -s * e.conductance
             a[idx[v], idx[u]] = -s * e.conductance
     lap = LaplacianMatrix(order, a, kind)
-    lap.cholesky()  # positive definiteness is part of the contract
+    lap.factor  # positive definiteness is part of the contract
     return lap
 
 
@@ -76,25 +89,42 @@ def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> Laplacia
     return _assemble(network, gauge, "twisted")
 
 
-def _invert(lap: LaplacianMatrix, kind: str) -> GreenMatrix:
-    try:
-        cho = sla.cho_factor(lap.entries, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidNetworkError([f"singular {kind} Laplacian"]) from exc
-    g = sla.cho_solve(cho, np.eye(len(lap.interior_order)))
+def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:
     asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-    g = 0.5 * (g + g.T)
-    return GreenMatrix(lap.interior_order, g, kind, asym)
+    return GreenMatrix(order, 0.5 * (g + g.T), kind, asym)
+
+
+def _invert(lap: LaplacianMatrix) -> GreenMatrix:
+    g = sla.cho_solve(lap.factor, np.eye(len(lap.interior_order)), check_finite=False)
+    return _symmetric_green(lap.interior_order, g, lap.kind)
 
 
 def green(network: ElectricalNetwork) -> GreenMatrix:
     """Inverse of the interior -Laplacian block (zero boundary conditions)."""
-    return _invert(laplacian(network), "untwisted")
+    return _invert(laplacian(network))
 
 
 def twisted_green(network: ElectricalNetwork, gauge: GaugeField) -> GreenMatrix:
     """Inverse of the twisted block; off-diagonal entries may be negative."""
-    return _invert(twisted_laplacian(network, gauge), "twisted")
+    return _invert(twisted_laplacian(network, gauge))
+
+
+def restricted_green(network: ElectricalNetwork, vertices,
+                     gauge: GaugeField | None = None) -> GreenMatrix:
+    """G, or G_sigma when a gauge is given, on vertices x vertices.
+
+    Factors the Laplacian once and solves only for the listed vertices'
+    columns, so the full inverse is never formed.  Equals the matching block
+    of green() or twisted_green().
+    """
+    vertices = tuple(vertices)
+    lap = laplacian(network) if gauge is None else twisted_laplacian(network, gauge)
+    idx = {v: i for i, v in enumerate(lap.interior_order)}
+    sel = np.array([idx[v] for v in vertices], dtype=np.intp)
+    rhs = np.zeros((len(idx), len(sel)))
+    rhs[sel, np.arange(len(sel))] = 1.0
+    g = sla.cho_solve(lap.factor, rhs, check_finite=False)[sel]
+    return _symmetric_green(vertices, g, lap.kind)
 
 
 def cover_laplacian(cover: DoubleCover) -> LaplacianMatrix:
@@ -102,7 +132,7 @@ def cover_laplacian(cover: DoubleCover) -> LaplacianMatrix:
 
 
 def cover_green(cover: DoubleCover) -> GreenMatrix:
-    return _invert(cover_laplacian(cover), "cover")
+    return _invert(cover_laplacian(cover))
 
 
 def det_ratio(network: ElectricalNetwork, gauge: GaugeField) -> float:
@@ -144,56 +174,61 @@ class CoverGreenReport:
     residual_deck: float       # max |G^db(psi ., psi .) - G^db|
 
 
+def _sheet_lifts(cov: DoubleCover, order, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the cover's interior order of the sheet-1 and the sheet-2
+    lifts of vertices."""
+    idx = {v: i for i, v in enumerate(order)}
+    return tuple(np.array([idx[cov.lift(x, sheet)] for x in vertices], dtype=np.intp)
+                 for sheet in (1, 2))
+
+
 def cover_green_relations(network: ElectricalNetwork, gauge: GaugeField) -> CoverGreenReport:
     """Check G = G11 + G12 and G_sigma = G11 - G12 on the double cover."""
     cov = build_double_cover(network, gauge)
     g = green(network)
     gs = twisted_green(network, gauge)
     gdb = cover_green(cov)
-    idx = {v: i for i, v in enumerate(gdb.interior_order)}
-    base_idx = {v: i for i, v in enumerate(g.interior_order)}
+    one, two = _sheet_lifts(cov, gdb.interior_order, g.interior_order)
+    g11 = gdb.entries[np.ix_(one, one)]
+    g12 = gdb.entries[np.ix_(one, two)]
     m = len(g.interior_order)
-    g11 = np.zeros((m, m))
-    g12 = np.zeros((m, m))
-    for x in g.interior_order:
-        for y in g.interior_order:
-            i, j = base_idx[x], base_idx[y]
-            g11[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 1)]]
-            g12[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 2)]]
     res_u = float(np.max(np.abs(g.entries - (g11 + g12)))) if m else 0.0
     res_t = float(np.max(np.abs(gs.entries - (g11 - g12)))) if m else 0.0
-    deck = np.zeros_like(gdb.entries)
-    for a in gdb.interior_order:
-        for b in gdb.interior_order:
-            deck[idx[a], idx[b]] = gdb.entries[idx[cov.deck[a]], idx[cov.deck[b]]]
-    res_d = float(np.max(np.abs(deck - gdb.entries))) if gdb.entries.size else 0.0
+    idx = {v: i for i, v in enumerate(gdb.interior_order)}
+    deck = np.array([idx[cov.deck[a]] for a in gdb.interior_order], dtype=np.intp)
+    res_d = (float(np.max(np.abs(gdb.entries[np.ix_(deck, deck)] - gdb.entries)))
+             if gdb.entries.size else 0.0)
     return CoverGreenReport(res_u, res_t, res_d)
 
 
-def subspace_determinants(network: ElectricalNetwork, gauge: GaugeField) -> tuple[float, float]:
-    """Determinants of the cover -Laplacian on the symmetric/antisymmetric parts.
+def subspace_log_determinants(network: ElectricalNetwork,
+                              gauge: GaugeField) -> tuple[float, float]:
+    """Log determinants of the cover -Laplacian on the symmetric/antisymmetric parts.
 
     The two subspaces are spanned by (e_{x,1} +- e_{x,2})/sqrt(2) over the
     sheet-1 interior fundamental domain; they are stable under the operator
-    and the determinants equal 1/det G and 1/det G_sigma respectively.
+    and the determinants equal 1/det G and 1/det G_sigma respectively.  In
+    that basis the operator is (L11 + L22 +- (L12 + L21)) / 2 in sheet blocks.
     """
     cov = build_double_cover(network, gauge)
     lap = cover_laplacian(cov)
-    idx = {v: i for i, v in enumerate(lap.interior_order)}
     base_int = network.interior
-    m = len(base_int)
-    bp = np.zeros((len(lap.interior_order), m))
-    bm = np.zeros((len(lap.interior_order), m))
-    for j, x in enumerate(base_int):
-        i1, i2 = idx[cov.lift(x, 1)], idx[cov.lift(x, 2)]
-        bp[i1, j] = bp[i2, j] = 1.0 / np.sqrt(2.0)
-        bm[i1, j] = 1.0 / np.sqrt(2.0)
-        bm[i2, j] = -1.0 / np.sqrt(2.0)
-    a_plus = bp.T @ lap.entries @ bp
-    a_minus = bm.T @ lap.entries @ bm
-    det_plus = float(np.exp(LaplacianMatrix(base_int, a_plus, "cover").log_det()))
-    det_minus = float(np.exp(LaplacianMatrix(base_int, a_minus, "cover").log_det()))
-    return det_plus, det_minus
+    one, two = _sheet_lifts(cov, lap.interior_order, base_int)
+    same = lap.entries[np.ix_(one, one)] + lap.entries[np.ix_(two, two)]
+    cross = lap.entries[np.ix_(one, two)] + lap.entries[np.ix_(two, one)]
+    a_plus = 0.5 * (same + cross)
+    a_minus = 0.5 * (same - cross)
+    return (LaplacianMatrix(base_int, a_plus, "cover").log_det(),
+            LaplacianMatrix(base_int, a_minus, "cover").log_det())
+
+
+def subspace_determinants(network: ElectricalNetwork, gauge: GaugeField) -> tuple[float, float]:
+    """exp of subspace_log_determinants: 1/det G and 1/det G_sigma.
+
+    These overflow to inf once a log determinant passes about 709.8.
+    """
+    ld_plus, ld_minus = subspace_log_determinants(network, gauge)
+    return float(np.exp(ld_plus)), float(np.exp(ld_minus))
 
 
 def write_csv(matrix: GreenMatrix | LaplacianMatrix, path) -> None:

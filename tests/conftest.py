@@ -30,6 +30,29 @@ def pt_gauge(pt):
     return pt[1]
 
 
+def polar_annulus(rings: int, sites: int) -> tuple[ElectricalNetwork, GaugeField]:
+    """rings x sites interior vertices between a Dirichlet inner and outer ring.
+
+    Radial edges join the same site on neighbouring rings, angular edges
+    neighbouring sites on one interior ring; unit conductances.  The angular
+    edges from site sites-1 to site 0 carry sigma = -1, so a loop has holonomy
+    -1 exactly when it winds around the hole an odd number of times.
+    """
+    def vid(r: int, s: int) -> str:
+        return f"r{r:02d}s{s:02d}"
+
+    vertices = tuple(vid(r, s) for r in range(rings + 2) for s in range(sites))
+    boundary = frozenset(vid(r, s) for r in (0, rings + 1) for s in range(sites))
+    edges = [Edge(f"rad{r}-{s}", vid(r, s), vid(r + 1, s), 1.0)
+             for r in range(rings + 1) for s in range(sites)]
+    edges += [Edge(f"ang{r}-{s}", vid(r, s), vid(r, (s + 1) % sites), 1.0)
+              for r in range(1, rings + 1) for s in range(sites)]
+    net = ElectricalNetwork(vertices=vertices, boundary=boundary, edges=tuple(edges),
+                            name=f"annulus-{rings}x{sites}")
+    cut = [(vid(r, sites - 1), vid(r, 0)) for r in range(1, rings + 1)]
+    return net, GaugeField.with_minus_edges(net, cut)
+
+
 def random_network(rng: np.random.Generator, max_interior: int = 12,
                    max_boundary: int = 3, extra_edge_prob: float = 0.35,
                    p_minus: float = 0.4) -> tuple[ElectricalNetwork, GaugeField]:

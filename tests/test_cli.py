@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ggff import cli, save_network
 from ggff.cli import main
+
+from conftest import polar_annulus
 
 
 PT_FILE_CONTENT = {
@@ -181,3 +185,52 @@ def test_console_script_entry_point(tmp_path, pt_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["all_passed"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_RUNS = {
+    "verify-theorem1": ["--samples", "4000"],
+    "conditional-moments": ["--vertices", "y", "z", "--samples", "4000"],
+    "connectivity": ["--vertices", "x", "y", "--samples", "4000"],
+    "loopsoup-test": ["--soups", "400"],
+}
+
+
+def _without_timestamp(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.lstrip().startswith('"timestamp"')]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_reports_match_golden_up_to_timestamp(tmp_path, monkeypatch, command):
+    """The estimator and loop-soup reports on PT at seed 11 keep every byte
+    but the timestamp of tests/golden/, which an earlier version recorded."""
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent / "networks")
+    out = tmp_path / f"{command}.json"
+    code = main([command, "--network", "pt.json", "--seed", "11", *GOLDEN_RUNS[command],
+                 "--output", str(out)])
+    golden = (GOLDEN / f"{command}.json").read_text()
+    assert code == 0
+    assert _without_timestamp(out.read_text()) == _without_timestamp(golden)
+
+
+def test_identities_pass_past_the_float_range_of_determinants(tmp_path):
+    """384 interior vertices: the cover log-det is about 904, so the cover
+    determinant itself would overflow a float."""
+    net, gauge = polar_annulus(24, 16)
+    assert len(net.interior) == 384
+    path = tmp_path / "annulus.json"
+    save_network(net, path, gauge)
+    code, rep = run(["identities", "--network", str(path)], tmp_path / "i.json")
+    assert code == 0 and rep["all_passed"]
+    assert len(rep["checks"]) == 15 and all(c["passed"] for c in rep["checks"])
+
+
+def test_arithmetic_error_exits_2(tmp_path, pt_file, monkeypatch, capsys):
+    def overflow(net, gauge):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "identity_checks", overflow)
+    assert main(["identities", "--network", pt_file,
+                 "--output", str(tmp_path / "i.json")]) == 2
+    assert "error: math range error" in capsys.readouterr().err
+    assert not (tmp_path / "i.json").exists()

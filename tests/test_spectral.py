@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import ggff
-from ggff import (Edge, ElectricalNetwork, GaugeField,
-                  VertexSigns, apply_gauge_transform, edge_key, green,
-                  laplacian, loop_mass, negative_holonomy_mass, subdivide,
-                  twisted_green, twisted_laplacian, twisted_loop_mass,
-                  det_ratio, cover_green_relations, subspace_determinants,
-                  write_csv)
+from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
+                  LaplacianMatrix, VertexSigns, apply_gauge_transform, edge_key,
+                  green, laplacian, loop_mass, negative_holonomy_mass,
+                  restricted_green, subdivide, twisted_green, twisted_laplacian,
+                  twisted_loop_mass, det_ratio, cover_green_relations,
+                  subspace_determinants, subspace_log_determinants, write_csv)
+from ggff import spectral
 from ggff.cover import build_double_cover
 from ggff.spectral import cover_laplacian, gauge_covariance_residual
 
@@ -130,6 +131,35 @@ def test_cover_green_relations_pt(pt):
     assert rep.residual_deck < 1e-10
 
 
+def cover_green_relations_by_pairs(net, gauge):
+    """The pair-by-pair residuals of the cover Green relations; reference for
+    the index-array version."""
+    cov = build_double_cover(net, gauge)
+    g, gs, gdb = green(net), twisted_green(net, gauge), ggff.cover_green(cov)
+    idx = {v: i for i, v in enumerate(gdb.interior_order)}
+    m = len(g.interior_order)
+    g11, g12 = np.zeros((m, m)), np.zeros((m, m))
+    for i, x in enumerate(g.interior_order):
+        for j, y in enumerate(g.interior_order):
+            g11[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 1)]]
+            g12[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 2)]]
+    deck = np.zeros_like(gdb.entries)
+    for a in gdb.interior_order:
+        for b in gdb.interior_order:
+            deck[idx[a], idx[b]] = gdb.entries[idx[cov.deck[a]], idx[cov.deck[b]]]
+    return (float(np.max(np.abs(g.entries - (g11 + g12)))),
+            float(np.max(np.abs(gs.entries - (g11 - g12)))),
+            float(np.max(np.abs(deck - gdb.entries))))
+
+
+def test_cover_green_relations_equal_pairwise_reference(pt):
+    rng = np.random.default_rng(31)
+    for net, gauge in [pt] + [random_network(rng, max_interior=8) for _ in range(8)]:
+        rep = cover_green_relations(net, gauge)
+        assert (rep.residual_untwisted, rep.residual_twisted,
+                rep.residual_deck) == cover_green_relations_by_pairs(net, gauge)
+
+
 def test_cover_off_sheet_green_vanishes_for_all_plus(pt_net):
     gauge = GaugeField.all_plus(pt_net)
     cov = build_double_cover(pt_net, gauge)
@@ -203,3 +233,82 @@ def test_csv_dump(tmp_path, pt):
     assert lines[0].split(",") == ["vertex", "x", "y", "z"]
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == pytest.approx(3 / 7, abs=1e-12)
+
+
+def test_restricted_green_equals_full_block(pt):
+    rng = np.random.default_rng(23)
+    cases = [pt] + [random_network(rng, max_interior=9) for _ in range(6)]
+    for net, gauge in cases:
+        for n in (1, 3):
+            sub, gauge_n = subdivide(net, gauge, n)
+            order = list(sub.network.interior)
+            sel = [order.index(v) for v in net.interior]
+            full = green(sub.network).entries[np.ix_(sel, sel)]
+            full_s = twisted_green(sub.network, gauge_n).entries[np.ix_(sel, sel)]
+            block = restricted_green(sub.network, net.interior)
+            block_s = restricted_green(sub.network, net.interior, gauge_n)
+            assert block.interior_order == net.interior
+            assert block.kind == "untwisted" and block_s.kind == "twisted"
+            assert np.max(np.abs(block.entries - full)) < 1e-12
+            assert np.max(np.abs(block_s.entries - full_s)) < 1e-12
+
+
+def test_restricted_green_in_any_vertex_order(pt):
+    net, gauge = pt
+    block = restricted_green(net, ["z", "x"], gauge)
+    assert block.value("z", "x") == pytest.approx(1 / 7, abs=1e-12)
+    assert block.value("z", "z") == pytest.approx(5 / 7, abs=1e-12)
+
+
+def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
+    net, gauge = pt
+    real = spectral.sla.cho_factor
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "cho_factor", counting)
+    lap = twisted_laplacian(net, gauge)  # the positive-definiteness check factors it
+    assert calls == [(3, 3)]
+    log_det, chol = lap.log_det(), lap.cholesky()
+    g = spectral._invert(lap)
+    assert calls == [(3, 3)]
+    assert log_det == pytest.approx(math.log(7), abs=1e-12)
+    assert np.array_equal(chol, np.tril(chol))
+    assert np.max(np.abs(chol @ chol.T - lap.entries)) < 1e-12
+    assert np.array_equal(g.entries, twisted_green(net, gauge).entries)
+    calls.clear()
+    green(net)
+    restricted_green(net, ["y"])
+    assert calls == [(3, 3), (3, 3)]  # one factor per Laplacian assembled
+
+
+def test_non_positive_definite_matrix_raises():
+    lap = LaplacianMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]), "twisted")
+    for use in (lambda: lap.factor, lap.cholesky, lap.log_det,
+                lambda: spectral._invert(lap)):
+        with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
+            use()
+
+
+def test_subspace_log_determinants_pt(pt):
+    net, gauge = pt
+    lp, lm = subspace_log_determinants(net, gauge)
+    dp, dm = subspace_determinants(net, gauge)
+    assert lp == pytest.approx(math.log(3.0), abs=1e-12)
+    assert lm == pytest.approx(math.log(7.0), abs=1e-12)
+    assert lp == pytest.approx(math.log(dp), abs=1e-12)
+    assert lm == pytest.approx(math.log(dm), abs=1e-12)
+
+
+def test_subspace_log_determinants_match_laplacian_log_dets():
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        net, gauge = random_network(rng, max_interior=10)
+        lp, lm = subspace_log_determinants(net, gauge)
+        assert lp == pytest.approx(laplacian(net).log_det(), abs=1e-10)
+        assert lm == pytest.approx(twisted_laplacian(net, gauge).log_det(), abs=1e-10)
+        cover_ld = cover_laplacian(build_double_cover(net, gauge)).log_det()
+        assert lp + lm == pytest.approx(cover_ld, abs=1e-10)
