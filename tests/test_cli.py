@@ -193,6 +193,12 @@ GOLDEN_RUNS = {
     "conditional-moments": ["--vertices", "y", "z", "--samples", "4000"],
     "connectivity": ["--vertices", "x", "y", "--samples", "4000"],
     "loopsoup-test": ["--soups", "400"],
+    # polar_annulus(6, 8) of conftest: 48 interior vertices, two batches of
+    # 4,096 samples, several cluster-labelling chunks per batch
+    "annulus-6x8/verify-theorem1": ["--samples", "8192"],
+    "annulus-6x8/conditional-moments": ["--vertices", "r03s07", "r03s00",
+                                        "--samples", "8192"],
+    "annulus-6x8/connectivity": ["--vertices", "r03s07", "r03s00", "--samples", "8192"],
 }
 
 
@@ -202,12 +208,14 @@ def _without_timestamp(text: str) -> list[str]:
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
 def test_reports_match_golden_up_to_timestamp(tmp_path, monkeypatch, command):
-    """The estimator and loop-soup reports on PT at seed 11 keep every byte
-    but the timestamp of tests/golden/, which an earlier version recorded."""
+    """The estimator and loop-soup reports on PT (and, where the run's name
+    has a network prefix, on that network) at seed 11 keep every byte but the
+    timestamp of tests/golden/, which an earlier version recorded."""
     monkeypatch.chdir(Path(__file__).resolve().parent.parent / "networks")
-    out = tmp_path / f"{command}.json"
-    code = main([command, "--network", "pt.json", "--seed", "11", *GOLDEN_RUNS[command],
-                 "--output", str(out)])
+    network, _, name = command.rpartition("/")
+    out = tmp_path / "report.json"
+    code = main([name, "--network", f"{network or 'pt'}.json", "--seed", "11",
+                 *GOLDEN_RUNS[command], "--output", str(out)])
     golden = (GOLDEN / f"{command}.json").read_text()
     assert code == 0
     assert _without_timestamp(out.read_text()) == _without_timestamp(golden)
