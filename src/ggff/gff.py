@@ -78,18 +78,12 @@ class EstimatorReport:
 
 
 class _ParityUnionFind:
-    """Union-find whose nodes carry a sign relative to their root.
-
-    Tracks, per class, its smallest member and that member's relative sign,
-    so canonical colorings (smallest id keeps +1) come out directly.
-    """
+    """Union-find whose nodes carry a sign relative to their root."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
         self.sign = [1] * n          # sign of node relative to its parent chain
-        self.min_member = list(range(n))
-        self.min_sign = [1] * n      # sign of min member relative to root
 
     def find(self, v: int) -> tuple[int, int]:
         """Root of v's class and the sign of v relative to that root."""
@@ -107,10 +101,8 @@ class _ParityUnionFind:
 
     def union(self, u: int, v: int, rel: int) -> bool:
         """Join with constraint sign(u)*sign(v) = rel; False if contradictory."""
-        ru, _ = self.find(u)
-        rv, _ = self.find(v)
-        su = self.sign[u] if u != ru else 1
-        sv = self.sign[v] if v != rv else 1
+        ru, su = self.find(u)
+        rv, sv = self.find(v)
         if ru == rv:
             return su * sv == rel
         # sign of rv relative to ru so that su * (sv * srv) = rel;
@@ -122,10 +114,69 @@ class _ParityUnionFind:
         self.sign[rv] = srv
         if self.rank[ru] == self.rank[rv]:
             self.rank[ru] += 1
-        if self.min_member[rv] < self.min_member[ru]:
-            self.min_member[ru] = self.min_member[rv]
-            self.min_sign[ru] = self.min_sign[rv] * srv
         return True
+
+
+# Bounds the graph one connected_components call sees, and so the memory a
+# batch's labelling takes at once.
+_COVER_NODES_PER_CALL = 1 << 16
+
+
+def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray,
+                  opened: np.ndarray) -> np.ndarray:
+    """Component labels of the double covers of the open subgraphs, one per
+    column of opened (interior edge i joins edge_u[i], edge_v[i], sign rel[i]).
+
+    Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
+    joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
+    Returns lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
+    number in the component of (s, v, sheet).  Hence, in column s:
+    - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
+    - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
+      (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
+    - in the event, the canonical recolouring tau(v) is +1 iff lab[s, v, 0] is
+      even: that component holds one lift of each vertex of v's cluster, and
+      its smallest node lifts the cluster's smallest vertex.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    n = opened.shape[1]
+    per_call = max(1, _COVER_NODES_PER_CALL // max(2 * m, 1))
+    cross = (rel == -1).astype(np.intp)
+    lab = np.empty(2 * m * n, dtype=np.intp)
+    for s0 in range(0, n, per_call):
+        s1 = min(n, s0 + per_call)
+        size = 2 * m * (s1 - s0)
+        e, s = np.nonzero(opened[:, s0:s1])
+        a = 2 * (m * s + edge_u[e])
+        b = 2 * (m * s + edge_v[e]) + cross[e]
+        rows = np.concatenate((a, a + 1))
+        cols = np.concatenate((b, b ^ 1))
+        count, part = connected_components(
+            coo_array((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
+            directed=True, connection="weak")
+        low = np.full(count, size, dtype=np.intp)
+        np.minimum.at(low, part, np.arange(size))
+        lab[2 * m * s0:2 * m * s1] = low[part] + 2 * m * s0
+    return lab.reshape(n, m, 2)
+
+
+def _balanced(lab: np.ndarray) -> np.ndarray:
+    """Per sample of _cover_labels: whether every open cluster is balanced."""
+    return (lab[:, :, 0] != lab[:, :, 1]).all(axis=1)
+
+
+def _configuration_labels(network: ElectricalNetwork, edge_open: Mapping[EdgeKey, bool],
+                          signs: Optional[Mapping[EdgeKey, int]] = None) -> np.ndarray:
+    """_cover_labels of one configuration, shape (1, m, 2); all signs +1 when
+    none are given."""
+    idx = network.interior_index()
+    keys = [k for k, o in edge_open.items() if o]
+    u = np.array([idx[k[0]] for k in keys], dtype=np.intp)
+    v = np.array([idx[k[1]] for k in keys], dtype=np.intp)
+    rel = np.array([1 if signs is None else signs[k] for k in keys], dtype=np.intp)
+    return _cover_labels(len(idx), u, v, rel, np.ones((len(keys), 1), dtype=bool))
 
 
 def _interior_edges(network: ElectricalNetwork) -> list[EdgeKey]:
@@ -161,6 +212,20 @@ class _FieldEngine:
         same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
         return same & (u < -np.expm1(-2.0 * self.edge_c[:, None] * np.abs(a * b)))
 
+    def edge_signs(self, gauge: Optional[GaugeField] = None) -> np.ndarray:
+        """The interior edges' gauge signs; all +1 without a gauge."""
+        if gauge is None:
+            return np.ones(len(self.int_edges), dtype=np.intp)
+        return np.array([gauge.signs[k] for k in self.int_edges], dtype=np.intp)
+
+    def cluster_block(self, rng: np.random.Generator, n: int,
+                      rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """n field samples and the _cover_labels of their open subgraphs,
+        the interior edges carrying the signs rel."""
+        phi = self.sample_block(rng, n)
+        opened = self.open_block(phi, rng)
+        return phi, _cover_labels(len(self.interior), self.edge_u, self.edge_v, rel, opened)
+
 
 def sample_gff(network: ElectricalNetwork, seed: int) -> GffSample:
     """Exact mean-zero Gaussian sample with covariance the Green matrix."""
@@ -178,6 +243,24 @@ def sample_twisted_gff(network: ElectricalNetwork, gauge: GaugeField, seed: int)
                      "twisted", (seed,))
 
 
+def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int, n: int):
+    """n cover-field samples as columns, in cover interior order, with their
+    sheet sums and differences over the base interior, each scaled by 1/sqrt(2).
+
+    Returns (cover, cover interior order, cover samples, plus, minus).
+    """
+    cov = build_double_cover(network, gauge)
+    g = spectral.cover_green(cov)
+    chol = np.linalg.cholesky(g.entries)
+    phi = chol @ substream(seed).standard_normal((len(g.interior_order), n))
+    idx = {v: i for i, v in enumerate(g.interior_order)}
+    i1 = np.array([idx[cov.lift(x, 1)] for x in network.interior], dtype=np.intp)
+    i2 = np.array([idx[cov.lift(x, 2)] for x in network.interior], dtype=np.intp)
+    inv = 1.0 / math.sqrt(2.0)
+    return (cov, g.interior_order, phi,
+            inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2]))
+
+
 def sample_cover_gff_and_project(network: ElectricalNetwork, gauge: GaugeField,
                                  seed: int) -> tuple[GffSample, GffSample, GffSample]:
     """Sample the field on the double cover and split into the two sheets' sum
@@ -186,23 +269,14 @@ def sample_cover_gff_and_project(network: ElectricalNetwork, gauge: GaugeField,
     The sum (scaled by 1/sqrt(2)) has the untwisted law, the difference the
     twisted law, and the two projections are independent.
     """
-    cov = build_double_cover(network, gauge)
-    g = spectral.cover_green(cov)
-    chol = np.linalg.cholesky(g.entries)
-    rng = substream(seed)
-    phi = chol @ rng.standard_normal(len(g.interior_order))
-    vals = dict(zip(g.interior_order, map(float, phi)))
-    inv = 1.0 / math.sqrt(2.0)
-    plus = {}
-    minus = {}
-    for x in network.interior:
-        a = vals[cov.lift(x, 1)]
-        b = vals[cov.lift(x, 2)]
-        plus[x] = inv * (a + b)
-        minus[x] = inv * (a - b)
-    return (GffSample(cov.cover_network, vals, "cover", (seed,)),
-            GffSample(network, plus, "untwisted", (seed,)),
-            GffSample(network, minus, "twisted", (seed,)))
+    cov, order, phi, plus, minus = _sample_cover_block(network, gauge, seed, 1)
+
+    def values(vertices, column):
+        return dict(zip(vertices, map(float, column[:, 0])))
+
+    return (GffSample(cov.cover_network, values(order, phi), "cover", (seed,)),
+            GffSample(network, values(network.interior, plus), "untwisted", (seed,)),
+            GffSample(network, values(network.interior, minus), "twisted", (seed,)))
 
 
 def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
@@ -211,19 +285,10 @@ def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
 
     Returns (plus, minus) arrays of shape (interior count, n) in interior
     order; column j of plus has the untwisted law, of minus the twisted law,
-    and the two are independent.  Batched companion of
-    sample_cover_gff_and_project for covariance checks.
+    and the two are independent.  sample_cover_gff_and_project is its n = 1
+    case.
     """
-    cov = build_double_cover(network, gauge)
-    g = spectral.cover_green(cov)
-    chol = np.linalg.cholesky(g.entries)
-    rng = substream(seed)
-    phi = chol @ rng.standard_normal((len(g.interior_order), n))
-    idx = {v: i for i, v in enumerate(g.interior_order)}
-    i1 = np.array([idx[cov.lift(x, 1)] for x in network.interior], dtype=np.intp)
-    i2 = np.array([idx[cov.lift(x, 2)] for x in network.interior], dtype=np.intp)
-    inv = 1.0 / math.sqrt(2.0)
-    return inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
+    return _sample_cover_block(network, gauge, seed, n)[3:]
 
 
 def open_probability(conductance: float, a: float, b: float) -> float:
@@ -277,17 +342,11 @@ def make_cluster_configuration(network: ElectricalNetwork,
 
 def _finish_configuration(network: ElectricalNetwork, signs: dict[str, int],
                           edge_open: dict[EdgeKey, bool]) -> ClusterConfiguration:
-    idx = network.interior_index()
-    uf = _ParityUnionFind(len(network.interior))
-    for k, opened in edge_open.items():
-        if opened:
-            uf.union(idx[k[0]], idx[k[1]], 1)
-    groups: dict[int, set[str]] = {}
-    for v, i in idx.items():
-        root, _ = uf.find(i)
-        groups.setdefault(root, set()).add(v)
-    components = tuple(sorted((frozenset(g) for g in groups.values()),
-                              key=lambda s: min(s)))
+    # labels are smallest members, so sorting them sorts by smallest vertex
+    groups: dict[int, list[str]] = {}
+    for v, label in zip(network.interior, _configuration_labels(network, edge_open)[0, :, 0]):
+        groups.setdefault(label, []).append(v)
+    components = tuple(frozenset(g) for _, g in sorted(groups.items()))
     return ClusterConfiguration(network, signs, edge_open, components)
 
 
@@ -295,9 +354,10 @@ def detect_event(config: ClusterConfiguration, gauge: GaugeField,
                  method: str = "parity") -> bool:
     """True when every open component is balanced for the gauge field.
 
-    method "parity": union-find with signs; "cover": counts double-cover
-    components of the open subgraph; "cycles": checks every fundamental cycle
-    of a spanning forest of the open subgraph.
+    method "parity": union-find with signs; "cover": labels the double-cover
+    components of the open subgraph and looks for a vertex whose two lifts
+    share one; "cycles": checks every fundamental cycle of a spanning forest
+    of the open subgraph.
     """
     if gauge.network != config.network:
         raise ValueError("configuration and gauge field live on different networks")
@@ -311,50 +371,10 @@ def detect_event(config: ClusterConfiguration, gauge: GaugeField,
                 return False
         return True
     if method == "cover":
-        return _detect_via_cover(net, gauge, open_edges)
+        return bool(_balanced(_configuration_labels(net, config.edge_open, gauge.signs))[0])
     if method == "cycles":
         return _detect_via_cycles(net, gauge, open_edges)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _components(vertices: set[str], adj: dict[str, list[str]]) -> int:
-    seen: set[str] = set()
-    count = 0
-    for v in vertices:
-        if v in seen:
-            continue
-        count += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            for x in adj.get(w, ()):
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    return count
-
-
-def _detect_via_cover(net: ElectricalNetwork, gauge: GaugeField,
-                      open_edges: list[EdgeKey]) -> bool:
-    """Balanced iff the open subgraph's preimage has twice as many components."""
-    verts = {v for k in open_edges for v in k}
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for u, v in open_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    base_comp = _components(verts, adj)
-    lift_verts = {(v, s) for v in verts for s in (1, 2)}
-    lift_adj: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in lift_verts}
-    for u, v in open_edges:
-        if gauge.signs[(u, v)] == 1:
-            pairs = [((u, 1), (v, 1)), ((u, 2), (v, 2))]
-        else:
-            pairs = [((u, 1), (v, 2)), ((u, 2), (v, 1))]
-        for a, b in pairs:
-            lift_adj[a].append(b)
-            lift_adj[b].append(a)
-    return _components(lift_verts, lift_adj) == 2 * base_comp
 
 
 def _detect_via_cycles(net: ElectricalNetwork, gauge: GaugeField,
@@ -412,36 +432,11 @@ def sign_flip_transform(config: ClusterConfiguration, gauge: GaugeField) -> dict
     """
     if gauge.network != config.network:
         raise ValueError("configuration and gauge field live on different networks")
-    net = config.network
-    idx = net.interior_index()
-    uf = _ParityUnionFind(len(net.interior))
-    for k, opened in config.edge_open.items():
-        if opened:
-            if not uf.union(idx[k[0]], idx[k[1]], gauge.signs[k]):
-                raise ValueError("configuration is not in the topological event; "
-                                 "no harmonious coloring exists")
-    tau: dict[str, int] = {}
-    for v in net.interior:
-        i = idx[v]
-        root, _ = uf.find(i)
-        s_v = uf.sign[i] if i != root else 1
-        tau[v] = s_v * uf.min_sign[root]
-    return tau
-
-
-def _parity_event_and_tau(m: int, edges_u: np.ndarray, edges_v: np.ndarray,
-                          rel: np.ndarray, need: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
-    """Batch-path event check; also returns tau at the requested vertex indices."""
-    uf = _ParityUnionFind(m)
-    for u, v, r in zip(edges_u, edges_v, rel):
-        if not uf.union(int(u), int(v), int(r)):
-            return False, tuple(1 for _ in need)
-    taus = []
-    for i in need:
-        root, _ = uf.find(i)
-        s = uf.sign[i] if i != root else 1
-        taus.append(s * uf.min_sign[root])
-    return True, tuple(taus)
+    lab = _configuration_labels(config.network, config.edge_open, gauge.signs)
+    if not _balanced(lab)[0]:
+        raise ValueError("configuration is not in the topological event; "
+                         "no harmonious coloring exists")
+    return {v: 1 - 2 * int(label % 2) for v, label in zip(config.network.interior, lab[0, :, 0])}
 
 
 def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
@@ -452,20 +447,11 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     eng = _FieldEngine(network)
-    rel = np.array([gauge.signs[k] for k in eng.int_edges], dtype=np.int64)
-    m = len(eng.interior)
+    rel = eng.edge_signs(gauge)
 
     def worker(bi: int, bn: int) -> int:
-        rng = substream(seed, bi)
-        phi = eng.sample_block(rng, bn)
-        opened = eng.open_block(phi, rng)
-        hits = 0
-        for s in range(bn):
-            cols = np.flatnonzero(opened[:, s])
-            ok, _ = _parity_event_and_tau(m, eng.edge_u[cols], eng.edge_v[cols],
-                                          rel[cols], ())
-            hits += ok
-        return hits
+        _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
+        return int(_balanced(lab).sum())
 
     totals = run_batches(batch_plan(n_samples, batch_size), worker, threads)
     hits = int(sum(totals))
@@ -486,26 +472,17 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     if x not in ints or y not in ints:
         raise ValueError("conditional moments are defined at interior vertices")
     eng = _FieldEngine(network)
-    rel = np.array([gauge.signs[k] for k in eng.int_edges], dtype=np.int64)
-    m = len(eng.interior)
+    rel = eng.edge_signs(gauge)
     ix, iy = eng.index[x], eng.index[y]
 
     def worker(bi: int, bn: int) -> tuple[float, float, int]:
-        rng = substream(seed, bi)
-        phi = eng.sample_block(rng, bn)
-        opened = eng.open_block(phi, rng)
-        s1 = s2 = 0.0
-        acc = 0
-        for s in range(bn):
-            cols = np.flatnonzero(opened[:, s])
-            ok, taus = _parity_event_and_tau(m, eng.edge_u[cols], eng.edge_v[cols],
-                                             rel[cols], (ix, iy))
-            if ok:
-                g = taus[0] * phi[ix, s] * taus[1] * phi[iy, s]
-                s1 += g
-                s2 += g * g
-                acc += 1
-        return s1, s2, acc
+        phi, lab = eng.cluster_block(substream(seed, bi), bn, rel)
+        tau = 1 - 2 * (lab[:, [ix, iy], 0] % 2)
+        g = (tau[:, 0] * phi[ix] * tau[:, 1] * phi[iy])[_balanced(lab)]
+        # sums run left to right from 0.0, in sample order: np.sum would
+        # pair terms and move the estimate's last bits
+        return (np.cumsum(np.append(0.0, g))[-1], np.cumsum(np.append(0.0, g * g))[-1],
+                len(g))
 
     parts = run_batches(batch_plan(n_samples, batch_size), worker, threads)
     s1 = sum(p[0] for p in parts)
@@ -530,21 +507,12 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
     if x not in ints or y not in ints:
         raise ValueError("connectivity is defined at interior vertices")
     eng = _FieldEngine(network)
-    m = len(eng.interior)
+    rel = eng.edge_signs()
     ix, iy = eng.index[x], eng.index[y]
 
     def worker(bi: int, bn: int) -> int:
-        rng = substream(seed, bi)
-        phi = eng.sample_block(rng, bn)
-        opened = eng.open_block(phi, rng)
-        hits = 0
-        for s in range(bn):
-            cols = np.flatnonzero(opened[:, s])
-            uf = _ParityUnionFind(m)
-            for u, v in zip(eng.edge_u[cols], eng.edge_v[cols]):
-                uf.union(int(u), int(v), 1)
-            hits += uf.find(ix)[0] == uf.find(iy)[0]
-        return hits
+        _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
+        return int((lab[:, ix, 0] == lab[:, iy, 0]).sum())
 
     totals = run_batches(batch_plan(n_samples, batch_size), worker, threads)
     hits = int(sum(totals))

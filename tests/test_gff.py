@@ -13,7 +13,7 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
                   sample_gff, sample_metric_field, sample_twisted_gff,
                   sign_flip_transform, twisted_green, two_point_connectivity,
                   edge_key, subdivide)
-from ggff.gff import _FieldEngine
+from ggff.gff import _FieldEngine, _ParityUnionFind, _balanced, _cover_labels
 from ggff.seeds import substream
 
 from conftest import random_network
@@ -450,3 +450,53 @@ def test_make_cluster_configuration_enforces_invariants(pt_net):
     with pytest.raises(ValueError, match="signs"):
         make_cluster_configuration(pt_net, {"x": 1, "y": -1, "z": 1},
                                    {edge_key("x", "y"): True})
+
+
+def _union_find_column(m, edges):
+    """Event verdict, canonical tau and class root per vertex of one open
+    subgraph, from the union-find with signs (every union runs, so the
+    classes are complete even outside the event); tau is +1 at the smallest
+    vertex of each class."""
+    uf = _ParityUnionFind(m)
+    ok = all([uf.union(int(u), int(v), int(r)) for u, v, r in edges])
+    found = [uf.find(i) for i in range(m)]
+    lowest_sign = {}
+    for root, sign in found:
+        lowest_sign.setdefault(root, sign)
+    return ok, [sign * lowest_sign[root] for root, sign in found], [r for r, _ in found]
+
+
+def test_cover_labels_match_union_find_column_by_column(monkeypatch):
+    """Event, tau at every vertex and same-cluster for every pair, on batches
+    split over many labelling calls, one sample per call on the larger
+    networks; the star has no edge between interior vertices."""
+    rng = np.random.default_rng(21)
+    star = ElectricalNetwork(("b", "x", "y", "z"), frozenset({"b"}),
+                             tuple(Edge(f"e{v}", "b", v, 1.0) for v in "xyz"))
+    cases = [(star, GaugeField.all_plus(star))]
+    cases += [random_network(rng) for _ in range(30)]
+    cases += [random_network(rng, max_interior=60) for _ in range(3)]
+    for net, gauge in cases:
+        eng = _FieldEngine(net)
+        m, rel, plus = len(net.interior), eng.edge_signs(gauge), eng.edge_signs()
+        opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
+        opened[:, 0] = False
+        one_call = _cover_labels(m, eng.edge_u, eng.edge_v, rel, opened)
+        monkeypatch.setattr(ggff.gff, "_COVER_NODES_PER_CALL", 100)
+        lab = _cover_labels(m, eng.edge_u, eng.edge_v, rel, opened)
+        same = _cover_labels(m, eng.edge_u, eng.edge_v, plus, opened)
+        monkeypatch.undo()
+        assert np.array_equal(lab, one_call)
+        balanced = _balanced(lab)
+        assert balanced[0] and np.all(lab[0, :, 0] == 2 * np.arange(m))
+        for s in range(opened.shape[1]):
+            cols = np.flatnonzero(opened[:, s])
+            ok, tau, roots = _union_find_column(
+                m, zip(eng.edge_u[cols], eng.edge_v[cols], rel[cols]))
+            assert balanced[s] == ok
+            if ok:
+                assert list(1 - 2 * (lab[s, :, 0] % 2)) == tau
+            for x, y in itertools.product(range(m), repeat=2):
+                joined = roots[x] == roots[y]
+                assert (lab[s, x, 0] in (lab[s, y, 0], lab[s, y, 1])) == joined
+                assert (same[s, x, 0] == same[s, y, 0]) == joined
