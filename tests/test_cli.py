@@ -199,6 +199,7 @@ GOLDEN_RUNS = {
     "annulus-6x8/conditional-moments": ["--vertices", "r03s07", "r03s00",
                                         "--samples", "8192"],
     "annulus-6x8/connectivity": ["--vertices", "r03s07", "r03s00", "--samples", "8192"],
+    "annulus-6x8/loopsoup-test": ["--soups", "400"],
 }
 
 
