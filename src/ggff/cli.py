@@ -35,8 +35,15 @@ def _check_exact(name: str, residual: float, tol: float = EXACT_TOL) -> dict:
 
 
 def _check_mc(name: str, estimate: float, target: float, se: float,
-              k: float = 3.0) -> dict:
-    if se > 0:
+              k: float = 3.0, n: int | None = None) -> dict:
+    """With n, the estimate is a proportion of n samples: when its Wald
+    standard error is 0 (no sample, or every sample, in the event), the
+    target's own standard error sqrt(q(1-q)/n) takes its place."""
+    if se == 0 and n is not None:
+        se = math.sqrt(max(target * (1.0 - target), 0.0) / n)
+        passed = abs(estimate - target) <= k * se
+        tol = f"{k:g} standard errors of the target, sqrt(q(1-q)/n) (zero Wald standard error)"
+    elif se > 0:
         passed = abs(estimate - target) <= k * se
         tol = f"{k:g} standard errors"
     else:
@@ -195,7 +202,7 @@ def cmd_verify_theorem1(args) -> int:
     report["network_name"] = net.name
     report["estimator"] = est.to_json_dict()
     checks = [_check_mc("event probability = sqrt(det G_sigma / det G)",
-                        est.estimate, est.target, est.std_error, 3.0)]
+                        est.estimate, est.target, est.std_error, 3.0, est.n_samples)]
     return _emit(_finish(report, checks), args)
 
 
@@ -225,7 +232,7 @@ def cmd_connectivity(args) -> int:
     report["network_name"] = net.name
     report["estimator"] = est.to_json_dict()
     checks = [_check_mc(f"same-cluster probability at ({x},{y}) = arcsine formula",
-                        est.estimate, est.target, est.std_error, 3.0)]
+                        est.estimate, est.target, est.std_error, 3.0, est.n_samples)]
     return _emit(_finish(report, checks), args)
 
 

@@ -8,6 +8,11 @@ jump chain's return probability to v_i, and each loop concatenates a
 logarithmically distributed number of independent excursions from v_i.
 Holding times at every visit of x are exponential with rate W(x).
 
+All r_i come from one Cholesky factor of the Laplacian in reversed interior
+order: eliminating the vertices after v_i leaves the pivot D_i = W_i (1 - r_i),
+so -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
+(Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
+
 Jump-free loops never leave one vertex; at x their durations form a Poisson
 process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
 Gamma(alpha, rate W(x)) variable.  Only that aggregate matters for any
@@ -20,6 +25,7 @@ rate-W convention as the correct one.)
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
@@ -79,60 +85,40 @@ class LoopSoupSampler:
         self.interior = network.interior
         self.index = {v: i for i, v in enumerate(self.interior)}
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
-        # static jump tables: interior target index, or -1 for a boundary jump
-        self.jump_targets: list[np.ndarray] = []
-        self.jump_probs: list[np.ndarray] = []
-        self.jump_cum: list[np.ndarray] = []
+        # static jump tables as Python lists, walked by bisect: interior target
+        # index, or -1 for a boundary jump, and the cumulative jump
+        # probabilities but the last, so that a uniform at or past the rounded
+        # total still picks the last neighbour
+        self.jump_targets: list[list[int]] = []
+        self.jump_cum: list[list[float]] = []
         for v in self.interior:
             nbrs = network.adjacency[v]
-            codes = np.array([self.index.get(w, -1) for w, _ in nbrs], dtype=np.int64)
+            self.jump_targets.append([self.index.get(w, -1) for w, _ in nbrs])
             probs = np.array([c for _, c in nbrs]) / self.w[self.index[v]]
-            self.jump_targets.append(codes)
-            self.jump_probs.append(probs)
-            self.jump_cum.append(np.cumsum(probs))
-        m = len(self.interior)
-        self.return_prob = np.array([self._return_probability(i) for i in range(m)])
+            self.jump_cum.append(np.cumsum(probs)[:-1].tolist())
+        # row i of the reversed-order factor, below its diagonal, has the sum
+        # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
+        # where W_i minus the squared pivot need not be
+        lap = spectral.laplacian(network, order=self.interior[::-1])
+        below = np.tril(lap.factor[0], -1)
+        self.return_prob = (np.einsum("ij,ij->i", below, below) / self.w[::-1])[::-1]
         self.level_mass = -np.log1p(-self.return_prob)
         if one_point_mode == "degree":
             self.one_point_scale = 1.0 / self.w
         else:
             self.one_point_scale = np.diag(spectral.green(network).entries).copy()
 
-    def _return_probability(self, i: int) -> float:
-        """Exact probability that the jump chain from v_i returns to v_i before
-        hitting the boundary or any interior vertex of lower index."""
-        m = len(self.interior)
-        allowed = list(range(i + 1, m))
-        pos = {j: k for k, j in enumerate(allowed)}
-        h = np.zeros(0)
-        if allowed:
-            a = np.eye(len(allowed))
-            b = np.zeros(len(allowed))
-            for j in allowed:
-                for code, p in zip(self.jump_targets[j], self.jump_probs[j]):
-                    if code == i:
-                        b[pos[j]] += p
-                    elif int(code) in pos:
-                        a[pos[j], pos[int(code)]] -= p
-            h = np.linalg.solve(a, b)
-        r = 0.0
-        for code, p in zip(self.jump_targets[i], self.jump_probs[i]):
-            if int(code) in pos:
-                r += p * h[pos[int(code)]]
-        return float(r)
-
     def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:
         """One jump-chain excursion v_i -> v_i avoiding killed vertices, by
         rejection (acceptance probability is the return probability)."""
+        targets, cums, uniform = self.jump_targets, self.jump_cum, rng.random
         for _ in range(EXCURSION_ATTEMPT_CAP):
             path = [i]
             v = i
             while True:
-                j = int(np.searchsorted(self.jump_cum[v], rng.random(), side="right"))
-                j = min(j, len(self.jump_targets[v]) - 1)
-                code = int(self.jump_targets[v][j])
-                if code == -1 or code < i:
-                    break  # killed; reject this attempt
+                code = targets[v][bisect_right(cums[v], uniform())]
+                if code < i:
+                    break  # killed (boundary jumps are -1); reject this attempt
                 path.append(code)
                 if code == i:
                     return path
@@ -141,12 +127,11 @@ class LoopSoupSampler:
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
         loops: list[Loop] = []
-        for i in range(len(self.interior)):
-            r = self.return_prob[i]
+        means = (self.alpha * self.level_mass).tolist()
+        for i, r in enumerate(self.return_prob.tolist()):
             if r <= 0.0:
                 continue
-            n_loops = rng.poisson(self.alpha * self.level_mass[i])
-            for _ in range(n_loops):
+            for _ in range(rng.poisson(means[i])):
                 k = int(rng.logseries(r))
                 skel_idx = [i]
                 for _ in range(k):
@@ -154,20 +139,16 @@ class LoopSoupSampler:
                 skel_idx.pop()  # cyclic representation: final return is implicit
                 times = rng.exponential(scale=1.0 / self.w[np.array(skel_idx)])
                 loops.append(Loop(tuple(self.interior[j] for j in skel_idx), times))
-        for i, v in enumerate(self.interior):  # aggregated jump-free mass
-            t = rng.gamma(self.alpha, self.one_point_scale[i])
-            loops.append(Loop((v,), np.array([t])))
+        # aggregated jump-free masses: numpy's gamma(alpha, scale) is this product
+        jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.one_point_scale
+        loops.extend(Loop((v,), jump_free[i:i + 1]) for i, v in enumerate(self.interior))
         return LoopSoupSample(self.network, tuple(loops), self.alpha, seed)
 
     def sample(self, seed: int) -> LoopSoupSample:
         return self.sample_with(substream(seed), seed)
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
-        occ = np.zeros(len(self.interior))
-        for lp in soup.loops:
-            for v, t in zip(lp.skeleton, lp.holding_times):
-                occ[self.index[v]] += t
-        return occ
+        return _occupation(soup, self.index)
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int,
@@ -175,13 +156,21 @@ def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int,
     return LoopSoupSampler(network, alpha, one_point_mode).sample(seed)
 
 
+def _occupation(soup: LoopSoupSample, index: Mapping[str, int]) -> np.ndarray:
+    """Total time the soup's loops spend at each interior vertex, by index,
+    added up visit by visit in loop order (bincount adds in input order)."""
+    if not soup.loops:
+        return np.zeros(len(index))
+    visits = [index[v] for lp in soup.loops for v in lp.skeleton]
+    times = np.concatenate([lp.holding_times for lp in soup.loops])
+    return np.bincount(visits, weights=times, minlength=len(index))
+
+
 def occupation_field(soup: LoopSoupSample) -> OccupationField:
     """Total time every loop of the soup spends at each interior vertex."""
-    local = {v: 0.0 for v in soup.network.interior}
-    for lp in soup.loops:
-        for v, t in zip(lp.skeleton, lp.holding_times):
-            local[v] += float(t)
-    return OccupationField(local)
+    interior = soup.network.interior
+    occ = _occupation(soup, {v: i for i, v in enumerate(interior)})
+    return OccupationField(dict(zip(interior, occ.tolist())))
 
 
 def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:

@@ -1,12 +1,13 @@
 """Laplacians, Green functions, and the closed-form determinant identities.
 
 All matrices are dense and restricted to the interior vertices in sorted-id
-order, with zero boundary conditions.  Each LaplacianMatrix is factored once,
-by a Cholesky factor cached on it; its positive-definiteness check, its log
-determinant and its full inverse all reuse that factor.  Determinants are
-accumulated as log determinants, so ratios never overflow.  A Green matrix is
-formed in full only where all its entries are used: restricted_green solves
-for the columns of a vertex list alone.
+order (laplacian also takes another order), with zero boundary conditions.
+Each LaplacianMatrix is factored once, by a Cholesky factor cached on it; its
+positive-definiteness check, its log determinant and its full inverse all
+reuse that factor.  Determinants are accumulated as log determinants, so
+ratios never overflow.  A Green matrix is formed in full only where all its
+entries are used: restricted_green solves for the columns of a vertex list
+alone.
 """
 
 from __future__ import annotations
@@ -62,8 +63,9 @@ class GreenMatrix:
         return float(self.entries[i, j])
 
 
-def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str) -> LaplacianMatrix:
-    order = network.interior
+def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
+              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
+    order = network.interior if order is None else order
     idx = {v: i for i, v in enumerate(order)}
     m = len(order)
     a = np.zeros((m, m))
@@ -79,8 +81,10 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str) -
     return lap
 
 
-def laplacian(network: ElectricalNetwork) -> LaplacianMatrix:
-    return _assemble(network, None, "untwisted")
+def laplacian(network: ElectricalNetwork,
+              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
+    """In sorted interior order, or in the given order of the interior."""
+    return _assemble(network, None, "untwisted", order)
 
 
 def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> LaplacianMatrix:

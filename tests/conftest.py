@@ -53,6 +53,33 @@ def polar_annulus(rings: int, sites: int) -> tuple[ElectricalNetwork, GaugeField
     return net, GaugeField.with_minus_edges(net, cut)
 
 
+def holed_grid(size: int = 16, hole: int = 6) -> tuple[ElectricalNetwork, GaugeField]:
+    """size x size interior grid with a centred hole x hole Dirichlet hole.
+
+    The boundary is the outer ring without corners and the hole's rim; unit
+    conductances.  sigma = -1 on the edges that cross the middle row from the
+    hole to the outer ring, so a sign cluster winding around the hole breaks
+    the event; at 16 x 16 with a 6 x 6 hole, P(T) = 1 - 4.1e-8.
+    """
+    lo, hi = (size - hole) // 2, (size + hole) // 2
+
+    def vid(x: int, y: int) -> str:
+        return f"g{x + 1:02d}-{y + 1:02d}"
+
+    inside = {(x, y) for x in range(size) for y in range(size)
+              if not (lo <= x < hi and lo <= y < hi)}
+    pairs = {tuple(sorted((a, (a[0] + dx, a[1] + dy))))
+             for a in inside for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))}
+    outside = {b for pair in pairs for b in pair} - inside
+    net = ElectricalNetwork(
+        vertices=tuple(vid(*v) for v in sorted(inside | outside)),
+        boundary=frozenset(vid(*v) for v in outside),
+        edges=tuple(Edge(f"e{k}", vid(*a), vid(*b), 1.0) for k, (a, b) in enumerate(sorted(pairs))),
+        name=f"holed-grid-{size}")
+    cut = [(vid(x, size // 2 - 1), vid(x, size // 2)) for x in range(hi, size)]
+    return net, GaugeField.with_minus_edges(net, cut)
+
+
 def random_network(rng: np.random.Generator, max_interior: int = 12,
                    max_boundary: int = 3, extra_edge_prob: float = 0.35,
                    p_minus: float = 0.4) -> tuple[ElectricalNetwork, GaugeField]:

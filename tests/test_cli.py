@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 from ggff import cli, save_network
 from ggff.cli import main
 
-from conftest import polar_annulus
+from conftest import holed_grid, polar_annulus
 
 
 PT_FILE_CONTENT = {
@@ -243,3 +244,35 @@ def test_arithmetic_error_exits_2(tmp_path, pt_file, monkeypatch, capsys):
                  "--output", str(tmp_path / "i.json")]) == 2
     assert "error: math range error" in capsys.readouterr().err
     assert not (tmp_path / "i.json").exists()
+
+
+def test_binomial_verdict_with_zero_wald_error_uses_the_target_error():
+    q = 1.0 - 4.1e-8
+    check = cli._check_mc("event", 1.0, q, 0.0, 3.0, n=4096)
+    assert check["passed"] and check["std_error"] == pytest.approx((q * (1 - q) / 4096) ** 0.5)
+    # a wrong target still fails: 0.01 away is more than 3 target SEs (4.7e-3)
+    assert not cli._check_mc("event", 1.0, 0.99, 0.0, 3.0, n=4096)["passed"]
+    assert not cli._check_mc("event", 0.0, 0.01, 0.0, 3.0, n=4096)["passed"]
+    # an estimate that is not a proportion keeps the absolute fallback
+    assert not cli._check_mc("count", 1.0, q, 0.0, 3.0)["passed"]
+
+
+def test_event_in_every_sample_passes_and_a_wrong_target_fails(tmp_path, monkeypatch):
+    """On the holed grid every sample lands in the event (P(T) = 1 - 4.1e-8),
+    so the Wald standard error is 0."""
+    net, gauge = holed_grid()
+    path = tmp_path / "holed.json"
+    save_network(net, path, gauge)
+    args = ["verify-theorem1", "--network", str(path), "--samples", "1024"]
+    code, rep = run(args, tmp_path / "t.json")
+    assert rep["estimator"]["estimate"] == 1.0 and rep["estimator"]["std_error"] == 0.0
+    assert code == 0 and rep["all_passed"]
+
+    estimate = cli.gff.estimate_event_probability
+
+    def wrong_target(*a, **kw):
+        return dataclasses.replace(estimate(*a, **kw), target=0.99)
+
+    monkeypatch.setattr(cli.gff, "estimate_event_probability", wrong_target)
+    code, rep = run(args, tmp_path / "w.json")
+    assert code == 1 and not rep["all_passed"]

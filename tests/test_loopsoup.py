@@ -9,9 +9,10 @@ from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
                   kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
                   sample_loop_soup, soup_moments, split_by_holonomy,
                   negative_holonomy_mass)
+from ggff import spectral
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 
-from conftest import random_network
+from conftest import polar_annulus, random_network
 
 
 def test_sampler_determinism(pt_net):
@@ -30,6 +31,103 @@ def test_return_probabilities_pt(pt_net):
     assert sampler.return_prob[1] == pytest.approx(1 / 4, abs=1e-12)
     assert sampler.return_prob[2] == pytest.approx(0.0, abs=1e-12)
     assert float(np.sum(sampler.level_mass)) == pytest.approx(loop_mass(pt_net), abs=1e-12)
+
+
+def solved_return_probabilities(net) -> np.ndarray:
+    """The reference r_i, one dense linear solve per vertex: h_j is the chance
+    that the jump chain from v_j reaches v_i before the boundary or any
+    interior vertex below v_i, and r_i averages h over the first jump."""
+    order = net.interior
+    index = {v: i for i, v in enumerate(order)}
+    m = len(order)
+    out = np.zeros(m)
+    for i in range(m):
+        pos = {j: k for k, j in enumerate(range(i + 1, m))}
+        a = np.eye(len(pos))
+        b = np.zeros(len(pos))
+        for j in pos:
+            for w, c in net.adjacency[order[j]]:
+                code = index.get(w, -1)
+                p = c / net.weighted_degree(order[j])
+                if code == i:
+                    b[pos[j]] += p
+                elif code in pos:
+                    a[pos[j], pos[code]] -= p
+        h = np.linalg.solve(a, b) if pos else np.zeros(0)
+        for w, c in net.adjacency[order[i]]:
+            code = index.get(w, -1)
+            if code in pos:
+                out[i] += c / net.weighted_degree(order[i]) * h[pos[code]]
+    return out
+
+
+def elimination_test_networks():
+    rng = np.random.default_rng(21)
+    nets = [random_network(rng)[0] for _ in range(33)]
+    return nets + [polar_annulus(6, 8)[0]]
+
+
+def test_pivot_return_probabilities_match_linear_solves():
+    for net in elimination_test_networks():
+        sampler = LoopSoupSampler(net, 0.5)
+        ref = solved_return_probabilities(net)
+        assert np.max(np.abs(sampler.return_prob - ref)) <= 1e-12
+
+
+def test_no_later_interior_neighbour_gives_exactly_zero(pt_net):
+    """Such a vertex roots no multi-vertex loop; its r_i must be 0.0 exactly,
+    not a rounding residue, so that sample_with skips it."""
+    seen = 0
+    for net in [pt_net] + elimination_test_networks():
+        sampler = LoopSoupSampler(net, 0.5)
+        for i, v in enumerate(net.interior):
+            if all(sampler.index.get(w, -1) <= i for w, _ in net.adjacency[v]):
+                assert sampler.return_prob[i] == 0.0
+                assert sampler.level_mass[i] == 0.0
+                seen += 1
+            else:
+                assert sampler.return_prob[i] > 0.0
+    assert seen >= 34  # at least the last vertex of every network
+
+
+def test_level_masses_add_up_to_loop_mass_on_the_annulus():
+    net, _ = polar_annulus(24, 12)
+    sampler = LoopSoupSampler(net, 0.5)
+    assert float(np.sum(sampler.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
+
+
+def test_sampler_setup_is_one_cholesky_and_no_solve(monkeypatch):
+    net, _ = polar_annulus(6, 8)
+    calls = {"cho_factor": 0, "cholesky": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral.sla, "cho_factor",
+                        counted("cho_factor", spectral.sla.cho_factor))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    LoopSoupSampler(net, 0.5)
+    assert calls == {"cho_factor": 1, "cholesky": 0, "solve": 0}
+    LoopSoupSampler(net, 0.5)
+    assert calls == {"cho_factor": 2, "cholesky": 0, "solve": 0}
+
+
+def test_soups_on_the_annulus_keep_their_bits_across_thread_counts():
+    """Three batches of 32 soups on 48 interior vertices, at 1 and 2 threads."""
+    net, gauge = polar_annulus(6, 8)
+    runs = [(soup_moments(net, 0.5, 96, seed=14, gauge=gauge, threads=t, batch_size=32),
+             kl_isomorphism_check(net, gauge, 96, seed=15, threads=t, batch_size=32))
+            for t in (1, 2)]
+    (mom1, kl1), (mom2, kl2) = runs
+    for field in vars(mom1):
+        assert np.array_equal(getattr(mom1, field), getattr(mom2, field)), field
+    for field in vars(kl1):
+        assert np.array_equal(getattr(kl1, field), getattr(kl2, field)), field
+    assert mom1.negative_count_mean > 0
 
 
 def test_elimination_mass_matches_loop_mass_random():
@@ -76,15 +174,21 @@ def test_empty_soup_probability_small_alpha(pt_net):
     assert abs(empty / n - p) <= 4 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
-def test_occupation_field_empty_and_sums(pt_net):
-    soup = sample_loop_soup(pt_net, 0.5, seed=9)
-    occ = occupation_field(soup)
-    manual = {v: 0.0 for v in pt_net.interior}
-    for lp in soup.loops:
-        for v, t in zip(lp.skeleton, lp.holding_times):
-            manual[v] += float(t)
-    assert occ.local_time == pytest.approx(manual)
-    empty = ggff.LoopSoupSample(pt_net, (), 0.5, 0)
+def test_occupation_field_empty_and_sums(pt):
+    """Both occupation views equal the visit-by-visit loop to the bit, on the
+    whole soup and on its holonomy -1 part."""
+    annulus, annulus_gauge = polar_annulus(6, 8)
+    for net, gauge in (pt, (annulus, annulus_gauge)):
+        sampler = LoopSoupSampler(net, 0.5)
+        for seed in range(5):
+            for soup in (sampler.sample(seed), split_by_holonomy(sampler.sample(seed), gauge)[1]):
+                manual = {v: 0.0 for v in net.interior}
+                for lp in soup.loops:
+                    for v, t in zip(lp.skeleton, lp.holding_times):
+                        manual[v] += float(t)
+                assert occupation_field(soup).local_time == manual
+                assert sampler.occupation_vector(soup).tolist() == list(manual.values())
+    empty = ggff.LoopSoupSample(pt[0], (), 0.5, 0)
     assert all(t == 0.0 for t in occupation_field(empty).local_time.values())
 
 
