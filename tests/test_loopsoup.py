@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
                   kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
                   sample_loop_soup, soup_moments, split_by_holonomy,
                   negative_holonomy_mass)
-from ggff import spectral
+from ggff import load_network, spectral
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 
 from conftest import polar_annulus, random_network
+
+SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def test_sampler_determinism(pt_net):
@@ -329,3 +333,16 @@ def test_alpha_must_be_positive(pt_net):
         sample_loop_soup(pt_net, 0.0, seed=0)
     with pytest.raises(ValueError):
         LoopSoupSampler(pt_net, 0.5, one_point_mode="bogus")
+
+
+@pytest.mark.parametrize("network, seed", [("pt", 10), ("annulus-6x8", 11)])
+def test_soup_dump_and_summary_match_golden(tmp_path, network, seed):
+    """The loop dump and the summary of one soup at alpha 1/2 keep every byte
+    of tests/golden/soups/, which an earlier version of the sampler recorded."""
+    net, gauge = load_network(NETWORKS / f"{network}.json")
+    soup = sample_loop_soup(net, 0.5, seed=seed)
+    dump_loops_jsonl(soup, tmp_path / "loops.jsonl")
+    summary = json.dumps(soup_summary_dict(soup, gauge), indent=2) + "\n"
+    stem = SOUP_GOLDEN / f"{network}-seed{seed}"
+    assert (tmp_path / "loops.jsonl").read_bytes() == stem.with_suffix(".jsonl").read_bytes()
+    assert summary == stem.with_name(stem.name + "-summary.json").read_text()
