@@ -444,8 +444,6 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
                                batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
     """Monte Carlo probability that a field sample's sign clusters are all
     balanced; the closed-form target sqrt(det G_sigma / det G) is attached."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     eng = _FieldEngine(network)
     rel = eng.edge_signs(gauge)
 

@@ -15,11 +15,9 @@ so -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
 
 Jump-free loops never leave one vertex; at x their durations form a Poisson
 process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
-Gamma(alpha, rate W(x)) variable.  Only that aggregate matters for any
-functional of the soup considered here, so it is stored as one single-vertex
-pseudo-loop per vertex.  (An alternative rate 1/G(x,x) is selectable via
-one_point_mode="green"; the occupation-field marginal test singles out the
-rate-W convention as the correct one.)
+Gamma(alpha, rate W(x)) variable.  They all have holonomy +1, and every
+functional of the soup considered here sees them only through these totals,
+so a sample keeps them as one array, jump_free, next to its loops with jumps.
 """
 
 from __future__ import annotations
@@ -40,29 +38,25 @@ EXCURSION_ATTEMPT_CAP = 10**6
 
 @dataclass(frozen=True)
 class Loop:
-    """Rooted at the minimal vertex of the elimination order, first visit."""
+    """A loop with jumps, rooted at the first visit of its minimal vertex."""
 
     skeleton: tuple[str, ...]
     holding_times: np.ndarray  # one positive duration per skeleton position
 
-    @property
-    def is_point(self) -> bool:
-        return len(self.skeleton) == 1
-
-    @property
-    def duration(self) -> float:
-        return float(np.sum(self.holding_times))
-
 
 @dataclass(frozen=True)
 class LoopSoupSample:
+    """The loops with two or more visits, and the jump-free loops' total time
+    at each interior vertex, in network.interior order."""
+
     network: ElectricalNetwork
     loops: tuple[Loop, ...]
+    jump_free: np.ndarray
     alpha: float
     seed: int
 
     def multi_vertex_count(self) -> int:
-        return sum(1 for lp in self.loops if not lp.is_point)
+        return len(self.loops)
 
 
 @dataclass(frozen=True)
@@ -73,18 +67,15 @@ class OccupationField:
 class LoopSoupSampler:
     """Precomputed elimination data for repeated exact soup sampling."""
 
-    def __init__(self, network: ElectricalNetwork, alpha: float,
-                 one_point_mode: str = "degree"):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if one_point_mode not in ("degree", "green"):
-            raise ValueError("one_point_mode must be 'degree' or 'green'")
+    def __init__(self, network: ElectricalNetwork, alpha: float):
+        if not 0.0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.network = network
         self.alpha = float(alpha)
-        self.one_point_mode = one_point_mode
         self.interior = network.interior
         self.index = {v: i for i, v in enumerate(self.interior)}
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
+        self.mean_holding = 1.0 / self.w
         # static jump tables as Python lists, walked by bisect: interior target
         # index, or -1 for a boundary jump, and the cumulative jump
         # probabilities but the last, so that a uniform at or past the rounded
@@ -103,10 +94,6 @@ class LoopSoupSampler:
         below = np.tril(lap.factor[0], -1)
         self.return_prob = (np.einsum("ij,ij->i", below, below) / self.w[::-1])[::-1]
         self.level_mass = -np.log1p(-self.return_prob)
-        if one_point_mode == "degree":
-            self.one_point_scale = 1.0 / self.w
-        else:
-            self.one_point_scale = np.diag(spectral.green(network).entries).copy()
 
     def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:
         """One jump-chain excursion v_i -> v_i avoiding killed vertices, by
@@ -137,12 +124,11 @@ class LoopSoupSampler:
                 for _ in range(k):
                     skel_idx.extend(self._excursion(i, rng)[1:])
                 skel_idx.pop()  # cyclic representation: final return is implicit
-                times = rng.exponential(scale=1.0 / self.w[np.array(skel_idx)])
+                times = rng.exponential(scale=self.mean_holding[skel_idx])
                 loops.append(Loop(tuple(self.interior[j] for j in skel_idx), times))
-        # aggregated jump-free masses: numpy's gamma(alpha, scale) is this product
-        jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.one_point_scale
-        loops.extend(Loop((v,), jump_free[i:i + 1]) for i, v in enumerate(self.interior))
-        return LoopSoupSample(self.network, tuple(loops), self.alpha, seed)
+        # Gamma(alpha, rate W) totals: numpy's gamma(alpha, scale) is this product
+        jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
+        return LoopSoupSample(self.network, tuple(loops), jump_free, self.alpha, seed)
 
     def sample(self, seed: int) -> LoopSoupSample:
         return self.sample_with(substream(seed), seed)
@@ -151,19 +137,17 @@ class LoopSoupSampler:
         return _occupation(soup, self.index)
 
 
-def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int,
-                     one_point_mode: str = "degree") -> LoopSoupSample:
-    return LoopSoupSampler(network, alpha, one_point_mode).sample(seed)
+def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
+    return LoopSoupSampler(network, alpha).sample(seed)
 
 
 def _occupation(soup: LoopSoupSample, index: Mapping[str, int]) -> np.ndarray:
-    """Total time the soup's loops spend at each interior vertex, by index,
-    added up visit by visit in loop order (bincount adds in input order)."""
-    if not soup.loops:
-        return np.zeros(len(index))
+    """Total time the soup spends at each interior vertex, by index: bincount
+    adds the loops' visits in order, then the jump-free totals."""
     visits = [index[v] for lp in soup.loops for v in lp.skeleton]
-    times = np.concatenate([lp.holding_times for lp in soup.loops])
-    return np.bincount(visits, weights=times, minlength=len(index))
+    visits.extend(range(len(index)))
+    times = np.concatenate([lp.holding_times for lp in soup.loops] + [soup.jump_free])
+    return np.bincount(visits, weights=times)
 
 
 def occupation_field(soup: LoopSoupSample) -> OccupationField:
@@ -174,10 +158,8 @@ def occupation_field(soup: LoopSoupSample) -> OccupationField:
 
 
 def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:
-    """Gauge-sign product over the loop's cyclic skeleton; +1 for point loops."""
+    """Gauge-sign product over the loop's cyclic skeleton."""
     skel = loop.skeleton
-    if len(skel) == 1:
-        return 1
     h = 1
     for a, b in zip(skel, skel[1:] + (skel[0],)):
         h *= gauge.sign(a, b)
@@ -186,13 +168,16 @@ def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:
 
 def split_by_holonomy(soup: LoopSoupSample,
                       gauge: GaugeField) -> tuple[LoopSoupSample, LoopSoupSample]:
-    """Partition into the holonomy +1 and holonomy -1 sub-soups."""
+    """Partition into the holonomy +1 and holonomy -1 sub-soups; the jump-free
+    loops all go to the +1 part."""
     if gauge.network != soup.network:
         raise ValueError("soup and gauge field live on different networks")
-    plus = tuple(lp for lp in soup.loops if loop_holonomy(gauge, lp) == 1)
-    minus = tuple(lp for lp in soup.loops if loop_holonomy(gauge, lp) == -1)
-    return (LoopSoupSample(soup.network, plus, soup.alpha, soup.seed),
-            LoopSoupSample(soup.network, minus, soup.alpha, soup.seed))
+    signs = [loop_holonomy(gauge, lp) for lp in soup.loops]
+    plus = tuple(lp for lp, h in zip(soup.loops, signs) if h == 1)
+    minus = tuple(lp for lp, h in zip(soup.loops, signs) if h == -1)
+    return (LoopSoupSample(soup.network, plus, soup.jump_free, soup.alpha, soup.seed),
+            LoopSoupSample(soup.network, minus, np.zeros_like(soup.jump_free),
+                           soup.alpha, soup.seed))
 
 
 def _mean_se(s1, s2, n: int):
@@ -380,18 +365,16 @@ def soup_summary_dict(soup: LoopSoupSample, gauge: Optional[GaugeField] = None) 
         "occupation_field": {v: occ.local_time[v] for v in soup.network.interior},
     }
     if gauge is not None:
-        counts = {1: 0, -1: 0}
-        for lp in soup.loops:
-            if not lp.is_point:
-                counts[loop_holonomy(gauge, lp)] += 1
-        out["counts_by_holonomy"] = {"+1": counts[1], "-1": counts[-1]}
+        plus, minus = split_by_holonomy(soup, gauge)
+        out["counts_by_holonomy"] = {"+1": len(plus.loops), "-1": len(minus.loops)}
     return out
 
 
 def dump_loops_jsonl(soup: LoopSoupSample, path) -> None:
-    """Full loop dump, one JSON object per line (skeleton and holding times)."""
+    """Full loop dump, one JSON object per line (skeleton and holding times);
+    the jump-free totals follow as one single-vertex line per interior vertex."""
+    lines = [(list(lp.skeleton), lp.holding_times.tolist()) for lp in soup.loops]
+    lines += [([v], [t]) for v, t in zip(soup.network.interior, soup.jump_free.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        for lp in soup.loops:
-            fh.write(json.dumps({"skeleton": list(lp.skeleton),
-                                 "holding_times": [float(t) for t in lp.holding_times]}))
-            fh.write("\n")
+        for skeleton, times in lines:
+            fh.write(json.dumps({"skeleton": skeleton, "holding_times": times}) + "\n")

@@ -24,6 +24,10 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
 
 def batch_plan(total: int, batch_size: int = DEFAULT_BATCH) -> list[tuple[int, int]]:
     """(batch index, batch count) pairs covering `total` samples."""
+    if total < 1:
+        raise ValueError(f"the number of samples or soups must be at least 1, got {total}")
+    if batch_size < 1:
+        raise ValueError(f"the batch size must be at least 1, got {batch_size}")
     plan = []
     done = 0
     i = 0

@@ -276,3 +276,18 @@ def test_event_in_every_sample_passes_and_a_wrong_target_fails(tmp_path, monkeyp
     monkeypatch.setattr(cli.gff, "estimate_event_probability", wrong_target)
     code, rep = run(args, tmp_path / "w.json")
     assert code == 1 and not rep["all_passed"]
+
+
+@pytest.mark.parametrize("args, words", [
+    (["verify-theorem1", "--samples", "0"], "at least 1, got 0"),
+    (["conditional-moments", "--vertices", "y", "z", "--samples", "0"], "at least 1, got 0"),
+    (["connectivity", "--vertices", "x", "y", "--samples", "0"], "at least 1, got 0"),
+    (["connectivity", "--vertices", "x", "y", "--samples", "-3"], "at least 1, got -3"),
+    (["loopsoup-test", "--soups", "0"], "at least 1, got 0"),
+    (["loopsoup-test", "--alpha", "nan"], "alpha must be positive and finite, got nan"),
+    (["loopsoup-test", "--alpha", "inf"], "alpha must be positive and finite, got inf"),
+    (["loopsoup-test", "--alpha=-inf"], "alpha must be positive and finite, got -inf")])
+def test_bad_sample_counts_and_alpha_exit_2(tmp_path, pt_file, capsys, args, words):
+    assert main([*args, "--network", pt_file, "--output", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err

@@ -25,6 +25,7 @@ def test_sampler_determinism(pt_net):
     assert [lp.skeleton for lp in s1.loops] == [lp.skeleton for lp in s2.loops]
     assert all(np.array_equal(a.holding_times, b.holding_times)
                for a, b in zip(s1.loops, s2.loops))
+    assert np.array_equal(s1.jump_free, s2.jump_free)
 
 
 def test_return_probabilities_pt(pt_net):
@@ -146,14 +147,14 @@ def test_loops_respect_interior_adjacency(pt_net):
     ints = set(pt_net.interior)
     for seed in range(50):
         soup = sample_loop_soup(pt_net, 0.7, seed=seed)
+        assert soup.jump_free.shape == (len(ints),) and np.all(soup.jump_free > 0)
         for lp in soup.loops:
-            assert set(lp.skeleton) <= ints
+            assert set(lp.skeleton) <= ints and len(lp.skeleton) >= 2
             assert np.all(lp.holding_times > 0)
-            if not lp.is_point:
-                cyc = lp.skeleton + (lp.skeleton[0],)
-                for a, b in zip(cyc, cyc[1:]):
-                    assert pt_net.has_edge(a, b)
-                assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
+            cyc = lp.skeleton + (lp.skeleton[0],)
+            for a, b in zip(cyc, cyc[1:]):
+                assert pt_net.has_edge(a, b)
+            assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
 
 
 def test_multi_vertex_count_poisson(pt_net):
@@ -179,8 +180,9 @@ def test_empty_soup_probability_small_alpha(pt_net):
 
 
 def test_occupation_field_empty_and_sums(pt):
-    """Both occupation views equal the visit-by-visit loop to the bit, on the
-    whole soup and on its holonomy -1 part."""
+    """Both occupation views equal the visit-by-visit loop, followed by the
+    jump-free totals, to the bit, on the whole soup and on its holonomy -1
+    part."""
     annulus, annulus_gauge = polar_annulus(6, 8)
     for net, gauge in (pt, (annulus, annulus_gauge)):
         sampler = LoopSoupSampler(net, 0.5)
@@ -190,9 +192,11 @@ def test_occupation_field_empty_and_sums(pt):
                 for lp in soup.loops:
                     for v, t in zip(lp.skeleton, lp.holding_times):
                         manual[v] += float(t)
+                for v, t in zip(net.interior, soup.jump_free):
+                    manual[v] += float(t)
                 assert occupation_field(soup).local_time == manual
                 assert sampler.occupation_vector(soup).tolist() == list(manual.values())
-    empty = ggff.LoopSoupSample(pt[0], (), 0.5, 0)
+    empty = ggff.LoopSoupSample(pt[0], (), np.zeros(3), 0.5, 0)
     assert all(t == 0.0 for t in occupation_field(empty).local_time.values())
 
 
@@ -213,32 +217,6 @@ def test_occupation_mean_alpha_one(pt_net):
                   <= 3 * mom.occupation_mean_se)
 
 
-def test_one_point_convention_selected_by_le_jan_marginal(pt_net):
-    """The jump-free duration rate must be W(x); the Green-diagonal variant
-    overshoots the occupation mean far beyond noise."""
-    n = 6_000
-    alpha = 0.5
-    g = green(pt_net)
-    target = alpha * np.array([g.value(v, v) for v in pt_net.interior])
-
-    def occupation_means(mode):
-        sampler = LoopSoupSampler(pt_net, alpha, one_point_mode=mode)
-        tot = np.zeros(len(pt_net.interior))
-        tot2 = np.zeros(len(pt_net.interior))
-        for s in range(n):
-            occ = sampler.occupation_vector(sampler.sample(s))
-            tot += occ
-            tot2 += occ ** 2
-        mean = tot / n
-        se = np.sqrt(np.maximum(tot2 / n - mean ** 2, 0) / n)
-        return mean, se
-
-    mean_deg, se_deg = occupation_means("degree")
-    assert np.all(np.abs(mean_deg - target) <= 4 * se_deg)
-    mean_grn, se_grn = occupation_means("green")
-    assert np.any((mean_grn - target) / se_grn > 5)  # systematic overshoot
-
-
 def test_split_by_holonomy_partition_and_occupation(pt):
     net, gauge = pt
     for seed in range(30):
@@ -247,12 +225,40 @@ def test_split_by_holonomy_partition_and_occupation(pt):
         assert len(plus.loops) + len(minus.loops) == len(soup.loops)
         assert all(loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
         assert all(loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
-        assert all(lp.is_point is False for lp in minus.loops)
+        assert plus.jump_free is soup.jump_free and not np.any(minus.jump_free)
         occ = occupation_field(soup).local_time
         op = occupation_field(plus).local_time
         om = occupation_field(minus).local_time
         for v in net.interior:
             assert occ[v] == pytest.approx(op[v] + om[v], abs=1e-12)
+
+
+def test_split_by_holonomy_walks_each_loop_once(monkeypatch):
+    """One holonomy evaluation per loop with jumps, and still a partition, on
+    the 6 x 8 annulus, whose cut makes loops around the hole negative."""
+    net, gauge = polar_annulus(6, 8)
+    calls = []
+
+    def counted(g, lp):
+        calls.append(lp)
+        return loop_holonomy(g, lp)
+
+    monkeypatch.setattr(ggff.loopsoup, "loop_holonomy", counted)
+    sampler = LoopSoupSampler(net, 2.0)
+    negatives = 0
+    for seed in range(10):
+        soup = sampler.sample(seed)
+        calls.clear()
+        plus, minus = split_by_holonomy(soup, gauge)
+        assert list(map(id, calls)) == list(map(id, soup.loops))
+        assert sorted(map(id, plus.loops + minus.loops)) == sorted(map(id, soup.loops))
+        assert all(loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
+        assert all(loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
+        whole = sampler.occupation_vector(soup)
+        parts = sampler.occupation_vector(plus) + sampler.occupation_vector(minus)
+        assert np.allclose(parts, whole, rtol=1e-12, atol=0.0)
+        negatives += len(minus.loops)
+    assert negatives > 0
 
 
 def test_split_trivial_gauge_negative_empty(pt_net):
@@ -324,15 +330,17 @@ def test_soup_summary_and_dump(tmp_path, pt):
     path = tmp_path / "loops.jsonl"
     dump_loops_jsonl(soup, path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == len(soup.loops)
+    assert len(lines) == len(soup.loops) + len(net.interior)
     assert all(len(l["skeleton"]) == len(l["holding_times"]) for l in lines)
+    assert [l["holding_times"][0] for l in lines[-3:]] == soup.jump_free.tolist()
 
 
 def test_alpha_must_be_positive(pt_net):
     with pytest.raises(ValueError):
         sample_loop_soup(pt_net, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        LoopSoupSampler(pt_net, 0.5, one_point_mode="bogus")
+    for alpha in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            LoopSoupSampler(pt_net, alpha)
 
 
 @pytest.mark.parametrize("network, seed", [("pt", 10), ("annulus-6x8", 11)])
