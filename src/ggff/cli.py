@@ -118,12 +118,15 @@ def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
 
 
 def _resolve_seed(args) -> int:
+    """--seed, else the GGFF_SEED environment variable, else 0."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.seed
-    env = os.environ.get("GGFF_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    env = os.environ.get("GGFF_SEED", "0")
+    if not env.isdecimal():
+        raise ValueError(f"GGFF_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _load(args) -> tuple[ElectricalNetwork, GaugeField]:
@@ -179,8 +182,7 @@ def cmd_validate(args) -> int:
 
 def cmd_identities(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
-    report = _envelope("identities", args, seed,
+    report = _envelope("identities", args, args.seed,
                        {"dump_matrices": args.dump_matrices})
     report["network_name"] = net.name
     if args.dump_matrices:
@@ -195,10 +197,9 @@ def cmd_identities(args) -> int:
 
 def cmd_verify_theorem1(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
-    est = gff.estimate_event_probability(net, gauge, args.samples, seed,
+    est = gff.estimate_event_probability(net, gauge, args.samples, args.seed,
                                          threads=args.threads)
-    report = _envelope("verify-theorem1", args, seed, {"samples": args.samples})
+    report = _envelope("verify-theorem1", args, args.seed, {"samples": args.samples})
     report["network_name"] = net.name
     report["estimator"] = est.to_json_dict()
     checks = [_check_mc("event probability = sqrt(det G_sigma / det G)",
@@ -208,11 +209,10 @@ def cmd_verify_theorem1(args) -> int:
 
 def cmd_conditional_moments(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
     x, y = args.vertices
-    est = gff.conditional_moment(net, gauge, (x, y), args.samples, seed,
+    est = gff.conditional_moment(net, gauge, (x, y), args.samples, args.seed,
                                  threads=args.threads)
-    report = _envelope("conditional-moments", args, seed,
+    report = _envelope("conditional-moments", args, args.seed,
                        {"samples": args.samples, "vertices": [x, y]})
     report["network_name"] = net.name
     report["estimator"] = est.to_json_dict()
@@ -223,11 +223,10 @@ def cmd_conditional_moments(args) -> int:
 
 def cmd_connectivity(args) -> int:
     net, _ = _load(args)
-    seed = _resolve_seed(args)
     x, y = args.vertices
-    est = gff.two_point_connectivity(net, (x, y), args.samples, seed,
+    est = gff.two_point_connectivity(net, (x, y), args.samples, args.seed,
                                      threads=args.threads)
-    report = _envelope("connectivity", args, seed,
+    report = _envelope("connectivity", args, args.seed,
                        {"samples": args.samples, "vertices": [x, y]})
     report["network_name"] = net.name
     report["estimator"] = est.to_json_dict()
@@ -238,17 +237,15 @@ def cmd_connectivity(args) -> int:
 
 def cmd_loopsoup_test(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
-    mom = loopsoup.soup_moments(net, args.alpha, args.soups, seed, gauge=gauge,
+    mom = loopsoup.soup_moments(net, args.alpha, args.soups, args.seed, gauge=gauge,
                                 threads=args.threads)
     checks = [_check_mc("multi-vertex loop count mean = alpha * loop_mass",
                         mom.count_mean, mom.count_target, mom.count_se, 3.0)]
     checks.append(_info("multi-vertex loop count variance (Poisson: equals mean)",
                         value=mom.count_var, target=mom.count_mean))
-    if mom.negative_count_target is not None:
-        checks.append(_check_mc("holonomy -1 loop count mean = alpha * negative_holonomy_mass",
-                                mom.negative_count_mean, mom.negative_count_target,
-                                mom.negative_count_se, 3.0))
+    checks.append(_check_mc("holonomy -1 loop count mean = alpha * negative_holonomy_mass",
+                            mom.negative_count_mean, mom.negative_count_target,
+                            mom.negative_count_se, 3.0))
     for i, v in enumerate(mom.vertices):
         checks.append(_check_mc(f"occupation mean at {v} = alpha * G({v},{v})",
                                 float(mom.occupation_mean[i]),
@@ -258,7 +255,7 @@ def cmd_loopsoup_test(args) -> int:
                                 float(mom.occupation_second[i]),
                                 float(mom.occupation_second_target[i]),
                                 float(mom.occupation_second_se[i]), 4.0))
-    kl = loopsoup.kl_isomorphism_check(net, gauge, args.soups, seed,
+    kl = loopsoup.kl_isomorphism_check(net, gauge, args.soups, args.seed,
                                        threads=args.threads)
     for i, v in enumerate(kl.vertices):
         checks.append({"name": f"split-soup isomorphism mean at {v}", "kind": "monte-carlo",
@@ -277,7 +274,7 @@ def cmd_loopsoup_test(args) -> int:
                    "worst_decile_margin_se": kl.domination_margin_se,
                    "tolerance": ">= -4 standard errors",
                    "passed": bool(kl.domination_margin_se >= -4.0)})
-    report = _envelope("loopsoup-test", args, seed,
+    report = _envelope("loopsoup-test", args, args.seed,
                        {"soups": args.soups, "alpha": args.alpha})
     report["network_name"] = net.name
     return _emit(_finish(report, checks), args)
@@ -285,8 +282,7 @@ def cmd_loopsoup_test(args) -> int:
 
 def cmd_gauge(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
-    report = _envelope("gauge", args, seed, {"other": args.other})
+    report = _envelope("gauge", args, args.seed, {"other": args.other})
     report["network_name"] = net.name
     checks: list[dict] = []
     trivial, cert = is_trivial(gauge)
@@ -319,8 +315,7 @@ def cmd_gauge(args) -> int:
 
 def cmd_metric_grid(args) -> int:
     net, gauge = _load(args)
-    seed = _resolve_seed(args)
-    grid = gff.sample_metric_field(net, gauge, args.grid_points, seed)
+    grid = gff.sample_metric_field(net, gauge, args.grid_points, args.seed)
     edges_out = {}
     worst = 0.0
     for k, ef in grid.edges.items():
@@ -332,7 +327,7 @@ def cmd_metric_grid(args) -> int:
             d["middle_limit_above"] = hi
             worst = max(worst, abs(lo + hi))
         edges_out[f"{k[0]}--{k[1]}"] = d
-    report = _envelope("metric-grid", args, seed, {"grid_points": args.grid_points})
+    report = _envelope("metric-grid", args, args.seed, {"grid_points": args.grid_points})
     report["network_name"] = net.name
     report["vertex_values"] = {v: grid.vertex_values[v] for v in net.interior}
     report["edges"] = edges_out
@@ -405,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except (NetworkFormatError, InvalidNetworkError, ValueError, RuntimeError,
             ArithmeticError, np.linalg.LinAlgError) as exc:

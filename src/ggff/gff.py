@@ -21,7 +21,7 @@ disconnected preimage in the double cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from . import spectral
 from .cover import build_double_cover
 from .network import EdgeKey, ElectricalNetwork, GaugeField, edge_key
-from .seeds import DEFAULT_BATCH, batch_plan, run_batches, substream
+from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,7 @@ class EstimatorReport:
     target: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "n_accepted": self.n_accepted,
-            "seed": self.seed,
-            "target": self.target,
-        }
+        return asdict(self)
 
 
 class _ParityUnionFind:
@@ -488,11 +481,9 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     acc = sum(p[2] for p in parts)
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
-    mean = s1 / acc
-    var = max(s2 / acc - mean * mean, 0.0)
-    se = math.sqrt(var / acc)
+    mean, se = mean_se(s1, s2, acc)
     target = spectral.twisted_green(network, gauge).value(x, y)
-    return EstimatorReport(mean, se, n_samples, acc, seed, target=target)
+    return EstimatorReport(float(mean), float(se), n_samples, acc, seed, target=target)
 
 
 def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import spectral
 from .network import ElectricalNetwork, GaugeField
-from .seeds import batch_plan, run_batches, substream
+from .seeds import batch_plan, mean_se, run_batches, substream
 
 EXCURSION_ATTEMPT_CAP = 10**6
 
@@ -180,12 +180,6 @@ def split_by_holonomy(soup: LoopSoupSample,
                            soup.alpha, soup.seed))
 
 
-def _mean_se(s1, s2, n: int):
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean * mean, 0.0)
-    return mean, np.sqrt(var / n)
-
-
 @dataclass(frozen=True)
 class SoupMomentsReport:
     """Empirical soup statistics against their closed-form targets."""
@@ -204,72 +198,53 @@ class SoupMomentsReport:
     occupation_second: np.ndarray
     occupation_second_se: np.ndarray
     occupation_second_target: np.ndarray
-    negative_count_mean: Optional[float] = None
-    negative_count_se: Optional[float] = None
-    negative_count_target: Optional[float] = None
+    negative_count_mean: float
+    negative_count_se: float
+    negative_count_target: float
 
 
 def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: int,
-                 gauge: Optional[GaugeField] = None, threads: int = 1,
+                 gauge: GaugeField, threads: int = 1,
                  batch_size: int = 256) -> SoupMomentsReport:
-    """Multi-vertex loop counts and occupation-field moments over many soups.
+    """Multi-vertex and holonomy -1 loop counts and occupation-field moments
+    over many soups.
 
-    Count target: alpha * loop_mass (the count is Poisson with that mean).
-    Occupation targets per vertex: mean alpha*G(x,x) and second moment
-    alpha*(1+alpha)*G(x,x)^2, the occupation marginal being Gamma(alpha) with
-    scale G(x,x).  With a gauge field, the holonomy -1 loop count (Poisson
-    with mean alpha * negative_holonomy_mass) is included as well.
+    Count targets: alpha * loop_mass and alpha * negative_holonomy_mass (each
+    count is Poisson with that mean).  Occupation targets per vertex: mean
+    alpha*G(x,x) and second moment alpha*(1+alpha)*G(x,x)^2, the occupation
+    marginal being Gamma(alpha) with scale G(x,x).
     """
     sampler = LoopSoupSampler(network, alpha)
     m = len(sampler.interior)
 
-    def worker(bi: int, bn: int):
-        c1 = c2 = n1 = n2 = 0.0
-        o1 = np.zeros(m)
-        o2 = np.zeros(m)
-        o4 = np.zeros(m)
+    def worker(bi: int, bn: int) -> np.ndarray:
+        # per soup, x = (loop count, holonomy -1 count, occupation field)
+        sums = np.zeros((3, m + 2))
         for s in range(bn):
             soup = sampler.sample_with(substream(seed, bi, s), seed)
-            cnt = soup.multi_vertex_count()
-            c1 += cnt
-            c2 += cnt * cnt
-            if gauge is not None:
-                neg = sum(1 for lp in soup.loops if loop_holonomy(gauge, lp) == -1)
-                n1 += neg
-                n2 += neg * neg
-            occ = sampler.occupation_vector(soup)
-            o1 += occ
-            o2 += occ ** 2
-            o4 += occ ** 4
-        return c1, c2, n1, n2, o1, o2, o4
+            neg = sum(1 for lp in soup.loops if loop_holonomy(gauge, lp) == -1)
+            x = np.concatenate(([soup.multi_vertex_count(), neg],
+                                sampler.occupation_vector(soup)))
+            sums += (x, x ** 2, x ** 4)
+        return sums
 
-    parts = run_batches(batch_plan(n_soups, batch_size), worker, threads)
-    c1, c2, n1, n2 = (sum(p[i] for p in parts) for i in range(4))
-    o1 = sum(p[4] for p in parts)
-    o2 = sum(p[5] for p in parts)
-    o4 = sum(p[6] for p in parts)
+    s1, s2, s4 = sum(run_batches(batch_plan(n_soups, batch_size), worker, threads))
     n = n_soups
     gdiag = np.diag(spectral.green(network).entries)
-    count_mean, count_se = _mean_se(c1, c2, n)
-    occ_mean, occ_mean_se = _mean_se(o1, o2, n)
-    occ_second, occ_second_se = _mean_se(o2, o4, n)
-    report = SoupMomentsReport(
+    mean, se = mean_se(s1, s2, n)
+    second, second_se = mean_se(s2, s4, n)
+    return SoupMomentsReport(
         vertices=sampler.interior, n_soups=n, alpha=alpha, seed=seed,
-        count_mean=float(count_mean), count_se=float(count_se),
-        count_var=float(max(c2 / n - (c1 / n) ** 2, 0.0)),
+        count_mean=float(mean[0]), count_se=float(se[0]),
+        count_var=float(max(s2[0] / n - (s1[0] / n) ** 2, 0.0)),
         count_target=alpha * spectral.loop_mass(network),
-        occupation_mean=occ_mean, occupation_mean_se=occ_mean_se,
+        occupation_mean=mean[2:], occupation_mean_se=se[2:],
         occupation_mean_target=alpha * gdiag,
-        occupation_second=occ_second, occupation_second_se=occ_second_se,
+        occupation_second=second[2:], occupation_second_se=second_se[2:],
         occupation_second_target=alpha * (1.0 + alpha) * gdiag ** 2,
+        negative_count_mean=float(mean[1]), negative_count_se=float(se[1]),
+        negative_count_target=alpha * spectral.negative_holonomy_mass(network, gauge),
     )
-    if gauge is not None:
-        neg_mean, neg_se = _mean_se(n1, n2, n)
-        report = replace(report,
-                         negative_count_mean=float(neg_mean),
-                         negative_count_se=float(neg_se),
-                         negative_count_target=alpha * spectral.negative_holonomy_mass(network, gauge))
-    return report
 
 
 @dataclass(frozen=True)
@@ -311,15 +286,11 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
     grids = np.outer(np.diag(g.entries), deciles)  # (m, 9)
 
-    def worker(bi: int, bn: int):
-        l1 = np.zeros(m)
-        l2 = np.zeros(m)
-        l4 = np.zeros(m)
-        r1 = np.zeros(m)
-        r2 = np.zeros(m)
-        r4 = np.zeros(m)
-        cdf_tw = np.zeros((m, 9))
-        cdf_un = np.zeros((m, 9))
+    def worker(bi: int, bn: int) -> tuple[np.ndarray, np.ndarray]:
+        # per soup, x = (left, right); decile counts of the twisted and the
+        # untwisted square field
+        sums = np.zeros((3, 2 * m))
+        cdf = np.zeros((2, m, 9))
         for s in range(bn):
             rng = substream(seed, bi, s)
             soup = sampler.sample_with(rng, seed)
@@ -328,28 +299,22 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
             occ_m = sampler.occupation_vector(minus)
             phi_s = chol_s @ rng.standard_normal(m)
             phi_u = chol_u @ rng.standard_normal(m)
-            right = 0.5 * phi_s ** 2 + occ_m
-            l1 += occ_p
-            l2 += occ_p ** 2
-            l4 += occ_p ** 4
-            r1 += right
-            r2 += right ** 2
-            r4 += right ** 4
-            cdf_tw += phi_s[:, None] ** 2 <= grids
-            cdf_un += phi_u[:, None] ** 2 <= grids
-        return l1, l2, l4, r1, r2, r4, cdf_tw, cdf_un
+            x = np.concatenate((occ_p, 0.5 * phi_s ** 2 + occ_m))
+            sums += (x, x ** 2, x ** 4)
+            cdf[0] += phi_s[:, None] ** 2 <= grids
+            cdf[1] += phi_u[:, None] ** 2 <= grids
+        return sums, cdf
 
     parts = run_batches(batch_plan(n_soups, batch_size), worker, threads)
-    l1, l2, l4, r1, r2, r4, cdf_tw, cdf_un = (sum(p[i] for p in parts) for i in range(8))
+    s1, s2, s4 = sum(p[0] for p in parts)
     n = n_soups
-    lm, lm_se = _mean_se(l1, l2, n)
-    rm, rm_se = _mean_se(r1, r2, n)
-    mean_diff_se = (lm - rm) / np.sqrt(lm_se ** 2 + rm_se ** 2 + 1e-300)
-    l2m, l2_se = _mean_se(l2, l4, n)
-    r2m, r2_se = _mean_se(r2, r4, n)
-    second_diff_se = (l2m - r2m) / np.sqrt(l2_se ** 2 + r2_se ** 2 + 1e-300)
-    ftw = cdf_tw / n
-    fun = cdf_un / n
+    mean, se = mean_se(s1, s2, n)
+    second, second_se = mean_se(s2, s4, n)
+    lm, rm = mean[:m], mean[m:]
+    mean_diff_se = (lm - rm) / np.sqrt(se[:m] ** 2 + se[m:] ** 2 + 1e-300)
+    second_diff_se = ((second[:m] - second[m:])
+                      / np.sqrt(second_se[:m] ** 2 + second_se[m:] ** 2 + 1e-300))
+    ftw, fun = sum(p[1] for p in parts) / n
     se_cdf = np.sqrt(ftw * (1 - ftw) / n + fun * (1 - fun) / n + 1e-300)
     margin = float(np.min((ftw - fun) / se_cdf))
     return KlCheckReport(sampler.interior, n, seed, lm, rm,

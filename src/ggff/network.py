@@ -254,6 +254,9 @@ def _parse_network_dict(data: dict) -> tuple[ElectricalNetwork, GaugeField]:
     for i, ed in enumerate(data["edges"]):
         if not isinstance(ed, dict):
             raise NetworkFormatError(f"edge #{i} is not an object")
+        if isinstance(ed.get("conductance"), bool):
+            raise NetworkFormatError(f"edge #{i}: conductance must be a number, "
+                                     f"got {ed['conductance']!r}")
         try:
             u, v = str(ed["u"]), str(ed["v"])
             cond = float(ed["conductance"])
@@ -267,7 +270,7 @@ def _parse_network_dict(data: dict) -> tuple[ElectricalNetwork, GaugeField]:
             raise NetworkFormatError(f"edge #{i}: unknown vertex {v!r}")
         eid = str(ed.get("id", f"e{i}"))
         sigma = ed.get("sigma", 1)
-        if sigma not in (-1, 1):
+        if isinstance(sigma, bool) or sigma not in (-1, 1):
             raise NetworkFormatError(f"edge #{i}: sigma must be -1 or 1, got {sigma!r}")
         edges.append(Edge(eid, u, v, cond))
         signs[edge_key(u, v)] = int(sigma)

@@ -1,9 +1,10 @@
-"""Deterministic random substreams and batch execution.
+"""Deterministic random substreams, batch execution and the mean/SE reduction.
 
 Estimators split their work into fixed-size batches; batch i draws from the
-generator derived from (master seed, i).  The batch plan depends only on the
-total count, and partial results merge in batch order, so estimates are
-bit-identical for every worker count.
+generator derived from (master seed, i), and soup s of a loop-soup batch i
+from (master seed, i, s).  The batch plan depends only on the total count,
+and partial results merge in batch order, so estimates are bit-identical for
+every worker count.  mean_se turns the merged sums into estimates.
 """
 
 from __future__ import annotations
@@ -48,3 +49,11 @@ def run_batches(plan: Sequence[tuple[int, int]],
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, i, n) for i, n in plan]
         return [f.result() for f in futures]
+
+
+def mean_se(s1, s2, n: int):
+    """Mean and standard error of n values from their sum and sum of squares
+    (elementwise for arrays)."""
+    mean = s1 / n
+    var = np.maximum(s2 / n - mean * mean, 0.0)
+    return mean, np.sqrt(var / n)

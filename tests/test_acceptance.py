@@ -110,7 +110,7 @@ def test_criterion_6_arcsine_connectivity():
 
 def test_criterion_7_loop_soup():
     net, gauge = pendant_triangle()
-    mom = soup_moments(net, 0.5, 10_000, seed=7)
+    mom = soup_moments(net, 0.5, 10_000, seed=7, gauge=gauge)
     dev_count = abs(mom.count_mean - mom.count_target) / mom.count_se
     dev_mean = np.abs(mom.occupation_mean - mom.occupation_mean_target) \
         / mom.occupation_mean_se

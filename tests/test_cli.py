@@ -320,8 +320,62 @@ def test_event_in_every_sample_passes_and_a_wrong_target_fails(tmp_path, monkeyp
     (["loopsoup-test", "--soups", "0"], "at least 1, got 0"),
     (["loopsoup-test", "--alpha", "nan"], "alpha must be positive and finite, got nan"),
     (["loopsoup-test", "--alpha", "inf"], "alpha must be positive and finite, got inf"),
-    (["loopsoup-test", "--alpha=-inf"], "alpha must be positive and finite, got -inf")])
+    (["loopsoup-test", "--alpha=-inf"], "alpha must be positive and finite, got -inf"),
+    (["verify-theorem1", "--samples", "10", "--threads", "0"],
+     "--threads must be at least 1, got 0"),
+    (["connectivity", "--vertices", "x", "y", "--threads", "-2"],
+     "--threads must be at least 1, got -2"),
+    (["identities", "--seed", "-1"], "--seed must be a non-negative integer, got -1")])
 def test_bad_sample_counts_and_alpha_exit_2(tmp_path, pt_file, capsys, args, words):
     assert main([*args, "--network", pt_file, "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and words in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-4"])
+def test_bad_seed_environment_exits_2(tmp_path, pt_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("GGFF_SEED", value)
+    out = tmp_path / "r.json"
+    assert main(["verify-theorem1", "--network", pt_file, "--samples", "10",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: GGFF_SEED must be a non-negative integer, got {value!r}\n"
+    assert not out.exists()
+
+
+SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+FRESH_RUNS = {
+    "validate": [],
+    "identities": [],
+    "verify-theorem1": ["--samples", "500"],
+    "conditional-moments": ["--vertices", "y", "z", "--samples", "500"],
+    "connectivity": ["--vertices", "x", "y", "--samples", "500"],
+    "loopsoup-test": ["--soups", "50"],
+    "gauge": [],
+    "metric-grid": ["--grid-points", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
+def test_golden_reports_match_the_schema(command):
+    jsonschema = pytest.importorskip("jsonschema")
+    report = json.loads((GOLDEN / f"{command}.json").read_text())
+    jsonschema.validate(report, json.loads(SCHEMA.read_text()))
+
+
+@pytest.mark.parametrize("command", sorted(FRESH_RUNS))
+def test_fresh_reports_match_the_schema(tmp_path, pt_file, command):
+    jsonschema = pytest.importorskip("jsonschema")
+    code, report = run([command, "--network", pt_file, *FRESH_RUNS[command]],
+                       tmp_path / "r.json")
+    assert code in (0, 1)
+    jsonschema.validate(report, json.loads(SCHEMA.read_text()))
+
+
+def test_schema_requires_a_tolerance_on_every_verdict():
+    jsonschema = pytest.importorskip("jsonschema")
+    report = json.loads((GOLDEN / "loopsoup-test.json").read_text())
+    assert report["checks"][0]["kind"] == "monte-carlo"
+    del report["checks"][0]["tolerance"]
+    with pytest.raises(jsonschema.ValidationError, match="'tolerance' is a required property"):
+        jsonschema.validate(report, json.loads(SCHEMA.read_text()))

@@ -157,9 +157,9 @@ def test_loops_respect_interior_adjacency(pt_net):
             assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
 
 
-def test_multi_vertex_count_poisson(pt_net):
+def test_multi_vertex_count_poisson(pt_net, pt_gauge):
     n = 10_000
-    mom = soup_moments(pt_net, 0.5, n, seed=3)
+    mom = soup_moments(pt_net, 0.5, n, seed=3, gauge=pt_gauge)
     lam = mom.count_target
     assert lam == pytest.approx(0.5 * math.log(4), abs=1e-12)
     assert abs(mom.count_mean - lam) <= 3 * mom.count_se
@@ -200,8 +200,8 @@ def test_occupation_field_empty_and_sums(pt):
     assert all(t == 0.0 for t in occupation_field(empty).local_time.values())
 
 
-def test_le_jan_occupation_moments(pt_net):
-    mom = soup_moments(pt_net, 0.5, 10_000, seed=4)
+def test_le_jan_occupation_moments(pt_net, pt_gauge):
+    mom = soup_moments(pt_net, 0.5, 10_000, seed=4, gauge=pt_gauge)
     ix = mom.vertices.index("x")
     assert mom.occupation_mean_target[ix] == pytest.approx(0.5, abs=1e-12)
     assert mom.occupation_second_target[ix] == pytest.approx(0.75, abs=1e-12)
@@ -211,8 +211,8 @@ def test_le_jan_occupation_moments(pt_net):
                   <= 4 * mom.occupation_second_se)
 
 
-def test_occupation_mean_alpha_one(pt_net):
-    mom = soup_moments(pt_net, 1.0, 8_000, seed=5)
+def test_occupation_mean_alpha_one(pt_net, pt_gauge):
+    mom = soup_moments(pt_net, 1.0, 8_000, seed=5, gauge=pt_gauge)
     assert np.all(np.abs(mom.occupation_mean - mom.occupation_mean_target)
                   <= 3 * mom.occupation_mean_se)
 

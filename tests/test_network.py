@@ -92,6 +92,17 @@ def test_load_unknown_vertex_is_parse_error():
         load_network(json.dumps(data))
 
 
+@pytest.mark.parametrize("field, words", [
+    ("conductance", "edge #1: conductance must be a number, got True"),
+    ("sigma", "edge #1: sigma must be -1 or 1, got True")])
+def test_load_rejects_booleans(field, words):
+    """JSON true would otherwise pass as conductance 1.0 or as sigma +1."""
+    data = json.loads(json.dumps(PT_JSON))
+    data["edges"][1][field] = True
+    with pytest.raises(NetworkFormatError, match=words):
+        load_network(json.dumps(data))
+
+
 def test_load_invalid_network_forwards_validation():
     data = json.loads(json.dumps(PT_JSON))
     data["boundary"] = []
