@@ -170,7 +170,7 @@ def cmd_validate(args) -> int:
     except InvalidNetworkError as exc:
         problems = exc.problems
         name = ""
-    report = _envelope("validate", args, 0, {})
+    report = _envelope("validate", args, args.seed, {})
     report["network_name"] = name
     report["problems"] = problems
     report["all_passed"] = not problems

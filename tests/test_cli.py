@@ -116,6 +116,14 @@ def test_seed_env_override(tmp_path, pt_file, monkeypatch):
     assert rep["seed"] == 5  # explicit flag beats the environment
 
 
+def test_validate_reports_the_resolved_seed(tmp_path, pt_file, monkeypatch):
+    _, rep = run(["validate", "--network", pt_file, "--seed", "5"], tmp_path / "a.json")
+    assert rep["seed"] == 5
+    monkeypatch.setenv("GGFF_SEED", "77")
+    _, rep = run(["validate", "--network", pt_file], tmp_path / "b.json")
+    assert rep["seed"] == 77
+
+
 def test_conditional_moments_cli(tmp_path, pt_file):
     code, rep = run(["conditional-moments", "--network", pt_file,
                      "--vertices", "y", "z", "--samples", "20000"], tmp_path / "c.json")
