@@ -64,10 +64,23 @@ def _alternating_signs(net: ElectricalNetwork) -> VertexSigns:
 
 
 def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
-    """The exact-identity suite at tolerance 1e-10 (1e-8 across two solves)."""
+    """The exact-identity suite at tolerance 1e-10 (1e-8 across two solves).
+
+    Each distinct operator is assembled and factored once: L, L_sigma,
+    L_{vs.sigma} for the alternating vertex signs vs, the cover Laplacian,
+    its two sheet-symmetric blocks, and the four subdivided Laplacians.
+    """
+    from .cover import build_double_cover
+
+    vs = _alternating_signs(net)
+    cov = build_double_cover(net, gauge)
+    lap, lap_s = spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)
+    lap_vs = spectral.twisted_laplacian(net, apply_gauge_transform(vs, gauge))
+    lap_db = spectral.cover_laplacian(cov)
+
     checks: list[dict] = []
-    ratio = spectral.det_ratio(net, gauge)
-    neg_mass = spectral.negative_holonomy_mass(net, gauge)
+    ratio = spectral.det_ratio_of(lap, lap_s)
+    neg_mass = spectral.negative_holonomy_mass_of(net, lap, lap_s)
     checks.append(_check_exact("det_ratio = exp(-negative_holonomy_mass)",
                                ratio - math.exp(-neg_mass)))
     checks.append({"name": "det_ratio in (0, 1]", "kind": "closed-form",
@@ -76,32 +89,27 @@ def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
 
     # determinant identities as log-determinant differences: the determinants
     # themselves overflow once a log-det passes about 709.8
-    ld_m = spectral.laplacian(net).log_det()
-    ld_ms = spectral.twisted_laplacian(net, gauge).log_det()
-    ld_plus, ld_minus = spectral.subspace_log_determinants(net, gauge)
+    ld_m, ld_ms = lap.log_det(), lap_s.log_det()
+    ld_plus, ld_minus = spectral.subspace_log_determinants_of(cov, lap_db)
     checks.append(_check_exact("subspace det_plus = 1/det G (relative)",
                                math.expm1(ld_plus - ld_m)))
     checks.append(_check_exact("subspace det_minus = 1/det G_sigma (relative)",
                                math.expm1(ld_minus - ld_ms)))
-    from .cover import build_double_cover
-
-    ld_db = spectral.cover_laplacian(build_double_cover(net, gauge)).log_det()
     checks.append(_check_exact("det_plus * det_minus = cover det (relative)",
-                               math.expm1(ld_plus + ld_minus - ld_db)))
+                               math.expm1(ld_plus + ld_minus - lap_db.log_det())))
 
-    rep = spectral.cover_green_relations(net, gauge)
+    g, gs = spectral.green_of(lap), spectral.green_of(lap_s)
+    rep = spectral.cover_green_relations_of(cov, g, gs, spectral.green_of(lap_db))
     checks.append(_check_exact("cover Green sheet-sum residual", rep.residual_untwisted))
     checks.append(_check_exact("cover Green sheet-difference residual", rep.residual_twisted))
     checks.append(_check_exact("cover Green deck symmetry residual", rep.residual_deck))
 
-    vs = _alternating_signs(net)
     checks.append(_check_exact("gauge covariance residual (alternating transform)",
-                               spectral.gauge_covariance_residual(net, gauge, vs)))
-    ratio2 = spectral.det_ratio(net, apply_gauge_transform(vs, gauge))
-    checks.append(_check_exact("det_ratio gauge invariance", ratio2 - ratio))
+                               spectral.gauge_covariance_residual_of(
+                                   vs, gs, spectral.green_of(lap_vs))))
+    checks.append(_check_exact("det_ratio gauge invariance",
+                               spectral.det_ratio_of(lap, lap_vs) - ratio))
 
-    g = spectral.green(net)
-    gs = spectral.twisted_green(net, gauge)
     checks.append(_check_exact("twisted Green diagonal positivity margin",
                                min(0.0, float(np.min(np.diag(gs.entries))))))
     for n_sub in (3, 5):

@@ -15,6 +15,22 @@ def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
     return net, GaugeField.with_minus_edges(net, [("y", "z")])
 
 
+def factor_orders(monkeypatch, name: str) -> list[int]:
+    """Replace scipy.linalg.<name>, as ggff.spectral calls it, by a wrapper
+    that records the order of every matrix it factors; returns that record."""
+    from ggff import spectral
+
+    real = getattr(spectral.sla, name)
+    orders: list[int] = []
+
+    def recording(a, *args, **kwargs):
+        orders.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, name, recording)
+    return orders
+
+
 @pytest.fixture
 def pt():
     return pendant_triangle()

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ggff import cli, save_network
+from ggff import GaugeField, cli, save_network, spectral
 from ggff.cli import main
 
-from conftest import holed_grid, polar_annulus
+from conftest import factor_orders, holed_grid, polar_annulus
 
 
 PT_FILE_CONTENT = {
@@ -275,6 +275,41 @@ def test_identities_pass_past_the_float_range_of_determinants(tmp_path):
     code, rep = run(["identities", "--network", str(path)], tmp_path / "i.json")
     assert code == 0 and rep["all_passed"]
     assert len(rep["checks"]) == 15 and all(c["passed"] for c in rep["checks"])
+
+
+def test_identities_pass_on_grid20_by_the_banded_route(tmp_path, monkeypatch):
+    """holed_grid(20, 0): 400 interior vertices, subdivisions of 2,080 and
+    3,760.  The four subdivided Laplacians take the banded route; L, L_sigma,
+    L_{vs.sigma}, the cover Laplacian and its two blocks are factored densely."""
+    net, gauge = holed_grid(20, 0)
+    path = tmp_path / "grid20.json"
+    save_network(net, path, gauge)
+    dense = factor_orders(monkeypatch, "cho_factor")
+    banded = factor_orders(monkeypatch, "cholesky_banded")
+    code, rep = run(["identities", "--network", str(path)], tmp_path / "i.json")
+    assert code == 0 and rep["all_passed"]
+    assert len(rep["checks"]) == 15 and all(c["passed"] for c in rep["checks"])
+    assert banded == [2080, 2080, 3760, 3760]
+    assert len(dense) == 6 and max(dense) <= spectral.DENSE_MAX_ORDER
+
+
+def test_non_positive_definite_subdivision_on_the_banded_route_exits_2(
+        tmp_path, pt_file, monkeypatch, capsys):
+    real = cli.subdivide
+
+    def negated(net, gauge, n):
+        sub, gauge_n = real(net, gauge, n)
+        bad = dataclasses.replace(sub.network, edges=tuple(
+            dataclasses.replace(e, conductance=-e.conductance) for e in sub.network.edges))
+        return dataclasses.replace(sub, network=bad), GaugeField(bad, dict(gauge_n.signs))
+
+    monkeypatch.setattr(cli, "subdivide", negated)
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    assert main(["identities", "--network", pt_file,
+                 "--output", str(tmp_path / "i.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: untwisted Laplacian is not positive definite" in err
+    assert "Traceback" not in err and not (tmp_path / "i.json").exists()
 
 
 def test_arithmetic_error_exits_2(tmp_path, pt_file, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   restricted_green, subdivide, twisted_green, twisted_laplacian,
                   twisted_loop_mass, det_ratio, cover_green_relations,
                   subspace_determinants, subspace_log_determinants, write_csv)
-from ggff import spectral
+from ggff import load_network, spectral
+from ggff.cli import identity_checks
 from ggff.cover import build_double_cover
 from ggff.spectral import cover_laplacian, gauge_covariance_residual
 
-from conftest import random_network, random_trivial_gauge
+from conftest import factor_orders, polar_annulus, random_network, random_trivial_gauge
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def assemble_oracle(net, gauge=None):
@@ -262,19 +267,13 @@ def test_restricted_green_in_any_vertex_order(pt):
 
 def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
     net, gauge = pt
-    real = spectral.sla.cho_factor
-    calls = []
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(spectral.sla, "cho_factor", counting)
+    calls = factor_orders(monkeypatch, "cho_factor")
+    banded = factor_orders(monkeypatch, "cholesky_banded")
     lap = twisted_laplacian(net, gauge)  # the positive-definiteness check factors it
-    assert calls == [(3, 3)]
+    assert calls == [3]
     log_det, chol = lap.log_det(), lap.cholesky()
-    g = spectral._invert(lap)
-    assert calls == [(3, 3)]
+    g = spectral.green_of(lap)
+    assert calls == [3]
     assert log_det == pytest.approx(math.log(7), abs=1e-12)
     assert np.array_equal(chol, np.tril(chol))
     assert np.max(np.abs(chol @ chol.T - lap.entries)) < 1e-12
@@ -282,13 +281,82 @@ def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
     calls.clear()
     green(net)
     restricted_green(net, ["y"])
-    assert calls == [(3, 3), (3, 3)]  # one factor per Laplacian assembled
+    assert calls == [3, 3]  # one factor per Laplacian assembled
+    # one identity suite: L, L_sigma, L_{vs.sigma}, the cover Laplacian, its
+    # two sheet-symmetric blocks and the four subdivided Laplacians, each
+    # factored once; every subdivision of these two stays on the dense route
+    for network, sigma in (pt, load_network(NETWORKS / "annulus-6x8.json")):
+        calls.clear()
+        identity_checks(network, sigma)
+        assert len(calls) == 10 and banded == []
+        assert max(calls) <= spectral.DENSE_MAX_ORDER
+
+
+def _both_routes(monkeypatch, network, vertices, gauge=None):
+    """restricted_green by the banded route, then by the dense route."""
+    routes = []
+    for threshold in (0, 10 ** 9):
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+            routes.append(restricted_green(network, vertices, gauge))
+    return routes
+
+
+def _routes_agree(monkeypatch, net, gauge, n: int) -> int:
+    """Both routes on net subdivided n times agree to 1e-12 relative, with and
+    without the gauge; returns the subdivision's order."""
+    sub, gauge_n = subdivide(net, gauge, n)
+    for sigma in (None, gauge_n):
+        banded, dense = _both_routes(monkeypatch, sub.network, net.interior, sigma)
+        assert banded.interior_order == dense.interior_order == net.interior
+        assert banded.kind == dense.kind
+        assert np.max(np.abs(banded.entries - dense.entries)) <= 1e-12 * np.max(np.abs(dense.entries))
+    return len(sub.network.interior)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_banded_route_equals_dense_on_the_annulus(monkeypatch, n):
+    """The 24 x 12 polar annulus subdivided as in the identity suite: orders
+    1,464 and 2,640, both on the banded route by default."""
+    assert _routes_agree(monkeypatch, *polar_annulus(24, 12), n) > spectral.DENSE_MAX_ORDER
+
+
+def test_banded_route_equals_dense_on_random_networks(monkeypatch):
+    """Random networks with conductances from 1e-3 to 1e3, subdivided at N = 3
+    and 5 as in the identity suite; their orders fall on both sides of
+    DENSE_MAX_ORDER."""
+    rng = np.random.default_rng(41)
+    orders = []
+    for _ in range(6):
+        net, gauge = random_network(rng, max_interior=45)
+        net = dataclasses.replace(net, edges=tuple(
+            dataclasses.replace(e, conductance=float(10.0 ** rng.uniform(-3, 3)))
+            for e in net.edges))
+        gauge = GaugeField(net, dict(gauge.signs))
+        orders += [_routes_agree(monkeypatch, net, gauge, n) for n in (3, 5)]
+    assert min(orders) <= spectral.DENSE_MAX_ORDER < max(orders)
+
+
+def _negated(net: ElectricalNetwork) -> ElectricalNetwork:
+    """net with every conductance negated: no longer positive definite."""
+    return dataclasses.replace(net, edges=tuple(
+        dataclasses.replace(e, conductance=-e.conductance) for e in net.edges))
+
+
+def test_non_positive_definite_operator_on_the_banded_route_raises(pt, monkeypatch):
+    net, gauge = pt
+    bad = _negated(net)
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    with pytest.raises(InvalidNetworkError, match="untwisted Laplacian is not positive"):
+        restricted_green(bad, bad.interior)
+    with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
+        restricted_green(bad, bad.interior, GaugeField(bad, dict(gauge.signs)))
 
 
 def test_non_positive_definite_matrix_raises():
     lap = LaplacianMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]), "twisted")
     for use in (lambda: lap.factor, lap.cholesky, lap.log_det,
-                lambda: spectral._invert(lap)):
+                lambda: spectral.green_of(lap)):
         with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
             use()
 
