@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ggff import Edge, ElectricalNetwork, GaugeField, edge_key
+from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
 
 
 def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
@@ -18,8 +20,6 @@ def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
 def factor_orders(monkeypatch, name: str) -> list[int]:
     """Replace scipy.linalg.<name>, as ggff.spectral calls it, by a wrapper
     that records the order of every matrix it factors; returns that record."""
-    from ggff import spectral
-
     real = getattr(spectral.sla, name)
     orders: list[int] = []
 
@@ -129,3 +129,9 @@ def random_trivial_gauge(rng: np.random.Generator, net: ElectricalNetwork) -> Ga
 
     vs = VertexSigns(net, {v: (-1 if rng.random() < 0.5 else 1) for v in net.vertices})
     return apply_gauge_transform(vs, GaugeField.all_plus(net))
+
+
+def with_conductances(net: ElectricalNetwork, conductances) -> ElectricalNetwork:
+    """net with its edges' conductances replaced, in edge order, unvalidated."""
+    return dataclasses.replace(net, edges=tuple(
+        dataclasses.replace(e, conductance=float(c)) for e, c in zip(net.edges, conductances)))

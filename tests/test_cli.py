@@ -10,7 +10,7 @@ import pytest
 from ggff import GaugeField, cli, save_network, spectral
 from ggff.cli import main
 
-from conftest import factor_orders, holed_grid, polar_annulus
+from conftest import factor_orders, holed_grid, polar_annulus, with_conductances
 
 
 PT_FILE_CONTENT = {
@@ -299,8 +299,7 @@ def test_non_positive_definite_subdivision_on_the_banded_route_exits_2(
 
     def negated(net, gauge, n):
         sub, gauge_n = real(net, gauge, n)
-        bad = dataclasses.replace(sub.network, edges=tuple(
-            dataclasses.replace(e, conductance=-e.conductance) for e in sub.network.edges))
+        bad = with_conductances(sub.network, [-e.conductance for e in sub.network.edges])
         return dataclasses.replace(sub, network=bad), GaugeField(bad, dict(gauge_n.signs))
 
     monkeypatch.setattr(cli, "subdivide", negated)

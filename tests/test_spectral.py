@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -17,7 +16,8 @@ from ggff.cli import identity_checks
 from ggff.cover import build_double_cover
 from ggff.spectral import cover_laplacian, gauge_covariance_residual
 
-from conftest import factor_orders, polar_annulus, random_network, random_trivial_gauge
+from conftest import (factor_orders, polar_annulus, random_network, random_trivial_gauge,
+                      with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -329,23 +329,15 @@ def test_banded_route_equals_dense_on_random_networks(monkeypatch):
     orders = []
     for _ in range(6):
         net, gauge = random_network(rng, max_interior=45)
-        net = dataclasses.replace(net, edges=tuple(
-            dataclasses.replace(e, conductance=float(10.0 ** rng.uniform(-3, 3)))
-            for e in net.edges))
+        net = with_conductances(net, 10.0 ** rng.uniform(-3, 3, len(net.edges)))
         gauge = GaugeField(net, dict(gauge.signs))
         orders += [_routes_agree(monkeypatch, net, gauge, n) for n in (3, 5)]
     assert min(orders) <= spectral.DENSE_MAX_ORDER < max(orders)
 
 
-def _negated(net: ElectricalNetwork) -> ElectricalNetwork:
-    """net with every conductance negated: no longer positive definite."""
-    return dataclasses.replace(net, edges=tuple(
-        dataclasses.replace(e, conductance=-e.conductance) for e in net.edges))
-
-
 def test_non_positive_definite_operator_on_the_banded_route_raises(pt, monkeypatch):
     net, gauge = pt
-    bad = _negated(net)
+    bad = with_conductances(net, [-e.conductance for e in net.edges])
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
     with pytest.raises(InvalidNetworkError, match="untwisted Laplacian is not positive"):
         restricted_green(bad, bad.interior)
