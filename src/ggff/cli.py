@@ -153,13 +153,14 @@ def _emit(report: dict, args) -> int:
     return 0 if report.get("all_passed", True) else 1
 
 
-def _envelope(command: str, args, seed: int, parameters: dict) -> dict:
+def _envelope(args, network_name: str, parameters: dict) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "network_file": args.network,
-        "seed": seed,
-        "threads": getattr(args, "threads", 1),
+        "seed": args.seed,
+        "threads": args.threads,
         "parameters": parameters,
+        "network_name": network_name,
     }
 
 
@@ -178,8 +179,7 @@ def cmd_validate(args) -> int:
     except InvalidNetworkError as exc:
         problems = exc.problems
         name = ""
-    report = _envelope("validate", args, args.seed, {})
-    report["network_name"] = name
+    report = _envelope(args, name, {})
     report["problems"] = problems
     report["all_passed"] = not problems
     report["checks"] = [{"name": "network invariants", "kind": "closed-form",
@@ -190,56 +190,41 @@ def cmd_validate(args) -> int:
 
 def cmd_identities(args) -> int:
     net, gauge = _load(args)
-    report = _envelope("identities", args, args.seed,
-                       {"dump_matrices": args.dump_matrices})
-    report["network_name"] = net.name
+    report = _envelope(args, net.name, {"dump_matrices": args.dump_matrices})
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
-        for label, mat in (("laplacian", spectral.laplacian(net)),
-                           ("twisted_laplacian", spectral.twisted_laplacian(net, gauge)),
-                           ("green", spectral.green(net)),
-                           ("twisted_green", spectral.twisted_green(net, gauge))):
+        lap, lap_s = spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)
+        for label, mat in (("laplacian", lap), ("twisted_laplacian", lap_s),
+                           ("green", spectral.green_of(lap)),
+                           ("twisted_green", spectral.green_of(lap_s))):
             spectral.write_csv(mat, os.path.join(args.dump_matrices, f"{label}.csv"))
     return _emit(_finish(report, identity_checks(net, gauge)), args)
 
 
-def cmd_verify_theorem1(args) -> int:
+def cmd_estimator(args) -> int:
+    """verify-theorem1, conditional-moments and connectivity: one estimate
+    and its Monte Carlo verdict, the two proportions with their sample count
+    for the zero-standard-error case."""
     net, gauge = _load(args)
-    est = gff.estimate_event_probability(net, gauge, args.samples, args.seed,
+    parameters = {"samples": args.samples}
+    if args.command == "verify-theorem1":
+        est = gff.estimate_event_probability(net, gauge, args.samples, args.seed,
+                                             threads=args.threads)
+        name, n = "event probability = sqrt(det G_sigma / det G)", est.n_samples
+    else:
+        x, y = args.vertices
+        parameters["vertices"] = [x, y]
+        if args.command == "conditional-moments":
+            est = gff.conditional_moment(net, gauge, (x, y), args.samples, args.seed,
                                          threads=args.threads)
-    report = _envelope("verify-theorem1", args, args.seed, {"samples": args.samples})
-    report["network_name"] = net.name
+            name, n = f"conditioned flipped moment at ({x},{y}) = G_sigma({x},{y})", None
+        else:
+            est = gff.two_point_connectivity(net, (x, y), args.samples, args.seed,
+                                             threads=args.threads)
+            name, n = f"same-cluster probability at ({x},{y}) = arcsine formula", est.n_samples
+    report = _envelope(args, net.name, parameters)
     report["estimator"] = est.to_json_dict()
-    checks = [_check_mc("event probability = sqrt(det G_sigma / det G)",
-                        est.estimate, est.target, est.std_error, 3.0, est.n_samples)]
-    return _emit(_finish(report, checks), args)
-
-
-def cmd_conditional_moments(args) -> int:
-    net, gauge = _load(args)
-    x, y = args.vertices
-    est = gff.conditional_moment(net, gauge, (x, y), args.samples, args.seed,
-                                 threads=args.threads)
-    report = _envelope("conditional-moments", args, args.seed,
-                       {"samples": args.samples, "vertices": [x, y]})
-    report["network_name"] = net.name
-    report["estimator"] = est.to_json_dict()
-    checks = [_check_mc(f"conditioned flipped moment at ({x},{y}) = G_sigma({x},{y})",
-                        est.estimate, est.target, est.std_error, 3.0)]
-    return _emit(_finish(report, checks), args)
-
-
-def cmd_connectivity(args) -> int:
-    net, _ = _load(args)
-    x, y = args.vertices
-    est = gff.two_point_connectivity(net, (x, y), args.samples, args.seed,
-                                     threads=args.threads)
-    report = _envelope("connectivity", args, args.seed,
-                       {"samples": args.samples, "vertices": [x, y]})
-    report["network_name"] = net.name
-    report["estimator"] = est.to_json_dict()
-    checks = [_check_mc(f"same-cluster probability at ({x},{y}) = arcsine formula",
-                        est.estimate, est.target, est.std_error, 3.0, est.n_samples)]
+    checks = [_check_mc(name, est.estimate, est.target, est.std_error, 3.0, n)]
     return _emit(_finish(report, checks), args)
 
 
@@ -282,16 +267,13 @@ def cmd_loopsoup_test(args) -> int:
                    "worst_decile_margin_se": kl.domination_margin_se,
                    "tolerance": ">= -4 standard errors",
                    "passed": bool(kl.domination_margin_se >= -4.0)})
-    report = _envelope("loopsoup-test", args, args.seed,
-                       {"soups": args.soups, "alpha": args.alpha})
-    report["network_name"] = net.name
+    report = _envelope(args, net.name, {"soups": args.soups, "alpha": args.alpha})
     return _emit(_finish(report, checks), args)
 
 
 def cmd_gauge(args) -> int:
     net, gauge = _load(args)
-    report = _envelope("gauge", args, args.seed, {"other": args.other})
-    report["network_name"] = net.name
+    report = _envelope(args, net.name, {"other": args.other})
     checks: list[dict] = []
     trivial, cert = is_trivial(gauge)
     report["trivial"] = trivial
@@ -335,8 +317,7 @@ def cmd_metric_grid(args) -> int:
             d["middle_limit_above"] = hi
             worst = max(worst, abs(lo + hi))
         edges_out[f"{k[0]}--{k[1]}"] = d
-    report = _envelope("metric-grid", args, args.seed, {"grid_points": args.grid_points})
-    report["network_name"] = net.name
+    report = _envelope(args, net.name, {"grid_points": args.grid_points})
     report["vertex_values"] = {v: grid.vertex_values[v] for v in net.interior}
     report["edges"] = edges_out
     checks = [_check_exact("middle limits are exact negatives (abs-field continuity)",
@@ -374,18 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-theorem1",
                         help="Monte Carlo event probability vs the determinant ratio")
     common(sp, samples_default=100_000)
-    sp.set_defaults(func=cmd_verify_theorem1)
+    sp.set_defaults(func=cmd_estimator)
 
     sp = sub.add_parser("conditional-moments",
                         help="conditioned second moments vs the twisted Green function")
     common(sp, samples_default=100_000)
     sp.add_argument("--vertices", nargs=2, required=True, metavar=("X", "Y"))
-    sp.set_defaults(func=cmd_conditional_moments)
+    sp.set_defaults(func=cmd_estimator)
 
     sp = sub.add_parser("connectivity", help="two-point sign-cluster connectivity")
     common(sp, samples_default=100_000)
     sp.add_argument("--vertices", nargs=2, required=True, metavar=("X", "Y"))
-    sp.set_defaults(func=cmd_connectivity)
+    sp.set_defaults(func=cmd_estimator)
 
     sp = sub.add_parser("loopsoup-test", help="loop soup count/occupation/isomorphism checks")
     common(sp)
@@ -413,7 +394,7 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args)
         return args.func(args)
     except (NetworkFormatError, InvalidNetworkError, ValueError, RuntimeError,
-            ArithmeticError, np.linalg.LinAlgError) as exc:
+            ArithmeticError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

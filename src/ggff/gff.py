@@ -172,38 +172,47 @@ def _configuration_labels(network: ElectricalNetwork, edge_open: Mapping[EdgeKey
     return _cover_labels(len(idx), u, v, rel, np.ones((len(keys), 1), dtype=bool))
 
 
-def _interior_edges(network: ElectricalNetwork) -> list[EdgeKey]:
-    ints = set(network.interior)
-    return [k for k in network.sorted_edge_keys if k[0] in ints and k[1] in ints]
+def _interior_edge_arrays(network: ElectricalNetwork):
+    """The edges between interior vertices in sorted key order, with their
+    ends' interior indices and their conductances."""
+    idx = network.interior_index()
+    keys = [k for k in network.sorted_edge_keys if k[0] in idx and k[1] in idx]
+    return (keys, np.array([idx[k[0]] for k in keys], dtype=np.intp),
+            np.array([idx[k[1]] for k in keys], dtype=np.intp),
+            np.array([network.edge_map[k].conductance for k in keys], dtype=float))
+
+
+def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
+                edge_c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero-free marks of the interior edges for each sample column of phi:
+    edge i is open with probability open_probability(edge_c[i], a, b) at its
+    ends' values a, b, from one uniform per edge and column in row order."""
+    a = phi[edge_u, :]
+    b = phi[edge_v, :]
+    u = rng.random((len(edge_u), phi.shape[1]))
+    same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
+    return same & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(a * b)))
 
 
 class _FieldEngine:
-    """Cached factorizations and edge arrays for fast batched sampling."""
+    """The Laplacian, Green matrix and sampling factor of one field, and the
+    interior edge arrays, for fast batched sampling."""
 
     def __init__(self, network: ElectricalNetwork, gauge: Optional[GaugeField] = None):
         self.network = network
         self.interior = network.interior
         self.index = {v: i for i, v in enumerate(self.interior)}
-        g = spectral.green(network) if gauge is None else spectral.twisted_green(network, gauge)
-        self.green = g
-        self.chol = np.linalg.cholesky(g.entries) if len(self.interior) else np.zeros((0, 0))
-        self.int_edges = _interior_edges(network)
-        self.edge_u = np.array([self.index[k[0]] for k in self.int_edges], dtype=np.intp)
-        self.edge_v = np.array([self.index[k[1]] for k in self.int_edges], dtype=np.intp)
-        self.edge_c = np.array([network.edge_map[k].conductance for k in self.int_edges])
+        self.lap = (spectral.laplacian(network) if gauge is None
+                    else spectral.twisted_laplacian(network, gauge))
+        self.green = spectral.green_of(self.lap)
+        self.chol = (np.linalg.cholesky(self.green.entries) if len(self.interior)
+                     else np.zeros((0, 0)))
+        self.int_edges, self.edge_u, self.edge_v, self.edge_c = _interior_edge_arrays(network)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n field samples as columns, in interior order."""
         z = rng.standard_normal((len(self.interior), n))
         return self.chol @ z
-
-    def open_block(self, phi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Zero-free edge marks for each sample column of phi."""
-        a = phi[self.edge_u, :]
-        b = phi[self.edge_v, :]
-        u = rng.random((len(self.int_edges), phi.shape[1]))
-        same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
-        return same & (u < -np.expm1(-2.0 * self.edge_c[:, None] * np.abs(a * b)))
 
     def edge_signs(self, gauge: Optional[GaugeField] = None) -> np.ndarray:
         """The interior edges' gauge signs; all +1 without a gauge."""
@@ -216,7 +225,7 @@ class _FieldEngine:
         """n field samples and the _cover_labels of their open subgraphs,
         the interior edges carrying the signs rel."""
         phi = self.sample_block(rng, n)
-        opened = self.open_block(phi, rng)
+        opened = _open_marks(phi, self.edge_u, self.edge_v, self.edge_c, rng)
         return phi, _cover_labels(len(self.interior), self.edge_u, self.edge_v, rel, opened)
 
 
@@ -243,14 +252,12 @@ def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int
     Returns (cover, cover interior order, cover samples, plus, minus).
     """
     cov = build_double_cover(network, gauge)
-    g = spectral.cover_green(cov)
-    chol = np.linalg.cholesky(g.entries)
-    phi = chol @ substream(seed).standard_normal((len(g.interior_order), n))
-    idx = {v: i for i, v in enumerate(g.interior_order)}
-    i1 = np.array([idx[cov.lift(x, 1)] for x in network.interior], dtype=np.intp)
-    i2 = np.array([idx[cov.lift(x, 2)] for x in network.interior], dtype=np.intp)
+    eng = _FieldEngine(cov.cover_network)
+    phi = eng.sample_block(substream(seed), n)
+    i1 = np.array([eng.index[cov.lift(x, 1)] for x in network.interior], dtype=np.intp)
+    i2 = np.array([eng.index[cov.lift(x, 2)] for x in network.interior], dtype=np.intp)
     inv = 1.0 / math.sqrt(2.0)
-    return (cov, g.interior_order, phi,
+    return (cov, eng.interior, phi,
             inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2]))
 
 
@@ -299,14 +306,11 @@ def sample_cluster_configuration(gff: GffSample, network: ElectricalNetwork,
         raise ValueError("field sample belongs to a different network")
     if gff.kind != "untwisted":
         raise ValueError("cluster sampling expects an untwisted field sample")
-    rng = substream(seed)
-    int_edges = _interior_edges(network)
-    draws = rng.random(len(int_edges))
-    edge_open: dict[EdgeKey, bool] = {k: False for k in network.sorted_edge_keys}
-    for k, u in zip(int_edges, draws):
-        p = open_probability(network.edge_map[k].conductance,
-                             gff.values[k[0]], gff.values[k[1]])
-        edge_open[k] = bool(u < p)
+    keys, edge_u, edge_v, edge_c = _interior_edge_arrays(network)
+    phi = np.array([gff.values[v] for v in network.interior], dtype=float)[:, None]
+    opened = _open_marks(phi, edge_u, edge_v, edge_c, substream(seed))[:, 0]
+    edge_open = {k: False for k in network.sorted_edge_keys}
+    edge_open.update(zip(keys, opened.tolist()))
     signs = {v: int(np.sign(gff.values[v])) for v in network.interior}
     return _finish_configuration(network, signs, edge_open)
 
@@ -444,12 +448,11 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
         _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
         return int(_balanced(lab).sum())
 
-    totals = run_batches(batch_plan(n_samples, batch_size), worker, threads)
-    hits = int(sum(totals))
+    hits = run_batches(batch_plan(n_samples, batch_size), worker, threads)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    return EstimatorReport(p, se, n_samples, hits, seed,
-                           target=spectral.det_ratio(network, gauge))
+    target = spectral.det_ratio_of(eng.lap, spectral.twisted_laplacian(network, gauge))
+    return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 
 def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
@@ -466,19 +469,17 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     rel = eng.edge_signs(gauge)
     ix, iy = eng.index[x], eng.index[y]
 
-    def worker(bi: int, bn: int) -> tuple[float, float, int]:
+    def worker(bi: int, bn: int) -> np.ndarray:
         phi, lab = eng.cluster_block(substream(seed, bi), bn, rel)
         tau = 1 - 2 * (lab[:, [ix, iy], 0] % 2)
         g = (tau[:, 0] * phi[ix] * tau[:, 1] * phi[iy])[_balanced(lab)]
         # sums run left to right from 0.0, in sample order: np.sum would
         # pair terms and move the estimate's last bits
-        return (np.cumsum(np.append(0.0, g))[-1], np.cumsum(np.append(0.0, g * g))[-1],
-                len(g))
+        return np.array([np.cumsum(np.append(0.0, g))[-1],
+                         np.cumsum(np.append(0.0, g * g))[-1], len(g)])
 
-    parts = run_batches(batch_plan(n_samples, batch_size), worker, threads)
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    acc = sum(p[2] for p in parts)
+    s1, s2, accepted = run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    acc = int(accepted)
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
     mean, se = mean_se(s1, s2, acc)
@@ -503,8 +504,7 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
         _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
         return int((lab[:, ix, 0] == lab[:, iy, 0]).sum())
 
-    totals = run_batches(batch_plan(n_samples, batch_size), worker, threads)
-    hits = int(sum(totals))
+    hits = run_batches(batch_plan(n_samples, batch_size), worker, threads)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     g = eng.green

@@ -30,6 +30,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import spectral
+from .gff import _FieldEngine
 from .network import ElectricalNetwork, GaugeField
 from .seeds import batch_plan, mean_se, run_batches, substream
 
@@ -216,6 +217,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     """
     sampler = LoopSoupSampler(network, alpha)
     m = len(sampler.interior)
+    lap, lap_s = spectral.laplacian(network), spectral.twisted_laplacian(network, gauge)
 
     def worker(bi: int, bn: int) -> np.ndarray:
         # per soup, x = (loop count, holonomy -1 count, occupation field)
@@ -228,22 +230,22 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
             sums += (x, x ** 2, x ** 4)
         return sums
 
-    s1, s2, s4 = sum(run_batches(batch_plan(n_soups, batch_size), worker, threads))
+    s1, s2, s4 = run_batches(batch_plan(n_soups, batch_size), worker, threads)
     n = n_soups
-    gdiag = np.diag(spectral.green(network).entries)
+    gdiag = np.diag(spectral.green_of(lap).entries)
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
     return SoupMomentsReport(
         vertices=sampler.interior, n_soups=n, alpha=alpha, seed=seed,
         count_mean=float(mean[0]), count_se=float(se[0]),
         count_var=float(max(s2[0] / n - (s1[0] / n) ** 2, 0.0)),
-        count_target=alpha * spectral.loop_mass(network),
+        count_target=alpha * spectral.loop_mass_of(network, lap),
         occupation_mean=mean[2:], occupation_mean_se=se[2:],
         occupation_mean_target=alpha * gdiag,
         occupation_second=second[2:], occupation_second_se=second_se[2:],
         occupation_second_target=alpha * (1.0 + alpha) * gdiag ** 2,
         negative_count_mean=float(mean[1]), negative_count_se=float(se[1]),
-        negative_count_target=alpha * spectral.negative_holonomy_mass(network, gauge),
+        negative_count_target=alpha * spectral.negative_holonomy_mass_of(network, lap, lap_s),
     )
 
 
@@ -277,18 +279,15 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
 
     sampler = LoopSoupSampler(network, 0.5)
     m = len(sampler.interior)
-    g = spectral.green(network)
-    gs = spectral.twisted_green(network, gauge)
-    chol_s = np.linalg.cholesky(gs.entries)
-    chol_u = np.linalg.cholesky(g.entries)
+    untwisted, twisted = _FieldEngine(network), _FieldEngine(network, gauge)
     # exact decile grid of the untwisted square field per vertex:
     # P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.outer(np.diag(g.entries), deciles)  # (m, 9)
+    grids = np.outer(np.diag(untwisted.green.entries), deciles)  # (m, 9)
 
-    def worker(bi: int, bn: int) -> tuple[np.ndarray, np.ndarray]:
+    def worker(bi: int, bn: int) -> np.ndarray:
         # per soup, x = (left, right); decile counts of the twisted and the
-        # untwisted square field
+        # untwisted square field; both sums in one array
         sums = np.zeros((3, 2 * m))
         cdf = np.zeros((2, m, 9))
         for s in range(bn):
@@ -297,16 +296,16 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
             plus, minus = split_by_holonomy(soup, gauge)
             occ_p = sampler.occupation_vector(plus)
             occ_m = sampler.occupation_vector(minus)
-            phi_s = chol_s @ rng.standard_normal(m)
-            phi_u = chol_u @ rng.standard_normal(m)
+            phi_s = twisted.sample_block(rng, 1)[:, 0]
+            phi_u = untwisted.sample_block(rng, 1)[:, 0]
             x = np.concatenate((occ_p, 0.5 * phi_s ** 2 + occ_m))
             sums += (x, x ** 2, x ** 4)
             cdf[0] += phi_s[:, None] ** 2 <= grids
             cdf[1] += phi_u[:, None] ** 2 <= grids
-        return sums, cdf
+        return np.concatenate((sums.ravel(), cdf.ravel()))
 
-    parts = run_batches(batch_plan(n_soups, batch_size), worker, threads)
-    s1, s2, s4 = sum(p[0] for p in parts)
+    total = run_batches(batch_plan(n_soups, batch_size), worker, threads)
+    s1, s2, s4 = total[:6 * m].reshape(3, 2 * m)
     n = n_soups
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
@@ -314,7 +313,7 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     mean_diff_se = (lm - rm) / np.sqrt(se[:m] ** 2 + se[m:] ** 2 + 1e-300)
     second_diff_se = ((second[:m] - second[m:])
                       / np.sqrt(second_se[:m] ** 2 + second_se[m:] ** 2 + 1e-300))
-    ftw, fun = sum(p[1] for p in parts) / n
+    ftw, fun = total[6 * m:].reshape(2, m, 9) / n
     se_cdf = np.sqrt(ftw * (1 - ftw) / n + fun * (1 - fun) / n + 1e-300)
     margin = float(np.min((ftw - fun) / se_cdf))
     return KlCheckReport(sampler.interior, n, seed, lm, rm,

@@ -243,6 +243,9 @@ def _parse_network_dict(data: dict) -> tuple[ElectricalNetwork, GaugeField]:
     for fld in ("vertices", "boundary", "edges"):
         if fld not in data:
             raise NetworkFormatError(f"missing field {fld!r}")
+        if not isinstance(data[fld], list):
+            raise NetworkFormatError(f"field {fld!r} must be a JSON array, "
+                                     f"got {type(data[fld]).__name__}")
     vertices = tuple(str(v) for v in data["vertices"])
     vset = set(vertices)
     boundary = frozenset(str(v) for v in data["boundary"])

@@ -3,8 +3,8 @@
 Estimators split their work into fixed-size batches; batch i draws from the
 generator derived from (master seed, i), and soup s of a loop-soup batch i
 from (master seed, i, s).  The batch plan depends only on the total count,
-and partial results merge in batch order, so estimates are bit-identical for
-every worker count.  mean_se turns the merged sums into estimates.
+and run_batches adds the batches' results in batch order, so estimates are
+bit-identical for every worker count.  mean_se turns the sums into estimates.
 """
 
 from __future__ import annotations
@@ -42,13 +42,15 @@ def batch_plan(total: int, batch_size: int = DEFAULT_BATCH) -> list[tuple[int, i
 
 def run_batches(plan: Sequence[tuple[int, int]],
                 worker: Callable[[int, int], T],
-                threads: int = 1) -> list[T]:
-    """Run worker(batch_index, batch_count) for every batch, results in plan order."""
+                threads: int = 1) -> T:
+    """Run worker(batch_index, batch_count) for every batch and return the
+    sum of the results, a number or one array each, added in plan order
+    starting from 0."""
     if threads <= 1 or len(plan) <= 1:
-        return [worker(i, n) for i, n in plan]
+        return sum(worker(i, n) for i, n in plan)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, i, n) for i, n in plan]
-        return [f.result() for f in futures]
+        return sum(f.result() for f in futures)
 
 
 def mean_se(s1, s2, n: int):

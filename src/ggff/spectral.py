@@ -215,19 +215,20 @@ def det_ratio_of(lap: LaplacianMatrix, lap_s: LaplacianMatrix) -> float:
     return float(np.exp(0.5 * (lap.log_det() - lap_s.log_det())))
 
 
-def _loop_mass(network: ElectricalNetwork, lap: LaplacianMatrix) -> float:
+def loop_mass(network: ElectricalNetwork) -> float:
+    """log(det G * prod W): total measure of loops visiting >= 2 vertices."""
+    return loop_mass_of(network, laplacian(network))
+
+
+def loop_mass_of(network: ElectricalNetwork, lap: LaplacianMatrix) -> float:
+    """loop_mass, or twisted_loop_mass, from network's Laplacian lap."""
     lw = sum(np.log(network.weighted_degree(v)) for v in network.interior)
     return float(lw - lap.log_det())
 
 
-def loop_mass(network: ElectricalNetwork) -> float:
-    """log(det G * prod W): total measure of loops visiting >= 2 vertices."""
-    return _loop_mass(network, laplacian(network))
-
-
 def twisted_loop_mass(network: ElectricalNetwork, gauge: GaugeField) -> float:
     """Same with the twisted Green function; the signed-measure total."""
-    return _loop_mass(network, twisted_laplacian(network, gauge))
+    return loop_mass_of(network, twisted_laplacian(network, gauge))
 
 
 def negative_holonomy_mass(network: ElectricalNetwork, gauge: GaugeField) -> float:
@@ -242,7 +243,7 @@ def negative_holonomy_mass(network: ElectricalNetwork, gauge: GaugeField) -> flo
 def negative_holonomy_mass_of(network: ElectricalNetwork, lap: LaplacianMatrix,
                               lap_s: LaplacianMatrix) -> float:
     """negative_holonomy_mass from network's untwisted and twisted Laplacian."""
-    return 0.5 * (_loop_mass(network, lap) - _loop_mass(network, lap_s))
+    return 0.5 * (loop_mass_of(network, lap) - loop_mass_of(network, lap_s))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from ggff import GaugeField, cli, save_network, spectral
+from ggff import GaugeField, cli, load_network, save_network, spectral
 from ggff.cli import main
 
 from conftest import factor_orders, holed_grid, polar_annulus, with_conductances
 
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 PT_FILE_CONTENT = {
     "vertices": ["b", "x", "y", "z"],
@@ -219,39 +220,50 @@ GOLDEN_RUNS = {
 }
 
 
-def _without_timestamp(text: str) -> list[str]:
-    return [line for line in text.splitlines() if not line.lstrip().startswith('"timestamp"')]
+# the annulus sampling goldens have two batches each; they are also run at
+# two threads
+THREADED_GOLDEN_RUNS = ("annulus-6x8/verify-theorem1", "annulus-6x8/conditional-moments",
+                        "annulus-6x8/connectivity", "annulus-6x8/loopsoup-test")
+
+
+def _without(text: str, *keys: str) -> list[str]:
+    return [line for line in text.splitlines()
+            if not line.lstrip().startswith(tuple(f'"{k}"' for k in keys))]
 
 
 _GOLDEN_CHILD = """
 import json, sys
 from ggff.cli import main
 runs, out = json.loads(sys.argv[1]), sys.argv[2]
-codes = {}
-for i, (command, args) in enumerate(sorted(runs.items())):
+codes = []
+for i, (command, args) in enumerate(runs):
     network, _, name = command.rpartition("/")
-    codes[command] = main([name, "--network", f"{network or 'pt'}.json", "--seed", "11",
-                           *args, "--output", f"{out}/{i}.json"])
+    codes.append(main([name, "--network", f"{network or 'pt'}.json", "--seed", "11",
+                       *args, "--output", f"{out}/{i}.json"]))
 print(json.dumps(codes))
 """
 
 
 @pytest.fixture(scope="module")
 def golden_reports(tmp_path_factory):
-    """Every golden run's exit code and report text, made in one child process
-    with one BLAS thread: the identity residuals' last bits depend on how
-    OpenBLAS splits a factorization over threads, which follows the host's
-    core count unless it is fixed before numpy loads."""
+    """Every golden run's exit code and report text by (command, threads),
+    made in one child process with one BLAS thread: the identity residuals'
+    last bits depend on how OpenBLAS splits a factorization over threads,
+    which follows the host's core count unless it is fixed before numpy
+    loads."""
     out = tmp_path_factory.mktemp("golden")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, json.dumps(GOLDEN_RUNS), str(out)],
-                          cwd=Path(__file__).resolve().parent.parent / "networks", env=env,
-                          capture_output=True, text=True, check=True)
+    keys = [(command, 1) for command in sorted(GOLDEN_RUNS)]
+    keys += [(command, 2) for command in THREADED_GOLDEN_RUNS]
+    runs = [(command, [*GOLDEN_RUNS[command], "--threads", str(threads)])
+            for command, threads in keys]
+    proc = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, json.dumps(runs), str(out)],
+                          cwd=NETWORKS, env=env, capture_output=True, text=True, check=True)
     codes = json.loads(proc.stdout)
-    return {command: (codes[command], (out / f"{i}.json").read_text())
-            for i, command in enumerate(sorted(GOLDEN_RUNS))}
+    return {key: (code, (out / f"{i}.json").read_text())
+            for i, (key, code) in enumerate(zip(keys, codes))}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_RUNS))
@@ -259,10 +271,20 @@ def test_reports_match_golden_up_to_timestamp(golden_reports, command):
     """The reports on PT (and, where the run's name has a network prefix, on
     that network) at seed 11 keep every byte but the timestamp of
     tests/golden/, which an earlier version recorded."""
-    code, text = golden_reports[command]
+    code, text = golden_reports[command, 1]
     golden = (GOLDEN / f"{command}.json").read_text()
     assert code == 0
-    assert _without_timestamp(text) == _without_timestamp(golden)
+    assert _without(text, "timestamp") == _without(golden, "timestamp")
+
+
+@pytest.mark.parametrize("command", THREADED_GOLDEN_RUNS)
+def test_golden_reports_hold_at_two_threads(golden_reports, command):
+    """At --threads 2 the two batches run on two workers; every line but the
+    timestamp and the thread count keeps the golden's bytes."""
+    code, text = golden_reports[command, 2]
+    golden = (GOLDEN / f"{command}.json").read_text()
+    assert code == 0 and '"threads": 2' in text
+    assert _without(text, "timestamp", "threads") == _without(golden, "timestamp", "threads")
 
 
 def test_identities_pass_past_the_float_range_of_determinants(tmp_path):
@@ -320,6 +342,45 @@ def test_arithmetic_error_exits_2(tmp_path, pt_file, monkeypatch, capsys):
                  "--output", str(tmp_path / "i.json")]) == 2
     assert "error: math range error" in capsys.readouterr().err
     assert not (tmp_path / "i.json").exists()
+
+
+@pytest.mark.parametrize("case", ["missing network", "unwritable output", "number vertices",
+                                  "string vertices", "object edges"])
+def test_bad_files_exit_2_without_a_traceback(tmp_path, pt_file, capsys, case):
+    network, output = pt_file, tmp_path / "r.json"
+    if case == "missing network":
+        network = str(tmp_path / "missing.json")
+    elif case == "unwritable output":
+        output = tmp_path / "no-such-dir" / "r.json"
+    else:
+        field, value = {"number vertices": ("vertices", 5),
+                        "string vertices": ("vertices", "bxyz"),
+                        "object edges": ("edges", {})}[case]
+        network = tmp_path / "bad.json"
+        network.write_text(json.dumps({**PT_FILE_CONTENT, field: value}))
+    for command in (["validate"], ["verify-theorem1", "--samples", "10"]):
+        assert main([*command, "--network", str(network), "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not output.exists()
+
+
+def test_dump_matrices_writes_the_four_operators(tmp_path, pt_file):
+    """Each CSV is byte-equal to write_csv of laplacian, twisted_laplacian,
+    green or twisted_green, on PT and on the 6 x 8 annulus."""
+    for name, path in (("pt", pt_file), ("annulus", str(NETWORKS / "annulus-6x8.json"))):
+        dump, ref = tmp_path / f"{name}-dump", tmp_path / f"{name}-ref"
+        ref.mkdir()
+        assert main(["identities", "--network", path, "--dump-matrices", str(dump),
+                     "--output", str(tmp_path / f"{name}-report.json")]) == 0
+        net, gauge = load_network(path)
+        for label, mat in (("laplacian", spectral.laplacian(net)),
+                           ("twisted_laplacian", spectral.twisted_laplacian(net, gauge)),
+                           ("green", spectral.green(net)),
+                           ("twisted_green", spectral.twisted_green(net, gauge))):
+            spectral.write_csv(mat, ref / f"{label}.csv")
+            assert (dump / f"{label}.csv").read_bytes() == (ref / f"{label}.csv").read_bytes()
+        assert sorted(p.name for p in dump.iterdir()) == sorted(p.name for p in ref.iterdir())
 
 
 def test_binomial_verdict_with_zero_wald_error_uses_the_target_error():

@@ -1,22 +1,26 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ggff
-from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
+from ggff import (Edge, ElectricalNetwork, GaugeField, GffSample, VertexSigns,
                   apply_gauge_transform, detect_event, estimate_event_probability,
                   conditional_moment, green, make_cluster_configuration,
                   open_probability, sample_cluster_configuration,
                   sample_cover_gff_batch, sample_cover_gff_and_project,
                   sample_gff, sample_metric_field, sample_twisted_gff,
                   sign_flip_transform, twisted_green, two_point_connectivity,
-                  edge_key, subdivide)
-from ggff.gff import _FieldEngine, _ParityUnionFind, _balanced, _cover_labels
+                  edge_key, load_network, subdivide)
+from ggff.gff import (_FieldEngine, _ParityUnionFind, _balanced, _cover_labels,
+                      _open_marks)
 from ggff.seeds import substream
 
 from conftest import random_network
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def cov_tolerance(gdiag, n, k=4.0):
@@ -189,7 +193,7 @@ def test_empirical_open_rate_matches_formula(pt_net):
     eng = _FieldEngine(pt_net)
     rng = substream(14)
     phi = eng.sample_block(rng, n)
-    opened = eng.open_block(phi, rng)
+    opened = _open_marks(phi, eng.edge_u, eng.edge_v, eng.edge_c, rng)
     iu, iv = eng.edge_u, eng.edge_v
     probs = np.where(np.sign(phi[iu]) == np.sign(phi[iv]),
                      -np.expm1(-2 * eng.edge_c[:, None] * np.abs(phi[iu] * phi[iv])), 0.0)
@@ -198,6 +202,42 @@ def test_empirical_open_rate_matches_formula(pt_net):
         freq = opened[row].mean()
         se = math.sqrt(max(target * (1 - target), 1e-12) / n)
         assert abs(freq - target) <= 4 * se
+
+
+def per_edge_configuration(gff, network, seed):
+    """The edge-by-edge opening rule: one uniform per interior edge in sorted
+    key order, the edge open when it falls below open_probability."""
+    ints = set(network.interior)
+    int_edges = [k for k in network.sorted_edge_keys if k[0] in ints and k[1] in ints]
+    draws = substream(seed).random(len(int_edges))
+    edge_open = {k: False for k in network.sorted_edge_keys}
+    for k, u in zip(int_edges, draws):
+        p = open_probability(network.edge_map[k].conductance,
+                             gff.values[k[0]], gff.values[k[1]])
+        edge_open[k] = bool(u < p)
+    signs = {v: int(np.sign(gff.values[v])) for v in network.interior}
+    return make_cluster_configuration(network, signs, edge_open)
+
+
+def test_cluster_configuration_follows_the_per_edge_rule(pt):
+    """The vectorised opening rule gives the per-edge rule's marks, signs and
+    components, on PT, the 6 x 8 annulus and 20 random networks, at several
+    seeds each, and on PT fields with zero and opposite-sign values."""
+    rng = np.random.default_rng(22)
+    networks = [pt[0], load_network(NETWORKS / "annulus-6x8.json")[0]]
+    networks += [random_network(rng)[0] for _ in range(20)]
+    samples = [(net, sample_gff(net, seed)) for net in networks for seed in (1, 2, 3)]
+    samples += [(pt[0], GffSample(pt[0], values, "untwisted", (0,)))
+                for values in ({"x": 0.0, "y": 1.0, "z": 1.5},
+                               {"x": -1.0, "y": 1.0, "z": 0.5},
+                               {"x": -0.3, "y": -2.0, "z": -1.0})]
+    for net, field in samples:
+        for seed in (10, 11, 12):
+            got = sample_cluster_configuration(field, net, seed)
+            want = per_edge_configuration(field, net, seed)
+            assert got.edge_open == want.edge_open
+            assert got.vertex_sign == want.vertex_sign
+            assert got.components == want.components
 
 
 def brute_force_balanced(net, gauge, signs, edge_open):

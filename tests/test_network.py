@@ -103,6 +103,18 @@ def test_load_rejects_booleans(field, words):
         load_network(json.dumps(data))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertices", 5), ("vertices", "bxyz"), ("vertices", {"b": 1}),
+    ("boundary", "b"), ("boundary", None), ("edges", 4), ("edges", {"id": "bx"})])
+def test_load_requires_json_arrays(field, value):
+    """A string would otherwise be read character by character, and a number
+    would raise TypeError."""
+    data = json.loads(json.dumps(PT_JSON))
+    data[field] = value
+    with pytest.raises(NetworkFormatError, match=f"field '{field}' must be a JSON array"):
+        load_network(json.dumps(data))
+
+
 def test_load_invalid_network_forwards_validation():
     data = json.loads(json.dumps(PT_JSON))
     data["boundary"] = []

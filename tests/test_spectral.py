@@ -292,6 +292,43 @@ def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
         assert max(calls) <= spectral.DENSE_MAX_ORDER
 
 
+FACTORED_OPERATIONS = {
+    # operation: (cho_factor calls, Green-matrix Cholesky calls)
+    "event": (2, 1), "moment": (2, 1), "connectivity": (1, 1),
+    "soup_moments": (3, 0), "kl_isomorphism_check": (3, 2),
+    "sample_cover_gff_batch": (1, 1)}
+
+
+@pytest.mark.parametrize("operation", sorted(FACTORED_OPERATIONS))
+def test_each_operation_factors_each_operator_once(monkeypatch, operation):
+    """On the 6 x 8 annulus: L, L_sigma, the reversed-order L of a loop-soup
+    sampler and the cover Laplacian are factored once per operation, and a
+    field sampler takes one Cholesky factor of its Green matrix."""
+    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+    x, y = "r03s07", "r03s00"
+    run = {
+        "event": lambda: ggff.estimate_event_probability(net, gauge, 64, 1),
+        "moment": lambda: ggff.conditional_moment(net, gauge, (x, y), 64, 1),
+        "connectivity": lambda: ggff.two_point_connectivity(net, (x, y), 64, 1),
+        "soup_moments": lambda: ggff.soup_moments(net, 0.5, 4, 1, gauge=gauge),
+        "kl_isomorphism_check": lambda: ggff.kl_isomorphism_check(net, gauge, 4, 1),
+        "sample_cover_gff_batch": lambda: ggff.sample_cover_gff_batch(net, gauge, 1, 4),
+    }[operation]
+    orders = factor_orders(monkeypatch, "cho_factor")
+    green_orders = []
+    real = np.linalg.cholesky
+
+    def recording(a, *args, **kwargs):
+        green_orders.append(a.shape[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    run()
+    assert (len(orders), len(green_orders)) == FACTORED_OPERATIONS[operation]
+    m = 96 if operation == "sample_cover_gff_batch" else 48
+    assert set(orders + green_orders) == {m}
+
+
 def _both_routes(monkeypatch, network, vertices, gauge=None):
     """restricted_green by the banded route, then by the dense route."""
     routes = []
