@@ -35,14 +35,21 @@ def _check_exact(name: str, residual: float, tol: float = EXACT_TOL) -> dict:
 
 
 def _check_mc(name: str, estimate: float, target: float, se: float,
-              k: float = 3.0, n: int | None = None) -> dict:
-    """With n, the estimate is a proportion of n samples: when its Wald
-    standard error is 0 (no sample, or every sample, in the event), the
-    target's own standard error sqrt(q(1-q)/n) takes its place."""
+              k: float = 3.0, n: int | None = None, poisson: bool = False) -> dict:
+    """With n, the estimate is the mean of n samples, a proportion or, with
+    poisson, a Poisson count: when its sample standard error is 0 (no sample,
+    or every sample, in the event; the same count in every sample), the
+    target's own standard error takes its place, sqrt(q(1-q)/n) for a
+    proportion q and sqrt(m/n) for a count of mean m."""
     if se == 0 and n is not None:
-        se = math.sqrt(max(target * (1.0 - target), 0.0) / n)
+        if poisson:
+            se = math.sqrt(max(target, 0.0) / n)
+            tol = f"{k:g} standard errors of the target, sqrt(m/n) (zero sample standard error)"
+        else:
+            se = math.sqrt(max(target * (1.0 - target), 0.0) / n)
+            tol = (f"{k:g} standard errors of the target, sqrt(q(1-q)/n) "
+                   "(zero Wald standard error)")
         passed = abs(estimate - target) <= k * se
-        tol = f"{k:g} standard errors of the target, sqrt(q(1-q)/n) (zero Wald standard error)"
     elif se > 0:
         passed = abs(estimate - target) <= k * se
         tol = f"{k:g} standard errors"
@@ -233,12 +240,13 @@ def cmd_loopsoup_test(args) -> int:
     mom = loopsoup.soup_moments(net, args.alpha, args.soups, args.seed, gauge=gauge,
                                 threads=args.threads)
     checks = [_check_mc("multi-vertex loop count mean = alpha * loop_mass",
-                        mom.count_mean, mom.count_target, mom.count_se, 3.0)]
+                        mom.count_mean, mom.count_target, mom.count_se, 3.0,
+                        mom.n_soups, poisson=True)]
     checks.append(_info("multi-vertex loop count variance (Poisson: equals mean)",
                         value=mom.count_var, target=mom.count_mean))
     checks.append(_check_mc("holonomy -1 loop count mean = alpha * negative_holonomy_mass",
                             mom.negative_count_mean, mom.negative_count_target,
-                            mom.negative_count_se, 3.0))
+                            mom.negative_count_se, 3.0, mom.n_soups, poisson=True))
     for i, v in enumerate(mom.vertices):
         checks.append(_check_mc(f"occupation mean at {v} = alpha * G({v},{v})",
                                 float(mom.occupation_mean[i]),

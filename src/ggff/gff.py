@@ -161,25 +161,13 @@ def _balanced(lab: np.ndarray) -> np.ndarray:
 
 
 def _configuration_labels(network: ElectricalNetwork, edge_open: Mapping[EdgeKey, bool],
-                          signs: Optional[Mapping[EdgeKey, int]] = None) -> np.ndarray:
-    """_cover_labels of one configuration, shape (1, m, 2); all signs +1 when
-    none are given."""
-    idx = network.interior_index()
-    keys = [k for k, o in edge_open.items() if o]
-    u = np.array([idx[k[0]] for k in keys], dtype=np.intp)
-    v = np.array([idx[k[1]] for k in keys], dtype=np.intp)
-    rel = np.array([1 if signs is None else signs[k] for k in keys], dtype=np.intp)
-    return _cover_labels(len(idx), u, v, rel, np.ones((len(keys), 1), dtype=bool))
-
-
-def _interior_edge_arrays(network: ElectricalNetwork):
-    """The edges between interior vertices in sorted key order, with their
-    ends' interior indices and their conductances."""
-    idx = network.interior_index()
-    keys = [k for k in network.sorted_edge_keys if k[0] in idx and k[1] in idx]
-    return (keys, np.array([idx[k[0]] for k in keys], dtype=np.intp),
-            np.array([idx[k[1]] for k in keys], dtype=np.intp),
-            np.array([network.edge_map[k].conductance for k in keys], dtype=float))
+                          gauge: Optional[GaugeField] = None) -> np.ndarray:
+    """_cover_labels of one configuration, shape (1, m, 2); all signs +1
+    without a gauge."""
+    keys, u, v, _ = network.interior_edges
+    rel = np.ones(len(keys), dtype=np.intp) if gauge is None else gauge.interior_signs
+    opened = np.array([edge_open.get(k, False) for k in keys], dtype=bool).reshape(-1, 1)
+    return _cover_labels(len(network.interior), u, v, rel, opened)
 
 
 def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
@@ -195,38 +183,30 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
 
 
 class _FieldEngine:
-    """The Laplacian, Green matrix and sampling factor of one field, and the
-    interior edge arrays, for fast batched sampling."""
+    """The Laplacian, Green matrix and sampling factor of one field, for fast
+    batched sampling and cluster labelling on network.interior_edges."""
 
     def __init__(self, network: ElectricalNetwork, gauge: Optional[GaugeField] = None):
         self.network = network
         self.interior = network.interior
-        self.index = {v: i for i, v in enumerate(self.interior)}
         self.lap = (spectral.laplacian(network) if gauge is None
                     else spectral.twisted_laplacian(network, gauge))
         self.green = spectral.green_of(self.lap)
         self.chol = (np.linalg.cholesky(self.green.entries) if len(self.interior)
                      else np.zeros((0, 0)))
-        self.int_edges, self.edge_u, self.edge_v, self.edge_c = _interior_edge_arrays(network)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n field samples as columns, in interior order."""
         z = rng.standard_normal((len(self.interior), n))
         return self.chol @ z
 
-    def edge_signs(self, gauge: Optional[GaugeField] = None) -> np.ndarray:
-        """The interior edges' gauge signs; all +1 without a gauge."""
-        if gauge is None:
-            return np.ones(len(self.int_edges), dtype=np.intp)
-        return np.array([gauge.signs[k] for k in self.int_edges], dtype=np.intp)
-
     def cluster_block(self, rng: np.random.Generator, n: int,
                       rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """n field samples and the _cover_labels of their open subgraphs,
         the interior edges carrying the signs rel."""
+        _, u, v, c = self.network.interior_edges
         phi = self.sample_block(rng, n)
-        opened = _open_marks(phi, self.edge_u, self.edge_v, self.edge_c, rng)
-        return phi, _cover_labels(len(self.interior), self.edge_u, self.edge_v, rel, opened)
+        return phi, _cover_labels(len(self.interior), u, v, rel, _open_marks(phi, u, v, c, rng))
 
 
 def sample_gff(network: ElectricalNetwork, seed: int) -> GffSample:
@@ -254,8 +234,7 @@ def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int
     cov = build_double_cover(network, gauge)
     eng = _FieldEngine(cov.cover_network)
     phi = eng.sample_block(substream(seed), n)
-    i1 = np.array([eng.index[cov.lift(x, 1)] for x in network.interior], dtype=np.intp)
-    i2 = np.array([eng.index[cov.lift(x, 2)] for x in network.interior], dtype=np.intp)
+    i1, i2 = spectral._sheet_lifts(cov, network.interior)
     inv = 1.0 / math.sqrt(2.0)
     return (cov, eng.interior, phi,
             inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2]))
@@ -306,7 +285,7 @@ def sample_cluster_configuration(gff: GffSample, network: ElectricalNetwork,
         raise ValueError("field sample belongs to a different network")
     if gff.kind != "untwisted":
         raise ValueError("cluster sampling expects an untwisted field sample")
-    keys, edge_u, edge_v, edge_c = _interior_edge_arrays(network)
+    keys, edge_u, edge_v, edge_c = network.interior_edges
     phi = np.array([gff.values[v] for v in network.interior], dtype=float)[:, None]
     opened = _open_marks(phi, edge_u, edge_v, edge_c, substream(seed))[:, 0]
     edge_open = {k: False for k in network.sorted_edge_keys}
@@ -323,14 +302,13 @@ def make_cluster_configuration(network: ElectricalNetwork,
     Enforces the structural invariant: an edge may be open only when both
     endpoints are interior with equal nonzero signs.
     """
-    ints = set(network.interior)
     signs = {v: int(vertex_sign.get(v, 0)) for v in network.interior}
     full_open = {k: bool(edge_open.get(k, False)) for k in network.sorted_edge_keys}
     for k, o in full_open.items():
         if not o:
             continue
         u, v = k
-        if u not in ints or v not in ints:
+        if u not in signs or v not in signs:  # signs holds the interior vertices
             raise ValueError(f"open edge {k} touches the boundary")
         if signs[u] == 0 or signs[u] != signs[v]:
             raise ValueError(f"open edge {k} lacks equal nonzero endpoint signs")
@@ -361,14 +339,14 @@ def detect_event(config: ClusterConfiguration, gauge: GaugeField,
     net = config.network
     open_edges = [k for k, o in config.edge_open.items() if o]
     if method == "parity":
-        idx = net.interior_index()
+        idx = net.interior_index
         uf = _ParityUnionFind(len(net.interior))
         for u, v in open_edges:
             if not uf.union(idx[u], idx[v], gauge.signs[(u, v)]):
                 return False
         return True
     if method == "cover":
-        return bool(_balanced(_configuration_labels(net, config.edge_open, gauge.signs))[0])
+        return bool(_balanced(_configuration_labels(net, config.edge_open, gauge))[0])
     if method == "cycles":
         return _detect_via_cycles(net, gauge, open_edges)
     raise ValueError(f"unknown method {method!r}")
@@ -429,7 +407,7 @@ def sign_flip_transform(config: ClusterConfiguration, gauge: GaugeField) -> dict
     """
     if gauge.network != config.network:
         raise ValueError("configuration and gauge field live on different networks")
-    lab = _configuration_labels(config.network, config.edge_open, gauge.signs)
+    lab = _configuration_labels(config.network, config.edge_open, gauge)
     if not _balanced(lab)[0]:
         raise ValueError("configuration is not in the topological event; "
                          "no harmonious coloring exists")
@@ -442,7 +420,7 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     """Monte Carlo probability that a field sample's sign clusters are all
     balanced; the closed-form target sqrt(det G_sigma / det G) is attached."""
     eng = _FieldEngine(network)
-    rel = eng.edge_signs(gauge)
+    rel = gauge.interior_signs
 
     def worker(bi: int, bn: int) -> int:
         _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
@@ -462,12 +440,12 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     """Estimate E[tau(x) phi(x) tau(y) phi(y)] over samples in the event,
     tau being the canonical recoloring; the target is G_sigma(x,y)."""
     x, y = pair
-    ints = set(network.interior)
-    if x not in ints or y not in ints:
+    idx = network.interior_index
+    if x not in idx or y not in idx:
         raise ValueError("conditional moments are defined at interior vertices")
     eng = _FieldEngine(network)
-    rel = eng.edge_signs(gauge)
-    ix, iy = eng.index[x], eng.index[y]
+    rel = gauge.interior_signs
+    ix, iy = idx[x], idx[y]
 
     def worker(bi: int, bn: int) -> np.ndarray:
         phi, lab = eng.cluster_block(substream(seed, bi), bn, rel)
@@ -483,7 +461,7 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
     mean, se = mean_se(s1, s2, acc)
-    target = spectral.twisted_green(network, gauge).value(x, y)
+    target = spectral.restricted_green(network, pair, gauge).value(x, y)
     return EstimatorReport(float(mean), float(se), n_samples, acc, seed, target=target)
 
 
@@ -493,12 +471,12 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
     """Probability that two interior vertices share a sign cluster; the target
     is (2/pi) arcsin(G(x,y)/sqrt(G(x,x)G(y,y)))."""
     x, y = pair
-    ints = set(network.interior)
-    if x not in ints or y not in ints:
+    idx = network.interior_index
+    if x not in idx or y not in idx:
         raise ValueError("connectivity is defined at interior vertices")
     eng = _FieldEngine(network)
-    rel = eng.edge_signs()
-    ix, iy = eng.index[x], eng.index[y]
+    rel = np.ones(len(network.interior_edges[0]), dtype=np.intp)
+    ix, iy = idx[x], idx[y]
 
     def worker(bi: int, bn: int) -> int:
         _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
@@ -546,8 +524,7 @@ def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
         raise ValueError("gauge field belongs to a different network")
     rng = substream(seed)
     eng = _FieldEngine(network, gauge)
-    phi = eng.sample_block(rng, 1)[:, 0]
-    vertex_values = {v: float(phi[eng.index[v]]) for v in network.interior}
+    vertex_values = dict(zip(network.interior, map(float, eng.sample_block(rng, 1)[:, 0])))
 
     def val(v: str) -> float:
         return vertex_values.get(v, 0.0)

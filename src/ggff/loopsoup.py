@@ -74,7 +74,6 @@ class LoopSoupSampler:
         self.network = network
         self.alpha = float(alpha)
         self.interior = network.interior
-        self.index = {v: i for i, v in enumerate(self.interior)}
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
         self.mean_holding = 1.0 / self.w
         # static jump tables as Python lists, walked by bisect: interior target
@@ -83,10 +82,10 @@ class LoopSoupSampler:
         # total still picks the last neighbour
         self.jump_targets: list[list[int]] = []
         self.jump_cum: list[list[float]] = []
-        for v in self.interior:
+        for i, v in enumerate(self.interior):
             nbrs = network.adjacency[v]
-            self.jump_targets.append([self.index.get(w, -1) for w, _ in nbrs])
-            probs = np.array([c for _, c in nbrs]) / self.w[self.index[v]]
+            self.jump_targets.append([network.interior_index.get(w, -1) for w, _ in nbrs])
+            probs = np.array([c for _, c in nbrs]) / self.w[i]
             self.jump_cum.append(np.cumsum(probs)[:-1].tolist())
         # row i of the reversed-order factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
@@ -135,7 +134,7 @@ class LoopSoupSampler:
         return self.sample_with(substream(seed), seed)
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
-        return _occupation(soup, self.index)
+        return _occupation(soup, self.network.interior_index)
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
@@ -153,9 +152,8 @@ def _occupation(soup: LoopSoupSample, index: Mapping[str, int]) -> np.ndarray:
 
 def occupation_field(soup: LoopSoupSample) -> OccupationField:
     """Total time every loop of the soup spends at each interior vertex."""
-    interior = soup.network.interior
-    occ = _occupation(soup, {v: i for i, v in enumerate(interior)})
-    return OccupationField(dict(zip(interior, occ.tolist())))
+    occ = _occupation(soup, soup.network.interior_index)
+    return OccupationField(dict(zip(soup.network.interior, occ.tolist())))
 
 
 def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:

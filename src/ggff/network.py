@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
+import numpy as np
+
 
 class NetworkFormatError(ValueError):
     """Raised when a network file or dict cannot be parsed."""
@@ -30,6 +32,12 @@ class InvalidNetworkError(ValueError):
 
 
 EdgeKey = tuple[str, str]
+
+
+def _frozen(values: list, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def edge_key(u: str, v: str) -> EdgeKey:
@@ -98,8 +106,21 @@ class ElectricalNetwork:
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self.edge_map
 
+    @cached_property
     def interior_index(self) -> dict[str, int]:
+        """Position of each interior vertex in `interior`."""
         return {v: i for i, v in enumerate(self.interior)}
+
+    @cached_property
+    def interior_edges(self) -> tuple[tuple[EdgeKey, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, u, v, conductance) of the edges between interior vertices in
+        sorted_edge_keys order, u and v being the interior_index of each key's
+        ends; every numeric layer shares these read-only arrays."""
+        idx = self.interior_index
+        keys = tuple(k for k in self.sorted_edge_keys if k[0] in idx and k[1] in idx)
+        return (keys, _frozen([idx[a] for a, _ in keys], np.intp),
+                _frozen([idx[b] for _, b in keys], np.intp),
+                _frozen([self.edge_map[k].conductance for k in keys], float))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -159,6 +180,11 @@ class GaugeField:
                 raise ValueError(f"no edge {u}-{v} in network")
             signs[k] = -1
         return cls(network, signs)
+
+    @cached_property
+    def interior_signs(self) -> np.ndarray:
+        """The signs of network.interior_edges, in their order; read-only."""
+        return _frozen([self.signs[k] for k in self.network.interior_edges[0]], np.intp)
 
     def sign(self, u: str, v: str) -> int:
         return self.signs[edge_key(u, v)]
@@ -334,12 +360,18 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
     New conductances are n*C(e).  A +1 edge yields all +1 sub-edges; a -1 edge
     puts the -1 on the middle sub-edge (position (n+1)/2) and +1 elsewhere.
     New vertex ids are "<edge id>#<k>", k = 1..n-1, counted from the smaller
-    endpoint of the parent edge.
+    endpoint of the parent edge.  Raises InvalidNetworkError for an invalid
+    network, or when some n*C(e) overflows; a valid input makes a valid output.
     """
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     if n < 1 or n % 2 == 0:
         raise ValueError(f"subdivision count must be odd and >= 1, got {n}")
+    problems = validate(network).problems or [
+        f"conductance {n} x {e.conductance!r} on edge {e.id!r} overflows"
+        for e in network.edges if not math.isfinite(n * e.conductance)]
+    if problems:
+        raise InvalidNetworkError(problems)
 
     new_vertices: list[str] = list(network.vertices)
     new_edges: list[Edge] = []
@@ -375,9 +407,6 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
     sub = ElectricalNetwork(vertices=tuple(new_vertices), boundary=network.boundary,
                             edges=tuple(new_edges),
                             name=f"{network.name}^({n})" if network.name else "")
-    report = validate(sub)
-    if not report.ok:  # cannot happen for a valid input network
-        raise InvalidNetworkError(report.problems)
     result = SubdividedNetwork(network=sub, parent_edge=parent_edge,
                                parent_vertex={v: v for v in network.vertices},
                                edges_of=edges_of, n=n)

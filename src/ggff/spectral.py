@@ -81,16 +81,14 @@ def _not_positive_definite(kind: str, exc: Exception) -> InvalidNetworkError:
 def _index_arrays(network: ElectricalNetwork, gauge: GaugeField | None,
                   order: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, values) of the operator's nonzero entries in the given
-    order: the diagonal W(x), then each edge between interior vertices both
-    ways."""
+    order, a permutation of the interior: the diagonal W(x), then each of
+    network.interior_edges both ways."""
     if gauge is not None and gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
-    idx = {v: i for i, v in enumerate(order)}
-    keys = [k for k in network.edge_map if k[0] in idx and k[1] in idx]
-    u = np.array([idx[a] for a, _ in keys], dtype=np.intp)
-    v = np.array([idx[b] for _, b in keys], dtype=np.intp)
-    w = np.array([-(1 if gauge is None else gauge.signs[k]) * network.edge_map[k].conductance
-                  for k in keys], dtype=float)
+    _, u, v, c = network.interior_edges
+    # position in order by interior index: the inverse of a permutation is its argsort
+    pos = np.argsort([network.interior_index[x] for x in order])
+    u, v, w = pos[u], pos[v], (-c if gauge is None else -(gauge.interior_signs * c))
     d = np.arange(len(order), dtype=np.intp)
     degrees = np.array([network.weighted_degree(x) for x in order], dtype=float)
     return np.concatenate((d, u, v)), np.concatenate((d, v, u)), np.concatenate((degrees, w, w))
@@ -149,36 +147,34 @@ def restricted_green(network: ElectricalNetwork, vertices,
     """
     vertices = tuple(vertices)
     kind = "untwisted" if gauge is None else "twisted"
+    sel = np.array([network.interior_index[v] for v in vertices], dtype=np.intp)
     if len(network.interior) > DENSE_MAX_ORDER:
-        return _symmetric_green(vertices, _banded_columns(network, gauge, kind, vertices), kind)
+        return _symmetric_green(vertices, _banded_columns(network, gauge, kind, sel), kind)
     lap = laplacian(network) if gauge is None else twisted_laplacian(network, gauge)
-    idx = {v: i for i, v in enumerate(lap.interior_order)}
-    sel = np.array([idx[v] for v in vertices], dtype=np.intp)
-    rhs = np.zeros((len(idx), len(sel)))
+    rhs = np.zeros((len(lap.interior_order), len(sel)))
     rhs[sel, np.arange(len(sel))] = 1.0
     g = sla.cho_solve(lap.factor, rhs, check_finite=False)[sel]
     return _symmetric_green(vertices, g, kind)
 
 
 def _banded_columns(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
-                    vertices: tuple[str, ...]) -> np.ndarray:
-    """The vertices x vertices block of the inverse, from a banded factor.
+                    sel: np.ndarray) -> np.ndarray:
+    """The sel x sel block of the inverse (sel: interior indices), from a
+    banded factor.
 
     Reverse Cuthill-McKee renumbers the interior so that the operator A has a
     narrow band (25 on both subdivisions of the 24 x 12 polar annulus); A is
     factored as C C^T, C lower triangular in banded form, and with Y = C^-1 E,
-    E the listed vertices' unit columns, the block is E^T A^-1 E = Y^T Y.
+    E the selected vertices' unit columns, the block is E^T A^-1 E = Y^T Y.
     """
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    order = network.interior
-    m = len(order)
-    rows, cols, values = _index_arrays(network, gauge, order)
+    m = len(network.interior)
+    rows, cols, values = _index_arrays(network, gauge, network.interior)
     perm = reverse_cuthill_mckee(coo_array((values, (rows, cols)), shape=(m, m)).tocsr(),
                                  symmetric_mode=True)
-    pos = np.empty(m, dtype=np.intp)
-    pos[perm] = np.arange(m)
+    pos = np.argsort(perm)
     r, c = pos[rows], pos[cols]
     low = r >= c
     band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
@@ -187,9 +183,8 @@ def _banded_columns(network: ElectricalNetwork, gauge: GaugeField | None, kind: 
         factor = sla.cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(kind, exc) from exc
-    idx = {v: i for i, v in enumerate(order)}
-    rhs = np.zeros((m, len(vertices)), order="F")  # dtbtrs then solves in place
-    rhs[pos[np.array([idx[v] for v in vertices], dtype=np.intp)], np.arange(len(vertices))] = 1.0
+    rhs = np.zeros((m, len(sel)), order="F")  # dtbtrs then solves in place
+    rhs[pos[sel], np.arange(len(sel))] = 1.0
     y, _ = sla.lapack.dtbtrs(factor, rhs, uplo="L", overwrite_b=True)
     return y.T @ y
 
@@ -255,10 +250,10 @@ class CoverGreenReport:
     residual_deck: float       # max |G^db(psi ., psi .) - G^db|
 
 
-def _sheet_lifts(cov: DoubleCover, order, vertices) -> tuple[np.ndarray, np.ndarray]:
+def _sheet_lifts(cov: DoubleCover, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Positions in the cover's interior order of the sheet-1 and the sheet-2
     lifts of vertices."""
-    idx = {v: i for i, v in enumerate(order)}
+    idx = cov.cover_network.interior_index
     return tuple(np.array([idx[cov.lift(x, sheet)] for x in vertices], dtype=np.intp)
                  for sheet in (1, 2))
 
@@ -273,13 +268,13 @@ def cover_green_relations(network: ElectricalNetwork, gauge: GaugeField) -> Cove
 def cover_green_relations_of(cov: DoubleCover, g: GreenMatrix, gs: GreenMatrix,
                              gdb: GreenMatrix) -> CoverGreenReport:
     """cover_green_relations from G, G_sigma and the cover's Green matrix."""
-    one, two = _sheet_lifts(cov, gdb.interior_order, g.interior_order)
+    one, two = _sheet_lifts(cov, g.interior_order)
     g11 = gdb.entries[np.ix_(one, one)]
     g12 = gdb.entries[np.ix_(one, two)]
     m = len(g.interior_order)
     res_u = float(np.max(np.abs(g.entries - (g11 + g12)))) if m else 0.0
     res_t = float(np.max(np.abs(gs.entries - (g11 - g12)))) if m else 0.0
-    idx = {v: i for i, v in enumerate(gdb.interior_order)}
+    idx = cov.cover_network.interior_index
     deck = np.array([idx[cov.deck[a]] for a in gdb.interior_order], dtype=np.intp)
     res_d = (float(np.max(np.abs(gdb.entries[np.ix_(deck, deck)] - gdb.entries)))
              if gdb.entries.size else 0.0)
@@ -303,7 +298,7 @@ def subspace_log_determinants_of(cov: DoubleCover,
                                  lap: LaplacianMatrix) -> tuple[float, float]:
     """subspace_log_determinants from the cover's Laplacian."""
     base_int = cov.base.interior
-    one, two = _sheet_lifts(cov, lap.interior_order, base_int)
+    one, two = _sheet_lifts(cov, base_int)
     same = lap.entries[np.ix_(one, one)] + lap.entries[np.ix_(two, two)]
     cross = lap.entries[np.ix_(one, two)] + lap.entries[np.ix_(two, one)]
     a_plus = 0.5 * (same + cross)

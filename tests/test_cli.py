@@ -394,6 +394,40 @@ def test_binomial_verdict_with_zero_wald_error_uses_the_target_error():
     assert not cli._check_mc("count", 1.0, q, 0.0, 3.0)["passed"]
 
 
+def test_count_verdict_with_zero_sample_error_uses_the_target_error():
+    n = 4000
+    check = cli._check_mc("count", 0.0, 2.07e-8, 0.0, 3.0, n, poisson=True)
+    assert check["passed"] and check["std_error"] == pytest.approx((2.07e-8 / n) ** 0.5)
+    assert "sqrt(m/n)" in check["tolerance"]
+    # a zero count passes targets up to k^2/n = 9/n, and no further
+    assert cli._check_mc("count", 0.0, 8.9 / n, 0.0, 3.0, n, poisson=True)["passed"]
+    assert not cli._check_mc("count", 0.0, 9.1 / n, 0.0, 3.0, n, poisson=True)["passed"]
+    assert not cli._check_mc("count", 0.0, 0.01, 0.0, 3.0, n, poisson=True)["passed"]
+    # the same count in every soup, far from the target, fails
+    assert not cli._check_mc("count", 2.0, 1.0, 0.0, 3.0, n, poisson=True)["passed"]
+    # a positive sample error and a proportion keep their verdicts and bytes
+    for poisson in (False, True):
+        assert (cli._check_mc("count", 1.0, 1.1, 0.05, 3.0, n, poisson=poisson)
+                == cli._check_mc("count", 1.0, 1.1, 0.05, 3.0))
+    assert cli._check_mc("event", 1.0, 0.999, 0.0, 3.0, n) == \
+        cli._check_mc("event", 1.0, 0.999, 0.0, 3.0, n, poisson=False)
+
+
+def test_holonomy_count_of_zero_passes_a_tiny_target(tmp_path):
+    """On the holed grid no soup holds a holonomy -1 loop (target 2.07e-8 per
+    soup), so that count's sample standard error is 0.  Only this verdict is
+    asserted: at 3 SE the per-vertex occupation checks may fail by chance."""
+    net, gauge = holed_grid()
+    path = tmp_path / "holed.json"
+    save_network(net, path, gauge)
+    _, rep = run(["loopsoup-test", "--network", str(path), "--soups", "200", "--seed", "3"],
+                 tmp_path / "s.json")
+    check = next(c for c in rep["checks"] if c["name"].startswith("holonomy -1 loop count"))
+    assert check["estimate"] == 0.0 and check["target"] == pytest.approx(2.074e-8, rel=1e-3)
+    assert check["std_error"] == pytest.approx((check["target"] / 200) ** 0.5)
+    assert check["passed"]
+
+
 def test_event_in_every_sample_passes_and_a_wrong_target_fails(tmp_path, monkeypatch):
     """On the holed grid every sample lands in the event (P(T) = 1 - 4.1e-8),
     so the Wald standard error is 0."""

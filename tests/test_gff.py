@@ -69,7 +69,7 @@ def test_twisted_empirical_moments(pt):
     gs = twisted_green(net, gauge).entries
     emp = empirical_cov(block)
     assert np.all(np.abs(emp - gs) <= cov_tolerance(np.diag(gs) + 0.5, n))
-    iy, iz = eng.index["y"], eng.index["z"]
+    iy, iz = net.interior_index["y"], net.interior_index["z"]
     assert emp[iy, iz] < 0  # matches the negative Green entry -2/7
     assert abs(block.mean()) < 4 / math.sqrt(n)  # symmetric in law
 
@@ -193,11 +193,11 @@ def test_empirical_open_rate_matches_formula(pt_net):
     eng = _FieldEngine(pt_net)
     rng = substream(14)
     phi = eng.sample_block(rng, n)
-    opened = _open_marks(phi, eng.edge_u, eng.edge_v, eng.edge_c, rng)
-    iu, iv = eng.edge_u, eng.edge_v
+    keys, iu, iv, c = pt_net.interior_edges
+    opened = _open_marks(phi, iu, iv, c, rng)
     probs = np.where(np.sign(phi[iu]) == np.sign(phi[iv]),
-                     -np.expm1(-2 * eng.edge_c[:, None] * np.abs(phi[iu] * phi[iv])), 0.0)
-    for row in range(len(eng.int_edges)):
+                     -np.expm1(-2 * c[:, None] * np.abs(phi[iu] * phi[iv])), 0.0)
+    for row in range(len(keys)):
         target = probs[row].mean()
         freq = opened[row].mean()
         se = math.sqrt(max(target * (1 - target), 1e-12) / n)
@@ -517,14 +517,14 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
     cases += [random_network(rng) for _ in range(30)]
     cases += [random_network(rng, max_interior=60) for _ in range(3)]
     for net, gauge in cases:
-        eng = _FieldEngine(net)
-        m, rel, plus = len(net.interior), eng.edge_signs(gauge), eng.edge_signs()
+        _, eu, ev, _ = net.interior_edges
+        m, rel, plus = len(net.interior), gauge.interior_signs, np.ones_like(gauge.interior_signs)
         opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
         opened[:, 0] = False
-        one_call = _cover_labels(m, eng.edge_u, eng.edge_v, rel, opened)
+        one_call = _cover_labels(m, eu, ev, rel, opened)
         monkeypatch.setattr(ggff.gff, "_COVER_NODES_PER_CALL", 100)
-        lab = _cover_labels(m, eng.edge_u, eng.edge_v, rel, opened)
-        same = _cover_labels(m, eng.edge_u, eng.edge_v, plus, opened)
+        lab = _cover_labels(m, eu, ev, rel, opened)
+        same = _cover_labels(m, eu, ev, plus, opened)
         monkeypatch.undo()
         assert np.array_equal(lab, one_call)
         balanced = _balanced(lab)
@@ -532,7 +532,7 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
         for s in range(opened.shape[1]):
             cols = np.flatnonzero(opened[:, s])
             ok, tau, roots = _union_find_column(
-                m, zip(eng.edge_u[cols], eng.edge_v[cols], rel[cols]))
+                m, zip(eu[cols], ev[cols], rel[cols]))
             assert balanced[s] == ok
             if ok:
                 assert list(1 - 2 * (lab[s, :, 0] % 2)) == tau

@@ -86,7 +86,7 @@ def test_no_later_interior_neighbour_gives_exactly_zero(pt_net):
     for net in [pt_net] + elimination_test_networks():
         sampler = LoopSoupSampler(net, 0.5)
         for i, v in enumerate(net.interior):
-            if all(sampler.index.get(w, -1) <= i for w, _ in net.adjacency[v]):
+            if all(net.interior_index.get(w, -1) <= i for w, _ in net.adjacency[v]):
                 assert sampler.return_prob[i] == 0.0
                 assert sampler.level_mass[i] == 0.0
                 seen += 1

@@ -6,9 +6,12 @@ import pytest
 import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   NetworkFormatError, edge_key, load_network, save_network,
-                  subdivide, validate)
+                  spectral, subdivide, validate)
+from ggff.gff import (_FieldEngine, detect_event, make_cluster_configuration,
+                      sample_cluster_configuration, sample_gff)
+from ggff.loopsoup import LoopSoupSampler
 
-from conftest import pendant_triangle
+from conftest import pendant_triangle, random_network, with_conductances
 
 
 def test_pt_is_valid():
@@ -158,6 +161,21 @@ def test_subdivide_even_or_nonpositive_rejected():
             subdivide(net, gauge, n)
 
 
+@pytest.mark.parametrize("case", ["self-loop", "duplicate edge", "disconnected", "overflow"])
+def test_subdivide_rejects_invalid_networks(case):
+    net, _ = pendant_triangle()
+    extra = {"self-loop": ((), (Edge("xx", "x", "x", 1.0),)),
+             "duplicate edge": ((), (Edge("yx", "y", "x", 2.0),)),
+             "disconnected": (("c", "w"), (Edge("cw", "c", "w", 1.0),)),
+             "overflow": ((), ())}[case]
+    bad = ElectricalNetwork(net.vertices + extra[0], net.boundary | set(extra[0][:1]),
+                            net.edges + extra[1])
+    if case == "overflow":
+        bad = with_conductances(bad, [1e308] * len(bad.edges))
+    with pytest.raises(InvalidNetworkError):
+        subdivide(bad, GaugeField.all_plus(bad), 3)
+
+
 def test_subdivision_green_matches_hand_value():
     # path a - x - c with unit conductances: G(x,x) = 1/W(x) = 1/2,
     # and the N=3 subdivision must reproduce it (dense solve on both networks)
@@ -175,6 +193,7 @@ def test_subdivide_counts_and_parent_maps():
     net, gauge = pendant_triangle()
     for n in (3, 5):
         sub, gn = subdivide(net, gauge, n)
+        assert validate(sub.network).ok
         assert len(sub.network.vertices) == len(net.vertices) + (n - 1) * len(net.edges)
         assert len(sub.network.edges) == n * len(net.edges)
         # each original edge owns exactly n new ones; the union is everything
@@ -197,3 +216,72 @@ def test_vertex_ids_normalized_to_strings():
     net, _ = load_network(json.dumps(data))
     assert net.vertices == ("0", "1", "2")
     assert net.interior == ("1", "2")
+
+
+def star_network() -> ElectricalNetwork:
+    """Three interior vertices joined only to the boundary vertex b."""
+    return ElectricalNetwork(("b", "x", "y", "z"), frozenset({"b"}),
+                             tuple(Edge(f"e{v}", "b", v, 1.0) for v in "xyz"))
+
+
+def test_integer_view_is_built_once_per_network(monkeypatch):
+    """Every numeric layer reads one cached interior index, interior edge
+    list and sign array per network and gauge field."""
+    builds = []
+    for owner, name in ((ElectricalNetwork, "interior_index"),
+                        (ElectricalNetwork, "interior_edges"), (GaugeField, "interior_signs")):
+        prop = owner.__dict__[name]
+
+        def counting(self, real=prop.func, name=name):
+            builds.append(name)
+            return real(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+    net, gauge = pendant_triangle()
+    spectral.laplacian(net)
+    spectral.twisted_laplacian(net, gauge)
+    spectral.restricted_green(net, ("x", "z"), gauge)
+    _FieldEngine(net)
+    _FieldEngine(net, gauge)
+    LoopSoupSampler(net, 0.5)
+    config = sample_cluster_configuration(sample_gff(net, 1), net, 2)
+    for method in ("parity", "cover"):
+        detect_event(config, gauge, method)
+    assert sorted(builds) == ["interior_edges", "interior_index", "interior_signs"]
+
+
+def test_integer_view_is_read_only():
+    net, gauge = pendant_triangle()
+    for a in (*net.interior_edges[1:], gauge.interior_signs):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_integer_view_matches_a_derivation_from_the_edges():
+    """On a star with no edge between interior vertices and on 33 random
+    networks: interior positions in sorted order, the interior edges in sorted
+    key order with their ends' positions, conductances and gauge signs."""
+    rng = np.random.default_rng(23)
+    cases = [(star_network(), GaugeField.all_plus(star_network()))]
+    cases += [random_network(rng) for _ in range(30)]
+    cases += [random_network(rng, max_interior=60) for _ in range(3)]
+    for net, gauge in cases:
+        interior = sorted(set(net.vertices) - net.boundary)
+        keys = sorted(edge_key(e.u, e.v) for e in net.edges
+                      if e.u not in net.boundary and e.v not in net.boundary)
+        got_keys, u, v, c = net.interior_edges
+        assert net.interior_index == {x: interior.index(x) for x in interior}
+        assert got_keys == tuple(keys)
+        assert u.dtype == v.dtype == gauge.interior_signs.dtype == np.intp
+        assert u.tolist() == [interior.index(a) for a, _ in keys]
+        assert v.tolist() == [interior.index(b) for _, b in keys]
+        assert c.tolist() == [net.conductance(*k) for k in keys]
+        assert gauge.interior_signs.tolist() == [gauge.sign(*k) for k in keys]
+    assert cases[0][0].interior_edges[0] == ()
+
+
+def test_configuration_on_a_network_without_interior_edges():
+    star = star_network()
+    config = make_cluster_configuration(star, {"x": 1, "y": -1, "z": 1}, {})
+    assert config.components == (frozenset("x"), frozenset("y"), frozenset("z"))
+    assert detect_event(config, GaugeField.all_plus(star), "cover")
