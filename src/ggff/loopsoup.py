@@ -91,8 +91,7 @@ class LoopSoupSampler:
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
         lap = spectral.laplacian(network, order=self.interior[::-1])
-        below = np.tril(lap.factor[0], -1)
-        self.return_prob = (np.einsum("ij,ij->i", below, below) / self.w[::-1])[::-1]
+        self.return_prob = (lap.below_diagonal_squares() / self.w[::-1])[::-1]
         self.level_mass = -np.log1p(-self.return_prob)
 
     def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:

@@ -1,20 +1,16 @@
 """Laplacians, Green functions, and the closed-form determinant identities.
 
 Operators are restricted to the interior vertices in sorted-id order
-(laplacian also takes another order), with zero boundary conditions, and are
-assembled from index arrays.  A LaplacianMatrix is dense and factored once,
-by a Cholesky factor cached on it; its positive-definiteness check, its log
-determinant and its full inverse all reuse that factor.  Determinants are
+(laplacian also takes another order), with zero boundary conditions.  A
+LaplacianMatrix holds its nonzero entries as index arrays and one cached
+Cholesky factor, which every quantity of it reads: the positive-definiteness
+check, the log determinant, blocks of the inverse and the loop-soup sampler's
+row sums.  The factor is dense up to DENSE_MAX_ORDER interior vertices and
+banded above it, where no dense matrix is formed.  Determinants are
 accumulated as log determinants, so ratios never overflow.  The `*_of` forms
-take operators already assembled and factored, so that a caller needing
-several quantities of one operator factors it once.
-
-A Green matrix is formed in full only where all its entries are used:
-restricted_green solves for the columns of a vertex list alone.  Above
-DENSE_MAX_ORDER interior vertices it never forms a dense matrix: it orders
-the operator by reverse Cuthill-McKee, factors it in banded form and solves
-the columns by one banded triangular solve.  Smaller operators keep the dense
-route, which is faster there and keeps their bits.
+take operators already factored, so that a caller needing several quantities
+of one operator factors it once; a Green matrix is formed in full only where
+all its entries are used.
 """
 
 from __future__ import annotations
@@ -29,36 +25,92 @@ import scipy.linalg as sla
 from .cover import DoubleCover, build_double_cover
 from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexSigns
 
-# restricted_green factors operators up to this order densely and larger ones
-# in banded form; measured crossover, one BLAS thread: order 256 dense 1.8 ms
-# vs banded 2.1 ms, order 464 dense 7.3 ms vs banded 3.5 ms
+# operators up to this order are factored densely and larger ones in banded
+# form; measured crossover, one BLAS thread: order 256 dense 1.8 ms vs banded
+# 2.1 ms, order 464 dense 7.3 ms vs banded 3.5 ms
 DENSE_MAX_ORDER = 1000
 
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
-    """Interior block of -Laplacian: diagonal W(x), off-diagonal -sigma*C."""
+    """Interior block of -Laplacian: diagonal W(x), off-diagonal -sigma*C.
+
+    Held as its nonzero entries, at positions (rows, cols) in interior_order.
+    Its factor C C^T, C lower triangular, has position i of interior_order in
+    row pos[i]; reverse Cuthill-McKee picks pos unless fixed_order.
+    """
 
     interior_order: tuple[str, ...]
-    entries: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     kind: str  # "untwisted" | "twisted" | "cover"
+    fixed_order: bool = False
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, formed anew on each read."""
+        a = np.zeros((len(self.interior_order), len(self.interior_order)))
+        a[self.rows, self.cols] = self.values
+        return a
 
     @cached_property
-    def factor(self) -> tuple[np.ndarray, bool]:
-        """The lower Cholesky factor in scipy's (c, lower) form, computed once.
-
-        Only the lower triangle of c is the factor; the upper one is left over.
-        """
+    def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(c, pos).  Up to DENSE_MAX_ORDER, c is cho_factor's array, whose lower
+        triangle is C, and pos is None; above it, c[k, j] = C[j + k, j]."""
+        m = len(self.interior_order)
         try:
-            return sla.cho_factor(self.entries, lower=True)
+            if m <= DENSE_MAX_ORDER:
+                return sla.cho_factor(self.entries, lower=True)[0], None
+            from scipy.sparse import coo_array  # only the banded route needs scipy.sparse
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+            pos = np.arange(m) if self.fixed_order else np.argsort(reverse_cuthill_mckee(
+                coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
+                symmetric_mode=True))
+            r, c = pos[self.rows], pos[self.cols]
+            low = r >= c
+            band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
+            band[r[low] - c[low], c[low]] = self.values[low]
+            return sla.cholesky_banded(band, lower=True, overwrite_ab=True,
+                                       check_finite=False), pos
         except np.linalg.LinAlgError as exc:
-            raise _not_positive_definite(self.kind, exc) from exc
+            raise InvalidNetworkError(
+                [f"{self.kind} Laplacian is not positive definite: {exc}"]) from exc
 
     def cholesky(self) -> np.ndarray:
-        return np.tril(self.factor[0])
+        """C as a dense matrix, its rows in the factor's order."""
+        c, pos = self.factor
+        return np.tril(c) if pos is None else sum(
+            np.diag(c[k, :len(pos) - k], -k) for k in range(len(c)))
 
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
+        c, pos = self.factor
+        return 2.0 * float(np.sum(np.log(np.diag(c) if pos is None else c[0])))
+
+    def inverse(self, sel: np.ndarray | None = None) -> np.ndarray:
+        """The sel x sel block of the inverse (sel: positions in
+        interior_order), or all of it.  Banded, with E the selected unit
+        columns and Y = C^-1 E, the block is E^T A^-1 E = Y^T Y."""
+        c, pos = self.factor
+        m = len(self.interior_order)
+        cols = np.arange(m) if sel is None else sel
+        rhs = np.zeros((m, len(cols)), order="F")  # dtbtrs solves in place
+        rhs[cols if pos is None else pos[cols], np.arange(len(cols))] = 1.0
+        if pos is None:
+            return sla.cho_solve((c, True), rhs, check_finite=False)[cols]
+        y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
+        return y.T @ y
+
+    def below_diagonal_squares(self) -> np.ndarray:
+        """Row sums of squares of C below its diagonal, by position in interior_order."""
+        c, pos = self.factor
+        if pos is None:
+            below = np.tril(c, -1)
+            return np.einsum("ij,ij->i", below, below)
+        out = np.zeros(len(pos))
+        for k in range(1, len(c)):
+            out[k:] += c[k, :-k] ** 2
+        return out[pos]
 
 
 @dataclass(frozen=True)
@@ -74,33 +126,21 @@ class GreenMatrix:
         return float(self.entries[i, j])
 
 
-def _not_positive_definite(kind: str, exc: Exception) -> InvalidNetworkError:
-    return InvalidNetworkError([f"{kind} Laplacian is not positive definite: {exc}"])
-
-
-def _index_arrays(network: ElectricalNetwork, gauge: GaugeField | None,
-                  order: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the operator's nonzero entries in the given
-    order, a permutation of the interior: the diagonal W(x), then each of
-    network.interior_edges both ways."""
+def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
+              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
+    """The operator in the given order of the interior, or in sorted order:
+    the diagonal W(x), then each of network.interior_edges both ways."""
     if gauge is not None and gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
+    fixed, order = order is not None, network.interior if order is None else order
     _, u, v, c = network.interior_edges
     # position in order by interior index: the inverse of a permutation is its argsort
     pos = np.argsort([network.interior_index[x] for x in order])
     u, v, w = pos[u], pos[v], (-c if gauge is None else -(gauge.interior_signs * c))
     d = np.arange(len(order), dtype=np.intp)
     degrees = np.array([network.weighted_degree(x) for x in order], dtype=float)
-    return np.concatenate((d, u, v)), np.concatenate((d, v, u)), np.concatenate((degrees, w, w))
-
-
-def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
-              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
-    order = network.interior if order is None else order
-    rows, cols, values = _index_arrays(network, gauge, order)
-    a = np.zeros((len(order), len(order)))
-    a[rows, cols] = values
-    lap = LaplacianMatrix(order, a, kind)
+    lap = LaplacianMatrix(order, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
+                          np.concatenate((degrees, w, w)), kind, fixed)
     lap.factor  # positive definiteness is part of the contract
     return lap
 
@@ -122,8 +162,7 @@ def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenM
 
 def green_of(lap: LaplacianMatrix) -> GreenMatrix:
     """The full inverse of a Laplacian, from its cached factor."""
-    g = sla.cho_solve(lap.factor, np.eye(len(lap.interior_order)), check_finite=False)
-    return _symmetric_green(lap.interior_order, g, lap.kind)
+    return _symmetric_green(lap.interior_order, lap.inverse(), lap.kind)
 
 
 def green(network: ElectricalNetwork) -> GreenMatrix:
@@ -142,51 +181,12 @@ def restricted_green(network: ElectricalNetwork, vertices,
 
     Factors the Laplacian once and solves only for the listed vertices'
     columns, so the full inverse is never formed.  Equals the matching block
-    of green() or twisted_green().  Above DENSE_MAX_ORDER interior vertices
-    the Laplacian is never formed densely either (see _banded_columns).
+    of green() or twisted_green().
     """
     vertices = tuple(vertices)
-    kind = "untwisted" if gauge is None else "twisted"
-    sel = np.array([network.interior_index[v] for v in vertices], dtype=np.intp)
-    if len(network.interior) > DENSE_MAX_ORDER:
-        return _symmetric_green(vertices, _banded_columns(network, gauge, kind, sel), kind)
     lap = laplacian(network) if gauge is None else twisted_laplacian(network, gauge)
-    rhs = np.zeros((len(lap.interior_order), len(sel)))
-    rhs[sel, np.arange(len(sel))] = 1.0
-    g = sla.cho_solve(lap.factor, rhs, check_finite=False)[sel]
-    return _symmetric_green(vertices, g, kind)
-
-
-def _banded_columns(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
-                    sel: np.ndarray) -> np.ndarray:
-    """The sel x sel block of the inverse (sel: interior indices), from a
-    banded factor.
-
-    Reverse Cuthill-McKee renumbers the interior so that the operator A has a
-    narrow band (25 on both subdivisions of the 24 x 12 polar annulus); A is
-    factored as C C^T, C lower triangular in banded form, and with Y = C^-1 E,
-    E the selected vertices' unit columns, the block is E^T A^-1 E = Y^T Y.
-    """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    m = len(network.interior)
-    rows, cols, values = _index_arrays(network, gauge, network.interior)
-    perm = reverse_cuthill_mckee(coo_array((values, (rows, cols)), shape=(m, m)).tocsr(),
-                                 symmetric_mode=True)
-    pos = np.argsort(perm)
-    r, c = pos[rows], pos[cols]
-    low = r >= c
-    band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
-    band[r[low] - c[low], c[low]] = values[low]
-    try:
-        factor = sla.cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(kind, exc) from exc
-    rhs = np.zeros((m, len(sel)), order="F")  # dtbtrs then solves in place
-    rhs[pos[sel], np.arange(len(sel))] = 1.0
-    y, _ = sla.lapack.dtbtrs(factor, rhs, uplo="L", overwrite_b=True)
-    return y.T @ y
+    sel = np.array([network.interior_index[v] for v in vertices], dtype=np.intp)
+    return _symmetric_green(vertices, lap.inverse(sel), lap.kind)
 
 
 def cover_laplacian(cover: DoubleCover) -> LaplacianMatrix:
@@ -299,12 +299,12 @@ def subspace_log_determinants_of(cov: DoubleCover,
     """subspace_log_determinants from the cover's Laplacian."""
     base_int = cov.base.interior
     one, two = _sheet_lifts(cov, base_int)
-    same = lap.entries[np.ix_(one, one)] + lap.entries[np.ix_(two, two)]
-    cross = lap.entries[np.ix_(one, two)] + lap.entries[np.ix_(two, one)]
-    a_plus = 0.5 * (same + cross)
-    a_minus = 0.5 * (same - cross)
-    return (LaplacianMatrix(base_int, a_plus, "cover").log_det(),
-            LaplacianMatrix(base_int, a_minus, "cover").log_det())
+    a = lap.entries
+    same = a[np.ix_(one, one)] + a[np.ix_(two, two)]
+    cross = a[np.ix_(one, two)] + a[np.ix_(two, one)]
+    blocks = (0.5 * (same + cross), 0.5 * (same - cross))
+    return tuple(LaplacianMatrix(base_int, *np.nonzero(b), b[b != 0], "cover").log_det()
+                 for b in blocks)
 
 
 def subspace_determinants(network: ElectricalNetwork, gauge: GaugeField) -> tuple[float, float]:

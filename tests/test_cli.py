@@ -100,11 +100,23 @@ def test_reports_identical_up_to_timestamp(tmp_path, pt_file):
 
 
 def test_threads_do_not_change_estimates(tmp_path, pt_file):
-    _, rep1 = run(["verify-theorem1", "--network", pt_file, "--samples", "9000",
-                   "--seed", "1", "--threads", "1"], tmp_path / "a.json")
-    _, rep4 = run(["verify-theorem1", "--network", pt_file, "--samples", "9000",
-                   "--seed", "1", "--threads", "4"], tmp_path / "b.json")
-    assert rep1["estimator"]["estimate"] == rep4["estimator"]["estimate"]
+    """Whole reports but for the timestamp and the thread count, at 1 and 3
+    threads.  Each run has three batches, so a reduction that added them out
+    of plan order would change a floating-point sum."""
+    annulus = str(NETWORKS / "annulus-6x8.json")
+    runs = [["verify-theorem1", "--network", pt_file, "--samples", "9000"],
+            ["conditional-moments", "--network", annulus, "--vertices", "r03s07", "r03s00",
+             "--samples", "12288"],
+            ["loopsoup-test", "--network", annulus, "--soups", "520"]]
+    for i, args in enumerate(runs):
+        reports = []
+        for threads in (1, 3):
+            out = tmp_path / f"{i}-{threads}.json"
+            code = main([*args, "--seed", "1", "--threads", str(threads), "--output", str(out)])
+            text = out.read_text()
+            assert f'"threads": {threads}' in text
+            reports.append((code, _without(text, "timestamp", "threads")))
+        assert reports[0] == reports[1]
 
 
 def test_seed_env_override(tmp_path, pt_file, monkeypatch):

@@ -13,7 +13,7 @@ from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
 from ggff import load_network, spectral
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 
-from conftest import polar_annulus, random_network
+from conftest import factor_orders, holed_grid, polar_annulus, random_network
 
 SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -79,20 +79,39 @@ def test_pivot_return_probabilities_match_linear_solves():
         assert np.max(np.abs(sampler.return_prob - ref)) <= 1e-12
 
 
-def test_no_later_interior_neighbour_gives_exactly_zero(pt_net):
+def test_no_later_interior_neighbour_gives_exactly_zero(pt_net, monkeypatch):
     """Such a vertex roots no multi-vertex loop; its r_i must be 0.0 exactly,
-    not a rounding residue, so that sample_with skips it."""
+    not a rounding residue, so that sample_with skips it.  Checked with the
+    factor on the dense and on the banded route."""
     seen = 0
-    for net in [pt_net] + elimination_test_networks():
-        sampler = LoopSoupSampler(net, 0.5)
-        for i, v in enumerate(net.interior):
-            if all(net.interior_index.get(w, -1) <= i for w, _ in net.adjacency[v]):
-                assert sampler.return_prob[i] == 0.0
-                assert sampler.level_mass[i] == 0.0
-                seen += 1
-            else:
-                assert sampler.return_prob[i] > 0.0
-    assert seen >= 34  # at least the last vertex of every network
+    for threshold in (spectral.DENSE_MAX_ORDER, 0):
+        monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+        for net in [pt_net] + elimination_test_networks():
+            sampler = LoopSoupSampler(net, 0.5)
+            for i, v in enumerate(net.interior):
+                if all(net.interior_index.get(w, -1) <= i for w, _ in net.adjacency[v]):
+                    assert sampler.return_prob[i] == 0.0
+                    assert sampler.level_mass[i] == 0.0
+                    seen += 1
+                else:
+                    assert sampler.return_prob[i] > 0.0
+    assert seen >= 2 * 34  # at least the last vertex of every network, on each route
+
+
+@pytest.mark.parametrize("make", [lambda: polar_annulus(6, 8), holed_grid],
+                         ids=["annulus-6x8", "holed-grid"])
+def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
+    """The sampler's banded factor keeps the reversed sorted order: its return
+    probabilities equal the dense route's, with the same exact zeros."""
+    net, _ = make()
+    dense = LoopSoupSampler(net, 0.5)
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    calls = factor_orders(monkeypatch, "cho_factor")
+    banded = LoopSoupSampler(net, 0.5)
+    assert calls == []
+    assert np.max(np.abs(banded.return_prob - dense.return_prob)) <= 1e-14
+    assert np.array_equal(banded.return_prob == 0.0, dense.return_prob == 0.0)
+    assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
 
 
 def test_level_masses_add_up_to_loop_mass_on_the_annulus():

@@ -14,6 +14,7 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
 from ggff import load_network, spectral
 from ggff.cli import identity_checks
 from ggff.cover import build_double_cover
+from ggff.loopsoup import LoopSoupSampler
 from ggff.spectral import cover_laplacian, gauge_covariance_residual
 
 from conftest import (factor_orders, polar_annulus, random_network, random_trivial_gauge,
@@ -372,22 +373,82 @@ def test_banded_route_equals_dense_on_random_networks(monkeypatch):
     assert min(orders) <= spectral.DENSE_MAX_ORDER < max(orders)
 
 
+def fourier_log_dets(rings: int, sites: int) -> tuple[float, float]:
+    """log det L and log det L_sigma of polar_annulus(rings, sites), from
+    Fourier modes.
+
+    Both Laplacians separate into radial modes mu_k = 2 - 2 cos(pi k / (R + 1)),
+    k = 1..R, and angular ones: nu_n = 2 - 2 cos(2 pi n / S) for L, and
+    nu'_n = 2 - 2 cos(2 pi (n + 1/2) / S) for L_sigma, whose cut makes the
+    angular direction antiperiodic.  Each determinant is the product of
+    mu_k + nu_n over all mode pairs.
+    """
+    mu = 2 - 2 * np.cos(np.pi * np.arange(1, rings + 1) / (rings + 1))
+    n = np.arange(sites)
+    nu = 2 - 2 * np.cos(2 * np.pi * n / sites)
+    nu_twisted = 2 - 2 * np.cos(2 * np.pi * (n + 0.5) / sites)
+    return tuple(float(np.sum(np.log(mu[:, None] + x))) for x in (nu, nu_twisted))
+
+
+@pytest.mark.parametrize("rings, sites", [(6, 8), (24, 12), (49, 24), (99, 48), (199, 96)])
+def test_annulus_ladder_matches_the_fourier_product(monkeypatch, rings, sites):
+    """det_ratio, negative_holonomy_mass and loop_mass up to 19,104 interior
+    vertices.  Above DENSE_MAX_ORDER neither a dense factor nor a dense
+    matrix is formed."""
+    net, gauge = polar_annulus(rings, sites)
+    dense = factor_orders(monkeypatch, "cho_factor")
+    reads = []
+    real = LaplacianMatrix.entries
+    monkeypatch.setattr(LaplacianMatrix, "entries",
+                        property(lambda lap: reads.append(lap.kind) or real.fget(lap)))
+    log_det, log_det_twisted = fourier_log_dets(rings, sites)
+    target = math.exp(0.5 * (log_det - log_det_twisted))
+    assert det_ratio(net, gauge) == pytest.approx(target, rel=1e-10, abs=0)
+    assert math.exp(-negative_holonomy_mass(net, gauge)) == pytest.approx(target, rel=1e-10, abs=0)
+    # every interior vertex has weighted degree 4
+    assert loop_mass(net) == pytest.approx(rings * sites * math.log(4) - log_det, rel=1e-10, abs=0)
+    if len(net.interior) > spectral.DENSE_MAX_ORDER:
+        assert dense == [] and reads == []
+    else:
+        assert len(dense) == len(reads) == 5
+
+
+def test_banded_factor_reproduces_the_renumbered_operator(pt, monkeypatch):
+    """C C^T is the operator with position i of interior_order in row pos[i]."""
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    net, gauge = pt
+    lap = twisted_laplacian(net, gauge)
+    chol, (_, pos) = lap.cholesky(), lap.factor
+    renumbered = lap.entries[np.ix_(np.argsort(pos), np.argsort(pos))]
+    assert np.array_equal(chol, np.tril(chol))
+    assert np.max(np.abs(chol @ chol.T - renumbered)) < 1e-12
+    assert lap.log_det() == pytest.approx(math.log(7), abs=1e-12)
+
+
 def test_non_positive_definite_operator_on_the_banded_route_raises(pt, monkeypatch):
     net, gauge = pt
     bad = with_conductances(net, [-e.conductance for e in net.edges])
+    bad_gauge = GaugeField(bad, dict(gauge.signs))
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
-    with pytest.raises(InvalidNetworkError, match="untwisted Laplacian is not positive"):
-        restricted_green(bad, bad.interior)
-    with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
-        restricted_green(bad, bad.interior, GaugeField(bad, dict(gauge.signs)))
-
-
-def test_non_positive_definite_matrix_raises():
-    lap = LaplacianMatrix(("a", "b"), np.array([[1.0, 2.0], [2.0, 1.0]]), "twisted")
-    for use in (lambda: lap.factor, lap.cholesky, lap.log_det,
-                lambda: spectral.green_of(lap)):
-        with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
+    for kind, use in [("untwisted", lambda: restricted_green(bad, bad.interior)),
+                      ("twisted", lambda: restricted_green(bad, bad.interior, bad_gauge)),
+                      ("untwisted", lambda: det_ratio(bad, bad_gauge)),
+                      ("untwisted", lambda: loop_mass(bad)),
+                      ("untwisted", lambda: LoopSoupSampler(bad, 0.5))]:
+        with pytest.raises(InvalidNetworkError, match=f"^{kind} Laplacian is not positive"):
             use()
+
+
+def test_non_positive_definite_matrix_raises(monkeypatch):
+    """On the dense and on the banded route."""
+    for threshold in (spectral.DENSE_MAX_ORDER, 0):
+        monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+        lap = LaplacianMatrix(("a", "b"), np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                              np.array([1.0, 2.0, 2.0, 1.0]), "twisted")
+        for use in (lambda: lap.factor, lap.cholesky, lap.log_det,
+                    lambda: spectral.green_of(lap)):
+            with pytest.raises(InvalidNetworkError, match="twisted Laplacian is not positive"):
+                use()
 
 
 def test_subspace_log_determinants_pt(pt):
