@@ -4,12 +4,19 @@ Every edge with sign +1 lifts to two within-sheet edges, every edge with
 sign -1 to two cross-sheet edges.  The cover is connected exactly when the
 gauge field is non-trivial, and loops lift to paths that change sheet
 exactly when their holonomy is -1.
+
+The labelling kernel _cover_labels decides every balance question of the
+package: a signed graph is balanced (admits vertex signs making every edge's
+sign product +1) exactly when no vertex has both lifts in one component of
+its double cover.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .gauge import DiscretePath
 from .network import Edge, ElectricalNetwork, GaugeField, VertexSigns, edge_key
@@ -65,6 +72,57 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
         name=f"{network.name}^db" if network.name else "")
     return DoubleCover(base=network, gauge=gauge, cover_network=cover_net,
                        projection=projection, deck=deck, sheet=sheet)
+
+
+# Bounds the graph one connected_components call sees, and so the memory a
+# batch's labelling takes at once.
+_COVER_NODES_PER_CALL = 1 << 16
+
+
+def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray,
+                  opened: np.ndarray) -> np.ndarray:
+    """Component labels of the double covers of the open subgraphs, one per
+    column of opened (edge i joins vertices edge_u[i] and edge_v[i] of
+    0..m-1, with sign rel[i]).
+
+    Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
+    joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
+    Returns lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
+    number in the component of (s, v, sheet).  Hence, in column s:
+    - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
+    - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
+      (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
+    - in the event, the canonical recolouring tau(v) is +1 iff lab[s, v, 0] is
+      even: that component holds one lift of each vertex of v's cluster, and
+      its smallest node lifts the cluster's smallest vertex.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    n = opened.shape[1]
+    per_call = max(1, _COVER_NODES_PER_CALL // max(2 * m, 1))
+    cross = (rel == -1).astype(np.intp)
+    lab = np.empty(2 * m * n, dtype=np.intp)
+    for s0 in range(0, n, per_call):
+        s1 = min(n, s0 + per_call)
+        size = 2 * m * (s1 - s0)
+        e, s = np.nonzero(opened[:, s0:s1])
+        a = 2 * (m * s + edge_u[e])
+        b = 2 * (m * s + edge_v[e]) + cross[e]
+        rows = np.concatenate((a, a + 1))
+        cols = np.concatenate((b, b ^ 1))
+        count, part = connected_components(
+            coo_array((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
+            directed=True, connection="weak")
+        low = np.full(count, size, dtype=np.intp)
+        np.minimum.at(low, part, np.arange(size))
+        lab[2 * m * s0:2 * m * s1] = low[part] + 2 * m * s0
+    return lab.reshape(n, m, 2)
+
+
+def _balanced(lab: np.ndarray) -> np.ndarray:
+    """Per sample of _cover_labels: whether every open cluster is balanced."""
+    return (lab[:, :, 0] != lab[:, :, 1]).all(axis=1)
 
 
 def is_cover_connected(cover: DoubleCover) -> bool:

@@ -7,9 +7,10 @@ and two gauge fields are equivalent exactly when all loop holonomies agree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .network import ElectricalNetwork, GaugeField, VertexSigns
 
@@ -57,48 +58,30 @@ def apply_gauge_transform(vs: VertexSigns, gauge: GaugeField) -> GaugeField:
     return GaugeField(gauge.network, signs)
 
 
-def _bfs_tree(network: ElectricalNetwork) -> tuple[str, dict[str, str], list[str]]:
-    """Deterministic BFS spanning tree rooted at the smallest vertex id.
-
-    Neighbors are explored in sorted order.  Returns (root, parent map,
-    visit order excluding the root).
-    """
-    root = min(network.vertex_set)
-    parent: dict[str, str] = {}
-    order: list[str] = []
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w, _ in network.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
-    return root, parent, order
-
-
 def are_gauge_equivalent(sigma: GaugeField, sigma_prime: GaugeField) -> Optional[VertexSigns]:
     """Return a certificate vs with sigma' = vs . sigma, or None if inequivalent.
 
-    Gauge fixing along a BFS spanning tree: vs at a vertex is the product of
-    the two holonomies along its tree path from the root, then every non-tree
-    edge is checked.  On a connected network exactly two certificates exist
-    (vs and -vs); the returned one has +1 at the smallest vertex id.
+    vs exists exactly when the network, every edge signed sigma * sigma', is
+    balanced.  Its double cover is labelled once, vertices in sorted-id
+    order, and vs(v) = +1 exactly when v's sheet-0 lift has an even label.
+    On a connected network exactly two certificates exist (vs and -vs); the
+    returned one has +1 at the smallest vertex id.
     """
+    from .cover import _balanced, _cover_labels  # cover imports DiscretePath from here
+
     if sigma.network != sigma_prime.network:
         raise ValueError("gauge fields live on different networks")
     net = sigma.network
-    root, parent, order = _bfs_tree(net)
-    vs: dict[str, int] = {root: 1}
-    for v in order:  # parent precedes child in BFS order
-        p = parent[v]
-        vs[v] = vs[p] * sigma.sign(p, v) * sigma_prime.sign(p, v)
-    for (u, v), s in sigma.signs.items():
-        if sigma_prime.signs[(u, v)] != vs[u] * s * vs[v]:
-            return None
-    return VertexSigns(net, vs)
+    order = sorted(net.vertex_set)
+    idx = {v: i for i, v in enumerate(order)}
+    keys = net.sorted_edge_keys
+    u = np.array([idx[a] for a, _ in keys], dtype=np.intp)
+    v = np.array([idx[b] for _, b in keys], dtype=np.intp)
+    rel = np.array([sigma.signs[k] * sigma_prime.signs[k] for k in keys], dtype=np.intp)
+    lab = _cover_labels(len(order), u, v, rel, np.ones((len(keys), 1), dtype=bool))
+    if not _balanced(lab)[0]:
+        return None
+    return VertexSigns(net, {x: 1 - 2 * int(label % 2) for x, label in zip(order, lab[0, :, 0])})
 
 
 def is_trivial(gauge: GaugeField) -> tuple[bool, Optional[VertexSigns]]:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import spectral
-from .cover import build_double_cover
+from .cover import _balanced, _cover_labels, build_double_cover
 from .network import EdgeKey, ElectricalNetwork, GaugeField, edge_key
 from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
 
@@ -68,96 +68,6 @@ class EstimatorReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-class _ParityUnionFind:
-    """Union-find whose nodes carry a sign relative to their root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.sign = [1] * n          # sign of node relative to its parent chain
-
-    def find(self, v: int) -> tuple[int, int]:
-        """Root of v's class and the sign of v relative to that root."""
-        start = v
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        s = 1
-        for u in reversed(path):  # nearest-to-root first, so signs accumulate
-            s *= self.sign[u]
-            self.parent[u] = v
-            self.sign[u] = s
-        return v, (self.sign[start] if start != v else 1)
-
-    def union(self, u: int, v: int, rel: int) -> bool:
-        """Join with constraint sign(u)*sign(v) = rel; False if contradictory."""
-        ru, su = self.find(u)
-        rv, sv = self.find(v)
-        if ru == rv:
-            return su * sv == rel
-        # sign of rv relative to ru so that su * (sv * srv) = rel;
-        # it is symmetric in the two roots, so rank swapping keeps it
-        srv = rel * su * sv
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        self.sign[rv] = srv
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
-        return True
-
-
-# Bounds the graph one connected_components call sees, and so the memory a
-# batch's labelling takes at once.
-_COVER_NODES_PER_CALL = 1 << 16
-
-
-def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray,
-                  opened: np.ndarray) -> np.ndarray:
-    """Component labels of the double covers of the open subgraphs, one per
-    column of opened (interior edge i joins edge_u[i], edge_v[i], sign rel[i]).
-
-    Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
-    joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
-    Returns lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
-    number in the component of (s, v, sheet).  Hence, in column s:
-    - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
-    - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
-      (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
-    - in the event, the canonical recolouring tau(v) is +1 iff lab[s, v, 0] is
-      even: that component holds one lift of each vertex of v's cluster, and
-      its smallest node lifts the cluster's smallest vertex.
-    """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    n = opened.shape[1]
-    per_call = max(1, _COVER_NODES_PER_CALL // max(2 * m, 1))
-    cross = (rel == -1).astype(np.intp)
-    lab = np.empty(2 * m * n, dtype=np.intp)
-    for s0 in range(0, n, per_call):
-        s1 = min(n, s0 + per_call)
-        size = 2 * m * (s1 - s0)
-        e, s = np.nonzero(opened[:, s0:s1])
-        a = 2 * (m * s + edge_u[e])
-        b = 2 * (m * s + edge_v[e]) + cross[e]
-        rows = np.concatenate((a, a + 1))
-        cols = np.concatenate((b, b ^ 1))
-        count, part = connected_components(
-            coo_array((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
-            directed=True, connection="weak")
-        low = np.full(count, size, dtype=np.intp)
-        np.minimum.at(low, part, np.arange(size))
-        lab[2 * m * s0:2 * m * s1] = low[part] + 2 * m * s0
-    return lab.reshape(n, m, 2)
-
-
-def _balanced(lab: np.ndarray) -> np.ndarray:
-    """Per sample of _cover_labels: whether every open cluster is balanced."""
-    return (lab[:, :, 0] != lab[:, :, 1]).all(axis=1)
 
 
 def _configuration_labels(network: ElectricalNetwork, edge_open: Mapping[EdgeKey, bool],
@@ -299,11 +209,18 @@ def make_cluster_configuration(network: ElectricalNetwork,
                                edge_open: Mapping[EdgeKey, bool]) -> ClusterConfiguration:
     """Assemble a configuration from explicit marks, computing components.
 
-    Enforces the structural invariant: an edge may be open only when both
-    endpoints are interior with equal nonzero signs.
+    Keys of edge_open may name an edge's ends in either order; a pair that
+    is not an edge raises ValueError.  Enforces the structural invariant: an
+    edge may be open only when both endpoints are interior with equal nonzero
+    signs.
     """
     signs = {v: int(vertex_sign.get(v, 0)) for v in network.interior}
-    full_open = {k: bool(edge_open.get(k, False)) for k in network.sorted_edge_keys}
+    full_open = dict.fromkeys(network.sorted_edge_keys, False)
+    for (a, b), o in edge_open.items():
+        k = edge_key(a, b)
+        if k not in full_open:
+            raise ValueError(f"{(a, b)} is not an edge of the network")
+        full_open[k] = full_open[k] or bool(o)
     for k, o in full_open.items():
         if not o:
             continue
@@ -325,76 +242,13 @@ def _finish_configuration(network: ElectricalNetwork, signs: dict[str, int],
     return ClusterConfiguration(network, signs, edge_open, components)
 
 
-def detect_event(config: ClusterConfiguration, gauge: GaugeField,
-                 method: str = "parity") -> bool:
-    """True when every open component is balanced for the gauge field.
-
-    method "parity": union-find with signs; "cover": labels the double-cover
-    components of the open subgraph and looks for a vertex whose two lifts
-    share one; "cycles": checks every fundamental cycle of a spanning forest
-    of the open subgraph.
-    """
+def detect_event(config: ClusterConfiguration, gauge: GaugeField) -> bool:
+    """True when every open component is balanced for the gauge field: no
+    vertex has both lifts in one component of the open subgraph's double
+    cover."""
     if gauge.network != config.network:
         raise ValueError("configuration and gauge field live on different networks")
-    net = config.network
-    open_edges = [k for k, o in config.edge_open.items() if o]
-    if method == "parity":
-        idx = net.interior_index
-        uf = _ParityUnionFind(len(net.interior))
-        for u, v in open_edges:
-            if not uf.union(idx[u], idx[v], gauge.signs[(u, v)]):
-                return False
-        return True
-    if method == "cover":
-        return bool(_balanced(_configuration_labels(net, config.edge_open, gauge))[0])
-    if method == "cycles":
-        return _detect_via_cycles(net, gauge, open_edges)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _detect_via_cycles(net: ElectricalNetwork, gauge: GaugeField,
-                       open_edges: list[EdgeKey]) -> bool:
-    """Spanning-forest route: some fundamental cycle has holonomy -1 iff the
-    component has any -1 cycle at all (holonomy is linear over the cycle space)."""
-    verts = sorted({v for k in open_edges for v in k})
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for u, v in open_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict[str, Optional[str]] = {}
-    depth: dict[str, int] = {}
-    tree: set[EdgeKey] = set()
-    for r in verts:
-        if r in parent:
-            continue
-        parent[r] = None
-        depth[r] = 0
-        stack = [r]
-        while stack:
-            w = stack.pop()
-            for x in sorted(adj[w]):
-                if x not in parent:
-                    parent[x] = w
-                    depth[x] = depth[w] + 1
-                    tree.add(edge_key(w, x))
-                    stack.append(x)
-    for u, v in open_edges:
-        if (u, v) in tree:
-            continue
-        h = gauge.signs[(u, v)]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            h *= gauge.sign(a, parent[a])
-            a = parent[a]
-        while depth[b] > depth[a]:
-            h *= gauge.sign(b, parent[b])
-            b = parent[b]
-        while a != b:
-            h *= gauge.sign(a, parent[a]) * gauge.sign(b, parent[b])
-            a, b = parent[a], parent[b]
-        if h == -1:
-            return False
-    return True
+    return bool(_balanced(_configuration_labels(config.network, config.edge_open, gauge))[0])
 
 
 def sign_flip_transform(config: ClusterConfiguration, gauge: GaugeField) -> dict[str, int]:

@@ -1,4 +1,5 @@
 import dataclasses
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -52,10 +53,14 @@ def polar_annulus(rings: int, sites: int) -> tuple[ElectricalNetwork, GaugeField
     Radial edges join the same site on neighbouring rings, angular edges
     neighbouring sites on one interior ring; unit conductances.  The angular
     edges from site sites-1 to site 0 carry sigma = -1, so a loop has holonomy
-    -1 exactly when it winds around the hole an odd number of times.
+    -1 exactly when it winds around the hole an odd number of times.  Ring
+    and site numbers are padded to the width of their largest value, at least
+    2, so that sorted ids run in lattice order, ring by ring.
     """
+    wr, ws = max(2, len(str(rings + 1))), max(2, len(str(sites - 1)))
+
     def vid(r: int, s: int) -> str:
-        return f"r{r:02d}s{s:02d}"
+        return f"r{r:0{wr}d}s{s:0{ws}d}"
 
     vertices = tuple(vid(r, s) for r in range(rings + 2) for s in range(sites))
     boundary = frozenset(vid(r, s) for r in (0, rings + 1) for s in range(sites))
@@ -135,3 +140,98 @@ def with_conductances(net: ElectricalNetwork, conductances) -> ElectricalNetwork
     """net with its edges' conductances replaced, in edge order, unvalidated."""
     return dataclasses.replace(net, edges=tuple(
         dataclasses.replace(e, conductance=float(c)) for e, c in zip(net.edges, conductances)))
+
+
+class ParityUnionFind:
+    """Union-find whose nodes carry a sign relative to their root; a reference
+    balance algorithm independent of the package's double-cover labelling."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+        self.sign = [1] * n          # sign of node relative to its parent chain
+
+    def find(self, v: int) -> tuple[int, int]:
+        """Root of v's class and the sign of v relative to that root."""
+        start = v
+        path = []
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        s = 1
+        for u in reversed(path):  # nearest-to-root first, so signs accumulate
+            s *= self.sign[u]
+            self.parent[u] = v
+            self.sign[u] = s
+        return v, (self.sign[start] if start != v else 1)
+
+    def union(self, u: int, v: int, rel: int) -> bool:
+        """Join with constraint sign(u)*sign(v) = rel; False if contradictory."""
+        ru, su = self.find(u)
+        rv, sv = self.find(v)
+        if ru == rv:
+            return su * sv == rel
+        # sign of rv relative to ru so that su * (sv * srv) = rel;
+        # it is symmetric in the two roots, so rank swapping keeps it
+        srv = rel * su * sv
+        if self.rank[ru] < self.rank[rv]:
+            ru, rv = rv, ru
+        self.parent[rv] = ru
+        self.sign[rv] = srv
+        if self.rank[ru] == self.rank[rv]:
+            self.rank[ru] += 1
+        return True
+
+
+def union_find_balanced(config, gauge: GaugeField) -> bool:
+    """Reference event detector: every open edge joined in a ParityUnionFind."""
+    idx = config.network.interior_index
+    uf = ParityUnionFind(len(idx))
+    return all(uf.union(idx[u], idx[v], gauge.signs[(u, v)])
+               for (u, v), o in config.edge_open.items() if o)
+
+
+def cycles_balanced(config, gauge: GaugeField) -> bool:
+    """Reference event detector by spanning forest: some fundamental cycle has
+    holonomy -1 iff the component has any -1 cycle at all (holonomy is linear
+    over the cycle space)."""
+    open_edges = [k for k, o in config.edge_open.items() if o]
+    verts = sorted({v for k in open_edges for v in k})
+    adj: dict[str, list[str]] = {v: [] for v in verts}
+    for u, v in open_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: dict[str, Optional[str]] = {}
+    depth: dict[str, int] = {}
+    tree: set = set()
+    for r in verts:
+        if r in parent:
+            continue
+        parent[r] = None
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            w = stack.pop()
+            for x in sorted(adj[w]):
+                if x not in parent:
+                    parent[x] = w
+                    depth[x] = depth[w] + 1
+                    tree.add(edge_key(w, x))
+                    stack.append(x)
+    for u, v in open_edges:
+        if (u, v) in tree:
+            continue
+        h = gauge.signs[(u, v)]
+        a, b = u, v
+        while depth[a] > depth[b]:
+            h *= gauge.sign(a, parent[a])
+            a = parent[a]
+        while depth[b] > depth[a]:
+            h *= gauge.sign(b, parent[b])
+            b = parent[b]
+        while a != b:
+            h *= gauge.sign(a, parent[a]) * gauge.sign(b, parent[b])
+            a, b = parent[a], parent[b]
+        if h == -1:
+            return False
+    return True

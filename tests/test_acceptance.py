@@ -16,7 +16,8 @@ from ggff.cli import identity_checks
 from ggff.cover import build_double_cover
 from ggff.loopsoup import soup_moments
 
-from conftest import pendant_triangle, random_network, random_trivial_gauge
+from conftest import (cycles_balanced, pendant_triangle, random_network,
+                      random_trivial_gauge, union_find_balanced)
 from test_gff import random_configuration
 
 
@@ -91,11 +92,11 @@ def test_criterion_5_event_detector_equivalence():
     for k in range(total):
         net, gauge = pairs[k % len(pairs)]
         cfg = random_configuration(rng, net)
-        a = detect_event(cfg, gauge, method="parity")
-        b = detect_event(cfg, gauge, method="cover")
-        c = detect_event(cfg, gauge, method="cycles")
+        a = detect_event(cfg, gauge)
+        b = union_find_balanced(cfg, gauge)
+        c = cycles_balanced(cfg, gauge)
         agree += (a == b == c)
-    report("criterion 5 (parity / cover / cycle detectors, 10^4 configs)",
+    report("criterion 5 (cover labelling / union-find / cycle detectors, 10^4 configs)",
            agree == total, f"{agree}/{total} agreements")
 
 

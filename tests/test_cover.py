@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
-                  VertexSigns, build_double_cover, covering_isomorphism,
-                  edge_key, fundamental_domain, holonomy, is_cover_connected,
-                  is_trivial, lift_path, save_network, load_network)
+                  VertexSigns, are_gauge_equivalent, build_double_cover,
+                  conditional_moment, covering_isomorphism, cover, detect_event,
+                  edge_key, estimate_event_probability, fundamental_domain, gff,
+                  holonomy, is_cover_connected, is_trivial, lift_path,
+                  make_cluster_configuration, sample_cluster_configuration,
+                  sample_gff, save_network, load_network, sign_flip_transform,
+                  two_point_connectivity)
 
-from conftest import random_network, random_trivial_gauge
+from conftest import pendant_triangle, random_network, random_trivial_gauge
 
 
 def bfs_component_count(net: ElectricalNetwork) -> int:
@@ -181,3 +185,43 @@ def test_cover_export_roundtrips(pt, tmp_path):
     save_network(cov.cover_network, path)
     loaded, _ = load_network(path)
     assert loaded == cov.cover_network
+
+
+def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
+    """Each public balance question is decided by the double-cover labelling
+    kernel: one labelling per configuration or pair of gauge fields, and one
+    per batch, of the batch's width, in an estimator."""
+    widths = []
+    real = cover._cover_labels
+
+    def counting(m, edge_u, edge_v, rel, opened):
+        widths.append(opened.shape[1])
+        return real(m, edge_u, edge_v, rel, opened)
+
+    for owner in (cover, gff):  # gff holds the name it imported
+        monkeypatch.setattr(owner, "_cover_labels", counting)
+    net, gauge = pendant_triangle()
+    signs = {v: 1 for v in net.interior}
+    config = make_cluster_configuration(net, signs, {edge_key("y", "z"): True})
+    queries = {
+        "make_cluster_configuration":
+            lambda: make_cluster_configuration(net, signs, {edge_key("x", "y"): True}),
+        "sample_cluster_configuration":
+            lambda: sample_cluster_configuration(sample_gff(net, 1), net, 2),
+        "detect_event": lambda: detect_event(config, gauge),
+        "sign_flip_transform": lambda: sign_flip_transform(config, gauge),
+        "are_gauge_equivalent": lambda: are_gauge_equivalent(gauge, gauge),
+        "is_trivial": lambda: is_trivial(gauge),
+    }
+    estimators = {
+        "estimate_event_probability":
+            lambda: estimate_event_probability(net, gauge, 10, seed=1, batch_size=4),
+        "conditional_moment":
+            lambda: conditional_moment(net, gauge, ("x", "y"), 10, seed=1, batch_size=4),
+        "two_point_connectivity":
+            lambda: two_point_connectivity(net, ("x", "y"), 10, seed=1, batch_size=4),
+    }
+    for name, query in {**queries, **estimators}.items():
+        widths.clear()
+        query()
+        assert widths == ([4, 4, 2] if name in estimators else [1]), name

@@ -14,11 +14,12 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, GffSample, VertexSigns,
                   sample_gff, sample_metric_field, sample_twisted_gff,
                   sign_flip_transform, twisted_green, two_point_connectivity,
                   edge_key, load_network, subdivide)
-from ggff.gff import (_FieldEngine, _ParityUnionFind, _balanced, _cover_labels,
-                      _open_marks)
+from ggff.cover import _balanced, _cover_labels
+from ggff.gff import _FieldEngine, _open_marks
 from ggff.seeds import substream
 
-from conftest import random_network
+from conftest import (ParityUnionFind, cycles_balanced, random_network,
+                      union_find_balanced)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -301,10 +302,10 @@ def test_detect_event_methods_agree_with_brute_force():
     for _ in range(400):
         net, gauge = random_network(rng, max_interior=7)
         cfg = random_configuration(rng, net)
-        verdicts = {m: detect_event(cfg, gauge, method=m)
-                    for m in ("parity", "cover", "cycles")}
+        verdicts = (detect_event(cfg, gauge), union_find_balanced(cfg, gauge),
+                    cycles_balanced(cfg, gauge))
         oracle = brute_force_balanced(net, gauge, cfg.vertex_sign, cfg.edge_open)
-        assert verdicts["parity"] == verdicts["cover"] == verdicts["cycles"] == oracle
+        assert verdicts == (oracle,) * 3
 
 
 def test_detect_event_gauge_invariance():
@@ -490,6 +491,17 @@ def test_make_cluster_configuration_enforces_invariants(pt_net):
     with pytest.raises(ValueError, match="signs"):
         make_cluster_configuration(pt_net, {"x": 1, "y": -1, "z": 1},
                                    {edge_key("x", "y"): True})
+    with pytest.raises(ValueError, match=r"\('b', 'y'\) is not an edge"):
+        make_cluster_configuration(pt_net, {v: 1 for v in pt_net.interior},
+                                   {("x", "y"): True, ("b", "y"): False})
+    # keys in either order name the same edge: the -1 triangle is open
+    reversed_keys = make_cluster_configuration(
+        pt_net, {v: 1 for v in pt_net.interior},
+        {("y", "x"): True, ("z", "y"): True, ("z", "x"): True})
+    assert [k for k, o in reversed_keys.edge_open.items() if o] == \
+        [("x", "y"), ("x", "z"), ("y", "z")]
+    assert reversed_keys.components == (frozenset("xyz"),)
+    assert not detect_event(reversed_keys, GaugeField.with_minus_edges(pt_net, [("y", "z")]))
 
 
 def _union_find_column(m, edges):
@@ -497,7 +509,7 @@ def _union_find_column(m, edges):
     subgraph, from the union-find with signs (every union runs, so the
     classes are complete even outside the event); tau is +1 at the smallest
     vertex of each class."""
-    uf = _ParityUnionFind(m)
+    uf = ParityUnionFind(m)
     ok = all([uf.union(int(u), int(v), int(r)) for u, v, r in edges])
     found = [uf.find(i) for i in range(m)]
     lowest_sign = {}
@@ -522,7 +534,7 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
         opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
         opened[:, 0] = False
         one_call = _cover_labels(m, eu, ev, rel, opened)
-        monkeypatch.setattr(ggff.gff, "_COVER_NODES_PER_CALL", 100)
+        monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
         lab = _cover_labels(m, eu, ev, rel, opened)
         same = _cover_labels(m, eu, ev, plus, opened)
         monkeypatch.undo()

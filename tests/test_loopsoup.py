@@ -114,6 +114,14 @@ def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
     assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
 
 
+def test_annulus_ids_sort_in_lattice_order_past_100_rings():
+    """On 199 x 96 the sorted interior runs ring by ring, so no interior edge
+    spans more than one ring of 96 sites in the order LoopSoupSampler keeps."""
+    net, _ = polar_annulus(199, 96)
+    _, u, v, _ = net.interior_edges
+    assert int(np.max(np.abs(u - v))) == 96
+
+
 def test_level_masses_add_up_to_loop_mass_on_the_annulus():
     net, _ = polar_annulus(24, 12)
     sampler = LoopSoupSampler(net, 0.5)

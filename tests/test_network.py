@@ -245,8 +245,7 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     _FieldEngine(net, gauge)
     LoopSoupSampler(net, 0.5)
     config = sample_cluster_configuration(sample_gff(net, 1), net, 2)
-    for method in ("parity", "cover"):
-        detect_event(config, gauge, method)
+    detect_event(config, gauge)
     assert sorted(builds) == ["interior_edges", "interior_index", "interior_signs"]
 
 
@@ -284,4 +283,4 @@ def test_configuration_on_a_network_without_interior_edges():
     star = star_network()
     config = make_cluster_configuration(star, {"x": 1, "y": -1, "z": 1}, {})
     assert config.components == (frozenset("x"), frozenset("y"), frozenset("z"))
-    assert detect_event(config, GaugeField.all_plus(star), "cover")
+    assert detect_event(config, GaugeField.all_plus(star))
