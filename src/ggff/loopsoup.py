@@ -8,9 +8,10 @@ jump chain's return probability to v_i, and each loop concatenates a
 logarithmically distributed number of independent excursions from v_i.
 Holding times at every visit of x are exponential with rate W(x).
 
-All r_i come from one Cholesky factor of the Laplacian in reversed interior
-order: eliminating the vertices after v_i leaves the pivot D_i = W_i (1 - r_i),
-so -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
+All r_i, and the hitting probabilities that steer each excursion, come from
+one Cholesky factor of the Laplacian in reversed interior order: eliminating
+the vertices after v_i leaves the pivot D_i = W_i (1 - r_i), so
+-log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
 (Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
 
 Jump-free loops never leave one vertex; at x their durations form a Poisson
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Mapping, Optional
 
 import numpy as np
@@ -34,7 +36,6 @@ from .gff import _FieldEngine
 from .network import ElectricalNetwork, GaugeField
 from .seeds import batch_plan, mean_se, run_batches, substream
 
-EXCURSION_ATTEMPT_CAP = 10**6
 # columns of the inverse soup_moments solves for at once to read G(x,x)
 _DIAGONAL_BLOCK = 64
 
@@ -78,58 +79,57 @@ class LoopSoupSampler:
         self.interior = network.interior
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
         self.mean_holding = 1.0 / self.w
-        # static jump tables as Python lists, walked by bisect: interior target
-        # index, or -1 for a boundary jump, and the cumulative jump
-        # probabilities but the last, so that a uniform at or past the rounded
-        # total still picks the last neighbour
-        self.jump_targets: list[list[int]] = []
-        self.jump_cum: list[list[float]] = []
-        for i, v in enumerate(self.interior):
-            nbrs = network.adjacency[v]
-            self.jump_targets.append([network.interior_index.get(w, -1) for w, _ in nbrs])
-            probs = np.array([c for _, c in nbrs]) / self.w[i]
-            self.jump_cum.append(np.cumsum(probs)[:-1].tolist())
+        # each vertex's jumps to interior neighbours, (index, probability) by
+        # increasing index; boundary jumps always kill, so they are left out
+        self._jumps = [sorted((network.interior_index[u], c / w)
+                              for u, c in network.adjacency[v] if u in network.interior_index)
+                       for v, w in zip(self.interior, self.w.tolist())]
         # row i of the reversed-order factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
-        lap = spectral.laplacian(network, order=self.interior[::-1])
-        self.return_prob = (lap.below_diagonal_squares() / self.w[::-1])[::-1]
+        self._lap = spectral.laplacian(network, order=self.interior[::-1])
+        self.return_prob = (self._lap.below_diagonal_squares() / self.w[::-1])[::-1]
         self.level_mass = -np.log1p(-self.return_prob)
-
-    def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:
-        """One jump-chain excursion v_i -> v_i avoiding killed vertices, by
-        rejection (acceptance probability is the return probability)."""
-        targets, cums, uniform = self.jump_targets, self.jump_cum, rng.random
-        for _ in range(EXCURSION_ATTEMPT_CAP):
-            path = [i]
-            v = i
-            while True:
-                code = targets[v][bisect_right(cums[v], uniform())]
-                if code < i:
-                    break  # killed (boundary jumps are -1); reject this attempt
-                path.append(code)
-                if code == i:
-                    return path
-                v = code
-        raise RuntimeError(f"excursion sampling exceeded {EXCURSION_ATTEMPT_CAP} attempts")
+        self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
-        loops: list[Loop] = []
-        means = (self.alpha * self.level_mass).tolist()
-        for i, r in enumerate(self.return_prob.tolist()):
-            if r <= 0.0:
-                continue
-            for _ in range(rng.poisson(means[i])):
-                k = int(rng.logseries(r))
-                skel_idx = [i]
-                for _ in range(k):
-                    skel_idx.extend(self._excursion(i, rng)[1:])
-                skel_idx.pop()  # cyclic representation: final return is implicit
-                times = rng.exponential(scale=self.mean_holding[skel_idx])
-                loops.append(Loop(tuple(self.interior[j] for j in skel_idx), times))
+        """Loops arrive as one unit-rate Poisson process on [0, alpha * loop
+        mass), a point's level being the cell of the cumulative level masses
+        it falls in.  An excursion from v_i jumps from x to y with weight
+        P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1} or the boundary)."""
+        jumps, cum_mass, gap = self._jumps, self._cum_mass, rng.standard_exponential
+        # uniforms come from the generator in blocks of 32
+        uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
+        m, skeletons, loops = len(self.interior), [], ()
+        level, t = -1, gap()
+        while t < cum_mass[-1]:
+            i = bisect_right(cum_mass, t)
+            if i != level:  # the factor's order is reversed
+                level, h = i, memoryview(self._lap.hitting_probabilities(m - 1 - i)[::-1])
+            skel = []
+            for _ in range(int(rng.logseries(self.return_prob[i]))):
+                x = i
+                while True:
+                    skel.append(x)
+                    acc, cum, out = 0.0, [], jumps[x]
+                    for y, p in out:
+                        acc += p * h[y]
+                        cum.append(acc)
+                    # killed targets come first and the last one has h > 0, so
+                    # no rounding of the uniform picks a zero-weight target
+                    x = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)][0]
+                    if x == i:
+                        break
+            skeletons.append(skel)
+            t += gap()
+        if skeletons:  # exponential holding times, one draw for the whole soup
+            ends = list(accumulate(map(len, skeletons), initial=0))
+            times = gap(ends[-1]) * self.mean_holding[list(chain.from_iterable(skeletons))]
+            loops = tuple(Loop(tuple(map(self.interior.__getitem__, skel)), times[a:b])
+                          for skel, a, b in zip(skeletons, ends, ends[1:]))
         # Gamma(alpha, rate W) totals: numpy's gamma(alpha, scale) is this product
-        jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
-        return LoopSoupSample(self.network, tuple(loops), jump_free, self.alpha, seed)
+        jump_free = rng.standard_gamma(self.alpha, m) * self.mean_holding
+        return LoopSoupSample(self.network, loops, jump_free, self.alpha, seed)
 
     def sample(self, seed: int) -> LoopSoupSample:
         return self.sample_with(substream(seed), seed)

@@ -5,12 +5,12 @@ Operators are restricted to the interior vertices in sorted-id order
 LaplacianMatrix holds its nonzero entries as index arrays and one cached
 Cholesky factor, which every quantity of it reads: the positive-definiteness
 check, the log determinant, blocks of the inverse and the loop-soup sampler's
-row sums.  The factor is dense up to DENSE_MAX_ORDER interior vertices and
-banded above it, where no dense matrix is formed.  Determinants are
-accumulated as log determinants, so ratios never overflow.  The `*_of` forms
-take operators already factored, so that a caller needing several quantities
-of one operator factors it once; a Green matrix is formed in full only where
-all its entries are used.
+row sums and hitting probabilities.  The factor is dense up to DENSE_MAX_ORDER
+interior vertices and banded above it, where no dense matrix is formed.
+Determinants are accumulated as log determinants, so ratios never overflow.
+The `*_of` forms take operators already factored, so that a caller needing
+several quantities of one operator factors it once; a Green matrix is formed
+in full only where all its entries are used.
 """
 
 from __future__ import annotations
@@ -100,6 +100,30 @@ class LaplacianMatrix:
             return sla.cho_solve((c, True), rhs, check_finite=False)[cols]
         y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
         return y.T @ y
+
+    @cached_property
+    def _scaled_inverse(self) -> np.ndarray:
+        """diag(C) C^-1 on the dense route, from one triangular inversion."""
+        c, _ = self.factor
+        inv, _ = sla.lapack.dtrtri(np.tril(c), lower=1, overwrite_c=1)
+        return np.diag(c)[:, None] * inv
+
+    def hitting_probabilities(self, s: int) -> np.ndarray:
+        """For the walk killed at the boundary and at every vertex after
+        interior_order[s] in the factor's order, the chance from each vertex,
+        by position in interior_order, of reaching interior_order[s]; 0.0
+        exactly where it is killed.  With q = pos[s], the leading q + 1 rows of
+        C factor the operator on the vertices not killed, so this is row q of
+        diag(C) C^-1.  Dense, all rows come from one cached triangular
+        inversion; banded, each call is one transposed solve in the band."""
+        c, pos = self.factor
+        if pos is None:
+            return self._scaled_inverse[s]
+        q = pos[s]
+        rhs = np.zeros((q + 1, 1))
+        rhs[q] = c[0, q]
+        y, _ = sla.lapack.dtbtrs(c[:, :q + 1], rhs, uplo="L", trans="T", overwrite_b=True)
+        return np.concatenate((y[:, 0], np.zeros(len(pos) - q - 1)))[pos]
 
     def below_diagonal_squares(self) -> np.ndarray:
         """Row sums of squares of C below its diagonal, by position in interior_order."""

@@ -1,10 +1,12 @@
 import dataclasses
+from bisect import bisect_right
 from typing import Optional
 
 import numpy as np
 import pytest
 
 from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
+from ggff.loopsoup import Loop, LoopSoupSample, LoopSoupSampler
 
 
 def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
@@ -235,3 +237,60 @@ def cycles_balanced(config, gauge: GaugeField) -> bool:
         if h == -1:
             return False
     return True
+
+
+EXCURSION_ATTEMPT_CAP = 10**6
+
+
+class RejectionSoupSampler(LoopSoupSampler):
+    """A reference loop-soup sampler, independent of the h-transform: it keeps
+    LoopSoupSampler's level masses, draws one Poisson count per level, and
+    draws each excursion from v_i as the plain jump chain, thrown away when
+    it is killed before it returns."""
+
+    def __init__(self, network: ElectricalNetwork, alpha: float):
+        super().__init__(network, alpha)
+        # interior target index, or -1 for a boundary jump, and the cumulative
+        # jump probabilities but the last, so that a uniform at or past the
+        # rounded total still picks the last neighbour
+        self.jump_targets: list[list[int]] = []
+        self.jump_cum: list[list[float]] = []
+        for i, v in enumerate(self.interior):
+            nbrs = network.adjacency[v]
+            self.jump_targets.append([network.interior_index.get(w, -1) for w, _ in nbrs])
+            probs = np.array([c for _, c in nbrs]) / self.w[i]
+            self.jump_cum.append(np.cumsum(probs)[:-1].tolist())
+
+    def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:
+        """One jump-chain excursion v_i -> v_i avoiding killed vertices, by
+        rejection (acceptance probability is the return probability)."""
+        targets, cums, uniform = self.jump_targets, self.jump_cum, rng.random
+        for _ in range(EXCURSION_ATTEMPT_CAP):
+            path = [i]
+            v = i
+            while True:
+                code = targets[v][bisect_right(cums[v], uniform())]
+                if code < i:
+                    break  # killed (boundary jumps are -1); reject this attempt
+                path.append(code)
+                if code == i:
+                    return path
+                v = code
+        raise RuntimeError(f"excursion sampling exceeded {EXCURSION_ATTEMPT_CAP} attempts")
+
+    def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
+        loops: list[Loop] = []
+        means = (self.alpha * self.level_mass).tolist()
+        for i, r in enumerate(self.return_prob.tolist()):
+            if r <= 0.0:
+                continue
+            for _ in range(rng.poisson(means[i])):
+                k = int(rng.logseries(r))
+                skel_idx = [i]
+                for _ in range(k):
+                    skel_idx.extend(self._excursion(i, rng)[1:])
+                skel_idx.pop()  # cyclic representation: final return is implicit
+                times = rng.exponential(scale=self.mean_holding[skel_idx])
+                loops.append(Loop(tuple(self.interior[j] for j in skel_idx), times))
+        jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
+        return LoopSoupSample(self.network, tuple(loops), jump_free, self.alpha, seed)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import ggff
 from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
@@ -13,7 +14,8 @@ from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
 from ggff import load_network, spectral
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 
-from conftest import factor_orders, holed_grid, polar_annulus, random_network
+from conftest import (RejectionSoupSampler, factor_orders, holed_grid, polar_annulus,
+                      random_network)
 
 SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -38,14 +40,14 @@ def test_return_probabilities_pt(pt_net):
     assert float(np.sum(sampler.level_mass)) == pytest.approx(loop_mass(pt_net), abs=1e-12)
 
 
-def solved_return_probabilities(net) -> np.ndarray:
-    """The reference r_i, one dense linear solve per vertex: h_j is the chance
-    that the jump chain from v_j reaches v_i before the boundary or any
-    interior vertex below v_i, and r_i averages h over the first jump."""
+def solved_hitting_probabilities(net) -> np.ndarray:
+    """The reference h, one dense linear solve per level: row i holds, from
+    each v_j, the chance that the jump chain reaches v_i before the boundary
+    or any interior vertex below v_i (1 at v_i, 0 below it)."""
     order = net.interior
     index = {v: i for i, v in enumerate(order)}
     m = len(order)
-    out = np.zeros(m)
+    out = np.zeros((m, m))
     for i in range(m):
         pos = {j: k for k, j in enumerate(range(i + 1, m))}
         a = np.eye(len(pos))
@@ -58,12 +60,29 @@ def solved_return_probabilities(net) -> np.ndarray:
                     b[pos[j]] += p
                 elif code in pos:
                     a[pos[j], pos[code]] -= p
-        h = np.linalg.solve(a, b) if pos else np.zeros(0)
-        for w, c in net.adjacency[order[i]]:
-            code = index.get(w, -1)
-            if code in pos:
-                out[i] += c / net.weighted_degree(order[i]) * h[pos[code]]
+        out[i, i] = 1.0
+        out[i, i + 1:] = np.linalg.solve(a, b) if pos else np.zeros(0)
     return out
+
+
+def solved_return_probabilities(net) -> np.ndarray:
+    """The reference r_i: h_i of solved_hitting_probabilities averaged over
+    the first jump from v_i."""
+    h = solved_hitting_probabilities(net)
+    out = np.zeros(len(net.interior))
+    for i, v in enumerate(net.interior):
+        for w, c in net.adjacency[v]:
+            code = net.interior_index.get(w, -1)
+            if code > i:
+                out[i] += c / net.weighted_degree(v) * h[i, code]
+    return out
+
+
+def sampler_hitting_probabilities(sampler) -> np.ndarray:
+    """The h table the sampler walks by, one row per level in interior order
+    (its factor runs in reversed order)."""
+    m = len(sampler.interior)
+    return np.array([sampler._lap.hitting_probabilities(m - 1 - i)[::-1] for i in range(m)])
 
 
 def elimination_test_networks():
@@ -77,6 +96,34 @@ def test_pivot_return_probabilities_match_linear_solves():
         sampler = LoopSoupSampler(net, 0.5)
         ref = solved_return_probabilities(net)
         assert np.max(np.abs(sampler.return_prob - ref)) <= 1e-12
+
+
+def test_hitting_probabilities_match_linear_solves():
+    """Every level's h, read off the factor, against a dense solve per level,
+    with exact zeros below the level and at every vertex cut off from it."""
+    for net in elimination_test_networks():
+        h = sampler_hitting_probabilities(LoopSoupSampler(net, 0.5))
+        ref = solved_hitting_probabilities(net)
+        assert np.max(np.abs(h - ref)) <= 1e-12
+        assert np.array_equal(h == 0.0, ref == 0.0)
+        assert not np.any(np.tril(h, -1))
+
+
+def test_hitting_probabilities_follow_the_factor_order(monkeypatch):
+    """Banded in reverse Cuthill-McKee order, a vertex's row is killed at the
+    vertices after it in that order: the dense factor in the same order gives
+    the same rows."""
+    net, _ = holed_grid()
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    banded = spectral.laplacian(net)
+    pos = banded.factor[1]
+    monkeypatch.undo()
+    dense = spectral.laplacian(net, order=tuple(net.interior[k] for k in np.argsort(pos)))
+    for s in range(0, len(pos), 7):
+        row = banded.hitting_probabilities(s)
+        same = dense.hitting_probabilities(pos[s])[pos]
+        assert np.max(np.abs(row - same)) <= 1e-12
+        assert np.array_equal(row == 0.0, same == 0.0) and row[s] == pytest.approx(1.0)
 
 
 def test_no_later_interior_neighbour_gives_exactly_zero(pt_net, monkeypatch):
@@ -112,6 +159,31 @@ def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
     assert np.max(np.abs(banded.return_prob - dense.return_prob)) <= 1e-14
     assert np.array_equal(banded.return_prob == 0.0, dense.return_prob == 0.0)
     assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
+    h_banded = sampler_hitting_probabilities(banded)
+    h_dense = sampler_hitting_probabilities(dense)
+    assert np.max(np.abs(h_banded - h_dense)) <= 1e-12
+    assert np.array_equal(h_banded == 0.0, h_dense == 0.0)
+
+
+def test_banded_soup_forms_no_square_array():
+    """On polar_annulus(49, 24), 1,176 interior vertices, above
+    DENSE_MAX_ORDER, a soup's set-up and sampling allocate less than a
+    quarter of one m x m array at any time: h comes one level at a time.
+    A first set-up, untraced, loads the modules the banded route imports."""
+    import tracemalloc
+
+    net, _ = polar_annulus(49, 24)
+    m = len(net.interior)
+    assert m == 1176 > spectral.DENSE_MAX_ORDER
+    LoopSoupSampler(net, 0.5)
+    tracemalloc.start()
+    try:
+        soup = LoopSoupSampler(net, 0.5).sample(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(soup.loops) > 100
+    assert peak < m * m * 8 / 4
 
 
 def test_annulus_ids_sort_in_lattice_order_past_100_rings():
@@ -171,17 +243,63 @@ def test_elimination_mass_matches_loop_mass_random():
 
 
 def test_loops_respect_interior_adjacency(pt_net):
-    ints = set(pt_net.interior)
-    for seed in range(50):
-        soup = sample_loop_soup(pt_net, 0.7, seed=seed)
-        assert soup.jump_free.shape == (len(ints),) and np.all(soup.jump_free > 0)
-        for lp in soup.loops:
-            assert set(lp.skeleton) <= ints and len(lp.skeleton) >= 2
-            assert np.all(lp.holding_times > 0)
-            cyc = lp.skeleton + (lp.skeleton[0],)
-            for a, b in zip(cyc, cyc[1:]):
-                assert pt_net.has_edge(a, b)
-            assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
+    """Every loop is rooted at its minimal vertex, never visits a vertex
+    below its root (killed at its level), and steps along interior edges, on
+    PT, the 6 x 8 annulus and seeded random networks."""
+    rng = np.random.default_rng(23)
+    nets = [pt_net, polar_annulus(6, 8)[0]] + [random_network(rng)[0] for _ in range(20)]
+    for k, net in enumerate(nets):
+        ints = set(net.interior)
+        for seed in range(50 if k == 0 else 10):
+            soup = sample_loop_soup(net, 0.7, seed=seed)
+            assert soup.jump_free.shape == (len(ints),) and np.all(soup.jump_free > 0)
+            for lp in soup.loops:
+                assert set(lp.skeleton) <= ints and len(lp.skeleton) >= 2
+                assert np.all(lp.holding_times > 0)
+                assert len(lp.holding_times) == len(lp.skeleton)
+                cyc = lp.skeleton + (lp.skeleton[0],)
+                for a, b in zip(cyc, cyc[1:]):
+                    assert net.has_edge(a, b)
+                assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
+
+
+class LargestUniforms:
+    """A generator whose every eighth uniform is 1 - 2**-53, the largest that
+    numpy's random() returns; other draws come from the wrapped generator.
+    (With more of them an excursion could drift away from its root for ever.)"""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.largest = 0
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[::8] = 1.0 - 2.0 ** -53
+        self.largest += len(u[::8])
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_largest_uniform_never_picks_a_zero_weight_target():
+    """Killed neighbours and the boundary have h = 0; even the largest
+    uniform, scaled by the rounded total weight, must not pick them."""
+    rng = np.random.default_rng(29)
+    nets = [polar_annulus(6, 8)[0]] + [random_network(rng)[0] for _ in range(20)]
+    drawn = 0
+    for net in nets:
+        sampler = LoopSoupSampler(net, 2.0)
+        for seed in range(20):
+            stub = LargestUniforms(np.random.default_rng(seed))
+            soup = sampler.sample_with(stub, seed)
+            drawn += stub.largest
+            for lp in soup.loops:
+                root = net.interior_index[lp.skeleton[0]]
+                assert all(net.interior_index[v] >= root for v in lp.skeleton)
+                cyc = lp.skeleton + (lp.skeleton[0],)
+                assert all(net.has_edge(a, b) for a, b in zip(cyc, cyc[1:]))
+    assert drawn > 1000
 
 
 def test_multi_vertex_count_poisson(pt_net, pt_gauge):
@@ -373,7 +491,10 @@ def test_alpha_must_be_positive(pt_net):
 @pytest.mark.parametrize("network, seed", [("pt", 10), ("annulus-6x8", 11)])
 def test_soup_dump_and_summary_match_golden(tmp_path, network, seed):
     """The loop dump and the summary of one soup at alpha 1/2 keep every byte
-    of tests/golden/soups/, which an earlier version of the sampler recorded."""
+    of tests/golden/soups/, recorded by the h-transform sampler: uniforms in
+    blocks of 32, loops from one Poisson process over the level masses,
+    holding times in one draw per soup.  A change to how the sampler draws
+    re-records them, in a commit of their own."""
     net, gauge = load_network(NETWORKS / f"{network}.json")
     soup = sample_loop_soup(net, 0.5, seed=seed)
     dump_loops_jsonl(soup, tmp_path / "loops.jsonl")
@@ -381,3 +502,113 @@ def test_soup_dump_and_summary_match_golden(tmp_path, network, seed):
     stem = SOUP_GOLDEN / f"{network}-seed{seed}"
     assert (tmp_path / "loops.jsonl").read_bytes() == stem.with_suffix(".jsonl").read_bytes()
     assert summary == stem.with_name(stem.name + "-summary.json").read_text()
+
+
+def soup_statistics(sampler, n: int, seed: int):
+    """Over n soups from one generator: the number of soups; every loop's
+    root level and number of excursions (visits to the root); every
+    excursion's number of jumps; each soup's occupation total."""
+    index = sampler.network.interior_index
+    rng = np.random.default_rng(seed)
+    roots, excursions, lengths, totals = [], [], [], []
+    for _ in range(n):
+        soup = sampler.sample_with(rng, seed)
+        for lp in soup.loops:
+            visits = [k for k, v in enumerate(lp.skeleton) if v == lp.skeleton[0]]
+            roots.append(index[lp.skeleton[0]])
+            excursions.append(len(visits))
+            lengths.extend(np.diff(visits + [len(lp.skeleton)]).tolist())
+        totals.append(float(sampler.occupation_vector(soup).sum()))
+    return n, np.array(roots), np.array(excursions), np.array(lengths), np.array(totals)
+
+
+def pooled_chi2(a: np.ndarray, b: np.ndarray, least: int = 20) -> float:
+    """p-value of a chi-squared homogeneity test of two integer samples,
+    neighbouring values pooled until each bin holds at least `least`."""
+    bins, acc = [], np.zeros(2, dtype=int)
+    for v in np.union1d(a, b):
+        acc += (np.sum(a == v), np.sum(b == v))
+        if acc.sum() >= least:
+            bins.append(acc)
+            acc = np.zeros(2, dtype=int)
+    bins[-1] = bins[-1] + acc
+    return float(stats.chi2_contingency(np.array(bins).T)[1])
+
+
+def two_sample_pvalues(a, b) -> dict:
+    """Four two-sample tests of soup_statistics: the total loop count
+    (binomial given the sum), the loops' root levels and the excursion
+    lengths (chi-squared), the occupation totals (Kolmogorov-Smirnov)."""
+    (na, ra, _, la, ta), (nb, rb, _, lb, tb) = a, b
+    return {"loops": stats.binomtest(len(ra), len(ra) + len(rb), na / (na + nb)).pvalue,
+            "levels": pooled_chi2(ra, rb), "lengths": pooled_chi2(la, lb),
+            "occupation": float(stats.ks_2samp(ta, tb).pvalue)}
+
+
+# each two-sample p-value must stay above this, so four tests reject a
+# correct sampler in at most about 0.4 % of seeds
+TWO_SAMPLE_P = 1e-3
+TWO_SAMPLE_NETWORKS = {"annulus-6x8": (lambda: polar_annulus(6, 8), 4000),
+                       "holed-grid": (holed_grid, 1000)}
+
+
+@pytest.fixture(scope="module")
+def rejection_statistics():
+    """soup_statistics of the rejection sampler, by network, at alpha 1/2."""
+    out = {}
+    for name, (make, n) in TWO_SAMPLE_NETWORKS.items():
+        out[name] = soup_statistics(RejectionSoupSampler(make()[0], 0.5), n, 31)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SAMPLE_NETWORKS))
+def test_h_transform_matches_the_rejection_sampler(rejection_statistics, name):
+    make, n = TWO_SAMPLE_NETWORKS[name]
+    ours = soup_statistics(LoopSoupSampler(make()[0], 0.5), n, 37)
+    p = two_sample_pvalues(rejection_statistics[name], ours)
+    assert min(p.values()) > TWO_SAMPLE_P, p
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SAMPLE_NETWORKS))
+def test_two_sample_test_rejects_an_untilted_walk(rejection_statistics, monkeypatch, name):
+    """h = 1 on every vertex not killed: the walk is never killed, but its
+    excursions are not the conditioned ones.  A twentieth of the soups
+    suffice."""
+    def untilted(lap, s):
+        return (np.arange(len(lap.interior_order)) <= s).astype(float)
+
+    make, n = TWO_SAMPLE_NETWORKS[name]
+    monkeypatch.setattr(spectral.LaplacianMatrix, "hitting_probabilities", untilted)
+    wrong = soup_statistics(LoopSoupSampler(make()[0], 0.5), n // 20, 37)
+    p = two_sample_pvalues(rejection_statistics[name], wrong)
+    assert p["lengths"] < TWO_SAMPLE_P, p
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SAMPLE_NETWORKS))
+def test_two_sample_test_rejects_alpha_off_by_five_percent(rejection_statistics, name):
+    make, n = TWO_SAMPLE_NETWORKS[name]
+    wrong = soup_statistics(LoopSoupSampler(make()[0], 0.5 * 1.05), n, 37)
+    p = two_sample_pvalues(rejection_statistics[name], wrong)
+    assert min(p.values()) < TWO_SAMPLE_P, p
+
+
+def test_level_counts_and_excursions_match_their_closed_forms():
+    """On the 6 x 8 annulus, over 4,000 soups: the loops rooted at v_i are
+    Poisson with mean alpha * level_mass[i] per soup, and a loop's number of
+    excursions is log-series with parameter r_i, of mean
+    r/((r - 1) log(1 - r)).  Each family is pooled into one chi-squared
+    statistic over the levels."""
+    sampler = LoopSoupSampler(polar_annulus(6, 8)[0], 0.5)
+    n, roots, excursions, _, _ = soup_statistics(sampler, 4000, 41)
+    live = sampler.return_prob > 0
+    loops = np.bincount(roots, minlength=len(live))[live]
+    mu = n * sampler.alpha * sampler.level_mass[live]
+    assert stats.chi2.sf(np.sum((loops - mu) ** 2 / mu), np.sum(live)) > 1e-3
+    r = sampler.return_prob[live]
+    log1 = np.log1p(-r)
+    mean = r / ((r - 1) * log1)
+    var = -r * (r + log1) / ((1 - r) ** 2 * log1 ** 2)
+    k = np.bincount(roots, weights=excursions, minlength=len(live))[live]
+    seen = loops > 0
+    chi2 = np.sum((k - loops * mean)[seen] ** 2 / (loops * var)[seen])
+    assert stats.chi2.sf(chi2, np.sum(seen)) > 1e-3
