@@ -106,7 +106,9 @@ class LaplacianMatrix:
         """diag(C) C^-1 on the dense route, from one triangular inversion."""
         c, _ = self.factor
         inv, _ = sla.lapack.dtrtri(np.tril(c), lower=1, overwrite_c=1)
-        return np.diag(c)[:, None] * inv
+        table = np.diag(c)[:, None] * inv
+        table.flags.writeable = False  # its rows are handed out as views
+        return table
 
     def hitting_probabilities(self, s: int) -> np.ndarray:
         """For the walk killed at the boundary and at every vertex after
@@ -115,7 +117,8 @@ class LaplacianMatrix:
         exactly where it is killed.  With q = pos[s], the leading q + 1 rows of
         C factor the operator on the vertices not killed, so this is row q of
         diag(C) C^-1.  Dense, all rows come from one cached triangular
-        inversion; banded, each call is one transposed solve in the band."""
+        inversion, as read-only views; banded, each call is one transposed
+        solve in the band."""
         c, pos = self.factor
         if pos is None:
             return self._scaled_inverse[s]
