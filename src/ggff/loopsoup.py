@@ -96,32 +96,32 @@ class LoopSoupSampler:
         """Loops arrive as one unit-rate Poisson process on [0, alpha * loop
         mass), a point's level being the cell of the cumulative level masses
         it falls in.  An excursion from v_i jumps from x to y with weight
-        P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1} or the boundary)."""
+        P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1} or the boundary).
+        Levels and excursion counts are drawn before the walks, which leave them be."""
         jumps, cum_mass, gap = self._jumps, self._cum_mass, rng.standard_exponential
+        levels, t = [], gap()
+        while t < cum_mass[-1]:
+            levels.append(bisect_right(cum_mass, t))
+            t += gap()
+        sizes = [int(rng.logseries(self.return_prob[i])) for i in levels]
         # uniforms come from the generator in blocks of 32
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
-        m, skeletons, loops = len(self.interior), [], ()
-        level, t = -1, gap()
-        while t < cum_mass[-1]:
-            i = bisect_right(cum_mass, t)
+        m, skeletons, loops, level = len(self.interior), [], (), -1
+        for i, size in zip(levels, sizes):
             if i != level:  # the factor's order is reversed
                 level, h = i, memoryview(self._lap.hitting_probabilities(m - 1 - i)[::-1])
-            skel = []
-            for _ in range(int(rng.logseries(self.return_prob[i]))):
-                x = i
-                while True:
-                    skel.append(x)
-                    acc, cum, out = 0.0, [], jumps[x]
-                    for y, p in out:
-                        acc += p * h[y]
-                        cum.append(acc)
-                    # killed targets come first and the last one has h > 0, so
-                    # no rounding of the uniform picks a zero-weight target
-                    x = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)][0]
-                    if x == i:
-                        break
+            skel, x, left = [], i, size  # left: excursions not yet back at v_i
+            while left:
+                skel.append(x)
+                acc, cum, out = 0.0, [], jumps[x]
+                for y, p in out:
+                    acc += p * h[y]
+                    cum.append(acc)
+                # killed targets come first and the last one has h > 0, so no
+                # rounding of the uniform picks a zero-weight target
+                x = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)][0]
+                left -= x == i
             skeletons.append(skel)
-            t += gap()
         if skeletons:  # exponential holding times, one draw for the whole soup
             ends = list(accumulate(map(len, skeletons), initial=0))
             times = gap(ends[-1]) * self.mean_holding[list(chain.from_iterable(skeletons))]

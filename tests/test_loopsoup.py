@@ -390,9 +390,12 @@ def test_split_by_holonomy_walks_each_loop_once(monkeypatch):
 
     monkeypatch.setattr(ggff.loopsoup, "loop_holonomy", counted)
     sampler = LoopSoupSampler(net, 2.0)
-    negatives = 0
-    for seed in range(10):
+    # soups 0-9, then on until one has a holonomy -1 loop: a soup has 0.12 of
+    # them on average, so ten soups alone have none 29 % of the time
+    negatives, seed = 0, 0
+    while seed < 10 or (not negatives and seed < 200):
         soup = sampler.sample(seed)
+        seed += 1
         calls.clear()
         plus, minus = split_by_holonomy(soup, gauge)
         assert list(map(id, calls)) == list(map(id, soup.loops))
@@ -491,10 +494,10 @@ def test_alpha_must_be_positive(pt_net):
 @pytest.mark.parametrize("network, seed", [("pt", 10), ("annulus-6x8", 11)])
 def test_soup_dump_and_summary_match_golden(tmp_path, network, seed):
     """The loop dump and the summary of one soup at alpha 1/2 keep every byte
-    of tests/golden/soups/, recorded by the h-transform sampler: uniforms in
-    blocks of 32, loops from one Poisson process over the level masses,
-    holding times in one draw per soup.  A change to how the sampler draws
-    re-records them, in a commit of their own."""
+    of tests/golden/soups/, recorded by the h-transform sampler: loops from
+    one Poisson process over the level masses, then their excursion counts,
+    then uniforms in blocks of 32, holding times in one draw per soup.  A
+    change to how the sampler draws re-records them, in a commit of their own."""
     net, gauge = load_network(NETWORKS / f"{network}.json")
     soup = sample_loop_soup(net, 0.5, seed=seed)
     dump_loops_jsonl(soup, tmp_path / "loops.jsonl")
