@@ -74,8 +74,9 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
                        projection=projection, deck=deck, sheet=sheet)
 
 
-# Bounds the graph one connected_components call sees, and so the memory a
-# batch's labelling takes at once.
+# Bounds the nodes of the graph one connected_components call labels (2*m per
+# sample for the double cover, m for an unsigned subgraph), and so the memory
+# a batch's labelling takes at once.
 _COVER_NODES_PER_CALL = 1 << 16
 
 
@@ -87,6 +88,11 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
 
     Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
     joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
+    With no sign -1 the cover is two copies of the open subgraph, so that
+    subgraph (node s*m + v, of smallest label low) is labelled instead and
+    gives 2*low and 2*low + 1.  Each edge enters the labelled graph once per
+    lift of its edge_u end, in a row pattern sorted by tail and fixed for the
+    call: an open edge points to its head, a closed one to its tail (a loop).
     Returns lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
     number in the component of (s, v, sheet).  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
@@ -96,27 +102,32 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
       even: that component holds one lift of each vertex of v's cluster, and
       its smallest node lifts the cluster's smallest vertex.
     """
-    from scipy.sparse import coo_array
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     n = opened.shape[1]
-    per_call = max(1, _COVER_NODES_PER_CALL // max(2 * m, 1))
-    cross = (rel == -1).astype(np.intp)
-    lab = np.empty(2 * m * n, dtype=np.intp)
+    lifts = 2 if (rel == -1).any() else 1
+    w, sheet, stride = lifts * m, np.arange(lifts)[:, None], 2 // lifts
+    tails = (lifts * edge_u + sheet).ravel()
+    order = np.argsort(tails, kind="stable")
+    hop = ((lifts * edge_v + (sheet ^ (rel == -1))).ravel() - tails)[order].astype(np.int32)
+    marks = opened[np.tile(np.arange(len(edge_u)), lifts)[order]]
+    per_call = max(1, _COVER_NODES_PER_CALL // max(w, 1))
+    shift = w * np.arange(min(n, per_call))[:, None]
+    counts = np.tile(np.bincount(tails, minlength=w), len(shift))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    tails = (tails[order] + shift).astype(np.int32)
+    lab = np.empty((w * n, stride), dtype=np.intp)
     for s0 in range(0, n, per_call):
-        s1 = min(n, s0 + per_call)
-        size = 2 * m * (s1 - s0)
-        e, s = np.nonzero(opened[:, s0:s1])
-        a = 2 * (m * s + edge_u[e])
-        b = 2 * (m * s + edge_v[e]) + cross[e]
-        rows = np.concatenate((a, a + 1))
-        cols = np.concatenate((b, b ^ 1))
+        k = min(n, s0 + per_call) - s0
+        cols = (tails[:k] + marks[:, s0:s0 + k].T * hop).ravel()
         count, part = connected_components(
-            coo_array((np.ones(len(rows)), (rows, cols)), shape=(size, size)),
+            csr_array((np.ones(cols.size), cols, indptr[:w * k + 1]), shape=(w * k, w * k)),
             directed=True, connection="weak")
-        low = np.full(count, size, dtype=np.intp)
-        np.minimum.at(low, part, np.arange(size))
-        lab[2 * m * s0:2 * m * s1] = low[part] + 2 * m * s0
+        low = np.full(count, w * k, dtype=np.intp)
+        np.minimum.at(low, part, np.arange(w * k))
+        np.take(stride * (low + w * s0), part, out=lab[w * s0:w * (s0 + k), 0])
+    lab[:, 1:] = lab[:, :1] + 1
     return lab.reshape(n, m, 2)
 
 

@@ -84,12 +84,11 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
                 edge_c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero-free marks of the interior edges for each sample column of phi:
     edge i is open with probability open_probability(edge_c[i], a, b) at its
-    ends' values a, b, from one uniform per edge and column in row order."""
-    a = phi[edge_u, :]
-    b = phi[edge_v, :]
+    ends' values a, b, from one uniform per edge and column in row order.  A
+    zero end, a sign change or a product a*b that underflows closes the edge."""
+    ab = phi[edge_u, :] * phi[edge_v, :]
     u = rng.random((len(edge_u), phi.shape[1]))
-    same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
-    return same & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(a * b)))
+    return (ab > 0) & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(ab)))
 
 
 class _FieldEngine:

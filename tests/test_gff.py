@@ -205,6 +205,40 @@ def test_empirical_open_rate_matches_formula(pt_net):
         assert abs(freq - target) <= 4 * se
 
 
+def test_open_marks_match_the_sign_rule(pt_net):
+    """One sign test on the product phi(u)*phi(v) opens exactly the edges the
+    separate sign, zero and absolute-value tests open, from the same uniforms:
+    on signed zeros, opposite signs, a product that underflows to 0 and one
+    that overflows to inf, and on sampled annulus blocks."""
+    def reference(phi, edge_u, edge_v, edge_c, rng):
+        a, b = phi[edge_u, :], phi[edge_v, :]
+        u = rng.random((len(edge_u), phi.shape[1]))
+        same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
+        return same & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(a * b)))
+
+    pairs = [(0.0, 1.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -0.0), (1.0, -1.0),
+             (-2.0, 0.5), (1e-200, 1e-200), (-1e-200, -1e-200), (1e200, 1e200),
+             (-1e200, -1e200), (1.0, 1.0), (-0.7, -0.4)]
+    crafted = np.array(pairs * 50).T
+    wide = np.array([[-30.0, 30.0, -30.0], [30.0, -30.0, -30.0]])  # exp(1800) overflows
+    annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
+    _, eu, ev, c = annulus.interior_edges
+    cases = [(crafted, np.array([0]), np.array([1]), np.array([1.0])),
+             (wide, np.array([0]), np.array([1]), np.array([1.0]))]
+    cases += [(_FieldEngine(annulus).sample_block(substream(s), 64), eu, ev, c)
+              for s in range(3)]
+    for seed, (phi, eu, ev, c) in enumerate(cases):
+        with np.errstate(over="ignore" if phi is crafted else "warn"):  # 1e200 * 1e200
+            rng, ref_rng = substream(seed), substream(seed)
+            marks = _open_marks(phi, eu, ev, c, rng)
+            assert np.array_equal(marks, reference(phi, eu, ev, c, ref_rng))
+            assert rng.random() == ref_rng.random()
+            if phi is crafted:
+                grid = marks.reshape(-1, len(pairs))
+    assert not grid[:, [i for i, (a, b) in enumerate(pairs) if not a * b > 0]].any()
+    assert grid[:, pairs.index((1e200, 1e200))].all()
+
+
 def per_edge_configuration(gff, network, seed):
     """The edge-by-edge opening rule: one uniform per interior edge in sorted
     key order, the edge open when it falls below open_probability."""
@@ -521,7 +555,9 @@ def _union_find_column(m, edges):
 def test_cover_labels_match_union_find_column_by_column(monkeypatch):
     """Event, tau at every vertex and same-cluster for every pair, on batches
     split over many labelling calls, one sample per call on the larger
-    networks; the star has no edge between interior vertices."""
+    networks; the star has no edge between interior vertices.  All signs +1
+    take the unsigned path, whose labels must equal the double cover's, which
+    one more -1 edge, closed in every column, forces."""
     rng = np.random.default_rng(21)
     star = ElectricalNetwork(("b", "x", "y", "z"), frozenset({"b"}),
                              tuple(Edge(f"e{v}", "b", v, 1.0) for v in "xyz"))
@@ -533,11 +569,18 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
         m, rel, plus = len(net.interior), gauge.interior_signs, np.ones_like(gauge.interior_signs)
         opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
         opened[:, 0] = False
+        forced = (np.append(eu, 0), np.append(ev, m - 1), np.append(plus, -1),
+                  np.vstack((opened, np.zeros((1, opened.shape[1]), dtype=bool))))
         one_call = _cover_labels(m, eu, ev, rel, opened)
+        assert np.array_equal(_cover_labels(m, eu, ev, plus, opened),
+                              _cover_labels(m, *forced))
         monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
         lab = _cover_labels(m, eu, ev, rel, opened)
         same = _cover_labels(m, eu, ev, plus, opened)
+        assert np.array_equal(same, _cover_labels(m, *forced))
         monkeypatch.undo()
+        for args in ((eu, ev, plus, opened), forced):
+            assert _cover_labels(m, *args[:3], args[3][:, :0]).shape == (0, m, 2)
         assert np.array_equal(lab, one_call)
         balanced = _balanced(lab)
         assert balanced[0] and np.all(lab[0, :, 0] == 2 * np.arange(m))
