@@ -127,7 +127,7 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
         low = np.full(count, w * k, dtype=np.intp)
         np.minimum.at(low, part, np.arange(w * k))
         np.take(stride * (low + w * s0), part, out=lab[w * s0:w * (s0 + k), 0])
-    lab[:, 1:] = lab[:, :1] + 1
+    lab[:, 1:] = lab[:, :1] + 1  # the second copy's labels (no such column when signed)
     return lab.reshape(n, m, 2)
 
 

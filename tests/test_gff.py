@@ -205,38 +205,39 @@ def test_empirical_open_rate_matches_formula(pt_net):
         assert abs(freq - target) <= 4 * se
 
 
-def test_open_marks_match_the_sign_rule(pt_net):
+def test_open_marks_match_the_sign_rule():
     """One sign test on the product phi(u)*phi(v) opens exactly the edges the
-    separate sign, zero and absolute-value tests open, from the same uniforms:
-    on signed zeros, opposite signs, a product that underflows to 0 and one
-    that overflows to inf, and on sampled annulus blocks."""
+    separate sign, zero and absolute-value tests open, from the same uniforms
+    and leaving the generator in the same state: on signed zeros, opposite
+    signs, a product that underflows to 0 and one that overflows to inf, and
+    on sampled annulus blocks."""
     def reference(phi, edge_u, edge_v, edge_c, rng):
         a, b = phi[edge_u, :], phi[edge_v, :]
         u = rng.random((len(edge_u), phi.shape[1]))
         same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
         return same & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(a * b)))
 
+    def check(phi, edge_u, edge_v, edge_c, seed):
+        rng, ref_rng = substream(seed), substream(seed)
+        marks = _open_marks(phi, edge_u, edge_v, edge_c, rng)
+        assert np.array_equal(marks, reference(phi, edge_u, edge_v, edge_c, ref_rng))
+        assert rng.random() == ref_rng.random()
+        return marks
+
+    one_edge = (np.array([0]), np.array([1]), np.array([1.0]))
     pairs = [(0.0, 1.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -0.0), (1.0, -1.0),
              (-2.0, 0.5), (1e-200, 1e-200), (-1e-200, -1e-200), (1e200, 1e200),
              (-1e200, -1e200), (1.0, 1.0), (-0.7, -0.4)]
-    crafted = np.array(pairs * 50).T
-    wide = np.array([[-30.0, 30.0, -30.0], [30.0, -30.0, -30.0]])  # exp(1800) overflows
-    annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
-    _, eu, ev, c = annulus.interior_edges
-    cases = [(crafted, np.array([0]), np.array([1]), np.array([1.0])),
-             (wide, np.array([0]), np.array([1]), np.array([1.0]))]
-    cases += [(_FieldEngine(annulus).sample_block(substream(s), 64), eu, ev, c)
-              for s in range(3)]
-    for seed, (phi, eu, ev, c) in enumerate(cases):
-        with np.errstate(over="ignore" if phi is crafted else "warn"):  # 1e200 * 1e200
-            rng, ref_rng = substream(seed), substream(seed)
-            marks = _open_marks(phi, eu, ev, c, rng)
-            assert np.array_equal(marks, reference(phi, eu, ev, c, ref_rng))
-            assert rng.random() == ref_rng.random()
-            if phi is crafted:
-                grid = marks.reshape(-1, len(pairs))
+    with np.errstate(over="ignore"):  # 1e200 * 1e200
+        grid = check(np.array(pairs * 50).T, *one_edge, 0).reshape(-1, len(pairs))
     assert not grid[:, [i for i, (a, b) in enumerate(pairs) if not a * b > 0]].any()
     assert grid[:, pairs.index((1e200, 1e200))].all()
+    # products of -900: exp(1800) would overflow without the absolute value
+    check(np.array([[-30.0, 30.0, -30.0], [30.0, -30.0, -30.0]]), *one_edge, 1)
+    annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
+    _, eu, ev, c = annulus.interior_edges
+    for seed in range(3):
+        check(_FieldEngine(annulus).sample_block(substream(seed), 64), eu, ev, c, seed + 2)
 
 
 def per_edge_configuration(gff, network, seed):
