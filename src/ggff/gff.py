@@ -1,10 +1,10 @@
 """Gaussian free field samplers, sign-cluster topology, and estimators.
 
-The discrete field is sampled exactly through a Cholesky factor of its Green
-matrix.  The continuum sign-cluster structure of the interpolated field is
-sampled without discretization error: conditionally on the vertex values, the
-field along an edge is an independent standard Brownian bridge of duration
-1/C(e), so the edge is free of zeros with probability
+The discrete field is sampled exactly from its Laplacian's Cholesky factor.
+The continuum sign-cluster structure of the interpolated field is sampled
+without discretization error: conditionally on the vertex values, the field
+along an edge is an independent standard Brownian bridge of duration 1/C(e),
+so the edge is free of zeros with probability
 
     1 - exp(-2 C(e) phi(u) phi(v))      (same-sign endpoints)
 
@@ -91,62 +91,66 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
     return (ab > 0) & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(ab)))
 
 
-class _FieldEngine:
-    """The Laplacian, Green matrix and sampling factor of one field, for fast
-    batched sampling and cluster labelling on network.interior_edges."""
+def _field_laplacian(network: ElectricalNetwork,
+                     gauge: Optional[GaugeField] = None) -> spectral.LaplacianMatrix:
+    """The Laplacian, or the twisted one, in reversed interior order, with its
+    inverse_factor built before any worker threads share it."""
+    order = network.interior[::-1]
+    lap = (spectral.laplacian(network, order) if gauge is None
+           else spectral.twisted_laplacian(network, gauge, order))
+    lap.inverse_factor
+    return lap
 
-    def __init__(self, network: ElectricalNetwork, gauge: Optional[GaugeField] = None):
-        self.network = network
-        self.interior = network.interior
-        self.lap = (spectral.laplacian(network) if gauge is None
-                    else spectral.twisted_laplacian(network, gauge))
-        self.green = spectral.green_of(self.lap)
-        self.chol = (np.linalg.cholesky(self.green.entries) if len(self.interior)
-                     else np.zeros((0, 0)))
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n field samples as columns, in interior order."""
-        z = rng.standard_normal((len(self.interior), n))
-        return self.chol @ z
+def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n samples of covariance G = lap^-1 as columns, in sorted interior order,
+    lap being in reversed order.  With lap = C C^T and J the reversal, J C^-T J
+    is the lower Cholesky factor of G in sorted order, so for the same draws z
+    the samples are chol(G) @ z up to rounding."""
+    z = rng.standard_normal((len(lap.interior_order), n))
+    return lap.color(z[::-1].copy())[::-1]  # contiguous operands multiply fastest
 
-    def cluster_block(self, rng: np.random.Generator, n: int,
-                      rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """n field samples and the _cover_labels of their open subgraphs,
-        the interior edges carrying the signs rel."""
-        _, u, v, c = self.network.interior_edges
-        phi = self.sample_block(rng, n)
-        return phi, _cover_labels(len(self.interior), u, v, rel, _open_marks(phi, u, v, c, rng))
+
+def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samples: int,
+                     seed: int, threads: int, batch_size: int):
+    """(L, total): L from _field_laplacian, and the run_batches total of
+    reduce(phi, lab) over batches of _fields of L and the _cover_labels of
+    their open subgraphs, the interior edges carrying the signs rel."""
+    lap = _field_laplacian(network)
+    _, u, v, c = network.interior_edges
+
+    def worker(bi: int, bn: int):
+        rng = substream(seed, bi)
+        phi = _fields(lap, rng, bn)
+        return reduce(phi, _cover_labels(len(network.interior), u, v, rel,
+                                         _open_marks(phi, u, v, c, rng)))
+
+    return lap, run_batches(batch_plan(n_samples, batch_size), worker, threads)
 
 
 def sample_gff(network: ElectricalNetwork, seed: int) -> GffSample:
     """Exact mean-zero Gaussian sample with covariance the Green matrix."""
-    eng = _FieldEngine(network)
-    phi = eng.sample_block(substream(seed), 1)[:, 0]
-    return GffSample(network, dict(zip(eng.interior, map(float, phi))),
+    phi = _fields(_field_laplacian(network), substream(seed), 1)[:, 0]
+    return GffSample(network, dict(zip(network.interior, map(float, phi))),
                      "untwisted", (seed,))
 
 
 def sample_twisted_gff(network: ElectricalNetwork, gauge: GaugeField, seed: int) -> GffSample:
     """Exact sample with covariance the twisted Green matrix."""
-    eng = _FieldEngine(network, gauge)
-    phi = eng.sample_block(substream(seed), 1)[:, 0]
-    return GffSample(network, dict(zip(eng.interior, map(float, phi))),
+    phi = _fields(_field_laplacian(network, gauge), substream(seed), 1)[:, 0]
+    return GffSample(network, dict(zip(network.interior, map(float, phi))),
                      "twisted", (seed,))
 
 
 def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int, n: int):
-    """n cover-field samples as columns, in cover interior order, with their
-    sheet sums and differences over the base interior, each scaled by 1/sqrt(2).
-
-    Returns (cover, cover interior order, cover samples, plus, minus).
-    """
+    """(cover, phi, plus, minus): n cover-field samples phi as columns, in
+    cover interior order, and their sheet sums and differences over the base
+    interior, each scaled by 1/sqrt(2)."""
     cov = build_double_cover(network, gauge)
-    eng = _FieldEngine(cov.cover_network)
-    phi = eng.sample_block(substream(seed), n)
+    phi = _fields(_field_laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = spectral._sheet_lifts(cov, network.interior)
     inv = 1.0 / math.sqrt(2.0)
-    return (cov, eng.interior, phi,
-            inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2]))
+    return cov, phi, inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
 
 
 def sample_cover_gff_and_project(network: ElectricalNetwork, gauge: GaugeField,
@@ -157,14 +161,13 @@ def sample_cover_gff_and_project(network: ElectricalNetwork, gauge: GaugeField,
     The sum (scaled by 1/sqrt(2)) has the untwisted law, the difference the
     twisted law, and the two projections are independent.
     """
-    cov, order, phi, plus, minus = _sample_cover_block(network, gauge, seed, 1)
+    cov, phi, plus, minus = _sample_cover_block(network, gauge, seed, 1)
 
-    def values(vertices, column):
-        return dict(zip(vertices, map(float, column[:, 0])))
+    def sample(net: ElectricalNetwork, column: np.ndarray, kind: str) -> GffSample:
+        return GffSample(net, dict(zip(net.interior, map(float, column[:, 0]))), kind, (seed,))
 
-    return (GffSample(cov.cover_network, values(order, phi), "cover", (seed,)),
-            GffSample(network, values(network.interior, plus), "untwisted", (seed,)),
-            GffSample(network, values(network.interior, minus), "twisted", (seed,)))
+    return (sample(cov.cover_network, phi, "cover"), sample(network, plus, "untwisted"),
+            sample(network, minus, "twisted"))
 
 
 def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
@@ -176,7 +179,7 @@ def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
     and the two are independent.  sample_cover_gff_and_project is its n = 1
     case.
     """
-    return _sample_cover_block(network, gauge, seed, n)[3:]
+    return _sample_cover_block(network, gauge, seed, n)[2:]
 
 
 def open_probability(conductance: float, a: float, b: float) -> float:
@@ -272,17 +275,14 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
                                batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
     """Monte Carlo probability that a field sample's sign clusters are all
     balanced; the closed-form target sqrt(det G_sigma / det G) is attached."""
-    eng = _FieldEngine(network)
-    rel = gauge.interior_signs
-
-    def worker(bi: int, bn: int) -> int:
-        _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
-        return int(_balanced(lab).sum())
-
-    hits = run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    lap, hits = _cluster_batches(network, gauge.interior_signs,
+                                 lambda phi, lab: int(_balanced(lab).sum()),
+                                 n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    target = spectral.det_ratio_of(eng.lap, spectral.twisted_laplacian(network, gauge))
+    # L_sigma in L's order: equal operators' log determinants round alike
+    target = spectral.det_ratio_of(lap, spectral.twisted_laplacian(network, gauge,
+                                                                   lap.interior_order))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 
@@ -296,12 +296,9 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     idx = network.interior_index
     if x not in idx or y not in idx:
         raise ValueError("conditional moments are defined at interior vertices")
-    eng = _FieldEngine(network)
-    rel = gauge.interior_signs
     ix, iy = idx[x], idx[y]
 
-    def worker(bi: int, bn: int) -> np.ndarray:
-        phi, lab = eng.cluster_block(substream(seed, bi), bn, rel)
+    def moments(phi: np.ndarray, lab: np.ndarray) -> np.ndarray:
         tau = 1 - 2 * (lab[:, [ix, iy], 0] % 2)
         g = (tau[:, 0] * phi[ix] * tau[:, 1] * phi[iy])[_balanced(lab)]
         # sums run left to right from 0.0, in sample order: np.sum would
@@ -309,7 +306,8 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
         return np.array([np.cumsum(np.append(0.0, g))[-1],
                          np.cumsum(np.append(0.0, g * g))[-1], len(g)])
 
-    s1, s2, accepted = run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    _, (s1, s2, accepted) = _cluster_batches(network, gauge.interior_signs, moments,
+                                             n_samples, seed, threads, batch_size)
     acc = int(accepted)
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
@@ -327,20 +325,15 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
     idx = network.interior_index
     if x not in idx or y not in idx:
         raise ValueError("connectivity is defined at interior vertices")
-    eng = _FieldEngine(network)
-    rel = np.ones(len(network.interior_edges[0]), dtype=np.intp)
     ix, iy = idx[x], idx[y]
-
-    def worker(bi: int, bn: int) -> int:
-        _, lab = eng.cluster_block(substream(seed, bi), bn, rel)
-        return int((lab[:, ix, 0] == lab[:, iy, 0]).sum())
-
-    hits = run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    lap, hits = _cluster_batches(network, np.ones(len(network.interior_edges[0]), dtype=np.intp),
+                                 lambda phi, lab: int((lab[:, ix, 0] == lab[:, iy, 0]).sum()),
+                                 n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    g = eng.green
-    target = (2.0 / math.pi) * math.asin(
-        g.value(x, y) / math.sqrt(g.value(x, x) * g.value(y, y)))
+    m = len(network.interior)
+    g = lap.inverse(np.array([m - 1 - ix, m - 1 - iy]))  # lap's order is reversed
+    target = (2.0 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1]))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 
@@ -376,46 +369,33 @@ def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     rng = substream(seed)
-    eng = _FieldEngine(network, gauge)
-    vertex_values = dict(zip(network.interior, map(float, eng.sample_block(rng, 1)[:, 0])))
+    phi = _fields(_field_laplacian(network, gauge), rng, 1)[:, 0]
+    vertex_values = dict(zip(network.interior, map(float, phi)))
 
     def val(v: str) -> float:
         return vertex_values.get(v, 0.0)
 
     edges: dict[EdgeKey, EdgeFieldSamples] = {}
     for k in network.sorted_edge_keys:
-        e = network.edge_map[k]
-        c = e.conductance
+        c = network.edge_map[k].conductance
         length = 1.0 / c
         p_lo, p_hi = val(k[0]), val(k[1])  # field at u=0 and u=L
         sign = gauge.signs[k]
         grid = np.arange(1, grid_points_per_edge + 1) * (length / (grid_points_per_edge + 1))
         mid = 0.5 * length
         times = sorted(set(grid.tolist()) | ({mid} if sign == -1 else set()))
-        # standard Brownian bridge 0 -> 0 of duration `length`, sequentially
-        w = {}
-        t_prev, w_prev = 0.0, 0.0
+        # standard Brownian bridge 0 -> 0 of duration `length`, sequentially,
+        # plus the line from phi at the smaller endpoint to sign * phi at the
+        # larger; past the middle of a -1 edge it is reflected
+        below, t_prev, w_prev = {}, 0.0, 0.0
         for t in times:
             rem = length - t_prev
             mean = w_prev * (length - t) / rem
             var = (t - t_prev) * (length - t) / rem
             w_prev = mean + math.sqrt(max(var, 0.0)) * rng.standard_normal()
-            w[t] = w_prev
+            below[t] = w_prev + c * (sign * t * p_hi + (length - t) * p_lo)
             t_prev = t
-        if sign == 1:
-            values = np.array([w[u] + c * (u * p_hi + (length - u) * p_lo) for u in grid])
-            edges[k] = EdgeFieldSamples(grid, values, None)
-        else:
-            # bridge from phi at the smaller endpoint to -phi at the larger,
-            # reflected on the second half
-            def below(u: float) -> float:
-                return w[u] + c * (-u * p_hi + (length - u) * p_lo)
-
-            def above(u: float) -> float:
-                return -w[u] + c * (u * p_hi - (length - u) * p_lo)
-
-            values = np.array([below(u) if u < mid else (above(u) if u > mid else below(u))
-                               for u in grid])
-            limits = (float(below(mid)), float(above(mid)))
-            edges[k] = EdgeFieldSamples(grid, values, limits)
+        values = np.array([-below[u] if sign == -1 and u > mid else below[u] for u in grid])
+        edges[k] = EdgeFieldSamples(grid, values,
+                                    (below[mid], -below[mid]) if sign == -1 else None)
     return MetricFieldGrid(network, gauge, vertex_values, edges, seed)

@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import spectral
-from .gff import _FieldEngine
+from .gff import _field_laplacian, _fields
 from .network import ElectricalNetwork, GaugeField
 from .seeds import batch_plan, mean_se, run_batches, substream
 
@@ -88,6 +88,7 @@ class LoopSoupSampler:
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
         self._lap = spectral.laplacian(network, order=self.interior[::-1])
+        self._lap.inverse_factor  # built here, before worker threads share it
         self.return_prob = (self._lap.below_diagonal_squares() / self.w[::-1])[::-1]
         self.level_mass = -np.log1p(-self.return_prob)
         self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
@@ -136,6 +137,12 @@ class LoopSoupSampler:
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
         return _occupation(soup, self.network.interior_index)
+
+    def green_diagonal(self) -> np.ndarray:
+        """G(x, x) by interior index, from the factor's inverse in column blocks."""
+        m = len(self.interior)
+        return np.concatenate([np.diag(self._lap.inverse(np.arange(j, min(m, j + _DIAGONAL_BLOCK))))
+                               for j in range(0, m, _DIAGONAL_BLOCK)])[::-1]
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
@@ -216,7 +223,8 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     """
     sampler = LoopSoupSampler(network, alpha)
     m = len(sampler.interior)
-    lap, lap_s = spectral.laplacian(network), spectral.twisted_laplacian(network, gauge)
+    lap = sampler._lap  # and L_sigma in its order: equal operators' log dets round alike
+    lap_s = spectral.twisted_laplacian(network, gauge, lap.interior_order)
 
     def worker(bi: int, bn: int) -> np.ndarray:
         # per soup, x = (loop count, holonomy -1 count, occupation field)
@@ -231,10 +239,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
 
     s1, s2, s4 = run_batches(batch_plan(n_soups, batch_size), worker, threads)
     n = n_soups
-    gdiag = np.empty(m)
-    for j in range(0, m, _DIAGONAL_BLOCK):
-        sel = np.arange(j, min(m, j + _DIAGONAL_BLOCK))
-        gdiag[sel] = np.diag(lap.inverse(sel))
+    gdiag = sampler.green_diagonal()
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
     return SoupMomentsReport(
@@ -281,11 +286,11 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
 
     sampler = LoopSoupSampler(network, 0.5)
     m = len(sampler.interior)
-    untwisted, twisted = _FieldEngine(network), _FieldEngine(network, gauge)
+    twisted = _field_laplacian(network, gauge)
     # exact decile grid of the untwisted square field per vertex:
     # P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.outer(np.diag(untwisted.green.entries), deciles)  # (m, 9)
+    grids = np.outer(sampler.green_diagonal(), deciles)  # (m, 9)
 
     def worker(bi: int, bn: int) -> np.ndarray:
         # per soup, x = (left, right); decile counts of the twisted and the
@@ -298,8 +303,8 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
             plus, minus = split_by_holonomy(soup, gauge)
             occ_p = sampler.occupation_vector(plus)
             occ_m = sampler.occupation_vector(minus)
-            phi_s = twisted.sample_block(rng, 1)[:, 0]
-            phi_u = untwisted.sample_block(rng, 1)[:, 0]
+            phi_s = _fields(twisted, rng, 1)[:, 0]
+            phi_u = _fields(sampler._lap, rng, 1)[:, 0]  # the soups' own factor
             x = np.concatenate((occ_p, 0.5 * phi_s ** 2 + occ_m))
             sums += (x, x ** 2, x ** 4)
             cdf[0] += phi_s[:, None] ** 2 <= grids

@@ -1,12 +1,13 @@
 """Laplacians, Green functions, and the closed-form determinant identities.
 
 Operators are restricted to the interior vertices in sorted-id order
-(laplacian also takes another order), with zero boundary conditions.  A
+(the Laplacians also take another order), with zero boundary conditions.  A
 LaplacianMatrix holds its nonzero entries as index arrays and one cached
 Cholesky factor, which every quantity of it reads: the positive-definiteness
-check, the log determinant, blocks of the inverse and the loop-soup sampler's
-row sums and hitting probabilities.  The factor is dense up to DENSE_MAX_ORDER
-interior vertices and banded above it, where no dense matrix is formed.
+check, the log determinant, blocks of the inverse, Gaussian fields of
+covariance the inverse and the loop-soup sampler's row sums and hitting
+probabilities.  The factor is dense up to DENSE_MAX_ORDER interior vertices
+and banded above it, where no dense matrix is formed.
 Determinants are accumulated as log determinants, so ratios never overflow.
 The `*_of` forms take operators already factored, so that a caller needing
 several quantities of one operator factors it once; a Green matrix is formed
@@ -102,13 +103,15 @@ class LaplacianMatrix:
         return y.T @ y
 
     @cached_property
-    def _scaled_inverse(self) -> np.ndarray:
-        """diag(C) C^-1 on the dense route, from one triangular inversion."""
-        c, _ = self.factor
+    def inverse_factor(self) -> np.ndarray | None:
+        """C^-1, read-only, from one triangular inversion on the dense route;
+        None on the banded route, where it would be a dense m x m array."""
+        c, pos = self.factor
+        if pos is not None:
+            return None
         inv, _ = sla.lapack.dtrtri(np.tril(c), lower=1, overwrite_c=1)
-        table = np.diag(c)[:, None] * inv
-        table.flags.writeable = False  # its rows are handed out as views
-        return table
+        inv.flags.writeable = False
+        return inv
 
     def hitting_probabilities(self, s: int) -> np.ndarray:
         """For the walk killed at the boundary and at every vertex after
@@ -116,17 +119,25 @@ class LaplacianMatrix:
         by position in interior_order, of reaching interior_order[s]; 0.0
         exactly where it is killed.  With q = pos[s], the leading q + 1 rows of
         C factor the operator on the vertices not killed, so this is row q of
-        diag(C) C^-1.  Dense, all rows come from one cached triangular
-        inversion, as read-only views; banded, each call is one transposed
-        solve in the band."""
+        diag(C) C^-1.  Dense, every row is read from inverse_factor; banded,
+        each call is one transposed solve in the band."""
         c, pos = self.factor
         if pos is None:
-            return self._scaled_inverse[s]
+            return c[s, s] * self.inverse_factor[s]
         q = pos[s]
         rhs = np.zeros((q + 1, 1))
         rhs[q] = c[0, q]
         y, _ = sla.lapack.dtbtrs(c[:, :q + 1], rhs, uplo="L", trans="T", overwrite_b=True)
         return np.concatenate((y[:, 0], np.zeros(len(pos) - q - 1)))[pos]
+
+    def color(self, z: np.ndarray) -> np.ndarray:
+        """C^-T z by position in interior_order, z's rows in the factor's order:
+        for standard normal z, columns of covariance A^-1.  Dense, a product
+        with inverse_factor; banded, one transposed solve in the band."""
+        c, pos = self.factor
+        if pos is None:
+            return self.inverse_factor.T @ z
+        return sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0][pos]
 
     def below_diagonal_squares(self) -> np.ndarray:
         """Row sums of squares of C below its diagonal, by position in interior_order."""
@@ -178,8 +189,10 @@ def laplacian(network: ElectricalNetwork,
     return _assemble(network, None, "untwisted", order)
 
 
-def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> LaplacianMatrix:
-    return _assemble(network, gauge, "twisted")
+def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField,
+                      order: tuple[str, ...] | None = None) -> LaplacianMatrix:
+    """In sorted interior order, or in the given order of the interior."""
+    return _assemble(network, gauge, "twisted", order)
 
 
 def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:

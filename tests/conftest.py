@@ -130,6 +130,15 @@ def random_network(rng: np.random.Generator, max_interior: int = 12,
     return net, GaugeField(net, signs)
 
 
+def reference_fields(network: ElectricalNetwork, gauge: Optional[GaugeField],
+                     rng: np.random.Generator, n: int) -> np.ndarray:
+    """A reference field sampler: n columns chol(G) @ z, G the Green matrix
+    (twisted by gauge unless it is None) in sorted interior order, from the
+    draws z = rng.standard_normal((interior count, n))."""
+    g = spectral.green(network) if gauge is None else spectral.twisted_green(network, gauge)
+    return np.linalg.cholesky(g.entries) @ rng.standard_normal((len(network.interior), n))
+
+
 def random_trivial_gauge(rng: np.random.Generator, net: ElectricalNetwork) -> GaugeField:
     """A gauge field obtained by conjugating all-plus with random vertex signs."""
     from ggff import VertexSigns, apply_gauge_transform

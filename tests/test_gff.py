@@ -13,12 +13,13 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, GffSample, VertexSigns,
                   sample_cover_gff_batch, sample_cover_gff_and_project,
                   sample_gff, sample_metric_field, sample_twisted_gff,
                   sign_flip_transform, twisted_green, two_point_connectivity,
-                  edge_key, load_network, subdivide)
+                  edge_key, load_network, spectral, subdivide)
 from ggff.cover import _balanced, _cover_labels
-from ggff.gff import _FieldEngine, _open_marks
+from ggff.gff import _field_laplacian, _fields, _open_marks, _sample_cover_block
 from ggff.seeds import substream
 
-from conftest import (ParityUnionFind, cycles_balanced, random_network,
+from conftest import (ParityUnionFind, cycles_balanced, pendant_triangle, polar_annulus,
+                      random_network, reference_fields,
                       union_find_balanced)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -49,30 +50,83 @@ def test_gff_sample_boundary_is_zero(pt_net):
 
 def test_gff_empirical_covariance(pt_net):
     n = 100_000
-    eng = _FieldEngine(pt_net)
-    block = eng.sample_block(substream(1), n)
+    block = _fields(_field_laplacian(pt_net), substream(1), n)
     g = green(pt_net).entries
     assert np.all(np.abs(empirical_cov(block) - g) <= cov_tolerance(np.diag(g), n))
 
 
 def test_single_interior_vertex_variance():
     net = ElectricalNetwork(("b", "x"), frozenset({"b"}), (Edge("e", "b", "x", 2.0),))
-    eng = _FieldEngine(net)
-    block = eng.sample_block(substream(2), 100_000)
+    block = _fields(_field_laplacian(net), substream(2), 100_000)
     assert np.var(block) == pytest.approx(0.5, abs=4 * 0.5 * math.sqrt(2 / 100_000))
 
 
 def test_twisted_empirical_moments(pt):
     net, gauge = pt
     n = 100_000
-    eng = _FieldEngine(net, gauge)
-    block = eng.sample_block(substream(3), n)
+    block = _fields(_field_laplacian(net, gauge), substream(3), n)
     gs = twisted_green(net, gauge).entries
     emp = empirical_cov(block)
     assert np.all(np.abs(emp - gs) <= cov_tolerance(np.diag(gs) + 0.5, n))
     iy, iz = net.interior_index["y"], net.interior_index["z"]
     assert emp[iy, iz] < 0  # matches the negative Green entry -2/7
     assert abs(block.mean()) < 4 / math.sqrt(n)  # symmetric in law
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_fields_equal_the_green_cholesky_sampler():
+    """On the same draws, the fields from the Laplacian's factor are the
+    reference's chol(G) @ z to 1e-12 relative: plain and twisted on PT, the
+    6 x 8 annulus, 30 random networks and polar_annulus(49, 24), whose 1,176
+    vertices take the banded route, and on the double covers of the first two."""
+    rng = np.random.default_rng(31)
+    cases = [pendant_triangle(), load_network(NETWORKS / "annulus-6x8.json")]
+    for net, gauge in cases:
+        cov, phi, _, _ = _sample_cover_block(net, gauge, 7, 64)
+        assert _relative_gap(phi, reference_fields(cov.cover_network, None,
+                                                   substream(7), 64)) <= 1e-12
+    cases += [random_network(rng) for _ in range(30)] + [polar_annulus(49, 24)]
+    assert len(cases[-1][0].interior) > spectral.DENSE_MAX_ORDER
+    for seed, (net, gauge) in enumerate(cases):
+        for sigma in (None, gauge):
+            got = _fields(_field_laplacian(net, sigma), substream(seed), 64)
+            assert _relative_gap(got, reference_fields(net, sigma, substream(seed), 64)) <= 1e-12
+
+
+def test_estimators_on_the_banded_route_form_no_square_array():
+    """On polar_annulus(49, 24), 1,176 interior vertices, above
+    DENSE_MAX_ORDER, the event and connectivity estimators draw their fields
+    and read their targets from banded factors of the Laplacians, allocating
+    less than a quarter of one m x m array at any time.  Their batches are
+    small, because the labelling kernel's graph grows with the batch.  A
+    first run, untraced, loads the modules the banded route imports."""
+    import tracemalloc
+
+    net, gauge = polar_annulus(49, 24)
+    m = len(net.interior)
+    assert m > spectral.DENSE_MAX_ORDER
+
+    def run():
+        return (estimate_event_probability(net, gauge, 256, 1, batch_size=8),
+                two_point_connectivity(net, ("r25s00", "r25s12"), 256, 2, batch_size=8))
+
+    run()
+    tracemalloc.start()
+    try:
+        event, same = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 / 4
+    assert event.target == pytest.approx(ggff.det_ratio(net, gauge), rel=1e-10)
+    g = ggff.restricted_green(net, ("r25s00", "r25s12")).entries
+    assert same.target == pytest.approx(
+        (2 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1])), rel=1e-10)
+    for rep in (event, same):
+        assert abs(rep.estimate - rep.target) <= 4 * rep.std_error
 
 
 def test_trivial_gauge_certificate_conjugation():
@@ -84,9 +138,8 @@ def test_trivial_gauge_certificate_conjugation():
     ok, cert = ggff.is_trivial(gauge)
     assert ok
     n = 60_000
-    eng = _FieldEngine(net, gauge)
-    block = eng.sample_block(substream(5), n)
-    s = np.array([cert.signs[v] for v in eng.interior])
+    block = _fields(_field_laplacian(net, gauge), substream(5), n)
+    s = np.array([cert.signs[v] for v in net.interior])
     g = green(net).entries
     emp = empirical_cov(s[:, None] * block)
     assert np.all(np.abs(emp - g) <= cov_tolerance(np.diag(g) + 0.5, n))
@@ -191,9 +244,8 @@ def test_empirical_open_rate_matches_formula(pt_net):
     # instead check the aggregate: P(open) = E[p(phi_u, phi_v)] by comparing
     # the Bernoulli frequency with the integrated formula on the same samples
     n = 60_000
-    eng = _FieldEngine(pt_net)
     rng = substream(14)
-    phi = eng.sample_block(rng, n)
+    phi = _fields(_field_laplacian(pt_net), rng, n)
     keys, iu, iv, c = pt_net.interior_edges
     opened = _open_marks(phi, iu, iv, c, rng)
     probs = np.where(np.sign(phi[iu]) == np.sign(phi[iv]),
@@ -237,7 +289,7 @@ def test_open_marks_match_the_sign_rule():
     annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
     _, eu, ev, c = annulus.interior_edges
     for seed in range(3):
-        check(_FieldEngine(annulus).sample_block(substream(seed), 64), eu, ev, c, seed + 2)
+        check(_fields(_field_laplacian(annulus), substream(seed), 64), eu, ev, c, seed + 2)
 
 
 def per_edge_configuration(gff, network, seed):

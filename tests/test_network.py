@@ -7,7 +7,7 @@ import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   NetworkFormatError, edge_key, load_network, save_network,
                   spectral, subdivide, validate)
-from ggff.gff import (_FieldEngine, detect_event, make_cluster_configuration,
+from ggff.gff import (_field_laplacian, detect_event, make_cluster_configuration,
                       sample_cluster_configuration, sample_gff)
 from ggff.loopsoup import LoopSoupSampler
 
@@ -241,8 +241,8 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     spectral.laplacian(net)
     spectral.twisted_laplacian(net, gauge)
     spectral.restricted_green(net, ("x", "z"), gauge)
-    _FieldEngine(net)
-    _FieldEngine(net, gauge)
+    _field_laplacian(net)
+    _field_laplacian(net, gauge)
     LoopSoupSampler(net, 0.5)
     config = sample_cluster_configuration(sample_gff(net, 1), net, 2)
     detect_event(config, gauge)
