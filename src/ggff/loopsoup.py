@@ -140,9 +140,9 @@ class LoopSoupSampler:
 
     def green_diagonal(self) -> np.ndarray:
         """G(x, x) by interior index, from the factor's inverse in column blocks."""
-        m = len(self.interior)
-        return np.concatenate([np.diag(self._lap.inverse(np.arange(j, min(m, j + _DIAGONAL_BLOCK))))
-                               for j in range(0, m, _DIAGONAL_BLOCK)])[::-1]
+        m, b = len(self.interior), _DIAGONAL_BLOCK
+        blocks = (self._lap.inverse(np.arange(j, min(m, j + b))) for j in range(0, m, b))
+        return np.concatenate([np.diag(g) for g in blocks])[::-1]
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
@@ -223,7 +223,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     """
     sampler = LoopSoupSampler(network, alpha)
     m = len(sampler.interior)
-    lap = sampler._lap  # and L_sigma in its order: equal operators' log dets round alike
+    lap = sampler._lap  # L_sigma takes its order: equal operators' log dets cancel exactly
     lap_s = spectral.twisted_laplacian(network, gauge, lap.interior_order)
 
     def worker(bi: int, bn: int) -> np.ndarray:
