@@ -42,10 +42,14 @@ _DIAGONAL_BLOCK = 64
 
 @dataclass(frozen=True)
 class Loop:
-    """A loop with jumps, rooted at the first visit of its minimal vertex."""
+    """A loop with jumps as an integer path, rooted at the first visit of its
+    minimal vertex: it stays holding_times[k] at interior index skeleton[k],
+    then jumps along edges[k], a position in network.interior_edges; the last
+    jump closes the loop.  Vertex ids are formed only for output."""
 
-    skeleton: tuple[str, ...]
-    holding_times: np.ndarray  # one positive duration per skeleton position
+    skeleton: np.ndarray
+    edges: np.ndarray
+    holding_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,15 @@ class LoopSoupSampler:
         self.interior = network.interior
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
         self.mean_holding = 1.0 / self.w
-        # each vertex's jumps to interior neighbours, (index, probability) by
-        # increasing index; boundary jumps always kill, so they are left out
-        self._jumps = [sorted((network.interior_index[u], c / w)
-                              for u, c in network.adjacency[v] if u in network.interior_index)
-                       for v, w in zip(self.interior, self.w.tolist())]
+        # each vertex's jumps as (target, probability, jump) by target, leaving out the
+        # boundary, which kills; jump 2e runs along interior edge e from u to v, 2e + 1 back
+        _, u, v, c = network.interior_edges
+        self._jump_source, w = np.stack((u, v), axis=1).ravel(), self.w.tolist()
+        jumps = [[] for _ in w]
+        for e, (a, b, ce) in enumerate(zip(u.tolist(), v.tolist(), c.tolist())):
+            jumps[a].append((b, ce / w[a], 2 * e))
+            jumps[b].append((a, ce / w[b], 2 * e + 1))
+        self._jumps = [sorted(out) for out in jumps]
         # row i of the reversed-order factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
@@ -107,27 +115,28 @@ class LoopSoupSampler:
         sizes = [int(rng.logseries(self.return_prob[i])) for i in levels]
         # uniforms come from the generator in blocks of 32
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
-        m, skeletons, loops, level = len(self.interior), [], (), -1
+        m, path, ends, loops, level = len(self.interior), [], [0], (), -1
         for i, size in zip(levels, sizes):
             if i != level:  # the factor's order is reversed
                 level, h = i, memoryview(self._lap.hitting_probabilities(m - 1 - i)[::-1])
-            skel, x, left = [], i, size  # left: excursions not yet back at v_i
+            x, left = i, size  # left: excursions not yet back at v_i
             while left:
-                skel.append(x)
                 acc, cum, out = 0.0, [], jumps[x]
-                for y, p in out:
+                for y, p, _ in out:
                     acc += p * h[y]
                     cum.append(acc)
                 # killed targets come first and the last one has h > 0, so no
                 # rounding of the uniform picks a zero-weight target
-                x = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)][0]
+                x, _, jump = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)]
+                path.append(jump)
                 left -= x == i
-            skeletons.append(skel)
-        if skeletons:  # exponential holding times, one draw for the whole soup
-            ends = list(accumulate(map(len, skeletons), initial=0))
-            times = gap(ends[-1]) * self.mean_holding[list(chain.from_iterable(skeletons))]
-            loops = tuple(Loop(tuple(map(self.interior.__getitem__, skel)), times[a:b])
-                          for skel, a, b in zip(skeletons, ends, ends[1:]))
+            ends.append(len(path))
+        if path:  # exponential holding times, one draw for the whole soup
+            path = np.array(path)
+            skeleton, edges = self._jump_source[path], path >> 1
+            times = gap(len(path)) * self.mean_holding[skeleton]
+            loops = tuple(Loop(skeleton[a:b], edges[a:b], times[a:b])
+                          for a, b in zip(ends, ends[1:]))
         # Gamma(alpha, rate W) totals: numpy's gamma(alpha, scale) is this product
         jump_free = rng.standard_gamma(self.alpha, m) * self.mean_holding
         return LoopSoupSample(self.network, loops, jump_free, self.alpha, seed)
@@ -136,7 +145,7 @@ class LoopSoupSampler:
         return self.sample_with(substream(seed), seed)
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
-        return _occupation(soup, self.network.interior_index)
+        return _occupation(soup)
 
     def green_diagonal(self) -> np.ndarray:
         """G(x, x) by interior index, from the factor's inverse in column blocks."""
@@ -149,28 +158,30 @@ def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> Loo
     return LoopSoupSampler(network, alpha).sample(seed)
 
 
-def _occupation(soup: LoopSoupSample, index: Mapping[str, int]) -> np.ndarray:
+def _occupation(soup: LoopSoupSample) -> np.ndarray:
     """Total time the soup spends at each interior vertex, by index: bincount
     adds the loops' visits in order, then the jump-free totals."""
-    visits = [index[v] for lp in soup.loops for v in lp.skeleton]
-    visits.extend(range(len(index)))
+    visits = np.concatenate([lp.skeleton for lp in soup.loops] + [np.arange(len(soup.jump_free))])
     times = np.concatenate([lp.holding_times for lp in soup.loops] + [soup.jump_free])
     return np.bincount(visits, weights=times)
 
 
 def occupation_field(soup: LoopSoupSample) -> OccupationField:
     """Total time every loop of the soup spends at each interior vertex."""
-    occ = _occupation(soup, soup.network.interior_index)
-    return OccupationField(dict(zip(soup.network.interior, occ.tolist())))
+    return OccupationField(dict(zip(soup.network.interior, _occupation(soup).tolist())))
+
+
+def _holonomies(loops: tuple[Loop, ...], gauge: GaugeField) -> np.ndarray:
+    """Each loop's holonomy, the parity of its -1 edges as one product of signs."""
+    if not loops:
+        return np.ones(0, dtype=np.intp)
+    starts = list(accumulate((len(lp.edges) for lp in loops[:-1]), initial=0))
+    edges = np.concatenate([lp.edges for lp in loops])
+    return np.multiply.reduceat(gauge.interior_signs[edges], starts)
 
 
 def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:
-    """Gauge-sign product over the loop's cyclic skeleton."""
-    skel = loop.skeleton
-    h = 1
-    for a, b in zip(skel, skel[1:] + (skel[0],)):
-        h *= gauge.sign(a, b)
-    return h
+    return int(_holonomies((loop,), gauge)[0])
 
 
 def split_by_holonomy(soup: LoopSoupSample,
@@ -179,12 +190,23 @@ def split_by_holonomy(soup: LoopSoupSample,
     loops all go to the +1 part."""
     if gauge.network != soup.network:
         raise ValueError("soup and gauge field live on different networks")
-    signs = [loop_holonomy(gauge, lp) for lp in soup.loops]
+    signs = _holonomies(soup.loops, gauge).tolist()
     plus = tuple(lp for lp, h in zip(soup.loops, signs) if h == 1)
     minus = tuple(lp for lp, h in zip(soup.loops, signs) if h == -1)
     return (LoopSoupSample(soup.network, plus, soup.jump_free, soup.alpha, soup.seed),
             LoopSoupSample(soup.network, minus, np.zeros_like(soup.jump_free),
                            soup.alpha, soup.seed))
+
+
+def _soup_sums(sampler: LoopSoupSampler, features, n_soups: int, seed: int,
+               threads: int, batch_size: int) -> np.ndarray:
+    """Sum of features(soup, rng) over the soups in order, soup s of batch i
+    drawn from rng = substream(seed, i, s), which features may then draw from."""
+    def worker(bi: int, bn: int) -> np.ndarray:
+        rngs = (substream(seed, bi, s) for s in range(bn))
+        return sum(features(sampler.sample_with(rng, seed), rng) for rng in rngs)
+
+    return run_batches(batch_plan(n_soups, batch_size), worker, threads)
 
 
 @dataclass(frozen=True)
@@ -222,22 +244,16 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     marginal being Gamma(alpha) with scale G(x,x).
     """
     sampler = LoopSoupSampler(network, alpha)
-    m = len(sampler.interior)
     lap = sampler._lap  # L_sigma takes its order: equal operators' log dets cancel exactly
     lap_s = spectral.twisted_laplacian(network, gauge, lap.interior_order)
 
-    def worker(bi: int, bn: int) -> np.ndarray:
-        # per soup, x = (loop count, holonomy -1 count, occupation field)
-        sums = np.zeros((3, m + 2))
-        for s in range(bn):
-            soup = sampler.sample_with(substream(seed, bi, s), seed)
-            neg = sum(1 for lp in soup.loops if loop_holonomy(gauge, lp) == -1)
-            x = np.concatenate(([soup.multi_vertex_count(), neg],
-                                sampler.occupation_vector(soup)))
-            sums += (x, x ** 2, x ** 4)
-        return sums
+    def features(soup: LoopSoupSample, _) -> np.ndarray:
+        # x = (loop count, holonomy -1 count, occupation field)
+        neg = np.count_nonzero(_holonomies(soup.loops, gauge) == -1)
+        x = np.concatenate(([soup.multi_vertex_count(), neg], sampler.occupation_vector(soup)))
+        return np.array((x, x ** 2, x ** 4))
 
-    s1, s2, s4 = run_batches(batch_plan(n_soups, batch_size), worker, threads)
+    s1, s2, s4 = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
     n = n_soups
     gdiag = sampler.green_diagonal()
     mean, se = mean_se(s1, s2, n)
@@ -292,26 +308,17 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
     grids = np.outer(sampler.green_diagonal(), deciles)  # (m, 9)
 
-    def worker(bi: int, bn: int) -> np.ndarray:
-        # per soup, x = (left, right); decile counts of the twisted and the
-        # untwisted square field; both sums in one array
-        sums = np.zeros((3, 2 * m))
-        cdf = np.zeros((2, m, 9))
-        for s in range(bn):
-            rng = substream(seed, bi, s)
-            soup = sampler.sample_with(rng, seed)
-            plus, minus = split_by_holonomy(soup, gauge)
-            occ_p = sampler.occupation_vector(plus)
-            occ_m = sampler.occupation_vector(minus)
-            phi_s = _fields(twisted, rng, 1)[:, 0]
-            phi_u = _fields(sampler._lap, rng, 1)[:, 0]  # the soups' own factor
-            x = np.concatenate((occ_p, 0.5 * phi_s ** 2 + occ_m))
-            sums += (x, x ** 2, x ** 4)
-            cdf[0] += phi_s[:, None] ** 2 <= grids
-            cdf[1] += phi_u[:, None] ** 2 <= grids
-        return np.concatenate((sums.ravel(), cdf.ravel()))
+    def features(soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
+        # x = (left, right), then the twisted and untwisted square fields' decile indicators
+        plus, minus = split_by_holonomy(soup, gauge)
+        phi_s = _fields(twisted, rng, 1)[:, 0]
+        phi_u = _fields(sampler._lap, rng, 1)[:, 0]  # the soups' own factor
+        x = np.concatenate((sampler.occupation_vector(plus),
+                            0.5 * phi_s ** 2 + sampler.occupation_vector(minus)))
+        return np.concatenate((x, x ** 2, x ** 4, (phi_s[:, None] ** 2 <= grids).ravel(),
+                               (phi_u[:, None] ** 2 <= grids).ravel()))
 
-    total = run_batches(batch_plan(n_soups, batch_size), worker, threads)
+    total = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
     s1, s2, s4 = total[:6 * m].reshape(3, 2 * m)
     n = n_soups
     mean, se = mean_se(s1, s2, n)
@@ -328,13 +335,9 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
 
 
 def soup_summary_dict(soup: LoopSoupSample, gauge: Optional[GaugeField] = None) -> dict:
-    occ = occupation_field(soup)
-    out = {
-        "alpha": soup.alpha,
-        "seed": soup.seed,
-        "n_loops_multi_vertex": soup.multi_vertex_count(),
-        "occupation_field": {v: occ.local_time[v] for v in soup.network.interior},
-    }
+    out = {"alpha": soup.alpha, "seed": soup.seed,
+           "n_loops_multi_vertex": soup.multi_vertex_count(),
+           "occupation_field": occupation_field(soup).local_time}
     if gauge is not None:
         plus, minus = split_by_holonomy(soup, gauge)
         out["counts_by_holonomy"] = {"+1": len(plus.loops), "-1": len(minus.loops)}
@@ -342,10 +345,13 @@ def soup_summary_dict(soup: LoopSoupSample, gauge: Optional[GaugeField] = None) 
 
 
 def dump_loops_jsonl(soup: LoopSoupSample, path) -> None:
-    """Full loop dump, one JSON object per line (skeleton and holding times);
-    the jump-free totals follow as one single-vertex line per interior vertex."""
-    lines = [(list(lp.skeleton), lp.holding_times.tolist()) for lp in soup.loops]
-    lines += [([v], [t]) for v, t in zip(soup.network.interior, soup.jump_free.tolist())]
+    """Full loop dump, one JSON object per line (the skeleton's vertex ids,
+    formed here, and the holding times); the jump-free totals follow as one
+    single-vertex line per interior vertex."""
+    ids = soup.network.interior
+    lines = [([ids[j] for j in lp.skeleton.tolist()], lp.holding_times.tolist())
+             for lp in soup.loops]
+    lines += [([v], [t]) for v, t in zip(ids, soup.jump_free.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         for skeleton, times in lines:
             fh.write(json.dumps({"skeleton": skeleton, "holding_times": times}) + "\n")

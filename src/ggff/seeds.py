@@ -29,15 +29,8 @@ def batch_plan(total: int, batch_size: int = DEFAULT_BATCH) -> list[tuple[int, i
         raise ValueError(f"the number of samples or soups must be at least 1, got {total}")
     if batch_size < 1:
         raise ValueError(f"the batch size must be at least 1, got {batch_size}")
-    plan = []
-    done = 0
-    i = 0
-    while done < total:
-        n = min(batch_size, total - done)
-        plan.append((i, n))
-        done += n
-        i += 1
-    return plan
+    return [(i, min(batch_size, total - done))
+            for i, done in enumerate(range(0, total, batch_size))]
 
 
 def run_batches(plan: Sequence[tuple[int, int]],
@@ -49,8 +42,7 @@ def run_batches(plan: Sequence[tuple[int, int]],
     if threads <= 1 or len(plan) <= 1:
         return sum(worker(i, n) for i, n in plan)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, i, n) for i, n in plan]
-        return sum(f.result() for f in futures)
+        return sum(pool.map(worker, *zip(*plan)))
 
 
 def mean_se(s1, s2, n: int):

@@ -255,35 +255,43 @@ class RejectionSoupSampler(LoopSoupSampler):
     """A reference loop-soup sampler, independent of the h-transform: it keeps
     LoopSoupSampler's level masses, draws one Poisson count per level, and
     draws each excursion from v_i as the plain jump chain, thrown away when
-    it is killed before it returns."""
+    it is killed before it returns.  Its loops are integer paths whose edge
+    positions come from the keys of network.interior_edges."""
 
     def __init__(self, network: ElectricalNetwork, alpha: float):
         super().__init__(network, alpha)
-        # interior target index, or -1 for a boundary jump, and the cumulative
-        # jump probabilities but the last, so that a uniform at or past the
-        # rounded total still picks the last neighbour
+        # per neighbour: interior target index, or -1 for a boundary jump; the
+        # edge's position in network.interior_edges; and the cumulative jump
+        # probabilities but the last, so that a uniform at or past the rounded
+        # total still picks the last neighbour
+        position = {k: e for e, k in enumerate(network.interior_edges[0])}
         self.jump_targets: list[list[int]] = []
+        self.jump_edges: list[list[int]] = []
         self.jump_cum: list[list[float]] = []
         for i, v in enumerate(self.interior):
             nbrs = network.adjacency[v]
             self.jump_targets.append([network.interior_index.get(w, -1) for w, _ in nbrs])
+            self.jump_edges.append([position.get(edge_key(v, w), -1) for w, _ in nbrs])
             probs = np.array([c for _, c in nbrs]) / self.w[i]
             self.jump_cum.append(np.cumsum(probs)[:-1].tolist())
 
-    def _excursion(self, i: int, rng: np.random.Generator) -> list[int]:
+    def _excursion(self, i: int, rng: np.random.Generator) -> tuple[list[int], list[int]]:
         """One jump-chain excursion v_i -> v_i avoiding killed vertices, by
-        rejection (acceptance probability is the return probability)."""
-        targets, cums, uniform = self.jump_targets, self.jump_cum, rng.random
+        rejection (acceptance probability is the return probability): the
+        vertices it leaves and the edges it jumps along, in order."""
+        targets, edges, cums = self.jump_targets, self.jump_edges, self.jump_cum
+        uniform = rng.random
         for _ in range(EXCURSION_ATTEMPT_CAP):
-            path = [i]
-            v = i
+            path, steps, v = [], [], i
             while True:
-                code = targets[v][bisect_right(cums[v], uniform())]
+                k = bisect_right(cums[v], uniform())
+                code = targets[v][k]
                 if code < i:
                     break  # killed (boundary jumps are -1); reject this attempt
-                path.append(code)
+                path.append(v)
+                steps.append(edges[v][k])
                 if code == i:
-                    return path
+                    return path, steps
                 v = code
         raise RuntimeError(f"excursion sampling exceeded {EXCURSION_ATTEMPT_CAP} attempts")
 
@@ -294,12 +302,12 @@ class RejectionSoupSampler(LoopSoupSampler):
             if r <= 0.0:
                 continue
             for _ in range(rng.poisson(means[i])):
-                k = int(rng.logseries(r))
-                skel_idx = [i]
-                for _ in range(k):
-                    skel_idx.extend(self._excursion(i, rng)[1:])
-                skel_idx.pop()  # cyclic representation: final return is implicit
-                times = rng.exponential(scale=self.mean_holding[skel_idx])
-                loops.append(Loop(tuple(self.interior[j] for j in skel_idx), times))
+                skeleton, edges = [], []
+                for _ in range(int(rng.logseries(r))):
+                    path, steps = self._excursion(i, rng)
+                    skeleton += path
+                    edges += steps
+                times = rng.exponential(scale=self.mean_holding[skeleton])
+                loops.append(Loop(np.array(skeleton), np.array(edges), times))
         jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
         return LoopSoupSample(self.network, tuple(loops), jump_free, self.alpha, seed)

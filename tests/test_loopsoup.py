@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy import stats
 
 import ggff
-from ggff import (GaugeField, VertexSigns, apply_gauge_transform, green,
-                  kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
+from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, edge_key,
+                  green, kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
                   sample_loop_soup, soup_moments, split_by_holonomy,
                   negative_holonomy_mass)
 from ggff import load_network, spectral
@@ -24,8 +25,9 @@ NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 def test_sampler_determinism(pt_net):
     s1 = sample_loop_soup(pt_net, 0.5, seed=1)
     s2 = sample_loop_soup(pt_net, 0.5, seed=1)
-    assert [lp.skeleton for lp in s1.loops] == [lp.skeleton for lp in s2.loops]
-    assert all(np.array_equal(a.holding_times, b.holding_times)
+    assert len(s1.loops) == len(s2.loops)
+    assert all(np.array_equal(a.skeleton, b.skeleton) and np.array_equal(a.edges, b.edges)
+               and np.array_equal(a.holding_times, b.holding_times)
                for a, b in zip(s1.loops, s2.loops))
     assert np.array_equal(s1.jump_free, s2.jump_free)
 
@@ -242,6 +244,12 @@ def test_elimination_mass_matches_loop_mass_random():
         assert float(np.sum(sampler.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
 
 
+def adjacent_pairs(net) -> set[tuple[int, int]]:
+    """Ordered pairs of interior indices joined by an interior edge."""
+    _, u, v, _ = net.interior_edges
+    return set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
+
+
 def test_loops_respect_interior_adjacency(pt_net):
     """Every loop is rooted at its minimal vertex, never visits a vertex
     below its root (killed at its level), and steps along interior edges, on
@@ -249,18 +257,39 @@ def test_loops_respect_interior_adjacency(pt_net):
     rng = np.random.default_rng(23)
     nets = [pt_net, polar_annulus(6, 8)[0]] + [random_network(rng)[0] for _ in range(20)]
     for k, net in enumerate(nets):
-        ints = set(net.interior)
+        m, adjacent = len(net.interior), adjacent_pairs(net)
         for seed in range(50 if k == 0 else 10):
             soup = sample_loop_soup(net, 0.7, seed=seed)
-            assert soup.jump_free.shape == (len(ints),) and np.all(soup.jump_free > 0)
+            assert soup.jump_free.shape == (m,) and np.all(soup.jump_free > 0)
             for lp in soup.loops:
-                assert set(lp.skeleton) <= ints and len(lp.skeleton) >= 2
+                skel = lp.skeleton.tolist()
+                assert all(0 <= j < m for j in skel) and len(skel) >= 2
                 assert np.all(lp.holding_times > 0)
-                assert len(lp.holding_times) == len(lp.skeleton)
-                cyc = lp.skeleton + (lp.skeleton[0],)
-                for a, b in zip(cyc, cyc[1:]):
-                    assert net.has_edge(a, b)
-                assert lp.skeleton[0] == min(lp.skeleton)  # rooted at minimum
+                assert len(lp.holding_times) == len(lp.edges) == len(skel)
+                assert all(step in adjacent for step in zip(skel, skel[1:] + skel[:1]))
+                assert skel[0] == min(skel)  # rooted at minimum
+
+
+def test_loop_edges_join_consecutive_visits_and_give_the_path_holonomy(pt):
+    """edges[k] joins skeleton[k] and skeleton[k + 1], cyclically, and
+    loop_holonomy equals the holonomy of the closed path of vertex ids as the
+    string-path walker of gauge.py finds it, on PT, the 6 x 8 annulus and 20
+    seeded random networks."""
+    rng = np.random.default_rng(43)
+    cases = [pt, polar_annulus(6, 8)] + [random_network(rng) for _ in range(20)]
+    seen = {1: 0, -1: 0}
+    for net, gauge in cases:
+        _, u, v, _ = net.interior_edges
+        for seed in range(10):
+            for lp in sample_loop_soup(net, 2.0, seed=seed).loops:
+                skel, n = lp.skeleton.tolist(), len(lp.skeleton)
+                for k, e in enumerate(lp.edges.tolist()):
+                    assert {int(u[e]), int(v[e])} == {skel[k], skel[(k + 1) % n]}
+                ids = tuple(net.interior[j] for j in skel)
+                h = loop_holonomy(gauge, lp)
+                assert h == ggff.holonomy(gauge, DiscretePath(net, ids + ids[:1]))
+                seen[h] += 1
+    assert min(seen.values()) > 20, seen  # both holonomies, many times over
 
 
 class LargestUniforms:
@@ -289,16 +318,15 @@ def test_largest_uniform_never_picks_a_zero_weight_target():
     nets = [polar_annulus(6, 8)[0]] + [random_network(rng)[0] for _ in range(20)]
     drawn = 0
     for net in nets:
-        sampler = LoopSoupSampler(net, 2.0)
+        sampler, adjacent = LoopSoupSampler(net, 2.0), adjacent_pairs(net)
         for seed in range(20):
             stub = LargestUniforms(np.random.default_rng(seed))
             soup = sampler.sample_with(stub, seed)
             drawn += stub.largest
             for lp in soup.loops:
-                root = net.interior_index[lp.skeleton[0]]
-                assert all(net.interior_index[v] >= root for v in lp.skeleton)
-                cyc = lp.skeleton + (lp.skeleton[0],)
-                assert all(net.has_edge(a, b) for a, b in zip(cyc, cyc[1:]))
+                skel = lp.skeleton.tolist()
+                assert min(skel) == skel[0]
+                assert all(step in adjacent for step in zip(skel, skel[1:] + skel[:1]))
     assert drawn > 1000
 
 
@@ -335,8 +363,8 @@ def test_occupation_field_empty_and_sums(pt):
             for soup in (sampler.sample(seed), split_by_holonomy(sampler.sample(seed), gauge)[1]):
                 manual = {v: 0.0 for v in net.interior}
                 for lp in soup.loops:
-                    for v, t in zip(lp.skeleton, lp.holding_times):
-                        manual[v] += float(t)
+                    for v, t in zip(lp.skeleton.tolist(), lp.holding_times):
+                        manual[net.interior[v]] += float(t)
                 for v, t in zip(net.interior, soup.jump_free):
                     manual[v] += float(t)
                 assert occupation_field(soup).local_time == manual
@@ -378,33 +406,37 @@ def test_split_by_holonomy_partition_and_occupation(pt):
             assert occ[v] == pytest.approx(op[v] + om[v], abs=1e-12)
 
 
-def test_split_by_holonomy_walks_each_loop_once(monkeypatch):
-    """One holonomy evaluation per loop with jumps, and still a partition, on
-    the 6 x 8 annulus, whose cut makes loops around the hole negative."""
+def test_sampling_splitting_and_occupation_walk_no_vertex_ids(monkeypatch):
+    """Loops are integer paths: sampling, splitting and occupation never call
+    GaugeField.sign or edge_key, and the split is still a partition by the
+    parity of each loop's -1 edges, on the 6 x 8 annulus, whose cut makes
+    loops around the hole negative."""
     net, gauge = polar_annulus(6, 8)
-    calls = []
-
-    def counted(g, lp):
-        calls.append(lp)
-        return loop_holonomy(g, lp)
-
-    monkeypatch.setattr(ggff.loopsoup, "loop_holonomy", counted)
     sampler = LoopSoupSampler(net, 2.0)
+
+    def forbidden(*_):
+        raise AssertionError("a loop was walked by vertex ids")
+
+    monkeypatch.setattr(GaugeField, "sign", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ggff" and hasattr(module, "edge_key"):
+            monkeypatch.setattr(module, "edge_key", forbidden)
     # soups 0-9, then on until one has a holonomy -1 loop: a soup has 0.12 of
     # them on average, so ten soups alone have none 29 % of the time
     negatives, seed = 0, 0
     while seed < 10 or (not negatives and seed < 200):
         soup = sampler.sample(seed)
         seed += 1
-        calls.clear()
         plus, minus = split_by_holonomy(soup, gauge)
-        assert list(map(id, calls)) == list(map(id, soup.loops))
         assert sorted(map(id, plus.loops + minus.loops)) == sorted(map(id, soup.loops))
-        assert all(loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
-        assert all(loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
+        odd = {id(lp): np.count_nonzero(gauge.interior_signs[lp.edges] == -1) % 2
+               for lp in soup.loops}
+        assert all(odd[id(lp)] == 0 and loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
+        assert all(odd[id(lp)] == 1 and loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
         whole = sampler.occupation_vector(soup)
         parts = sampler.occupation_vector(plus) + sampler.occupation_vector(minus)
         assert np.allclose(parts, whole, rtol=1e-12, atol=0.0)
+        assert list(occupation_field(soup).local_time.values()) == whole.tolist()
         negatives += len(minus.loops)
     assert negatives > 0
 
@@ -416,13 +448,23 @@ def test_split_trivial_gauge_negative_empty(pt_net):
     assert minus.loops == ()
 
 
+def crafted_loop(net, ids: tuple[str, ...]) -> Loop:
+    """The integer loop through the vertex ids, in order, back to the first:
+    interior indices and positions in net.interior_edges, a unit time each."""
+    position = {k: e for e, k in enumerate(net.interior_edges[0])}
+    return Loop(np.array([net.interior_index[v] for v in ids]),
+                np.array([position[edge_key(a, b)] for a, b in zip(ids, ids[1:] + ids[:1])]),
+                np.ones(len(ids)))
+
+
 def test_crafted_skeleton_even_traversals_positive(pt):
     net, gauge = pt
-    lp = Loop(("x", "y", "z", "x", "z", "y"), np.ones(6))  # crosses yz twice
+    lp = crafted_loop(net, ("x", "y", "z", "x", "z", "y"))  # crosses yz twice
+    assert lp.skeleton.tolist() == [0, 1, 2, 0, 2, 1]
     assert loop_holonomy(gauge, lp) == 1
-    lp2 = Loop(("y", "z"), np.ones(2))  # out-and-back over the -1 edge
+    lp2 = crafted_loop(net, ("y", "z"))  # out-and-back over the -1 edge
     assert loop_holonomy(gauge, lp2) == 1
-    lp3 = Loop(("x", "y", "z"), np.ones(3))  # the triangle
+    lp3 = crafted_loop(net, ("x", "y", "z"))  # the triangle
     assert loop_holonomy(gauge, lp3) == -1
 
 
@@ -511,16 +553,15 @@ def soup_statistics(sampler, n: int, seed: int):
     """Over n soups from one generator: the number of soups; every loop's
     root level and number of excursions (visits to the root); every
     excursion's number of jumps; each soup's occupation total."""
-    index = sampler.network.interior_index
     rng = np.random.default_rng(seed)
     roots, excursions, lengths, totals = [], [], [], []
     for _ in range(n):
         soup = sampler.sample_with(rng, seed)
         for lp in soup.loops:
-            visits = [k for k, v in enumerate(lp.skeleton) if v == lp.skeleton[0]]
-            roots.append(index[lp.skeleton[0]])
+            visits = np.flatnonzero(lp.skeleton == lp.skeleton[0])
+            roots.append(int(lp.skeleton[0]))
             excursions.append(len(visits))
-            lengths.extend(np.diff(visits + [len(lp.skeleton)]).tolist())
+            lengths.extend(np.diff(np.append(visits, len(lp.skeleton))).tolist())
         totals.append(float(sampler.occupation_vector(soup).sum()))
     return n, np.array(roots), np.array(excursions), np.array(lengths), np.array(totals)
 
