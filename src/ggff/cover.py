@@ -136,6 +136,11 @@ def _balanced(lab: np.ndarray) -> np.ndarray:
     return (lab[:, :, 0] != lab[:, :, 1]).all(axis=1)
 
 
+def _label_sign(lab: np.ndarray) -> np.ndarray:
+    """The canonical recolouring read off _cover_labels labels: +1 where even."""
+    return 1 - 2 * (lab % 2)
+
+
 def is_cover_connected(cover: DoubleCover) -> bool:
     return cover.cover_network.is_connected()
 

@@ -67,7 +67,7 @@ def are_gauge_equivalent(sigma: GaugeField, sigma_prime: GaugeField) -> Optional
     On a connected network exactly two certificates exist (vs and -vs); the
     returned one has +1 at the smallest vertex id.
     """
-    from .cover import _balanced, _cover_labels  # cover imports DiscretePath from here
+    from .cover import _balanced, _cover_labels, _label_sign  # cover imports this module
 
     if sigma.network != sigma_prime.network:
         raise ValueError("gauge fields live on different networks")
@@ -81,7 +81,7 @@ def are_gauge_equivalent(sigma: GaugeField, sigma_prime: GaugeField) -> Optional
     lab = _cover_labels(len(order), u, v, rel, np.ones((len(keys), 1), dtype=bool))
     if not _balanced(lab)[0]:
         return None
-    return VertexSigns(net, {x: 1 - 2 * int(label % 2) for x, label in zip(order, lab[0, :, 0])})
+    return VertexSigns(net, dict(zip(order, _label_sign(lab[0, :, 0]).tolist())))
 
 
 def is_trivial(gauge: GaugeField) -> tuple[bool, Optional[VertexSigns]]:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import spectral
-from .cover import _balanced, _cover_labels, build_double_cover
+from .cover import _balanced, _cover_labels, _label_sign, build_double_cover
 from .network import EdgeKey, ElectricalNetwork, GaugeField, edge_key
 from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
 
@@ -93,22 +93,16 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
 
 def _field_laplacian(network: ElectricalNetwork,
                      gauge: Optional[GaugeField] = None) -> spectral.LaplacianMatrix:
-    """The Laplacian, or the twisted one, in reversed interior order, with its
-    inverse_factor built before any worker threads share it."""
-    order = network.interior[::-1]
-    lap = (spectral.laplacian(network, order) if gauge is None
-           else spectral.twisted_laplacian(network, gauge, order))
-    lap.inverse_factor
-    return lap
+    """The Laplacian, or the twisted one, factored in descending order."""
+    return (spectral.laplacian(network, descending=True) if gauge is None
+            else spectral.twisted_laplacian(network, gauge, descending=True))
 
 
 def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n samples of covariance G = lap^-1 as columns, in sorted interior order,
-    lap being in reversed order.  With lap = C C^T and J the reversal, J C^-T J
-    is the lower Cholesky factor of G in sorted order, so for the same draws z
-    the samples are chol(G) @ z up to rounding."""
-    z = rng.standard_normal((len(lap.interior_order), n))
-    return lap.color(z[::-1].copy())[::-1]  # contiguous operands multiply fastest
+    """n samples of covariance G = lap^-1 as columns.  With lap descending and
+    J the reversal, lap.color applies J C^-T J, the lower Cholesky factor of G,
+    so for the same draws z the samples are chol(G) @ z up to rounding."""
+    return lap.color(rng.standard_normal((len(lap.interior_order), n)))
 
 
 def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samples: int,
@@ -267,7 +261,7 @@ def sign_flip_transform(config: ClusterConfiguration, gauge: GaugeField) -> dict
     if not _balanced(lab)[0]:
         raise ValueError("configuration is not in the topological event; "
                          "no harmonious coloring exists")
-    return {v: 1 - 2 * int(label % 2) for v, label in zip(config.network.interior, lab[0, :, 0])}
+    return dict(zip(config.network.interior, _label_sign(lab[0, :, 0]).tolist()))
 
 
 def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
@@ -280,9 +274,8 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
                                  n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    # L_sigma in L's order: equal operators' log determinants round alike
-    target = spectral.det_ratio_of(lap, spectral.twisted_laplacian(network, gauge,
-                                                                   lap.interior_order))
+    # L_sigma factored as L is: equal operators' log determinants round alike
+    target = spectral.det_ratio_of(lap, spectral.twisted_laplacian(network, gauge, descending=True))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 
@@ -299,7 +292,7 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     ix, iy = idx[x], idx[y]
 
     def moments(phi: np.ndarray, lab: np.ndarray) -> np.ndarray:
-        tau = 1 - 2 * (lab[:, [ix, iy], 0] % 2)
+        tau = _label_sign(lab[:, [ix, iy], 0])
         g = (tau[:, 0] * phi[ix] * tau[:, 1] * phi[iy])[_balanced(lab)]
         # sums run left to right from 0.0, in sample order: np.sum would
         # pair terms and move the estimate's last bits
@@ -331,8 +324,7 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
                                  n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    m = len(network.interior)
-    g = lap.inverse(np.array([m - 1 - ix, m - 1 - iy]))  # lap's order is reversed
+    g = lap.inverse(np.array([ix, iy]))
     target = (2.0 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1]))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 

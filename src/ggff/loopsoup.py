@@ -9,7 +9,7 @@ logarithmically distributed number of independent excursions from v_i.
 Holding times at every visit of x are exponential with rate W(x).
 
 All r_i, and the hitting probabilities that steer each excursion, come from
-one Cholesky factor of the Laplacian in reversed interior order: eliminating
+one Cholesky factor of the Laplacian in descending interior order: eliminating
 the vertices after v_i leaves the pivot D_i = W_i (1 - r_i), so
 -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
 (Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
@@ -36,8 +36,11 @@ from .gff import _field_laplacian, _fields
 from .network import ElectricalNetwork, GaugeField
 from .seeds import batch_plan, mean_se, run_batches, substream
 
-# columns of the inverse soup_moments solves for at once to read G(x,x)
-_DIAGONAL_BLOCK = 64
+
+def _equal_fields(a, b) -> bool:
+    """== for the dataclasses below: one type, equal fields, arrays compared whole."""
+    return type(a) is type(b) and all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+                                      for x, y in zip(vars(a).values(), vars(b).values()))
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class Loop:
     skeleton: np.ndarray
     edges: np.ndarray
     holding_times: np.ndarray
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,7 @@ class LoopSoupSample:
     jump_free: np.ndarray
     alpha: float
     seed: int
+    __eq__ = _equal_fields
 
     def multi_vertex_count(self) -> int:
         return len(self.loops)
@@ -92,12 +97,11 @@ class LoopSoupSampler:
             jumps[a].append((b, ce / w[a], 2 * e))
             jumps[b].append((a, ce / w[b], 2 * e + 1))
         self._jumps = [sorted(out) for out in jumps]
-        # row i of the reversed-order factor, below its diagonal, has the sum
+        # v_i's row of the descending factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
-        self._lap = spectral.laplacian(network, order=self.interior[::-1])
-        self._lap.inverse_factor  # built here, before worker threads share it
-        self.return_prob = (self._lap.below_diagonal_squares() / self.w[::-1])[::-1]
+        self._lap = spectral.laplacian(network, descending=True)
+        self.return_prob = self._lap.below_diagonal_squares() / self.w
         self.level_mass = -np.log1p(-self.return_prob)
         self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
 
@@ -117,8 +121,8 @@ class LoopSoupSampler:
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
         m, path, ends, loops, level = len(self.interior), [], [0], (), -1
         for i, size in zip(levels, sizes):
-            if i != level:  # the factor's order is reversed
-                level, h = i, memoryview(self._lap.hitting_probabilities(m - 1 - i)[::-1])
+            if i != level:
+                level, h = i, memoryview(self._lap.hitting_probabilities(i))
             x, left = i, size  # left: excursions not yet back at v_i
             while left:
                 acc, cum, out = 0.0, [], jumps[x]
@@ -146,12 +150,6 @@ class LoopSoupSampler:
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
         return _occupation(soup)
-
-    def green_diagonal(self) -> np.ndarray:
-        """G(x, x) by interior index, from the factor's inverse in column blocks."""
-        m, b = len(self.interior), _DIAGONAL_BLOCK
-        blocks = (self._lap.inverse(np.arange(j, min(m, j + b))) for j in range(0, m, b))
-        return np.concatenate([np.diag(g) for g in blocks])[::-1]
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
@@ -244,8 +242,8 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     marginal being Gamma(alpha) with scale G(x,x).
     """
     sampler = LoopSoupSampler(network, alpha)
-    lap = sampler._lap  # L_sigma takes its order: equal operators' log dets cancel exactly
-    lap_s = spectral.twisted_laplacian(network, gauge, lap.interior_order)
+    lap = sampler._lap  # L_sigma factored as L is: equal operators' log dets cancel exactly
+    lap_s = spectral.twisted_laplacian(network, gauge, descending=True)
 
     def features(soup: LoopSoupSample, _) -> np.ndarray:
         # x = (loop count, holonomy -1 count, occupation field)
@@ -255,7 +253,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
 
     s1, s2, s4 = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
     n = n_soups
-    gdiag = sampler.green_diagonal()
+    gdiag = lap.inverse_diagonal()
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
     return SoupMomentsReport(
@@ -306,7 +304,7 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     # exact decile grid of the untwisted square field per vertex:
     # P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.outer(sampler.green_diagonal(), deciles)  # (m, 9)
+    grids = np.outer(sampler._lap.inverse_diagonal(), deciles)  # (m, 9)
 
     def features(soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
         # x = (left, right), then the twisted and untwisted square fields' decile indicators

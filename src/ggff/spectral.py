@@ -1,7 +1,7 @@
 """Laplacians, Green functions, and the closed-form determinant identities.
 
-Operators are restricted to the interior vertices in sorted-id order
-(the Laplacians also take another order), with zero boundary conditions.  A
+Operators are restricted to the interior vertices in sorted-id order, with
+zero boundary conditions, and are read and written in that order.  A
 LaplacianMatrix holds its nonzero entries as index arrays and one cached
 Cholesky factor, which every quantity of it reads: the positive-definiteness
 check, the log determinant, blocks of the inverse, Gaussian fields of
@@ -31,14 +31,17 @@ from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexS
 # 2.1 ms, order 464 dense 7.3 ms vs banded 3.5 ms
 DENSE_MAX_ORDER = 1000
 
+# columns of the inverse that inverse_diagonal solves for at once
+_DIAGONAL_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
     """Interior block of -Laplacian: diagonal W(x), off-diagonal -sigma*C.
 
-    Held as its nonzero entries, at positions (rows, cols) in interior_order.
-    Its factor C C^T, C lower triangular, has position i of interior_order in
-    row pos[i]; reverse Cuthill-McKee picks pos unless fixed_order.
+    Held as its nonzero entries, at positions (rows, cols) in interior_order,
+    which every method takes and returns.  Its factor C C^T holds position i
+    in row pos[i]: reversed if descending, else by RCM if banded, else as is.
     """
 
     interior_order: tuple[str, ...]
@@ -46,7 +49,7 @@ class LaplacianMatrix:
     cols: np.ndarray
     values: np.ndarray
     kind: str  # "untwisted" | "twisted" | "cover"
-    fixed_order: bool = False
+    descending: bool = False
 
     @property
     def entries(self) -> np.ndarray:
@@ -56,60 +59,67 @@ class LaplacianMatrix:
         return a
 
     @cached_property
-    def factor(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(c, pos).  Up to DENSE_MAX_ORDER, c is cho_factor's array, whose lower
-        triangle is C, and pos is None; above it, c[k, j] = C[j + k, j]."""
+    def factor(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(c, pos, banded).  Up to DENSE_MAX_ORDER, c is cho_factor's array,
+        whose lower triangle is C; above it, c[k, j] = C[j + k, j]."""
         m = len(self.interior_order)
+        pos = np.arange(m)[::-1] if self.descending else np.arange(m)
         try:
-            if m <= DENSE_MAX_ORDER:
-                return sla.cho_factor(self.entries, lower=True)[0], None
+            if m <= DENSE_MAX_ORDER:  # pos is its own inverse here
+                return sla.cho_factor(self.entries[np.ix_(pos, pos)], lower=True)[0], pos, False
             from scipy.sparse import coo_array  # only the banded route needs scipy.sparse
             from scipy.sparse.csgraph import reverse_cuthill_mckee
-            pos = np.arange(m) if self.fixed_order else np.argsort(reverse_cuthill_mckee(
-                coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
-                symmetric_mode=True))
+            if not self.descending:
+                pos = np.argsort(reverse_cuthill_mckee(
+                    coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
+                    symmetric_mode=True))
             r, c = pos[self.rows], pos[self.cols]
             low = r >= c
             band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
             band[r[low] - c[low], c[low]] = self.values[low]
             return sla.cholesky_banded(band, lower=True, overwrite_ab=True,
-                                       check_finite=False), pos
+                                       check_finite=False), pos, True
         except np.linalg.LinAlgError as exc:
             raise InvalidNetworkError(
                 [f"{self.kind} Laplacian is not positive definite: {exc}"]) from exc
 
     def cholesky(self) -> np.ndarray:
         """C as a dense matrix, its rows in the factor's order."""
-        c, pos = self.factor
-        return np.tril(c) if pos is None else sum(
+        c, pos, banded = self.factor
+        return np.tril(c) if not banded else sum(
             np.diag(c[k, :len(pos) - k], -k) for k in range(len(c)))
 
     def log_det(self) -> float:
-        c, pos = self.factor
-        return 2.0 * float(np.sum(np.log(np.diag(c) if pos is None else c[0])))
+        c, _, banded = self.factor
+        return 2.0 * float(np.sum(np.log(c[0] if banded else np.diag(c))))
 
     def inverse(self, sel: np.ndarray | None = None) -> np.ndarray:
         """The sel x sel block of the inverse (sel: positions in
         interior_order), or all of it.  Banded, with E the selected unit
         columns and Y = C^-1 E, the block is E^T A^-1 E = Y^T Y."""
-        c, pos = self.factor
-        m = len(self.interior_order)
-        cols = np.arange(m) if sel is None else sel
-        rhs = np.zeros((m, len(cols)), order="F")  # dtbtrs solves in place
-        rhs[cols if pos is None else pos[cols], np.arange(len(cols))] = 1.0
-        if pos is None:
-            return sla.cho_solve((c, True), rhs, check_finite=False)[cols]
+        c, pos, banded = self.factor
+        rows = pos if sel is None else pos[sel]
+        rhs = np.zeros((len(pos), len(rows)), order="F")  # dtbtrs solves in place
+        rhs[rows, np.arange(len(rows))] = 1.0
+        if not banded:
+            return sla.cho_solve((c, True), rhs, check_finite=False)[rows]
         y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
         return y.T @ y
+
+    def inverse_diagonal(self) -> np.ndarray:
+        """The inverse's diagonal by position in interior_order, solved for
+        _DIAGONAL_BLOCK columns at a time, in the factor's order."""
+        sel, b = np.argsort(self.factor[1]), _DIAGONAL_BLOCK
+        return np.concatenate([np.diag(self.inverse(sel[j:j + b]))
+                               for j in range(0, len(sel), b)])[self.factor[1]]
 
     @cached_property
     def inverse_factor(self) -> np.ndarray | None:
         """C^-1, read-only, from one triangular inversion on the dense route;
         None on the banded route, where it would be a dense m x m array."""
-        c, pos = self.factor
-        if pos is not None:
+        if self.factor[2]:
             return None
-        inv, _ = sla.lapack.dtrtri(np.tril(c), lower=1, overwrite_c=1)
+        inv, _ = sla.lapack.dtrtri(np.tril(self.factor[0]), lower=1, overwrite_c=1)
         inv.flags.writeable = False
         return inv
 
@@ -121,30 +131,31 @@ class LaplacianMatrix:
         C factor the operator on the vertices not killed, so this is row q of
         diag(C) C^-1.  Dense, every row is read from inverse_factor; banded,
         each call is one transposed solve in the band."""
-        c, pos = self.factor
-        if pos is None:
-            return c[s, s] * self.inverse_factor[s]
+        c, pos, banded = self.factor
         q = pos[s]
+        if not banded:
+            return (c[q, q] * self.inverse_factor[q])[pos]
         rhs = np.zeros((q + 1, 1))
         rhs[q] = c[0, q]
         y, _ = sla.lapack.dtbtrs(c[:, :q + 1], rhs, uplo="L", trans="T", overwrite_b=True)
         return np.concatenate((y[:, 0], np.zeros(len(pos) - q - 1)))[pos]
 
     def color(self, z: np.ndarray) -> np.ndarray:
-        """C^-T z by position in interior_order, z's rows in the factor's order:
-        for standard normal z, columns of covariance A^-1.  Dense, a product
-        with inverse_factor; banded, one transposed solve in the band."""
-        c, pos = self.factor
-        if pos is None:
-            return self.inverse_factor.T @ z
-        return sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0][pos]
+        """W z by position in interior_order, W = P^T C^-T P^T with P^T x = x[pos],
+        so that W W^T = A^-1: for standard normal z, columns of covariance A^-1.
+        Dense, a product with inverse_factor; banded, one transposed solve in
+        the band."""
+        c, pos, banded = self.factor
+        z = z[pos]  # contiguous operands multiply fastest
+        return (sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0] if banded
+                else self.inverse_factor.T @ z)[pos]
 
     def below_diagonal_squares(self) -> np.ndarray:
         """Row sums of squares of C below its diagonal, by position in interior_order."""
-        c, pos = self.factor
-        if pos is None:
+        c, pos, banded = self.factor
+        if not banded:
             below = np.tril(c, -1)
-            return np.einsum("ij,ij->i", below, below)
+            return np.einsum("ij,ij->i", below, below)[pos]
         out = np.zeros(len(pos))
         for k in range(1, len(c)):
             out[k:] += c[k, :-k] ** 2
@@ -159,40 +170,34 @@ class GreenMatrix:
     asymmetry: float  # max |G - G^T| before symmetrization
 
     def value(self, x: str, y: str) -> float:
-        i = self.interior_order.index(x)
-        j = self.interior_order.index(y)
-        return float(self.entries[i, j])
+        return float(self.entries[self.interior_order.index(x), self.interior_order.index(y)])
 
 
 def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
-              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
-    """The operator in the given order of the interior, or in sorted order:
-    the diagonal W(x), then each of network.interior_edges both ways."""
+              descending: bool = False) -> LaplacianMatrix:
+    """The diagonal W(x), then each of network.interior_edges both ways; a
+    descending operator's inverse_factor is built before worker threads share it."""
     if gauge is not None and gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
-    fixed, order = order is not None, network.interior if order is None else order
     _, u, v, c = network.interior_edges
-    # position in order by interior index: the inverse of a permutation is its argsort
-    pos = np.argsort([network.interior_index[x] for x in order])
-    u, v, w = pos[u], pos[v], (-c if gauge is None else -(gauge.interior_signs * c))
-    d = np.arange(len(order), dtype=np.intp)
-    degrees = np.array([network.weighted_degree(x) for x in order], dtype=float)
-    lap = LaplacianMatrix(order, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
-                          np.concatenate((degrees, w, w)), kind, fixed)
+    w = -c if gauge is None else -(gauge.interior_signs * c)
+    d = np.arange(len(network.interior), dtype=np.intp)
+    degrees = np.array([network.weighted_degree(x) for x in network.interior], dtype=float)
+    lap = LaplacianMatrix(network.interior, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
+                          np.concatenate((degrees, w, w)), kind, descending)
     lap.factor  # positive definiteness is part of the contract
+    if descending:
+        lap.inverse_factor
     return lap
 
 
-def laplacian(network: ElectricalNetwork,
-              order: tuple[str, ...] | None = None) -> LaplacianMatrix:
-    """In sorted interior order, or in the given order of the interior."""
-    return _assemble(network, None, "untwisted", order)
+def laplacian(network: ElectricalNetwork, descending: bool = False) -> LaplacianMatrix:
+    return _assemble(network, None, "untwisted", descending)
 
 
 def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField,
-                      order: tuple[str, ...] | None = None) -> LaplacianMatrix:
-    """In sorted interior order, or in the given order of the interior."""
-    return _assemble(network, gauge, "twisted", order)
+                      descending: bool = False) -> LaplacianMatrix:
+    return _assemble(network, gauge, "twisted", descending)
 
 
 def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -23,13 +24,26 @@ NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def test_sampler_determinism(pt_net):
-    s1 = sample_loop_soup(pt_net, 0.5, seed=1)
-    s2 = sample_loop_soup(pt_net, 0.5, seed=1)
-    assert len(s1.loops) == len(s2.loops)
-    assert all(np.array_equal(a.skeleton, b.skeleton) and np.array_equal(a.edges, b.edges)
-               and np.array_equal(a.holding_times, b.holding_times)
-               for a, b in zip(s1.loops, s2.loops))
-    assert np.array_equal(s1.jump_free, s2.jump_free)
+    """Seed 0 has loops with jumps, so the comparison reaches their arrays."""
+    s1 = sample_loop_soup(pt_net, 0.5, seed=0)
+    s2 = sample_loop_soup(pt_net, 0.5, seed=0)
+    assert s1.loops
+    assert s1 == s2
+
+
+def test_loops_and_soups_compare_by_value(pt_net):
+    """== answers, without raising, over the numpy fields of loops and soups."""
+    soup = sample_loop_soup(pt_net, 0.5, seed=0)
+    loop = soup.loops[0]
+    copy = Loop(loop.skeleton.copy(), loop.edges.copy(), loop.holding_times.copy())
+    other = Loop(loop.skeleton, loop.edges, loop.holding_times * 2.0)
+    assert loop == copy and not loop != copy
+    assert loop != other and not loop == other
+    assert loop != loop.skeleton and soup != loop
+    assert soup == dataclasses.replace(soup, jump_free=soup.jump_free.copy())
+    assert soup != dataclasses.replace(soup, loops=soup.loops[1:])
+    assert soup != dataclasses.replace(soup, jump_free=soup.jump_free + 1.0)
+    assert soup != dataclasses.replace(soup, seed=soup.seed + 1)
 
 
 def test_return_probabilities_pt(pt_net):
@@ -81,10 +95,8 @@ def solved_return_probabilities(net) -> np.ndarray:
 
 
 def sampler_hitting_probabilities(sampler) -> np.ndarray:
-    """The h table the sampler walks by, one row per level in interior order
-    (its factor runs in reversed order)."""
-    m = len(sampler.interior)
-    return np.array([sampler._lap.hitting_probabilities(m - 1 - i)[::-1] for i in range(m)])
+    """The h table the sampler walks by, one row per level in interior order."""
+    return np.array([sampler._lap.hitting_probabilities(i) for i in range(len(sampler.interior))])
 
 
 def elimination_test_networks():
@@ -113,14 +125,17 @@ def test_hitting_probabilities_match_linear_solves():
 
 def test_hitting_probabilities_follow_the_factor_order(monkeypatch):
     """Banded in reverse Cuthill-McKee order, a vertex's row is killed at the
-    vertices after it in that order: the dense factor in the same order gives
-    the same rows."""
+    vertices after it in that order: the dense factor of the operator
+    renumbered into that order gives the same rows."""
     net, _ = holed_grid()
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
     banded = spectral.laplacian(net)
-    pos = banded.factor[1]
+    _, pos, _ = banded.factor
     monkeypatch.undo()
-    dense = spectral.laplacian(net, order=tuple(net.interior[k] for k in np.argsort(pos)))
+    order = np.argsort(pos)
+    a = banded.entries[np.ix_(order, order)]
+    dense = spectral.LaplacianMatrix(tuple(net.interior[k] for k in order), *np.nonzero(a),
+                                     a[a != 0], "untwisted")
     for s in range(0, len(pos), 7):
         row = banded.hitting_probabilities(s)
         same = dense.hitting_probabilities(pos[s])[pos]
@@ -150,7 +165,7 @@ def test_no_later_interior_neighbour_gives_exactly_zero(pt_net, monkeypatch):
 @pytest.mark.parametrize("make", [lambda: polar_annulus(6, 8), holed_grid],
                          ids=["annulus-6x8", "holed-grid"])
 def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
-    """The sampler's banded factor keeps the reversed sorted order: its return
+    """The sampler's banded factor keeps the descending sorted order: its return
     probabilities equal the dense route's, with the same exact zeros."""
     net, _ = make()
     dense = LoopSoupSampler(net, 0.5)
@@ -619,7 +634,7 @@ def test_two_sample_test_rejects_an_untilted_walk(rejection_statistics, monkeypa
     excursions are not the conditioned ones.  A twentieth of the soups
     suffice."""
     def untilted(lap, s):
-        return (np.arange(len(lap.interior_order)) <= s).astype(float)
+        return (np.arange(len(lap.interior_order)) >= s).astype(float)
 
     make, n = TWO_SAMPLE_NETWORKS[name]
     monkeypatch.setattr(spectral.LaplacianMatrix, "hitting_probabilities", untilted)

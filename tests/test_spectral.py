@@ -301,15 +301,11 @@ FACTORED_OPERATIONS = {
     "sample_cover_gff_batch": (1, 0)}
 
 
-@pytest.mark.parametrize("operation", sorted(FACTORED_OPERATIONS))
-def test_each_operation_factors_each_operator_once(monkeypatch, operation):
-    """On the 6 x 8 annulus: L, L_sigma and the cover Laplacian are factored
-    once per operation, in the reversed order a loop-soup sampler keeps where
-    a field is drawn or a soup sampled; fields and targets read those factors,
-    and no Green matrix is factored."""
+def factored_operation(operation: str):
+    """The call of FACTORED_OPERATIONS named operation, on the 6 x 8 annulus."""
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
     x, y = "r03s07", "r03s00"
-    run = {
+    return {
         "event": lambda: ggff.estimate_event_probability(net, gauge, 64, 1),
         "moment": lambda: ggff.conditional_moment(net, gauge, (x, y), 64, 1),
         "connectivity": lambda: ggff.two_point_connectivity(net, (x, y), 64, 1),
@@ -317,6 +313,15 @@ def test_each_operation_factors_each_operator_once(monkeypatch, operation):
         "kl_isomorphism_check": lambda: ggff.kl_isomorphism_check(net, gauge, 4, 1),
         "sample_cover_gff_batch": lambda: ggff.sample_cover_gff_batch(net, gauge, 1, 4),
     }[operation]
+
+
+@pytest.mark.parametrize("operation", sorted(FACTORED_OPERATIONS))
+def test_each_operation_factors_each_operator_once(monkeypatch, operation):
+    """On the 6 x 8 annulus: L, L_sigma and the cover Laplacian are factored
+    once per operation, in the descending order a loop-soup sampler keeps
+    where a field is drawn or a soup sampled; fields and targets read those
+    factors, and no Green matrix is factored."""
+    run = factored_operation(operation)
     orders = factor_orders(monkeypatch, "cho_factor")
     green_orders = []
     real = np.linalg.cholesky
@@ -357,6 +362,38 @@ def test_only_spectral_factors_a_matrix():
              for path in Path(ggff.__file__).parent.glob("*.py")}
     assert found.pop("spectral.py")  # the pattern finds spectral's own calls
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# an index or an order reversed by hand
+REVERSAL = re.compile(r"\[::-1\]|\bm - 1 -")
+
+
+def test_only_spectral_chooses_an_elimination_order(pt, monkeypatch):
+    """Every Laplacian is held and addressed in its network's sorted interior
+    order, and only ggff.spectral reverses one: no other module reverses an
+    order or an index, and every operator that the factored operations and
+    the identity suite assemble has its network's interior as its order."""
+    found = {path.name: [line for line in path.read_text().splitlines()
+                         if REVERSAL.search(line)]
+             for path in Path(ggff.__file__).parent.glob("*.py") if path.name != "spectral.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sorted_order = []
+    real = spectral._assemble
+
+    def recording(network, *args, **kwargs):
+        lap = real(network, *args, **kwargs)
+        sorted_order.append(lap.interior_order == network.interior)
+        return lap
+
+    monkeypatch.setattr(spectral, "_assemble", recording)
+    for operation in sorted(FACTORED_OPERATIONS):
+        factored_operation(operation)()
+    for network, sigma in (pt, load_network(NETWORKS / "annulus-6x8.json")):
+        identity_checks(network, sigma)
+    # each operation's operators, and per suite L, L_sigma, L_{vs.sigma}, the
+    # cover Laplacian and the four subdivided Laplacians
+    assert len(sorted_order) == sum(n for n, _ in FACTORED_OPERATIONS.values()) + 2 * 8
+    assert all(sorted_order)
 
 
 def _both_routes(monkeypatch, network, vertices, gauge=None):
@@ -465,15 +502,19 @@ def test_annulus_ladder_converges_to_the_continuum():
 
 
 def test_banded_factor_reproduces_the_renumbered_operator(pt, monkeypatch):
-    """C C^T is the operator with position i of interior_order in row pos[i]."""
+    """C C^T is the operator with position i of interior_order in row pos[i],
+    pos being the reversal for a descending operator."""
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
     net, gauge = pt
-    lap = twisted_laplacian(net, gauge)
-    chol, (_, pos) = lap.cholesky(), lap.factor
-    renumbered = lap.entries[np.ix_(np.argsort(pos), np.argsort(pos))]
-    assert np.array_equal(chol, np.tril(chol))
-    assert np.max(np.abs(chol @ chol.T - renumbered)) < 1e-12
-    assert lap.log_det() == pytest.approx(math.log(7), abs=1e-12)
+    for descending in (False, True):
+        lap = twisted_laplacian(net, gauge, descending)
+        chol, (_, pos, banded) = lap.cholesky(), lap.factor
+        assert banded and lap.interior_order == net.interior
+        assert not descending or pos.tolist() == [2, 1, 0]
+        renumbered = lap.entries[np.ix_(np.argsort(pos), np.argsort(pos))]
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.max(np.abs(chol @ chol.T - renumbered)) < 1e-12
+        assert lap.log_det() == pytest.approx(math.log(7), abs=1e-12)
 
 
 def test_non_positive_definite_operator_on_the_banded_route_raises(pt, monkeypatch):
