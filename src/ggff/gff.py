@@ -93,9 +93,12 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
 
 def _field_laplacian(network: ElectricalNetwork,
                      gauge: Optional[GaugeField] = None) -> spectral.LaplacianMatrix:
-    """The Laplacian, or the twisted one, factored in descending order."""
-    return (spectral.laplacian(network, descending=True) if gauge is None
-            else spectral.twisted_laplacian(network, gauge, descending=True))
+    """The Laplacian, or the twisted one, factored in descending order, its
+    inverse_factor built before worker threads share it."""
+    lap = (spectral.laplacian(network, descending=True) if gauge is None
+           else spectral.twisted_laplacian(network, gauge, descending=True))
+    lap.inverse_factor
+    return lap
 
 
 def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -13,6 +13,10 @@ one Cholesky factor of the Laplacian in descending interior order: eliminating
 the vertices after v_i leaves the pivot D_i = W_i (1 - r_i), so
 -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
 (Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
+On the dense route the sampler turns every level's h into one table of
+transition CDFs at set-up, m x J floats for J interior jumps, and a jump
+bisects it; on the banded route h is one solve per level, and each jump forms
+its own weights from it.
 
 Jump-free loops never leave one vertex; at x their durations form a Poisson
 process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
@@ -88,15 +92,15 @@ class LoopSoupSampler:
         self.interior = network.interior
         self.w = np.array([network.weighted_degree(v) for v in self.interior])
         self.mean_holding = 1.0 / self.w
-        # each vertex's jumps as (target, probability, jump) by target, leaving out the
-        # boundary, which kills; jump 2e runs along interior edge e from u to v, 2e + 1 back
+        # the jumps by source, then target, leaving out the boundary, which kills;
+        # jump 2e runs along interior edge e from u to v, 2e + 1 back
         _, u, v, c = network.interior_edges
-        self._jump_source, w = np.stack((u, v), axis=1).ravel(), self.w.tolist()
-        jumps = [[] for _ in w]
-        for e, (a, b, ce) in enumerate(zip(u.tolist(), v.tolist(), c.tolist())):
-            jumps[a].append((b, ce / w[a], 2 * e))
-            jumps[b].append((a, ce / w[b], 2 * e + 1))
-        self._jumps = [sorted(out) for out in jumps]
+        self._jump_source = np.stack((u, v), axis=1).ravel()
+        jump = np.lexsort((np.stack((v, u), axis=1).ravel(), self._jump_source))
+        src, dst = self._jump_source[jump], self._jump_source[jump ^ 1]  # 2e + 1 reverses 2e
+        prob = np.repeat(c, 2)[jump] / self.w[src]  # P(x, y) = C(e) / W(x)
+        vertices = np.arange(len(self.interior))
+        first, last = np.searchsorted(src, vertices), np.searchsorted(src, vertices, "right") - 1
         # v_i's row of the descending factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
@@ -104,14 +108,38 @@ class LoopSoupSampler:
         self.return_prob = self._lap.below_diagonal_squares() / self.w
         self.level_mass = -np.log1p(-self.return_prob)
         self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
+        spans = list(zip(first.tolist(), last.tolist()))
+        if self._lap.factor[2]:  # banded: each source's (target, P, jump), weighed per jump
+            out = list(zip(dst.tolist(), prob.tolist(), jump.tolist()))
+            self._jumps, self._rows = [out[a:b + 1] for a, b in spans], None
+        else:  # dense: each source's slice of the table, and each jump's target, id and slice
+            self._spans = spans
+            self._hops = [(y, j, *spans[y]) for y, j in zip(dst.tolist(), jump.tolist())]
+            self._rows = self._transition_rows(src, dst, prob, first)
+
+    def _transition_rows(self, src, dst, prob, first) -> list[memoryview]:
+        """Row i of the m x J table: each source's running sum of P(x, y) h_i(y)
+        in target order, restarted at each source.  The sums add one rank
+        within a source at a time, so each entry rounds as the sum acc += P h
+        over the source's jumps would; a cumsum along the row would not."""
+        table = self._lap.hitting_probabilities(np.arange(len(self.interior))).T[:, dst]
+        table *= prob
+        rank = np.arange(len(dst)) - first[src]
+        for r in range(1, int(rank.max(initial=0)) + 1):
+            k = np.flatnonzero(rank == r)
+            table[:, k] += table[:, k - 1]
+        table.flags.writeable = False
+        return list(map(memoryview, table))
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
         """Loops arrive as one unit-rate Poisson process on [0, alpha * loop
         mass), a point's level being the cell of the cumulative level masses
         it falls in.  An excursion from v_i jumps from x to y with weight
         P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1} or the boundary).
-        Levels and excursion counts are drawn before the walks, which leave them be."""
-        jumps, cum_mass, gap = self._jumps, self._cum_mass, rng.standard_exponential
+        Levels and excursion counts are drawn before the walks, which leave them be.
+        Dense, a jump bisects x's slice of level i's row of the transition table;
+        banded, x's weights are formed at each jump from h, one solve per level."""
+        cum_mass, gap = self._cum_mass, rng.standard_exponential
         levels, t = [], gap()
         while t < cum_mass[-1]:
             levels.append(bisect_right(cum_mass, t))
@@ -120,20 +148,28 @@ class LoopSoupSampler:
         # uniforms come from the generator in blocks of 32
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
         m, path, ends, loops, level = len(self.interior), [], [0], (), -1
+        # killed targets come first in each source's jumps and the last one has
+        # h > 0, so no rounding of the uniform picks a zero-weight target
         for i, size in zip(levels, sizes):
-            if i != level:
-                level, h = i, memoryview(self._lap.hitting_probabilities(i))
             x, left = i, size  # left: excursions not yet back at v_i
-            while left:
-                acc, cum, out = 0.0, [], jumps[x]
-                for y, p, _ in out:
-                    acc += p * h[y]
-                    cum.append(acc)
-                # killed targets come first and the last one has h > 0, so no
-                # rounding of the uniform picks a zero-weight target
-                x, _, jump = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)]
-                path.append(jump)
-                left -= x == i
+            if self._rows is None:
+                if i != level:
+                    level, h = i, memoryview(self._lap.hitting_probabilities(i))
+                jumps = self._jumps
+                while left:
+                    acc, cum, out = 0.0, [], jumps[x]
+                    for y, p, _ in out:
+                        acc += p * h[y]
+                        cum.append(acc)
+                    x, _, jump = out[bisect_right(cum, next(uniforms) * acc, 0, len(cum) - 1)]
+                    path.append(jump)
+                    left -= x == i
+            else:
+                row, hops, (a, b) = self._rows[i], self._hops, self._spans[i]
+                while left:
+                    x, jump, a, b = hops[bisect_right(row, next(uniforms) * row[b], a, b)]
+                    path.append(jump)
+                    left -= x == i
             ends.append(len(path))
         if path:  # exponential holding times, one draw for the whole soup
             path = np.array(path)

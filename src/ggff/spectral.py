@@ -115,26 +115,31 @@ class LaplacianMatrix:
 
     @cached_property
     def inverse_factor(self) -> np.ndarray | None:
-        """C^-1, read-only, from one triangular inversion on the dense route;
-        None on the banded route, where it would be a dense m x m array."""
+        """C^-1, read-only, from one triangular inversion on the dense route,
+        built on first read; None on the banded route, where it would be a
+        dense m x m array.  An operator shared by worker threads is read here
+        before they start."""
         if self.factor[2]:
             return None
         inv, _ = sla.lapack.dtrtri(np.tril(self.factor[0]), lower=1, overwrite_c=1)
         inv.flags.writeable = False
         return inv
 
-    def hitting_probabilities(self, s: int) -> np.ndarray:
+    def hitting_probabilities(self, s: int | np.ndarray) -> np.ndarray:
         """For the walk killed at the boundary and at every vertex after
         interior_order[s] in the factor's order, the chance from each vertex,
         by position in interior_order, of reaching interior_order[s]; 0.0
         exactly where it is killed.  With q = pos[s], the leading q + 1 rows of
         C factor the operator on the vertices not killed, so this is row q of
-        diag(C) C^-1.  Dense, every row is read from inverse_factor; banded,
-        each call is one transposed solve in the band."""
+        diag(C) C^-1.  An array s gives one such column per position.  Dense,
+        the rows are one gather from inverse_factor, each scaled by its
+        c[q, q]; banded, each position is one transposed solve in the band."""
         c, pos, banded = self.factor
         q = pos[s]
         if not banded:
-            return (c[q, q] * self.inverse_factor[q])[pos]
+            return (c[q, q, None] * self.inverse_factor[q])[..., pos].T
+        if q.ndim:
+            return np.stack([self.hitting_probabilities(t) for t in s], axis=-1)
         rhs = np.zeros((q + 1, 1))
         rhs[q] = c[0, q]
         y, _ = sla.lapack.dtbtrs(c[:, :q + 1], rhs, uplo="L", trans="T", overwrite_b=True)
@@ -175,8 +180,7 @@ class GreenMatrix:
 
 def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
               descending: bool = False) -> LaplacianMatrix:
-    """The diagonal W(x), then each of network.interior_edges both ways; a
-    descending operator's inverse_factor is built before worker threads share it."""
+    """The diagonal W(x), then each of network.interior_edges both ways."""
     if gauge is not None and gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     _, u, v, c = network.interior_edges
@@ -186,8 +190,6 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
     lap = LaplacianMatrix(network.interior, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
                           np.concatenate((degrees, w, w)), kind, descending)
     lap.factor  # positive definiteness is part of the contract
-    if descending:
-        lap.inverse_factor
     return lap
 
 

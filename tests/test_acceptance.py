@@ -5,20 +5,22 @@ identities run at 1e-10 (1e-8 where two independent solves are compared).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 import ggff
 from ggff import (GaugeField, conditional_moment, detect_event,
                   estimate_event_probability, green, is_cover_connected,
-                  is_trivial, kl_isomorphism_check, two_point_connectivity)
+                  is_trivial, kl_isomorphism_check, make_cluster_configuration,
+                  two_point_connectivity)
 from ggff.cli import identity_checks
-from ggff.cover import build_double_cover
+from ggff.cover import _balanced, _cover_labels, build_double_cover
 from ggff.loopsoup import soup_moments
 
 from conftest import (cycles_balanced, pendant_triangle, random_network,
                       random_trivial_gauge, union_find_balanced)
-from test_gff import random_configuration
+from test_gff import random_marks
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -85,17 +87,29 @@ def test_criterion_4_cover_connectivity_iff_nontrivial():
 
 
 def test_criterion_5_event_detector_equivalence():
+    """10^4 random configurations, drawn in turn on 500 networks.  Each
+    network's 20 are labelled in one _cover_labels call, and every verdict is
+    compared with the union-find and the cycle detector; detect_event also
+    judges each network's first configuration."""
     rng = np.random.default_rng(5)
     total = 10_000
     agree = 0
     pairs = [random_network(rng, max_interior=7) for _ in range(500)]
-    for k in range(total):
-        net, gauge = pairs[k % len(pairs)]
-        cfg = random_configuration(rng, net)
-        a = detect_event(cfg, gauge)
-        b = union_find_balanced(cfg, gauge)
-        c = cycles_balanced(cfg, gauge)
-        agree += (a == b == c)
+    marks = [random_marks(rng, pairs[k % len(pairs)][0]) for k in range(total)]
+    for j, (net, gauge) in enumerate(pairs):
+        drawn = marks[j::len(pairs)]
+        keys, u, v, _ = net.interior_edges
+        opened = np.array([[edge_open[k] for _, edge_open in drawn] for k in keys],
+                          dtype=bool).reshape(len(keys), len(drawn))
+        balanced = _balanced(_cover_labels(len(net.interior), u, v, gauge.interior_signs, opened))
+        for s, (signs, edge_open) in enumerate(drawn):
+            cfg = SimpleNamespace(network=net, edge_open=edge_open)
+            verdicts = {bool(balanced[s]), union_find_balanced(cfg, gauge),
+                        cycles_balanced(cfg, gauge)}
+            if s == 0:
+                cfg = make_cluster_configuration(net, signs, edge_open)
+                verdicts.add(detect_event(cfg, gauge))
+            agree += len(verdicts) == 1
     report("criterion 5 (cover labelling / union-find / cycle detectors, 10^4 configs)",
            agree == total, f"{agree}/{total} agreements")
 

@@ -362,7 +362,9 @@ def brute_force_balanced(net, gauge, signs, edge_open):
     return True
 
 
-def random_configuration(rng, net):
+def random_marks(rng, net):
+    """Vertex signs, and a mark for every edge: each eligible edge is open
+    with probability 0.55."""
     signs = {v: int(rng.choice([-1, 0, 1], p=[0.45, 0.1, 0.45]))
              for v in net.interior}
     ints = set(net.interior)
@@ -371,7 +373,11 @@ def random_configuration(rng, net):
         u, v = k
         eligible = u in ints and v in ints and signs[u] == signs[v] != 0
         edge_open[k] = bool(eligible and rng.random() < 0.55)
-    return make_cluster_configuration(net, signs, edge_open)
+    return signs, edge_open
+
+
+def random_configuration(rng, net):
+    return make_cluster_configuration(net, *random_marks(rng, net))
 
 
 def test_detect_event_trivial_cases(pt):

@@ -182,6 +182,40 @@ def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
     assert np.array_equal(h_banded == 0.0, h_dense == 0.0)
 
 
+@pytest.mark.parametrize("make", [lambda: polar_annulus(6, 8), holed_grid],
+                         ids=["annulus-6x8", "holed-grid"])
+def test_banded_walk_draws_the_table_walks_loops(monkeypatch, make):
+    """The banded route forms each jump's weights from h, the dense one bisects
+    its transition table.  The routes' h agree to 1e-12, so only a uniform
+    that close to a step of a transition CDF could choose differently."""
+    net, _ = make()
+    dense = LoopSoupSampler(net, 0.5)
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    banded = LoopSoupSampler(net, 0.5)
+    assert dense._rows is not None and banded._rows is None
+    loops = 0
+    for seed in range(200):
+        soup = dense.sample(seed)
+        assert soup.loops == banded.sample(seed).loops, seed
+        loops += len(soup.loops)
+    assert loops > 800
+
+
+@pytest.mark.parametrize("threshold", [spectral.DENSE_MAX_ORDER, 0], ids=["dense", "banded"])
+def test_hitting_probabilities_of_an_array_stack_the_scalar_calls(monkeypatch, threshold):
+    """One column per position, in the order given, bit for bit the scalar
+    call's, for every factor order on either route."""
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+    rng = np.random.default_rng(43)
+    for net in (polar_annulus(6, 8)[0], holed_grid()[0]):
+        m = len(net.interior)
+        for lap in (spectral.laplacian(net, descending=True), spectral.laplacian(net)):
+            assert lap.factor[2] == (threshold == 0)
+            for s in (np.arange(m), rng.integers(0, m, 17)):
+                stacked = np.stack([lap.hitting_probabilities(t) for t in s.tolist()], axis=1)
+                assert np.array_equal(lap.hitting_probabilities(s), stacked)
+
+
 def test_banded_soup_forms_no_square_array():
     """On polar_annulus(49, 24), 1,176 interior vertices, above
     DENSE_MAX_ORDER, a soup's set-up and sampling allocate less than a
@@ -632,9 +666,9 @@ def test_h_transform_matches_the_rejection_sampler(rejection_statistics, name):
 def test_two_sample_test_rejects_an_untilted_walk(rejection_statistics, monkeypatch, name):
     """h = 1 on every vertex not killed: the walk is never killed, but its
     excursions are not the conditioned ones.  A twentieth of the soups
-    suffice."""
+    suffice.  An array of levels gets one such column each."""
     def untilted(lap, s):
-        return (np.arange(len(lap.interior_order)) >= s).astype(float)
+        return (np.subtract.outer(np.arange(len(lap.interior_order)), s) >= 0).astype(float)
 
     make, n = TWO_SAMPLE_NETWORKS[name]
     monkeypatch.setattr(spectral.LaplacianMatrix, "hitting_probabilities", untilted)
