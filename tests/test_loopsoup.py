@@ -216,6 +216,25 @@ def test_hitting_probabilities_of_an_array_stack_the_scalar_calls(monkeypatch, t
                 assert np.array_equal(lap.hitting_probabilities(s), stacked)
 
 
+def test_transition_rows_are_the_running_sums_of_each_vertexs_weights():
+    """On the dense route, level i's row holds, for each vertex x, the sums
+    acc += P(x, y) h_i(y) over x's interior neighbours y in sorted order,
+    bit for bit, with P(x, y) = C(x, y) / W(x) read off the network."""
+    for net in (polar_annulus(6, 8)[0], holed_grid()[0]):
+        sampler, ids = LoopSoupSampler(net, 0.5), net.interior
+        neighbours = [sorted(net.interior_index[w] for w, _ in net.adjacency[v]
+                             if w in net.interior_index) for v in ids]
+        for i in range(0, len(ids), 3):
+            h, row = sampler._lap.hitting_probabilities(i).tolist(), sampler._rows[i].tolist()
+            for x, (a, b) in enumerate(sampler._spans):
+                assert [y for y, *_ in sampler._hops[a:b + 1]] == neighbours[x]
+                acc, sums = 0.0, []
+                for y in neighbours[x]:
+                    acc += net.conductance(ids[x], ids[y]) / net.weighted_degree(ids[x]) * h[y]
+                    sums.append(acc)
+                assert row[a:b + 1] == sums, (i, x)
+
+
 def test_banded_soup_forms_no_square_array():
     """On polar_annulus(49, 24), 1,176 interior vertices, above
     DENSE_MAX_ORDER, a soup's set-up and sampling allocate less than a
