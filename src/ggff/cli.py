@@ -144,10 +144,6 @@ def _resolve_seed(args) -> int:
     return int(env)
 
 
-def _load(args) -> tuple[ElectricalNetwork, GaugeField]:
-    return load_network(args.network)
-
-
 def _emit(report: dict, args) -> int:
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(report, indent=2)
@@ -179,7 +175,7 @@ def _finish(report: dict, checks: list[dict]) -> dict:
 
 def cmd_validate(args) -> int:
     try:
-        net, _ = _load(args)
+        net, _ = load_network(args.network)
         rep = validate(net)
         problems = rep.problems
         name = net.name
@@ -196,7 +192,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    net, gauge = _load(args)
+    net, gauge = load_network(args.network)
     report = _envelope(args, net.name, {"dump_matrices": args.dump_matrices})
     if args.dump_matrices:
         os.makedirs(args.dump_matrices, exist_ok=True)
@@ -212,7 +208,7 @@ def cmd_estimator(args) -> int:
     """verify-theorem1, conditional-moments and connectivity: one estimate
     and its Monte Carlo verdict, the two proportions with their sample count
     for the zero-standard-error case."""
-    net, gauge = _load(args)
+    net, gauge = load_network(args.network)
     parameters = {"samples": args.samples}
     if args.command == "verify-theorem1":
         est = gff.estimate_event_probability(net, gauge, args.samples, args.seed,
@@ -236,7 +232,7 @@ def cmd_estimator(args) -> int:
 
 
 def cmd_loopsoup_test(args) -> int:
-    net, gauge = _load(args)
+    net, gauge = load_network(args.network)
     mom = loopsoup.soup_moments(net, args.alpha, args.soups, args.seed, gauge=gauge,
                                 threads=args.threads)
     checks = [_check_mc("multi-vertex loop count mean = alpha * loop_mass",
@@ -280,7 +276,7 @@ def cmd_loopsoup_test(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    net, gauge = _load(args)
+    net, gauge = load_network(args.network)
     report = _envelope(args, net.name, {"other": args.other})
     checks: list[dict] = []
     trivial, cert = is_trivial(gauge)
@@ -312,7 +308,7 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_metric_grid(args) -> int:
-    net, gauge = _load(args)
+    net, gauge = load_network(args.network)
     grid = gff.sample_metric_field(net, gauge, args.grid_points, args.seed)
     edges_out = {}
     worst = 0.0

@@ -14,12 +14,13 @@ its double cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from .gauge import DiscretePath
-from .network import Edge, ElectricalNetwork, GaugeField, VertexSigns, edge_key
+from .network import Edge, ElectricalNetwork, GaugeField, VertexSigns, _frozen, edge_key
 
 
 def cover_vertex_id(base_vertex: str, sheet: int) -> str:
@@ -39,6 +40,14 @@ class DoubleCover:
         if sheet not in (1, 2):
             raise ValueError("sheet must be 1 or 2")
         return cover_vertex_id(base_vertex, sheet)
+
+    @cached_property
+    def interior_lifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in cover_network.interior of the sheet-1 and the sheet-2
+        lifts of base.interior; read-only.  The deck swaps the two arrays."""
+        idx = self.cover_network.interior_index
+        return tuple(_frozen([idx[cover_vertex_id(x, sheet)] for x in self.base.interior],
+                             np.intp) for sheet in (1, 2))
 
 
 def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleCover:

@@ -145,7 +145,7 @@ def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int
     interior, each scaled by 1/sqrt(2)."""
     cov = build_double_cover(network, gauge)
     phi = _fields(_field_laplacian(cov.cover_network), substream(seed), n)
-    i1, i2 = spectral._sheet_lifts(cov, network.interior)
+    i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)
     return cov, phi, inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
 
@@ -282,17 +282,24 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 
+def _interior_pair(network: ElectricalNetwork, pair: tuple[str, str],
+                   message: str) -> tuple[int, int]:
+    """The positions of pair's two vertices in network.interior, else ValueError(message)."""
+    x, y = pair
+    idx = network.interior_index
+    if x not in idx or y not in idx:
+        raise ValueError(message)
+    return idx[x], idx[y]
+
+
 def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
                        pair: tuple[str, str], n_samples: int, seed: int,
                        threads: int = 1,
                        batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
     """Estimate E[tau(x) phi(x) tau(y) phi(y)] over samples in the event,
     tau being the canonical recoloring; the target is G_sigma(x,y)."""
-    x, y = pair
-    idx = network.interior_index
-    if x not in idx or y not in idx:
-        raise ValueError("conditional moments are defined at interior vertices")
-    ix, iy = idx[x], idx[y]
+    ix, iy = _interior_pair(network, pair,
+                            "conditional moments are defined at interior vertices")
 
     def moments(phi: np.ndarray, lab: np.ndarray) -> np.ndarray:
         tau = _label_sign(lab[:, [ix, iy], 0])
@@ -308,7 +315,7 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
     mean, se = mean_se(s1, s2, acc)
-    target = spectral.restricted_green(network, pair, gauge).value(x, y)
+    target = spectral.restricted_green(network, pair, gauge).value(*pair)
     return EstimatorReport(float(mean), float(se), n_samples, acc, seed, target=target)
 
 
@@ -317,11 +324,7 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
                            batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
     """Probability that two interior vertices share a sign cluster; the target
     is (2/pi) arcsin(G(x,y)/sqrt(G(x,x)G(y,y)))."""
-    x, y = pair
-    idx = network.interior_index
-    if x not in idx or y not in idx:
-        raise ValueError("connectivity is defined at interior vertices")
-    ix, iy = idx[x], idx[y]
+    ix, iy = _interior_pair(network, pair, "connectivity is defined at interior vertices")
     lap, hits = _cluster_batches(network, np.ones(len(network.interior_edges[0]), dtype=np.intp),
                                  lambda phi, lab: int((lab[:, ix, 0] == lab[:, iy, 0]).sum()),
                                  n_samples, seed, threads, batch_size)

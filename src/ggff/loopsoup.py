@@ -90,7 +90,7 @@ class LoopSoupSampler:
         self.network = network
         self.alpha = float(alpha)
         self.interior = network.interior
-        self.w = np.array([network.weighted_degree(v) for v in self.interior])
+        self.w = network.interior_degrees
         self.mean_holding = 1.0 / self.w
         # the jumps by source, then target, leaving out the boundary, which kills;
         # jump 2e runs along interior edge e from u to v, 2e + 1 back

@@ -122,6 +122,11 @@ class ElectricalNetwork:
                 _frozen([idx[b] for _, b in keys], np.intp),
                 _frozen([self.edge_map[k].conductance for k in keys], float))
 
+    @cached_property
+    def interior_degrees(self) -> np.ndarray:
+        """weighted_degree(x), W(x), of each interior vertex in interior order; read-only."""
+        return _frozen([self.weighted_degree(v) for v in self.interior], float)
+
     def is_connected(self) -> bool:
         if not self.vertices:
             return False

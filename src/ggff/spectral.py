@@ -186,9 +186,8 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
     _, u, v, c = network.interior_edges
     w = -c if gauge is None else -(gauge.interior_signs * c)
     d = np.arange(len(network.interior), dtype=np.intp)
-    degrees = np.array([network.weighted_degree(x) for x in network.interior], dtype=float)
     lap = LaplacianMatrix(network.interior, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
-                          np.concatenate((degrees, w, w)), kind, descending)
+                          np.concatenate((network.interior_degrees, w, w)), kind, descending)
     lap.factor  # positive definiteness is part of the contract
     return lap
 
@@ -264,8 +263,7 @@ def loop_mass(network: ElectricalNetwork) -> float:
 
 def loop_mass_of(network: ElectricalNetwork, lap: LaplacianMatrix) -> float:
     """loop_mass, or twisted_loop_mass, from network's Laplacian lap."""
-    lw = sum(np.log(network.weighted_degree(v)) for v in network.interior)
-    return float(lw - lap.log_det())
+    return float(sum(np.log(network.interior_degrees)) - lap.log_det())
 
 
 def twisted_loop_mass(network: ElectricalNetwork, gauge: GaugeField) -> float:
@@ -297,14 +295,6 @@ class CoverGreenReport:
     residual_deck: float       # max |G^db(psi ., psi .) - G^db|
 
 
-def _sheet_lifts(cov: DoubleCover, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in the cover's interior order of the sheet-1 and the sheet-2
-    lifts of vertices."""
-    idx = cov.cover_network.interior_index
-    return tuple(np.array([idx[cov.lift(x, sheet)] for x in vertices], dtype=np.intp)
-                 for sheet in (1, 2))
-
-
 def cover_green_relations(network: ElectricalNetwork, gauge: GaugeField) -> CoverGreenReport:
     """Check G = G11 + G12 and G_sigma = G11 - G12 on the double cover."""
     cov = build_double_cover(network, gauge)
@@ -315,16 +305,14 @@ def cover_green_relations(network: ElectricalNetwork, gauge: GaugeField) -> Cove
 def cover_green_relations_of(cov: DoubleCover, g: GreenMatrix, gs: GreenMatrix,
                              gdb: GreenMatrix) -> CoverGreenReport:
     """cover_green_relations from G, G_sigma and the cover's Green matrix."""
-    one, two = _sheet_lifts(cov, g.interior_order)
+    one, two = cov.interior_lifts
     g11 = gdb.entries[np.ix_(one, one)]
     g12 = gdb.entries[np.ix_(one, two)]
-    m = len(g.interior_order)
-    res_u = float(np.max(np.abs(g.entries - (g11 + g12)))) if m else 0.0
-    res_t = float(np.max(np.abs(gs.entries - (g11 - g12)))) if m else 0.0
-    idx = cov.cover_network.interior_index
-    deck = np.array([idx[cov.deck[a]] for a in gdb.interior_order], dtype=np.intp)
-    res_d = (float(np.max(np.abs(gdb.entries[np.ix_(deck, deck)] - gdb.entries)))
-             if gdb.entries.size else 0.0)
+    res_u = float(np.max(np.abs(g.entries - (g11 + g12)), initial=0.0))
+    res_t = float(np.max(np.abs(gs.entries - (g11 - g12)), initial=0.0))
+    deck = np.empty(len(gdb.interior_order), dtype=np.intp)  # swaps each vertex's two lifts
+    deck[one], deck[two] = two, one
+    res_d = float(np.max(np.abs(gdb.entries[np.ix_(deck, deck)] - gdb.entries), initial=0.0))
     return CoverGreenReport(res_u, res_t, res_d)
 
 
@@ -344,13 +332,12 @@ def subspace_log_determinants(network: ElectricalNetwork,
 def subspace_log_determinants_of(cov: DoubleCover,
                                  lap: LaplacianMatrix) -> tuple[float, float]:
     """subspace_log_determinants from the cover's Laplacian."""
-    base_int = cov.base.interior
-    one, two = _sheet_lifts(cov, base_int)
+    one, two = cov.interior_lifts
     a = lap.entries
     same = a[np.ix_(one, one)] + a[np.ix_(two, two)]
     cross = a[np.ix_(one, two)] + a[np.ix_(two, one)]
     blocks = (0.5 * (same + cross), 0.5 * (same - cross))
-    return tuple(LaplacianMatrix(base_int, *np.nonzero(b), b[b != 0], "cover").log_det()
+    return tuple(LaplacianMatrix(cov.base.interior, *np.nonzero(b), b[b != 0], "cover").log_det()
                  for b in blocks)
 
 

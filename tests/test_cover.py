@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,37 @@ def test_cover_structure_invariants(pt):
             assert cov.sheet[u] == cov.sheet[v]
         else:
             assert cov.sheet[u] != cov.sheet[v]
+
+
+def test_interior_lifts_read_the_cover_ids(pt):
+    """interior_lifts holds the cover positions of each interior vertex's two
+    lifts, and the deck swaps them: on PT, the 6 x 8 annulus, seeded random
+    networks with random gauges, and ids whose lifts sort in another order
+    ("(a!,1)" < "(a,1)" although "a" < "a!")."""
+    rng = np.random.default_rng(41)
+    odd = ElectricalNetwork(("a", "a!", "a1", "b"), frozenset({"b"}),
+                            (Edge("e0", "a", "a!", 1.5), Edge("e1", "a!", "a1", 0.5),
+                             Edge("e2", "a1", "b", 1.0), Edge("e3", "a", "b", 2.0)))
+    cases = [pt, load_network(Path(__file__).resolve().parent.parent / "networks"
+                              / "annulus-6x8.json"),
+             (odd, GaugeField.with_minus_edges(odd, [("a", "a!")]))]
+    cases += [random_network(rng) for _ in range(12)]
+    for net, gauge in cases:
+        cov = build_double_cover(net, gauge)
+        idx = cov.cover_network.interior_index
+        one, two = cov.interior_lifts
+        assert one.dtype == two.dtype == np.intp
+        assert one.tolist() == [idx[cov.lift(x, 1)] for x in net.interior]
+        assert two.tolist() == [idx[cov.lift(x, 2)] for x in net.interior]
+        deck = np.empty(len(idx), dtype=np.intp)
+        deck[one], deck[two] = two, one
+        assert deck.tolist() == [idx[cov.deck[a]] for a in cov.cover_network.interior]
+        for a in (one, two):
+            with pytest.raises(ValueError):
+                a[0] = 0
+    assert cases[2][0].interior == ("a", "a!", "a1")
+    one, two = build_double_cover(*cases[2]).interior_lifts
+    assert (one.tolist(), two.tolist()) == ([2, 0, 4], [3, 1, 5])
 
 
 def test_trivial_gauge_gives_two_disjoint_copies(pt_net):

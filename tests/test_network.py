@@ -226,10 +226,11 @@ def star_network() -> ElectricalNetwork:
 
 def test_integer_view_is_built_once_per_network(monkeypatch):
     """Every numeric layer reads one cached interior index, interior edge
-    list and sign array per network and gauge field."""
+    list, degree array and sign array per network and gauge field."""
     builds = []
     for owner, name in ((ElectricalNetwork, "interior_index"),
-                        (ElectricalNetwork, "interior_edges"), (GaugeField, "interior_signs")):
+                        (ElectricalNetwork, "interior_edges"),
+                        (ElectricalNetwork, "interior_degrees"), (GaugeField, "interior_signs")):
         prop = owner.__dict__[name]
 
         def counting(self, real=prop.func, name=name):
@@ -241,17 +242,19 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     spectral.laplacian(net)
     spectral.twisted_laplacian(net, gauge)
     spectral.restricted_green(net, ("x", "z"), gauge)
+    spectral.loop_mass(net)
     _field_laplacian(net)
     _field_laplacian(net, gauge)
     LoopSoupSampler(net, 0.5)
     config = sample_cluster_configuration(sample_gff(net, 1), net, 2)
     detect_event(config, gauge)
-    assert sorted(builds) == ["interior_edges", "interior_index", "interior_signs"]
+    assert sorted(builds) == ["interior_degrees", "interior_edges", "interior_index",
+                              "interior_signs"]
 
 
 def test_integer_view_is_read_only():
     net, gauge = pendant_triangle()
-    for a in (*net.interior_edges[1:], gauge.interior_signs):
+    for a in (*net.interior_edges[1:], net.interior_degrees, gauge.interior_signs):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -259,7 +262,9 @@ def test_integer_view_is_read_only():
 def test_integer_view_matches_a_derivation_from_the_edges():
     """On a star with no edge between interior vertices and on 33 random
     networks: interior positions in sorted order, the interior edges in sorted
-    key order with their ends' positions, conductances and gauge signs."""
+    key order with their ends' positions, conductances and gauge signs, and
+    each interior vertex's degree W(x), its conductances summed one by one in
+    neighbour-id order, which the loop masses' log W terms read bit for bit."""
     rng = np.random.default_rng(23)
     cases = [(star_network(), GaugeField.all_plus(star_network()))]
     cases += [random_network(rng) for _ in range(30)]
@@ -276,6 +281,23 @@ def test_integer_view_matches_a_derivation_from_the_edges():
         assert v.tolist() == [interior.index(b) for _, b in keys]
         assert c.tolist() == [net.conductance(*k) for k in keys]
         assert gauge.interior_signs.tolist() == [gauge.sign(*k) for k in keys]
+        degrees = []
+        for x in interior:
+            w = 0.0
+            for _, cond in sorted((e.v if e.u == x else e.u, e.conductance)
+                                  for e in net.edges if x in (e.u, e.v)):
+                w += cond
+            degrees.append(w)
+        assert net.interior_degrees.dtype == float
+        assert net.interior_degrees.tolist() == degrees
+        assert net.interior_degrees.tolist() == [net.weighted_degree(x) for x in interior]
+        # reference loop masses: a per-vertex sum of log weighted_degree(x)
+        lw = sum(np.log(net.weighted_degree(x)) for x in interior)
+        lap, lap_s = spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)
+        mass, mass_s = float(lw - lap.log_det()), float(lw - lap_s.log_det())
+        assert spectral.loop_mass(net) == mass
+        assert spectral.twisted_loop_mass(net, gauge) == mass_s
+        assert spectral.negative_holonomy_mass(net, gauge) == 0.5 * (mass - mass_s)
     assert cases[0][0].interior_edges[0] == ()
 
 

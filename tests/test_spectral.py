@@ -364,6 +364,23 @@ def test_only_spectral_factors_a_matrix():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# a vertex's degree, or a cover vertex's id, formed outside the module that caches it
+RECOMPUTED = {"network.py": re.compile(r"\bweighted_degree\("),
+              "cover.py": re.compile(r"\bcover_vertex_id\(|\.lift\(")}
+
+
+def test_degrees_and_lifts_are_read_from_their_objects():
+    """W(x) is formed only in ggff.network, as network.interior_degrees, and
+    the cover's vertex ids only in ggff.cover, whose interior_lifts every
+    other module reads."""
+    found = [f"{path.name}: {line.strip()}"
+             for path in Path(ggff.__file__).parent.glob("*.py")
+             for line in path.read_text().splitlines()
+             for home, pattern in RECOMPUTED.items()
+             if path.name != home and pattern.search(line)]
+    assert found == []
+
+
 # an index or an order reversed by hand
 REVERSAL = re.compile(r"\[::-1\]|\bm - 1 -")
 
