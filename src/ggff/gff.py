@@ -87,16 +87,20 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
     ends' values a, b, from one uniform per edge and column in row order.  A
     zero end, a sign change or a product a*b that underflows closes the edge."""
     ab = phi[edge_u, :] * phi[edge_v, :]
-    u = rng.random((len(edge_u), phi.shape[1]))
-    return (ab > 0) & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(ab)))
+    u = rng.random(ab.shape)
+    # where ab > 0, ab is |ab| and -expm1(-2 C ab) is in [0, 1); elsewhere it is
+    # at most -0.0, which no u in [0, 1) falls below, so one comparison decides
+    x = np.multiply(-2.0 * edge_c[:, None], ab, out=ab)
+    with np.errstate(over="ignore"):  # exp of -2 C ab overflows only where ab < 0
+        np.expm1(x, out=x)
+    return u < np.negative(x, out=x)
 
 
 def _field_laplacian(network: ElectricalNetwork,
                      gauge: Optional[GaugeField] = None) -> spectral.LaplacianMatrix:
-    """The Laplacian, or the twisted one, factored in descending order, its
-    inverse_factor built before worker threads share it."""
-    lap = (spectral.laplacian(network, descending=True) if gauge is None
-           else spectral.twisted_laplacian(network, gauge, descending=True))
+    """spectral.descending_laplacian(network, gauge), its inverse_factor built
+    before worker threads share it."""
+    lap = spectral.descending_laplacian(network, gauge)
     lap.inverse_factor
     return lap
 
@@ -278,7 +282,7 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     # L_sigma factored as L is: equal operators' log determinants round alike
-    target = spectral.det_ratio_of(lap, spectral.twisted_laplacian(network, gauge, descending=True))
+    target = spectral.det_ratio_of(lap, spectral.descending_laplacian(network, gauge))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
 

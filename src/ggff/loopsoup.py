@@ -13,10 +13,11 @@ one Cholesky factor of the Laplacian in descending interior order: eliminating
 the vertices after v_i leaves the pivot D_i = W_i (1 - r_i), so
 -log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
 (Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
-On the dense route the sampler turns every level's h into one table of
-transition CDFs at set-up, m x J floats for J interior jumps, and a jump
-bisects it; on the banded route h is one solve per level, and each jump forms
-its own weights from it.
+On the dense route every level's h becomes one table of transition CDFs,
+m x J floats for J interior jumps, and a jump bisects it; on the banded route
+h is one solve per level, and each jump forms its own weights from it.  The
+factor, the level masses and the table or jump lists do not depend on alpha:
+a network's first sampler builds them, and its later samplers read them.
 
 Jump-free loops never leave one vertex; at x their durations form a Poisson
 process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
@@ -81,14 +82,12 @@ class OccupationField:
     local_time: Mapping[str, float]
 
 
-class LoopSoupSampler:
-    """Precomputed elimination data for repeated exact soup sampling."""
+class _SoupElimination:
+    """A network's alpha-free elimination data, shared read-only by all its
+    LoopSoupSamplers: the jumps, the return probabilities and level masses
+    from its descending L, and the transition table or the banded jump lists."""
 
-    def __init__(self, network: ElectricalNetwork, alpha: float):
-        if not 0.0 < alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        self.network = network
-        self.alpha = float(alpha)
+    def __init__(self, network: ElectricalNetwork):
         self.interior = network.interior
         self.w = network.interior_degrees
         self.mean_holding = 1.0 / self.w
@@ -104,10 +103,11 @@ class LoopSoupSampler:
         # v_i's row of the descending factor, below its diagonal, has the sum
         # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
         # where W_i minus the squared pivot need not be
-        self._lap = spectral.laplacian(network, descending=True)
+        self._lap = spectral.descending_laplacian(network)
         self.return_prob = self._lap.below_diagonal_squares() / self.w
         self.level_mass = -np.log1p(-self.return_prob)
-        self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
+        for a in (self.mean_holding, self._jump_source, self.return_prob, self.level_mass):
+            a.flags.writeable = False
         spans = list(zip(first.tolist(), last.tolist()))
         if self._lap.factor[2]:  # banded: each source's (target, P, jump), weighed per jump
             out = list(zip(dst.tolist(), prob.tolist(), jump.tolist()))
@@ -130,6 +130,20 @@ class LoopSoupSampler:
             table[:, k] += table[:, k - 1]
         table.flags.writeable = False
         return list(map(memoryview, table))
+
+
+class LoopSoupSampler:
+    """Exact soup sampling at one alpha from its network's elimination data,
+    which the network's first sampler builds and caches on the network."""
+
+    def __init__(self, network: ElectricalNetwork, alpha: float):
+        if not 0.0 < alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        vars(self).update(vars(spectral.cached_on(network, "_soup_elimination",
+                                                  lambda: _SoupElimination(network))))
+        self.network = network
+        self.alpha = float(alpha)
+        self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
         """Loops arrive as one unit-rate Poisson process on [0, alpha * loop
@@ -279,7 +293,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     """
     sampler = LoopSoupSampler(network, alpha)
     lap = sampler._lap  # L_sigma factored as L is: equal operators' log dets cancel exactly
-    lap_s = spectral.twisted_laplacian(network, gauge, descending=True)
+    lap_s = spectral.descending_laplacian(network, gauge)
 
     def features(soup: LoopSoupSample, _) -> np.ndarray:
         # x = (loop count, holonomy -1 count, occupation field)
@@ -289,7 +303,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
 
     s1, s2, s4 = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
     n = n_soups
-    gdiag = lap.inverse_diagonal()
+    gdiag = lap.inverse_diagonal
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
     return SoupMomentsReport(
@@ -340,7 +354,7 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     # exact decile grid of the untwisted square field per vertex:
     # P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.outer(sampler._lap.inverse_diagonal(), deciles)  # (m, 9)
+    grids = np.outer(sampler._lap.inverse_diagonal, deciles)  # (m, 9)
 
     def features(soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
         # x = (left, right), then the twisted and untwisted square fields' decile indicators

@@ -11,7 +11,9 @@ and banded above it, where no dense matrix is formed.
 Determinants are accumulated as log determinants, so ratios never overflow.
 The `*_of` forms take operators already factored, so that a caller needing
 several quantities of one operator factors it once; a Green matrix is formed
-in full only where all its entries are used.
+in full only where all its entries are used.  The descending L and L_sigma
+that fields and loop soups are drawn from are factored once per network and
+gauge and cached there (descending_laplacian), with their Green diagonals.
 """
 
 from __future__ import annotations
@@ -60,28 +62,31 @@ class LaplacianMatrix:
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(c, pos, banded).  Up to DENSE_MAX_ORDER, c is cho_factor's array,
-        whose lower triangle is C; above it, c[k, j] = C[j + k, j]."""
+        """(c, pos, banded), its arrays read-only.  Up to DENSE_MAX_ORDER, c is
+        cho_factor's array, whose lower triangle is C; above it, c[k, j] = C[j + k, j]."""
         m = len(self.interior_order)
         pos = np.arange(m)[::-1] if self.descending else np.arange(m)
+        banded = m > DENSE_MAX_ORDER
         try:
-            if m <= DENSE_MAX_ORDER:  # pos is its own inverse here
-                return sla.cho_factor(self.entries[np.ix_(pos, pos)], lower=True)[0], pos, False
-            from scipy.sparse import coo_array  # only the banded route needs scipy.sparse
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-            if not self.descending:
-                pos = np.argsort(reverse_cuthill_mckee(
-                    coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
-                    symmetric_mode=True))
-            r, c = pos[self.rows], pos[self.cols]
-            low = r >= c
-            band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
-            band[r[low] - c[low], c[low]] = self.values[low]
-            return sla.cholesky_banded(band, lower=True, overwrite_ab=True,
-                                       check_finite=False), pos, True
+            if not banded:  # pos is its own inverse here
+                c = sla.cho_factor(self.entries[np.ix_(pos, pos)], lower=True)[0]
+            else:
+                from scipy.sparse import coo_array  # only the banded route needs scipy.sparse
+                from scipy.sparse.csgraph import reverse_cuthill_mckee
+                if not self.descending:
+                    pos = np.argsort(reverse_cuthill_mckee(
+                        coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
+                        symmetric_mode=True))
+                r, c = pos[self.rows], pos[self.cols]
+                low = r >= c
+                band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
+                band[r[low] - c[low], c[low]] = self.values[low]
+                c = sla.cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise InvalidNetworkError(
                 [f"{self.kind} Laplacian is not positive definite: {exc}"]) from exc
+        c.flags.writeable = pos.flags.writeable = False
+        return c, pos, banded
 
     def cholesky(self) -> np.ndarray:
         """C as a dense matrix, its rows in the factor's order."""
@@ -106,12 +111,16 @@ class LaplacianMatrix:
         y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
         return y.T @ y
 
+    @cached_property
     def inverse_diagonal(self) -> np.ndarray:
-        """The inverse's diagonal by position in interior_order, solved for
-        _DIAGONAL_BLOCK columns at a time, in the factor's order."""
+        """The inverse's diagonal by position in interior_order, read-only,
+        solved on first read for _DIAGONAL_BLOCK columns at a time, in the
+        factor's order."""
         sel, b = np.argsort(self.factor[1]), _DIAGONAL_BLOCK
-        return np.concatenate([np.diag(self.inverse(sel[j:j + b]))
-                               for j in range(0, len(sel), b)])[self.factor[1]]
+        diagonal = np.concatenate([np.diag(self.inverse(sel[j:j + b]))
+                                   for j in range(0, len(sel), b)])[self.factor[1]]
+        diagonal.flags.writeable = False
+        return diagonal
 
     @cached_property
     def inverse_factor(self) -> np.ndarray | None:
@@ -199,6 +208,30 @@ def laplacian(network: ElectricalNetwork, descending: bool = False) -> Laplacian
 def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField,
                       descending: bool = False) -> LaplacianMatrix:
     return _assemble(network, gauge, "twisted", descending)
+
+
+def cached_on(owner, name: str, build):
+    """owner's value called name, from build() on first use.  It is kept in
+    owner.__dict__, where functools.cached_property keeps its values, so it
+    dies with owner, and a frozen dataclass can hold it."""
+    cache = vars(owner)
+    if name not in cache:
+        cache[name] = build()
+    return cache[name]
+
+
+def descending_laplacian(network: ElectricalNetwork,
+                         gauge: GaugeField | None = None) -> LaplacianMatrix:
+    """L, or L_sigma with a gauge, in descending order: the operator that
+    fields and loop soups are drawn from.  Assembled and factored on first
+    use and cached on network, or on gauge, for every later reader."""
+    if gauge is None:
+        return cached_on(network, "_descending_laplacian",
+                         lambda: laplacian(network, descending=True))
+    if gauge.network != network:
+        raise ValueError("gauge field belongs to a different network")
+    return cached_on(gauge, "_descending_laplacian",
+                     lambda: twisted_laplacian(network, gauge, descending=True))
 
 
 def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:

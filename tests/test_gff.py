@@ -102,21 +102,22 @@ def test_estimators_on_the_banded_route_form_no_square_array():
     and read their targets from banded factors of the Laplacians, allocating
     less than a quarter of one m x m array at any time.  Their batches are
     small, because the labelling kernel's graph grows with the batch.  A
-    first run, untraced, loads the modules the banded route imports."""
+    first run, untraced, on an equal network (the traced run would otherwise
+    read its cached factors), loads the modules the banded route imports."""
     import tracemalloc
 
     net, gauge = polar_annulus(49, 24)
     m = len(net.interior)
     assert m > spectral.DENSE_MAX_ORDER
 
-    def run():
+    def run(net, gauge):
         return (estimate_event_probability(net, gauge, 256, 1, batch_size=8),
                 two_point_connectivity(net, ("r25s00", "r25s12"), 256, 2, batch_size=8))
 
-    run()
+    run(*polar_annulus(49, 24))
     tracemalloc.start()
     try:
-        event, same = run()
+        event, same = run(net, gauge)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,37 +260,53 @@ def test_empirical_open_rate_matches_formula(pt_net):
 
 def test_open_marks_match_the_sign_rule():
     """One sign test on the product phi(u)*phi(v) opens exactly the edges the
-    separate sign, zero and absolute-value tests open, from the same uniforms
-    and leaving the generator in the same state: on signed zeros, opposite
-    signs, a product that underflows to 0 and one that overflows to inf, and
-    on sampled annulus blocks."""
+    separate sign, zero and absolute-value tests open, and exactly those of
+    the out-of-place product rule with its absolute value, from the same
+    uniforms and leaving the generator in the same state: on signed zeros,
+    opposite signs, a product that underflows to 0, products whose open
+    probability saturates at 1.0, one that overflows to inf, and on seeded
+    fields, sampled annulus blocks and values spread over 400 decades."""
     def reference(phi, edge_u, edge_v, edge_c, rng):
         a, b = phi[edge_u, :], phi[edge_v, :]
         u = rng.random((len(edge_u), phi.shape[1]))
         same = (np.sign(a) == np.sign(b)) & (a != 0) & (b != 0)
         return same & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(a * b)))
 
+    def product_rule(phi, edge_u, edge_v, edge_c, rng):
+        ab = phi[edge_u, :] * phi[edge_v, :]
+        u = rng.random((len(edge_u), phi.shape[1]))
+        return (ab > 0) & (u < -np.expm1(-2.0 * edge_c[:, None] * np.abs(ab)))
+
     def check(phi, edge_u, edge_v, edge_c, seed):
-        rng, ref_rng = substream(seed), substream(seed)
+        rng = substream(seed)
         marks = _open_marks(phi, edge_u, edge_v, edge_c, rng)
-        assert np.array_equal(marks, reference(phi, edge_u, edge_v, edge_c, ref_rng))
-        assert rng.random() == ref_rng.random()
+        for rule in (reference, product_rule):
+            ref_rng = substream(seed)
+            assert np.array_equal(marks, rule(phi, edge_u, edge_v, edge_c, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
         return marks
 
     one_edge = (np.array([0]), np.array([1]), np.array([1.0]))
     pairs = [(0.0, 1.0), (-0.0, 1.0), (-0.0, -1.0), (0.0, -0.0), (1.0, -1.0),
              (-2.0, 0.5), (1e-200, 1e-200), (-1e-200, -1e-200), (1e200, 1e200),
-             (-1e200, -1e200), (1.0, 1.0), (-0.7, -0.4)]
+             (-1e200, -1e200), (1.0, 1.0), (-0.7, -0.4), (20.0, 3.0), (-1e100, -1e100)]
     with np.errstate(over="ignore"):  # 1e200 * 1e200
         grid = check(np.array(pairs * 50).T, *one_edge, 0).reshape(-1, len(pairs))
     assert not grid[:, [i for i, (a, b) in enumerate(pairs) if not a * b > 0]].any()
-    assert grid[:, pairs.index((1e200, 1e200))].all()
+    for saturated in ((1e200, 1e200), (20.0, 3.0), (-1e100, -1e100)):
+        assert -np.expm1(-2.0 * abs(saturated[0] * saturated[1])) == 1.0
+        assert grid[:, pairs.index(saturated)].all()
     # products of -900: exp(1800) would overflow without the absolute value
     check(np.array([[-30.0, 30.0, -30.0], [30.0, -30.0, -30.0]]), *one_edge, 1)
     annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
     _, eu, ev, c = annulus.interior_edges
     for seed in range(3):
-        check(_fields(_field_laplacian(annulus), substream(seed), 64), eu, ev, c, seed + 2)
+        phi = _fields(_field_laplacian(annulus), substream(seed), 64)
+        check(phi, eu, ev, c, seed + 2)
+        spread = phi * 10.0 ** substream(seed, 1).uniform(-200, 200, phi.shape)
+        spread[substream(seed, 2).random(phi.shape) < 0.05] = 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            check(spread, eu, ev, c, seed + 5)
 
 
 def per_edge_configuration(gff, network, seed):

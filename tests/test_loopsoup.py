@@ -16,8 +16,8 @@ from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, 
 from ggff import load_network, spectral
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 
-from conftest import (RejectionSoupSampler, factor_orders, holed_grid, polar_annulus,
-                      random_network)
+from conftest import (RejectionSoupSampler, factor_orders, holed_grid, pendant_triangle,
+                      polar_annulus, random_network)
 
 SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -143,15 +143,17 @@ def test_hitting_probabilities_follow_the_factor_order(monkeypatch):
         assert np.array_equal(row == 0.0, same == 0.0) and row[s] == pytest.approx(1.0)
 
 
-def test_no_later_interior_neighbour_gives_exactly_zero(pt_net, monkeypatch):
+def test_no_later_interior_neighbour_gives_exactly_zero(monkeypatch):
     """Such a vertex roots no multi-vertex loop; its r_i must be 0.0 exactly,
     not a rounding residue, so that sample_with skips it.  Checked with the
-    factor on the dense and on the banded route."""
+    factor on the dense and on the banded route, each on networks of its own,
+    since a network keeps the route its first sampler took."""
     seen = 0
     for threshold in (spectral.DENSE_MAX_ORDER, 0):
         monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
-        for net in [pt_net] + elimination_test_networks():
+        for net in [pendant_triangle()[0]] + elimination_test_networks():
             sampler = LoopSoupSampler(net, 0.5)
+            assert sampler._lap.factor[2] == (threshold == 0)
             for i, v in enumerate(net.interior):
                 if all(net.interior_index.get(w, -1) <= i for w, _ in net.adjacency[v]):
                     assert sampler.return_prob[i] == 0.0
@@ -166,13 +168,16 @@ def test_no_later_interior_neighbour_gives_exactly_zero(pt_net, monkeypatch):
                          ids=["annulus-6x8", "holed-grid"])
 def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
     """The sampler's banded factor keeps the descending sorted order: its return
-    probabilities equal the dense route's, with the same exact zeros."""
-    net, _ = make()
-    dense = LoopSoupSampler(net, 0.5)
+    probabilities equal the dense route's, with the same exact zeros.  Each
+    route samples an equal network of its own, since a network keeps the
+    route its first sampler took."""
+    dense = LoopSoupSampler(make()[0], 0.5)
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
     calls = factor_orders(monkeypatch, "cho_factor")
+    net, _ = make()
     banded = LoopSoupSampler(net, 0.5)
     assert calls == []
+    assert not dense._lap.factor[2] and banded._lap.factor[2]
     assert np.max(np.abs(banded.return_prob - dense.return_prob)) <= 1e-14
     assert np.array_equal(banded.return_prob == 0.0, dense.return_prob == 0.0)
     assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
@@ -187,11 +192,12 @@ def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
 def test_banded_walk_draws_the_table_walks_loops(monkeypatch, make):
     """The banded route forms each jump's weights from h, the dense one bisects
     its transition table.  The routes' h agree to 1e-12, so only a uniform
-    that close to a step of a transition CDF could choose differently."""
-    net, _ = make()
-    dense = LoopSoupSampler(net, 0.5)
+    that close to a step of a transition CDF could choose differently.  Each
+    route samples an equal network of its own."""
+    dense = LoopSoupSampler(make()[0], 0.5)
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
-    banded = LoopSoupSampler(net, 0.5)
+    banded = LoopSoupSampler(make()[0], 0.5)
+    assert not dense._lap.factor[2] and banded._lap.factor[2]
     assert dense._rows is not None and banded._rows is None
     loops = 0
     for seed in range(200):
@@ -239,13 +245,14 @@ def test_banded_soup_forms_no_square_array():
     """On polar_annulus(49, 24), 1,176 interior vertices, above
     DENSE_MAX_ORDER, a soup's set-up and sampling allocate less than a
     quarter of one m x m array at any time: h comes one level at a time.
-    A first set-up, untraced, loads the modules the banded route imports."""
+    A first set-up, untraced, on an equal network (the traced set-up would
+    otherwise read its cache), loads the modules the banded route imports."""
     import tracemalloc
 
     net, _ = polar_annulus(49, 24)
     m = len(net.interior)
     assert m == 1176 > spectral.DENSE_MAX_ORDER
-    LoopSoupSampler(net, 0.5)
+    LoopSoupSampler(polar_annulus(49, 24)[0], 0.5)
     tracemalloc.start()
     try:
         soup = LoopSoupSampler(net, 0.5).sample(3)
@@ -286,8 +293,33 @@ def test_sampler_setup_is_one_cholesky_and_no_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     LoopSoupSampler(net, 0.5)
     assert calls == {"cho_factor": 1, "cholesky": 0, "solve": 0}
-    LoopSoupSampler(net, 0.5)
-    assert calls == {"cho_factor": 2, "cholesky": 0, "solve": 0}
+    LoopSoupSampler(net, 0.7)  # the network's elimination is built once
+    assert calls == {"cho_factor": 1, "cholesky": 0, "solve": 0}
+
+
+def test_soup_checks_share_one_elimination(monkeypatch):
+    """soup_moments at alpha = 0.7, then kl_isomorphism_check at 1/2, on one
+    network: their samplers share one factor, which is the network's cached
+    descending L, one transition table and one set of level masses, and each
+    keeps its own alpha's cumulative masses.  L and L_sigma are factored once."""
+    net, gauge = polar_annulus(6, 8)
+    samplers, real = [], LoopSoupSampler.__init__
+
+    def recording(self, *args):
+        real(self, *args)
+        samplers.append(self)
+
+    monkeypatch.setattr(LoopSoupSampler, "__init__", recording)
+    calls = factor_orders(monkeypatch, "cho_factor")
+    soup_moments(net, 0.7, 8, 1, gauge=gauge)
+    kl_isomorphism_check(net, gauge, 8, 2)
+    assert calls == [48, 48]
+    moments, kl = samplers
+    assert moments._lap is kl._lap is spectral.descending_laplacian(net)
+    assert moments._rows is kl._rows and moments.level_mass is kl.level_mass
+    for sampler, alpha in ((moments, 0.7), (kl, 0.5)):
+        assert sampler.alpha == alpha
+        assert sampler._cum_mass == np.cumsum(alpha * sampler.level_mass).tolist()
 
 
 def test_soups_on_the_annulus_keep_their_bits_across_thread_counts():

@@ -1,5 +1,9 @@
+import dataclasses
+import gc
+import inspect
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -301,9 +305,8 @@ FACTORED_OPERATIONS = {
     "sample_cover_gff_batch": (1, 0)}
 
 
-def factored_operation(operation: str):
-    """The call of FACTORED_OPERATIONS named operation, on the 6 x 8 annulus."""
-    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+def factored_operations(net, gauge) -> dict:
+    """Each call of FACTORED_OPERATIONS, on net and gauge."""
     x, y = "r03s07", "r03s00"
     return {
         "event": lambda: ggff.estimate_event_probability(net, gauge, 64, 1),
@@ -312,7 +315,19 @@ def factored_operation(operation: str):
         "soup_moments": lambda: ggff.soup_moments(net, 0.5, 4, 1, gauge=gauge),
         "kl_isomorphism_check": lambda: ggff.kl_isomorphism_check(net, gauge, 4, 1),
         "sample_cover_gff_batch": lambda: ggff.sample_cover_gff_batch(net, gauge, 1, 4),
-    }[operation]
+    }
+
+
+def factored_operation(operation: str):
+    """The call of FACTORED_OPERATIONS named operation, on a freshly loaded
+    6 x 8 annulus, so that it reads no factor an earlier call cached."""
+    return factored_operations(*load_network(NETWORKS / "annulus-6x8.json"))[operation]
+
+
+def result_bytes(result) -> list[bytes]:
+    """Every value of an operation's report, or of its tuple of arrays, as bytes."""
+    values = vars(result).values() if dataclasses.is_dataclass(result) else result
+    return [np.asarray(v).tobytes() for v in values]
 
 
 @pytest.mark.parametrize("operation", sorted(FACTORED_OPERATIONS))
@@ -335,6 +350,56 @@ def test_each_operation_factors_each_operator_once(monkeypatch, operation):
     assert (len(orders), len(green_orders)) == FACTORED_OPERATIONS[operation]
     m = 96 if operation == "sample_cover_gff_batch" else 48
     assert set(orders + green_orders) == {m}
+
+
+def test_operations_on_one_network_share_its_factors(monkeypatch):
+    """Run in sequence on one loaded 6 x 8 annulus, the six operations factor
+    L and L_sigma once each in descending order, where they are cached for
+    the fields, soups and targets of every later call, plus the moment
+    target's sorted L_sigma and the cover Laplacian: 4 factorizations where
+    fresh networks make 10.  Every result keeps the bits of the same call on
+    a fresh network."""
+    fresh = {name: result_bytes(factored_operation(name)()) for name in FACTORED_OPERATIONS}
+    calls = factor_orders(monkeypatch, "cho_factor")
+    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+    for name, run in factored_operations(net, gauge).items():
+        assert result_bytes(run()) == fresh[name], name
+    assert calls == [48, 48, 48, 96]
+
+
+def test_cached_arrays_are_read_only(monkeypatch):
+    """The factors, inverse factors and Green diagonals cached on a network
+    and its gauge, and the soup elimination's arrays and table rows, on the
+    dense and on the banded route."""
+    for threshold in (spectral.DENSE_MAX_ORDER, 0):
+        monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+        net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+        ggff.soup_moments(net, 0.5, 4, 1, gauge=gauge)
+        ggff.kl_isomorphism_check(net, gauge, 4, 1)
+        sampler = LoopSoupSampler(net, 0.5)
+        arrays = [sampler.w, sampler.mean_holding, sampler._jump_source,
+                  sampler.return_prob, sampler.level_mass]
+        for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
+            assert lap.factor[2] == (threshold == 0)
+            arrays += [*lap.factor[:2], lap.inverse_diagonal]
+            arrays += [] if lap.factor[2] else [lap.inverse_factor]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert sampler._rows is None or all(row.readonly for row in sampler._rows)
+
+
+def test_a_network_frees_its_caches_with_itself():
+    """No registry outlives a network: once it and its gauge are deleted,
+    with their factors, elimination and Green diagonals cached, both are
+    collected."""
+    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+    for run in factored_operations(net, gauge).values():
+        run()
+    refs = [weakref.ref(net), weakref.ref(gauge), weakref.ref(spectral.descending_laplacian(net))]
+    del net, gauge, run
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 @pytest.mark.parametrize("name", ["pt", "annulus-6x8"])
@@ -362,6 +427,19 @@ def test_only_spectral_factors_a_matrix():
              for path in Path(ggff.__file__).parent.glob("*.py")}
     assert found.pop("spectral.py")  # the pattern finds spectral's own calls
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_accessor_assembles_a_descending_laplacian():
+    """Fields and soups read spectral.descending_laplacian, which caches L on
+    the network and L_sigma on the gauge; no other code in the package asks
+    for a descending operator."""
+    accessor = inspect.getsource(spectral.descending_laplacian)
+    found = [f"{path.name}: {line.strip()}"
+             for path in Path(ggff.__file__).parent.glob("*.py")
+             for line in path.read_text().splitlines()
+             if "descending=True" in line and not (path.name == "spectral.py" and line in accessor)]
+    assert found == []
+    assert accessor.count("descending=True") == 2
 
 
 # a vertex's degree, or a cover vertex's id, formed outside the module that caches it
