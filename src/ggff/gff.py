@@ -146,8 +146,11 @@ def sample_twisted_gff(network: ElectricalNetwork, gauge: GaugeField, seed: int)
 def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int, n: int):
     """(cover, phi, plus, minus): n cover-field samples phi as columns, in
     cover interior order, and their sheet sums and differences over the base
-    interior, each scaled by 1/sqrt(2)."""
-    cov = build_double_cover(network, gauge)
+    interior, each scaled by 1/sqrt(2).  The cover is built on first use and
+    cached on gauge, with the factor its network caches."""
+    if gauge.network != network:
+        raise ValueError("gauge field belongs to a different network")
+    cov = spectral.cached_on(gauge, "_double_cover", lambda: build_double_cover(network, gauge))
     phi = _fields(_field_laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)

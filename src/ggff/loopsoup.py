@@ -24,6 +24,14 @@ process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
 Gamma(alpha, rate W(x)) variable.  They all have holonomy +1, and every
 functional of the soup considered here sees them only through these totals,
 so a sample keeps them as one array, jump_free, next to its loops with jumps.
+
+The checks, soup_moments and kl_isomorphism_check, have the estimators'
+batch-worker shape: a worker samples its batch's soups one by one, each from
+its own substream, then reduces them at once, with one holonomy gather over
+all their loops, the holonomy split as a mask over those loops, one bincount
+for all their occupation fields, and sums that add the soups' rows in soup
+order, to the bit of a sum taken soup by soup.  A batch of large soups is
+reduced in a few consecutive parts, so that a worker holds a few MB.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -199,27 +207,45 @@ class LoopSoupSampler:
         return self.sample_with(substream(seed), seed)
 
     def occupation_vector(self, soup: LoopSoupSample) -> np.ndarray:
-        return _occupation(soup)
+        return _occupations((soup,))[0]
 
 
 def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> LoopSoupSample:
     return LoopSoupSampler(network, alpha).sample(seed)
 
 
-def _occupation(soup: LoopSoupSample) -> np.ndarray:
-    """Total time the soup spends at each interior vertex, by index: bincount
-    adds the loops' visits in order, then the jump-free totals."""
-    visits = np.concatenate([lp.skeleton for lp in soup.loops] + [np.arange(len(soup.jump_free))])
-    times = np.concatenate([lp.holding_times for lp in soup.loops] + [soup.jump_free])
-    return np.bincount(visits, weights=times)
+def _batch_loops(soups: Sequence[LoopSoupSample]) -> list[Loop]:
+    return [lp for soup in soups for lp in soup.loops]
+
+
+def _occupations(soups: Sequence[LoopSoupSample],
+                 minus: Optional[np.ndarray] = None) -> np.ndarray:
+    """Total time each soup spends at each interior vertex, one row per soup,
+    by index: one bincount over soup * width + vertex feeds each bin its
+    soup's loop visits in order, then its jump-free total.  Given a mask over
+    the soups' loops in order, a row is 2m wide and holds the masked loops'
+    visits in its second half, with no jump-free total there."""
+    n, m = len(soups), len(soups[0].jump_free)
+    width = m if minus is None else 2 * m
+    loops = _batch_loops(soups)
+    base = np.repeat(np.arange(0, n * width, width), [len(soup.loops) for soup in soups])
+    if minus is not None:
+        base += m * minus
+    visits = np.concatenate([lp.skeleton for lp in loops] + [np.zeros(0, np.intp)])
+    times = np.concatenate([lp.holding_times for lp in loops] + [np.zeros(0)])
+    visits += np.repeat(base, [len(lp.skeleton) for lp in loops])
+    # bincount returns integer zeros, whatever its weights, when no soup has loops
+    occ = np.bincount(visits, times, n * width).astype(float, copy=False).reshape(n, width)
+    occ[:, :m] += [soup.jump_free for soup in soups]
+    return occ
 
 
 def occupation_field(soup: LoopSoupSample) -> OccupationField:
     """Total time every loop of the soup spends at each interior vertex."""
-    return OccupationField(dict(zip(soup.network.interior, _occupation(soup).tolist())))
+    return OccupationField(dict(zip(soup.network.interior, _occupations((soup,))[0].tolist())))
 
 
-def _holonomies(loops: tuple[Loop, ...], gauge: GaugeField) -> np.ndarray:
+def _holonomies(loops: Sequence[Loop], gauge: GaugeField) -> np.ndarray:
     """Each loop's holonomy, the parity of its -1 edges as one product of signs."""
     if not loops:
         return np.ones(0, dtype=np.intp)
@@ -246,15 +272,49 @@ def split_by_holonomy(soup: LoopSoupSample,
                            soup.alpha, soup.seed))
 
 
-def _soup_sums(sampler: LoopSoupSampler, features, n_soups: int, seed: int,
+# interior vertices plus jumps, summed over the soups a batch worker holds
+# before it reduces them: a batch of pendant-triangle or small-annulus soups
+# is reduced at once, a batch of large soups in a few parts, so that the
+# soups and their reduction arrays stay a few MB
+_REDUCE_BLOCK = 1 << 15
+
+
+def _soup_sums(sampler: LoopSoupSampler, reduce, width: int, n_soups: int, seed: int,
                threads: int, batch_size: int) -> np.ndarray:
-    """Sum of features(soup, rng) over the soups in order, soup s of batch i
-    drawn from rng = substream(seed, i, s), which features may then draw from."""
+    """Sum over the soups in order of each soup's row of width floats, soup s
+    of batch i sampled by sampler.sample_with from rng = substream(seed, i, s).
+    A worker samples its batch's soups one by one, then reduce(total, soups,
+    rngs) adds their rows to total, one soup after the other, as sum() would,
+    and may draw from the rngs after their soups; the batches' sums add up in
+    run_batches, the worker shape of the estimators' _cluster_batches."""
+    m = len(sampler.interior)
+
     def worker(bi: int, bn: int) -> np.ndarray:
-        rngs = (substream(seed, bi, s) for s in range(bn))
-        return sum(features(sampler.sample_with(rng, seed), rng) for rng in rngs)
+        total, soups, rngs, held = np.zeros(width), [], [], 0
+        for s in range(bn):
+            rng = substream(seed, bi, s)
+            soup = sampler.sample_with(rng, seed)
+            soups.append(soup)
+            rngs.append(rng)
+            held += m + sum(len(lp.skeleton) for lp in soup.loops)
+            if held >= _REDUCE_BLOCK or s == bn - 1:
+                total = reduce(total, soups, rngs)
+                soups, rngs, held = [], [], 0
+        return total
 
     return run_batches(batch_plan(n_soups, batch_size), worker, threads)
+
+
+def _power_sums(total: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """total plus the rows of x, x ** 2 and x ** 4 side by side, added one
+    row after the other from total on, as sum() adds: numpy reduces a 2-d
+    array of two or more columns over its rows in row order."""
+    k = x.shape[1]
+    rows = np.empty((len(x) + 1, 3 * k))
+    rows[0], rows[1:, :k] = total, x
+    np.square(x, out=rows[1:, k:2 * k])
+    np.power(x, 4, out=rows[1:, 2 * k:])
+    return np.add.reduce(rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -294,14 +354,21 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     sampler = LoopSoupSampler(network, alpha)
     lap = sampler._lap  # L_sigma factored as L is: equal operators' log dets cancel exactly
     lap_s = spectral.descending_laplacian(network, gauge)
+    m = len(sampler.interior)
 
-    def features(soup: LoopSoupSample, _) -> np.ndarray:
-        # x = (loop count, holonomy -1 count, occupation field)
-        neg = np.count_nonzero(_holonomies(soup.loops, gauge) == -1)
-        x = np.concatenate(([soup.multi_vertex_count(), neg], sampler.occupation_vector(soup)))
-        return np.array((x, x ** 2, x ** 4))
+    def reduce(total, soups, _) -> np.ndarray:
+        # rows x = (loop count, holonomy -1 count, occupation field)
+        counts = [len(soup.loops) for soup in soups]
+        minus = _holonomies(_batch_loops(soups), gauge) == -1
+        x = np.empty((len(soups), m + 2))
+        x[:, 0] = counts
+        x[:, 1] = np.bincount(np.repeat(np.arange(len(soups)), counts)[minus],
+                              minlength=len(soups))
+        x[:, 2:] = _occupations(soups)
+        return _power_sums(total, x)
 
-    s1, s2, s4 = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
+    s1, s2, s4 = _soup_sums(sampler, reduce, 3 * (m + 2), n_soups, seed, threads,
+                            batch_size).reshape(3, m + 2)
     n = n_soups
     gdiag = lap.inverse_diagonal
     mean, se = mean_se(s1, s2, n)
@@ -351,22 +418,25 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     sampler = LoopSoupSampler(network, 0.5)
     m = len(sampler.interior)
     twisted = _field_laplacian(network, gauge)
-    # exact decile grid of the untwisted square field per vertex:
-    # P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
+    # exact decile grid of the untwisted square field per vertex, once for
+    # the twisted and once for the untwisted field: P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.outer(sampler._lap.inverse_diagonal, deciles)  # (m, 9)
+    grids = np.tile(np.outer(sampler._lap.inverse_diagonal, deciles), (2, 1))  # (2m, 9)
 
-    def features(soup: LoopSoupSample, rng: np.random.Generator) -> np.ndarray:
-        # x = (left, right), then the twisted and untwisted square fields' decile indicators
-        plus, minus = split_by_holonomy(soup, gauge)
-        phi_s = _fields(twisted, rng, 1)[:, 0]
-        phi_u = _fields(sampler._lap, rng, 1)[:, 0]  # the soups' own factor
-        x = np.concatenate((sampler.occupation_vector(plus),
-                            0.5 * phi_s ** 2 + sampler.occupation_vector(minus)))
-        return np.concatenate((x, x ** 2, x ** 4, (phi_s[:, None] ** 2 <= grids).ravel(),
-                               (phi_u[:, None] ** 2 <= grids).ravel()))
+    def reduce(total, soups, rngs) -> np.ndarray:
+        # rows x = (left, right), then the counts of the twisted and untwisted
+        # square fields under their deciles; each soup's fields come from its
+        # rng after its soup, and each is coloured on its own
+        x = _occupations(soups, _holonomies(_batch_loops(soups), gauge) == -1)
+        squares = np.empty_like(x)  # phi_sigma^2, then phi^2
+        for row, rng in zip(squares, rngs):
+            row[:m] = _fields(twisted, rng, 1)[:, 0] ** 2
+            row[m:] = _fields(sampler._lap, rng, 1)[:, 0] ** 2  # the soups' own factor
+        x[:, m:] += 0.5 * squares[:, :m]
+        below = np.column_stack([np.count_nonzero(squares <= g, axis=0) for g in grids.T])
+        return np.concatenate((_power_sums(total[:6 * m], x), total[6 * m:] + below.ravel()))
 
-    total = _soup_sums(sampler, features, n_soups, seed, threads, batch_size)
+    total = _soup_sums(sampler, reduce, 24 * m, n_soups, seed, threads, batch_size)
     s1, s2, s4 = total[:6 * m].reshape(3, 2 * m)
     n = n_soups
     mean, se = mean_se(s1, s2, n)

@@ -13,8 +13,10 @@ from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, 
                   green, kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
                   sample_loop_soup, soup_moments, split_by_holonomy,
                   negative_holonomy_mass)
-from ggff import load_network, spectral
+from ggff import load_network, loopsoup, spectral
+from ggff.gff import _field_laplacian, _fields
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
+from ggff.seeds import batch_plan, substream
 
 from conftest import (RejectionSoupSampler, factor_orders, holed_grid, pendant_triangle,
                       polar_annulus, random_network)
@@ -334,6 +336,96 @@ def test_soups_on_the_annulus_keep_their_bits_across_thread_counts():
     for field in vars(kl1):
         assert np.array_equal(getattr(kl1, field), getattr(kl2, field)), field
     assert mom1.negative_count_mean > 0
+
+
+def per_soup_occupation(soup) -> np.ndarray:
+    """One soup's occupation field as a single bincount of its loops' visits,
+    then its jump-free totals."""
+    visits = np.concatenate([lp.skeleton for lp in soup.loops] + [np.arange(len(soup.jump_free))])
+    times = np.concatenate([lp.holding_times for lp in soup.loops] + [soup.jump_free])
+    return np.bincount(visits, weights=times)
+
+
+def per_soup_sums(sampler, features, n_soups: int, seed: int, batch_size: int) -> np.ndarray:
+    """features(soup, rng) summed with sum(), soup by soup and batch by batch,
+    soup s of batch i drawn from rng = substream(seed, i, s)."""
+    def batch(bi, bn):
+        rngs = (substream(seed, bi, s) for s in range(bn))
+        return sum(features(sampler.sample_with(rng, seed), rng) for rng in rngs)
+
+    return sum(batch(i, n) for i, n in batch_plan(n_soups, batch_size))
+
+
+def moment_features(net, alpha, gauge):
+    sampler = LoopSoupSampler(net, alpha)
+
+    def features(soup, _):
+        neg = np.count_nonzero(loopsoup._holonomies(soup.loops, gauge) == -1)
+        x = np.concatenate(([soup.multi_vertex_count(), neg], per_soup_occupation(soup)))
+        return np.array((x, x ** 2, x ** 4))
+
+    return sampler, features
+
+
+def kl_features(net, gauge):
+    from scipy.special import erfinv
+
+    sampler = LoopSoupSampler(net, 0.5)
+    twisted = _field_laplacian(net, gauge)
+    deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
+    grids = np.outer(sampler._lap.inverse_diagonal, deciles)
+
+    def features(soup, rng):
+        plus, minus = split_by_holonomy(soup, gauge)
+        phi_s = _fields(twisted, rng, 1)[:, 0]
+        phi_u = _fields(sampler._lap, rng, 1)[:, 0]
+        x = np.concatenate((per_soup_occupation(plus),
+                            0.5 * phi_s ** 2 + per_soup_occupation(minus)))
+        return np.concatenate((x, x ** 2, x ** 4, (phi_s[:, None] ** 2 <= grids).ravel(),
+                               (phi_u[:, None] ** 2 <= grids).ravel()))
+
+    return sampler, features
+
+
+@pytest.mark.parametrize("block", [loopsoup._REDUCE_BLOCK, 100])
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("name", ["pt", "annulus-6x8"])
+def test_batch_reduce_keeps_the_per_soup_sums_bits(monkeypatch, name, batch_size, block):
+    """The soup checks' sums, each batch's soups reduced at once, equal to the
+    bit the sums of one feature vector per soup, at 1 and 2 threads, also
+    where a worker reduces its batch in parts (block 100).  Soup 0 of batch 0
+    on PT at seed 1 has no loop with jumps, so at batch size 1 a reduce there
+    concatenates no loop at all."""
+    net, gauge = load_network(NETWORKS / f"{name}.json")
+    n_soups, seed = 20, 1
+    monkeypatch.setattr(loopsoup, "_REDUCE_BLOCK", block)
+    sums, real = [], loopsoup._soup_sums
+    monkeypatch.setattr(loopsoup, "_soup_sums", lambda *args: sums.append(real(*args)) or sums[-1])
+    sampler, moment = moment_features(net, 0.5, gauge)
+    _, kl = kl_features(net, gauge)
+    if name == "pt":
+        assert sampler.sample_with(substream(seed, 0, 0), seed).loops == ()
+    references = [per_soup_sums(sampler, moment, n_soups, seed, batch_size).ravel(),
+                  per_soup_sums(sampler, kl, n_soups, seed, batch_size)]
+    for threads in (1, 2):
+        sums.clear()
+        soup_moments(net, 0.5, n_soups, seed, gauge=gauge, threads=threads, batch_size=batch_size)
+        kl_isomorphism_check(net, gauge, n_soups, seed, threads=threads, batch_size=batch_size)
+        assert [s.tobytes() for s in sums] == [r.tobytes() for r in references]
+
+
+def test_soup_checks_sample_each_soup_once(monkeypatch):
+    """soup_moments and kl_isomorphism_check call sample_with once per soup,
+    the call through which a traced run counts soups, loops and jumps."""
+    net, gauge = polar_annulus(6, 8)
+    calls, real = [], LoopSoupSampler.sample_with
+    monkeypatch.setattr(LoopSoupSampler, "sample_with",
+                        lambda self, rng, seed: calls.append(seed) or real(self, rng, seed))
+    monkeypatch.setattr(loopsoup, "_REDUCE_BLOCK", 100)
+    soup_moments(net, 0.5, 37, 3, gauge=gauge, batch_size=7)
+    assert calls == [3] * 37
+    kl_isomorphism_check(net, gauge, 37, 4, batch_size=7)
+    assert calls == [3] * 37 + [4] * 37
 
 
 def test_elimination_mass_matches_loop_mass_random():

@@ -367,6 +367,23 @@ def test_operations_on_one_network_share_its_factors(monkeypatch):
     assert calls == [48, 48, 48, 96]
 
 
+def test_cover_fields_on_one_gauge_share_its_cover(monkeypatch):
+    """Two cover-field calls on one loaded 6 x 8 annulus build its double
+    cover once, cached on the gauge, so the order-96 cover Laplacian is
+    factored once; each call keeps the bits of the same call on fresh objects."""
+    def runs(net, gauge):
+        return [ggff.sample_cover_gff_batch(net, gauge, 1, 4),
+                ggff.sample_cover_gff_batch(net, gauge, 2, 3)]
+
+    fresh = [result_bytes(runs(*load_network(NETWORKS / "annulus-6x8.json"))[k]) for k in (0, 1)]
+    project = ggff.sample_cover_gff_and_project(*load_network(NETWORKS / "annulus-6x8.json"), 5)
+    calls = factor_orders(monkeypatch, "cho_factor")
+    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+    assert [result_bytes(r) for r in runs(net, gauge)] == fresh
+    assert ggff.sample_cover_gff_and_project(net, gauge, 5) == project
+    assert calls == [96]
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     """The factors, inverse factors and Green diagonals cached on a network
     and its gauge, and the soup elimination's arrays and table rows, on the
