@@ -26,12 +26,16 @@ functional of the soup considered here sees them only through these totals,
 so a sample keeps them as one array, jump_free, next to its loops with jumps.
 
 The checks, soup_moments and kl_isomorphism_check, have the estimators'
-batch-worker shape: a worker samples its batch's soups one by one, each from
-its own substream, then reduces them at once, with one holonomy gather over
-all their loops, the holonomy split as a mask over those loops, one bincount
-for all their occupation fields, and sums that add the soups' rows in soup
-order, to the bit of a sum taken soup by soup.  A batch of large soups is
-reduced in a few consecutive parts, so that a worker holds a few MB.
+batch-worker shape: a worker samples its batch's soups one by one, soup s
+of batch i from the stream SeedSequence([seed, i, s]), the batch's streams
+computed at once by seeds.substreams, and draws the normals of kl's fields
+from each soup's stream right after its soup.  It then reduces the soups
+at once, with one holonomy gather over all their loops, the holonomy split
+as a mask over those loops, one bincount for all their occupation fields,
+one colouring call per operator for kl's fields, and sums that add the
+soups' rows in soup order, to the bit of a sum taken soup by soup.  A batch
+of large soups is reduced in a few consecutive parts, so that a worker
+holds a few MB.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import spectral
-from .gff import _field_laplacian, _fields
+from .gff import _field_laplacian
 from .network import ElectricalNetwork, GaugeField
-from .seeds import batch_plan, mean_se, run_batches, substream
+from .seeds import batch_plan, mean_se, run_batches, substream, substreams
 
 
 def _equal_fields(a, b) -> bool:
@@ -272,34 +276,34 @@ def split_by_holonomy(soup: LoopSoupSample,
                            soup.alpha, soup.seed))
 
 
-# interior vertices plus jumps, summed over the soups a batch worker holds
-# before it reduces them: a batch of pendant-triangle or small-annulus soups
-# is reduced at once, a batch of large soups in a few parts, so that the
-# soups and their reduction arrays stay a few MB
+# interior vertices, jumps and held normals, summed over the soups a batch
+# worker holds before it reduces them: a batch of pendant-triangle or
+# small-annulus soups is reduced at once, a batch of large soups in a few
+# parts, so that the soups and their reduction arrays stay a few MB
 _REDUCE_BLOCK = 1 << 15
 
 
-def _soup_sums(sampler: LoopSoupSampler, reduce, width: int, n_soups: int, seed: int,
-               threads: int, batch_size: int) -> np.ndarray:
+def _soup_sums(sampler: LoopSoupSampler, reduce, width: int, draws: int, n_soups: int,
+               seed: int, threads: int, batch_size: int) -> np.ndarray:
     """Sum over the soups in order of each soup's row of width floats, soup s
-    of batch i sampled by sampler.sample_with from rng = substream(seed, i, s).
-    A worker samples its batch's soups one by one, then reduce(total, soups,
-    rngs) adds their rows to total, one soup after the other, as sum() would,
-    and may draw from the rngs after their soups; the batches' sums add up in
-    run_batches, the worker shape of the estimators' _cluster_batches."""
+    of batch i sampled by sampler.sample_with from rng = substream(seed, i, s),
+    then `draws` standard normals from that rng.  A worker samples its batch's
+    soups one by one, then reduce(total, soups, normals) adds their rows to
+    total, one soup after the other, as sum() would, normals holding each
+    soup's draws as one row; the batches' sums add up in run_batches, the
+    worker shape of the estimators' _cluster_batches."""
     m = len(sampler.interior)
 
     def worker(bi: int, bn: int) -> np.ndarray:
-        total, soups, rngs, held = np.zeros(width), [], [], 0
-        for s in range(bn):
-            rng = substream(seed, bi, s)
+        total, soups, normals, held = np.zeros(width), [], [], 0
+        for s, rng in enumerate(substreams(seed, bi, bn)):
             soup = sampler.sample_with(rng, seed)
             soups.append(soup)
-            rngs.append(rng)
-            held += m + sum(len(lp.skeleton) for lp in soup.loops)
+            normals.append(rng.standard_normal(draws))
+            held += m + draws + sum(len(lp.skeleton) for lp in soup.loops)
             if held >= _REDUCE_BLOCK or s == bn - 1:
-                total = reduce(total, soups, rngs)
-                soups, rngs, held = [], [], 0
+                total = reduce(total, soups, np.array(normals))
+                soups, normals, held = [], [], 0
         return total
 
     return run_batches(batch_plan(n_soups, batch_size), worker, threads)
@@ -367,7 +371,7 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
         x[:, 2:] = _occupations(soups)
         return _power_sums(total, x)
 
-    s1, s2, s4 = _soup_sums(sampler, reduce, 3 * (m + 2), n_soups, seed, threads,
+    s1, s2, s4 = _soup_sums(sampler, reduce, 3 * (m + 2), 0, n_soups, seed, threads,
                             batch_size).reshape(3, m + 2)
     n = n_soups
     gdiag = lap.inverse_diagonal
@@ -423,20 +427,20 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
     grids = np.tile(np.outer(sampler._lap.inverse_diagonal, deciles), (2, 1))  # (2m, 9)
 
-    def reduce(total, soups, rngs) -> np.ndarray:
+    def reduce(total, soups, normals) -> np.ndarray:
         # rows x = (left, right), then the counts of the twisted and untwisted
-        # square fields under their deciles; each soup's fields come from its
-        # rng after its soup, and each is coloured on its own
+        # square fields under their deciles; each soup's 2m normals, drawn
+        # from its stream after its soup, colour to its phi_sigma and its phi,
+        # each operator colouring the stack of all soups' columns in one call
         x = _occupations(soups, _holonomies(_batch_loops(soups), gauge) == -1)
-        squares = np.empty_like(x)  # phi_sigma^2, then phi^2
-        for row, rng in zip(squares, rngs):
-            row[:m] = _fields(twisted, rng, 1)[:, 0] ** 2
-            row[m:] = _fields(sampler._lap, rng, 1)[:, 0] ** 2  # the soups' own factor
+        z = normals.reshape(len(soups), 2, m, 1)
+        squares = np.concatenate((twisted.color(z[:, 0]), sampler._lap.color(z[:, 1])),
+                                 axis=1)[:, :, 0] ** 2  # phi_sigma^2, then phi^2
         x[:, m:] += 0.5 * squares[:, :m]
         below = np.column_stack([np.count_nonzero(squares <= g, axis=0) for g in grids.T])
         return np.concatenate((_power_sums(total[:6 * m], x), total[6 * m:] + below.ravel()))
 
-    total = _soup_sums(sampler, reduce, 24 * m, n_soups, seed, threads, batch_size)
+    total = _soup_sums(sampler, reduce, 24 * m, 2 * m, n_soups, seed, threads, batch_size)
     s1, s2, s4 = total[:6 * m].reshape(3, 2 * m)
     n = n_soups
     mean, se = mean_se(s1, s2, n)

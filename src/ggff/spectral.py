@@ -158,11 +158,15 @@ class LaplacianMatrix:
         """W z by position in interior_order, W = P^T C^-T P^T with P^T x = x[pos],
         so that W W^T = A^-1: for standard normal z, columns of covariance A^-1.
         Dense, a product with inverse_factor; banded, one transposed solve in
-        the band."""
+        the band.  A stack z of shape (k, m, n) is coloured with matmul
+        semantics, each item to the bit as alone: by the same product, which
+        matmul runs item by item, or by its own solve."""
         c, pos, banded = self.factor
-        z = z[pos]  # contiguous operands multiply fastest
-        return (sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0] if banded
-                else self.inverse_factor.T @ z)[pos]
+        if banded and z.ndim == 3:
+            return np.stack([self.color(item) for item in z])
+        z = np.take(z, pos, axis=-2)  # contiguous operands multiply fastest
+        return np.take(sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0] if banded
+                       else self.inverse_factor.T @ z, pos, axis=-2)
 
     def below_diagonal_squares(self) -> np.ndarray:
         """Row sums of squares of C below its diagonal, by position in interior_order."""

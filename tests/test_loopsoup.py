@@ -389,13 +389,18 @@ def kl_features(net, gauge):
 
 @pytest.mark.parametrize("block", [loopsoup._REDUCE_BLOCK, 100])
 @pytest.mark.parametrize("batch_size", [1, 7, 256])
-@pytest.mark.parametrize("name", ["pt", "annulus-6x8"])
-def test_batch_reduce_keeps_the_per_soup_sums_bits(monkeypatch, name, batch_size, block):
+@pytest.mark.parametrize("name, dense_max_order", [
+    ("pt", spectral.DENSE_MAX_ORDER), ("annulus-6x8", spectral.DENSE_MAX_ORDER),
+    ("pt", 0), ("annulus-6x8", 0)], ids=["pt", "annulus-6x8", "pt-banded", "annulus-6x8-banded"])
+def test_batch_reduce_keeps_the_per_soup_sums_bits(monkeypatch, name, dense_max_order,
+                                                   batch_size, block):
     """The soup checks' sums, each batch's soups reduced at once, equal to the
     bit the sums of one feature vector per soup, at 1 and 2 threads, also
-    where a worker reduces its batch in parts (block 100).  Soup 0 of batch 0
-    on PT at seed 1 has no loop with jumps, so at batch size 1 a reduce there
-    concatenates no loop at all."""
+    where a worker reduces its batch in parts (block 100), and on the banded
+    route, where kl colours each soup's fields by its own solves.  Soup 0 of
+    batch 0 on PT at seed 1 has no loop with jumps, so at batch size 1 a
+    reduce there concatenates no loop at all."""
+    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", dense_max_order)
     net, gauge = load_network(NETWORKS / f"{name}.json")
     n_soups, seed = 20, 1
     monkeypatch.setattr(loopsoup, "_REDUCE_BLOCK", block)
@@ -403,6 +408,7 @@ def test_batch_reduce_keeps_the_per_soup_sums_bits(monkeypatch, name, batch_size
     monkeypatch.setattr(loopsoup, "_soup_sums", lambda *args: sums.append(real(*args)) or sums[-1])
     sampler, moment = moment_features(net, 0.5, gauge)
     _, kl = kl_features(net, gauge)
+    assert sampler._lap.factor[2] is (dense_max_order == 0)
     if name == "pt":
         assert sampler.sample_with(substream(seed, 0, 0), seed).loops == ()
     references = [per_soup_sums(sampler, moment, n_soups, seed, batch_size).ravel(),

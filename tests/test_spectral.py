@@ -433,6 +433,27 @@ def test_equal_operators_give_exact_targets(name):
     assert ggff.soup_moments(net, 0.5, 4, 1, gauge=gauge).negative_count_target == 0.0
 
 
+@pytest.mark.parametrize("name, banded", [("pt", False), ("annulus-24x12", False),
+                                          ("annulus-49x24", True)])
+def test_stacked_color_equals_each_column_alone(name, banded):
+    """color on a (k, m, 1) stack gives, item by item, the bits of color on
+    that item's column alone, for L and L_sigma in descending order: the
+    same product on the dense route, the same solve on the banded one.  The
+    stack is a strided view, as the soup check passes it."""
+    net, gauge = (load_network(NETWORKS / "pt.json") if name == "pt"
+                  else polar_annulus(*map(int, name.split("-")[1].split("x"))))
+    rng = np.random.default_rng(3)
+    for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
+        assert lap.factor[2] is banded
+        lap.inverse_factor
+        m = len(lap.interior_order)
+        stack = rng.standard_normal((5, 2, m, 1))[:, 1]
+        coloured = lap.color(stack)
+        assert coloured.shape == stack.shape
+        for item, column in zip(coloured, stack):
+            assert item.tobytes() == lap.color(column.copy()).tobytes()
+
+
 # a factorization or triangular inversion, by its name in numpy or scipy
 FACTORIZATION = re.compile(
     r"\.(?:cholesky|cho_factor|cholesky_banded|dtrtri|inv)\b"
