@@ -19,8 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gauge import DiscretePath
-from .network import Edge, ElectricalNetwork, GaugeField, VertexSigns, _frozen, edge_key
+from .network import Edge, ElectricalNetwork, GaugeField, _frozen
 
 
 def cover_vertex_id(base_vertex: str, sheet: int) -> str:
@@ -148,62 +147,3 @@ def _balanced(lab: np.ndarray) -> np.ndarray:
 def _label_sign(lab: np.ndarray) -> np.ndarray:
     """The canonical recolouring read off _cover_labels labels: +1 where even."""
     return 1 - 2 * (lab % 2)
-
-
-def is_cover_connected(cover: DoubleCover) -> bool:
-    return cover.cover_network.is_connected()
-
-
-def lift_path(cover: DoubleCover, path: DiscretePath, start_sheet: int = 1) -> DiscretePath:
-    """Unique lift of a base path starting on the given sheet.
-
-    A loop's lift ends at its start exactly when the loop holonomy is +1;
-    otherwise it ends at the deck image of the start.
-    """
-    if path.network != cover.base:
-        raise ValueError("path does not live on the base network")
-    if start_sheet not in (1, 2):
-        raise ValueError("sheet must be 1 or 2")
-    s = start_sheet
-    lifted = [cover.lift(path.vertices[0], s)]
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        if cover.gauge.sign(a, b) == -1:
-            s = 3 - s
-        lifted.append(cover.lift(b, s))
-    return DiscretePath(cover.cover_network, tuple(lifted))
-
-
-def fundamental_domain(cover: DoubleCover) -> tuple[str, ...]:
-    """The sheet-1 copy of the vertex set; projection restricts to a bijection."""
-    return tuple(cover.lift(v, 1) for v in cover.base.vertices)
-
-
-def covering_isomorphism(sigma: GaugeField, sigma_prime: GaugeField,
-                         vs: VertexSigns) -> dict[str, str]:
-    """Vertex bijection cover(sigma) -> cover(sigma') induced by a transform vs.
-
-    Swaps the sheet over exactly the vertices where vs is -1.  Requires
-    sigma' = vs . sigma; edge preservation and compatibility with the
-    projections are checked exhaustively before returning.
-    """
-    net = sigma.network
-    if sigma_prime.network != net or vs.network != net:
-        raise ValueError("all inputs must share one network")
-    for k, s in sigma.signs.items():
-        if sigma_prime.signs[k] != vs.signs[k[0]] * s * vs.signs[k[1]]:
-            raise ValueError("vs does not transform sigma into sigma'")
-    ca = build_double_cover(net, sigma)
-    cb = build_double_cover(net, sigma_prime)
-    mapping: dict[str, str] = {}
-    for vhat in ca.cover_network.vertices:
-        v = ca.projection[vhat]
-        s = ca.sheet[vhat]
-        mapping[vhat] = cb.lift(v, s if vs.signs[v] == 1 else 3 - s)
-    for k in ca.cover_network.sorted_edge_keys:
-        a, b = k
-        if edge_key(mapping[a], mapping[b]) not in cb.cover_network.edge_map:
-            raise AssertionError("constructed map failed edge preservation")
-    for vhat, w in mapping.items():
-        if cb.projection[w] != ca.projection[vhat]:
-            raise AssertionError("constructed map does not commute with projections")
-    return mapping

@@ -28,33 +28,8 @@ import numpy as np
 
 from . import spectral
 from .cover import _balanced, _cover_labels, _label_sign, build_double_cover
-from .network import EdgeKey, ElectricalNetwork, GaugeField, edge_key
+from .network import EdgeKey, ElectricalNetwork, GaugeField
 from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
-
-
-@dataclass(frozen=True)
-class GffSample:
-    """One field sample: interior values; boundary is implicitly zero."""
-
-    network: ElectricalNetwork
-    values: Mapping[str, float]
-    kind: str  # "untwisted" | "twisted" | "cover"
-    seed: tuple[int, ...]
-
-    def value(self, v: str) -> float:
-        if v in self.network.boundary:
-            return 0.0
-        return self.values[v]
-
-
-@dataclass(frozen=True)
-class ClusterConfiguration:
-    """Vertex signs plus zero-free (open) edge marks of one field sample."""
-
-    network: ElectricalNetwork
-    vertex_sign: Mapping[str, int]       # interior vertex -> -1 | 0 | +1
-    edge_open: Mapping[EdgeKey, bool]    # every edge; boundary-incident are closed
-    components: tuple[frozenset[str], ...]  # open same-sign connectivity classes
 
 
 @dataclass(frozen=True)
@@ -68,16 +43,6 @@ class EstimatorReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _configuration_labels(network: ElectricalNetwork, edge_open: Mapping[EdgeKey, bool],
-                          gauge: Optional[GaugeField] = None) -> np.ndarray:
-    """_cover_labels of one configuration, shape (1, m, 2); all signs +1
-    without a gauge."""
-    keys, u, v, _ = network.interior_edges
-    rel = np.ones(len(keys), dtype=np.intp) if gauge is None else gauge.interior_signs
-    opened = np.array([edge_open.get(k, False) for k in keys], dtype=bool).reshape(-1, 1)
-    return _cover_labels(len(network.interior), u, v, rel, opened)
 
 
 def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
@@ -129,61 +94,23 @@ def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samp
     return lap, run_batches(batch_plan(n_samples, batch_size), worker, threads)
 
 
-def sample_gff(network: ElectricalNetwork, seed: int) -> GffSample:
-    """Exact mean-zero Gaussian sample with covariance the Green matrix."""
-    phi = _fields(_field_laplacian(network), substream(seed), 1)[:, 0]
-    return GffSample(network, dict(zip(network.interior, map(float, phi))),
-                     "untwisted", (seed,))
+def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
+                           seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n cover-field samples projected onto the sheet sum and difference.
 
-
-def sample_twisted_gff(network: ElectricalNetwork, gauge: GaugeField, seed: int) -> GffSample:
-    """Exact sample with covariance the twisted Green matrix."""
-    phi = _fields(_field_laplacian(network, gauge), substream(seed), 1)[:, 0]
-    return GffSample(network, dict(zip(network.interior, map(float, phi))),
-                     "twisted", (seed,))
-
-
-def _sample_cover_block(network: ElectricalNetwork, gauge: GaugeField, seed: int, n: int):
-    """(cover, phi, plus, minus): n cover-field samples phi as columns, in
-    cover interior order, and their sheet sums and differences over the base
-    interior, each scaled by 1/sqrt(2).  The cover is built on first use and
-    cached on gauge, with the factor its network caches."""
+    Returns (plus, minus) arrays of shape (interior count, n) in interior
+    order, each scaled by 1/sqrt(2); column j of plus has the untwisted law,
+    of minus the twisted law, and the two are independent.  The cover is
+    built on first use and cached on gauge, with the factor its network
+    caches.
+    """
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     cov = spectral.cached_on(gauge, "_double_cover", lambda: build_double_cover(network, gauge))
     phi = _fields(_field_laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)
-    return cov, phi, inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
-
-
-def sample_cover_gff_and_project(network: ElectricalNetwork, gauge: GaugeField,
-                                 seed: int) -> tuple[GffSample, GffSample, GffSample]:
-    """Sample the field on the double cover and split into the two sheets' sum
-    and difference over the sheet-1 fundamental domain.
-
-    The sum (scaled by 1/sqrt(2)) has the untwisted law, the difference the
-    twisted law, and the two projections are independent.
-    """
-    cov, phi, plus, minus = _sample_cover_block(network, gauge, seed, 1)
-
-    def sample(net: ElectricalNetwork, column: np.ndarray, kind: str) -> GffSample:
-        return GffSample(net, dict(zip(net.interior, map(float, column[:, 0]))), kind, (seed,))
-
-    return (sample(cov.cover_network, phi, "cover"), sample(network, plus, "untwisted"),
-            sample(network, minus, "twisted"))
-
-
-def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
-                           seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n cover-field samples projected onto the sheet sum and difference.
-
-    Returns (plus, minus) arrays of shape (interior count, n) in interior
-    order; column j of plus has the untwisted law, of minus the twisted law,
-    and the two are independent.  sample_cover_gff_and_project is its n = 1
-    case.
-    """
-    return _sample_cover_block(network, gauge, seed, n)[2:]
+    return inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
 
 
 def open_probability(conductance: float, a: float, b: float) -> float:
@@ -191,87 +118,6 @@ def open_probability(conductance: float, a: float, b: float) -> float:
     if a == 0.0 or b == 0.0 or np.sign(a) != np.sign(b):
         return 0.0
     return float(-np.expm1(-2.0 * conductance * abs(a * b)))
-
-
-def sample_cluster_configuration(gff: GffSample, network: ElectricalNetwork,
-                                 seed: int) -> ClusterConfiguration:
-    """Open each same-sign interior edge independently with the exact
-    zero-free-bridge probability; everything else stays closed."""
-    if gff.network != network:
-        raise ValueError("field sample belongs to a different network")
-    if gff.kind != "untwisted":
-        raise ValueError("cluster sampling expects an untwisted field sample")
-    keys, edge_u, edge_v, edge_c = network.interior_edges
-    phi = np.array([gff.values[v] for v in network.interior], dtype=float)[:, None]
-    opened = _open_marks(phi, edge_u, edge_v, edge_c, substream(seed))[:, 0]
-    edge_open = {k: False for k in network.sorted_edge_keys}
-    edge_open.update(zip(keys, opened.tolist()))
-    signs = {v: int(np.sign(gff.values[v])) for v in network.interior}
-    return _finish_configuration(network, signs, edge_open)
-
-
-def make_cluster_configuration(network: ElectricalNetwork,
-                               vertex_sign: Mapping[str, int],
-                               edge_open: Mapping[EdgeKey, bool]) -> ClusterConfiguration:
-    """Assemble a configuration from explicit marks, computing components.
-
-    Keys of edge_open may name an edge's ends in either order; a pair that
-    is not an edge raises ValueError.  Enforces the structural invariant: an
-    edge may be open only when both endpoints are interior with equal nonzero
-    signs.
-    """
-    signs = {v: int(vertex_sign.get(v, 0)) for v in network.interior}
-    full_open = dict.fromkeys(network.sorted_edge_keys, False)
-    for (a, b), o in edge_open.items():
-        k = edge_key(a, b)
-        if k not in full_open:
-            raise ValueError(f"{(a, b)} is not an edge of the network")
-        full_open[k] = full_open[k] or bool(o)
-    for k, o in full_open.items():
-        if not o:
-            continue
-        u, v = k
-        if u not in signs or v not in signs:  # signs holds the interior vertices
-            raise ValueError(f"open edge {k} touches the boundary")
-        if signs[u] == 0 or signs[u] != signs[v]:
-            raise ValueError(f"open edge {k} lacks equal nonzero endpoint signs")
-    return _finish_configuration(network, signs, full_open)
-
-
-def _finish_configuration(network: ElectricalNetwork, signs: dict[str, int],
-                          edge_open: dict[EdgeKey, bool]) -> ClusterConfiguration:
-    # labels are smallest members, so sorting them sorts by smallest vertex
-    groups: dict[int, list[str]] = {}
-    for v, label in zip(network.interior, _configuration_labels(network, edge_open)[0, :, 0]):
-        groups.setdefault(label, []).append(v)
-    components = tuple(frozenset(g) for _, g in sorted(groups.items()))
-    return ClusterConfiguration(network, signs, edge_open, components)
-
-
-def detect_event(config: ClusterConfiguration, gauge: GaugeField) -> bool:
-    """True when every open component is balanced for the gauge field: no
-    vertex has both lifts in one component of the open subgraph's double
-    cover."""
-    if gauge.network != config.network:
-        raise ValueError("configuration and gauge field live on different networks")
-    return bool(_balanced(_configuration_labels(config.network, config.edge_open, gauge))[0])
-
-
-def sign_flip_transform(config: ClusterConfiguration, gauge: GaugeField) -> dict[str, int]:
-    """Canonical component recoloring factor tau for a configuration in the event.
-
-    tau satisfies tau(u)*sigma(u,v)*tau(v) = 1 on every open edge; within each
-    open component the smallest-id vertex keeps its sign (tau = +1 there), and
-    components touching no open -1 edge are left unchanged.  Multiplying the
-    field by tau realizes the conditioned twisted field's sign structure.
-    """
-    if gauge.network != config.network:
-        raise ValueError("configuration and gauge field live on different networks")
-    lab = _configuration_labels(config.network, config.edge_open, gauge)
-    if not _balanced(lab)[0]:
-        raise ValueError("configuration is not in the topological event; "
-                         "no harmonious coloring exists")
-    return dict(zip(config.network.interior, _label_sign(lab[0, :, 0]).tolist()))
 
 
 def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,

@@ -299,10 +299,11 @@ def _soup_sums(sampler: LoopSoupSampler, reduce, width: int, draws: int, n_soups
         for s, rng in enumerate(substreams(seed, bi, bn)):
             soup = sampler.sample_with(rng, seed)
             soups.append(soup)
-            normals.append(rng.standard_normal(draws))
+            if draws:
+                normals.append(rng.standard_normal(draws))
             held += m + draws + sum(len(lp.skeleton) for lp in soup.loops)
             if held >= _REDUCE_BLOCK or s == bn - 1:
-                total = reduce(total, soups, np.array(normals))
+                total = reduce(total, soups, np.array(normals).reshape(len(soups), draws))
                 soups, normals, held = [], [], 0
         return total
 

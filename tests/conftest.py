@@ -194,19 +194,20 @@ class ParityUnionFind:
         return True
 
 
-def union_find_balanced(config, gauge: GaugeField) -> bool:
-    """Reference event detector: every open edge joined in a ParityUnionFind."""
-    idx = config.network.interior_index
+def union_find_balanced(network: ElectricalNetwork, edge_open, gauge: GaugeField) -> bool:
+    """Reference event detector: every open edge (edge_open maps edge keys to
+    marks) joined in a ParityUnionFind over network's interior."""
+    idx = network.interior_index
     uf = ParityUnionFind(len(idx))
     return all(uf.union(idx[u], idx[v], gauge.signs[(u, v)])
-               for (u, v), o in config.edge_open.items() if o)
+               for (u, v), o in edge_open.items() if o)
 
 
-def cycles_balanced(config, gauge: GaugeField) -> bool:
+def cycles_balanced(edge_open, gauge: GaugeField) -> bool:
     """Reference event detector by spanning forest: some fundamental cycle has
     holonomy -1 iff the component has any -1 cycle at all (holonomy is linear
     over the cycle space)."""
-    open_edges = [k for k, o in config.edge_open.items() if o]
+    open_edges = [k for k, o in edge_open.items() if o]
     verts = sorted({v for k in open_edges for v in k})
     adj: dict[str, list[str]] = {v: [] for v in verts}
     for u, v in open_edges:

@@ -5,22 +5,18 @@ identities run at 1e-10 (1e-8 where two independent solves are compared).
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
-import ggff
-from ggff import (GaugeField, conditional_moment, detect_event,
-                  estimate_event_probability, green, is_cover_connected,
-                  is_trivial, kl_isomorphism_check, make_cluster_configuration,
-                  two_point_connectivity)
+from ggff import (GaugeField, conditional_moment, estimate_event_probability,
+                  is_trivial, kl_isomorphism_check, two_point_connectivity)
 from ggff.cli import identity_checks
 from ggff.cover import _balanced, _cover_labels, build_double_cover
 from ggff.loopsoup import soup_moments
 
 from conftest import (cycles_balanced, pendant_triangle, random_network,
                       random_trivial_gauge, union_find_balanced)
-from test_gff import random_marks
+from test_gff import opened_columns, random_marks
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -80,7 +76,7 @@ def test_criterion_4_cover_connectivity_iff_nontrivial():
         elif k % 7 == 0:
             gauge = GaugeField.all_plus(net)
         trivial, _ = is_trivial(gauge)
-        connected = is_cover_connected(build_double_cover(net, gauge))
+        connected = build_double_cover(net, gauge).cover_network.is_connected()
         agree += connected == (not trivial)
     report("criterion 4 (cover connected iff gauge non-trivial, 200 pairs)",
            agree == total, f"{agree}/{total} agreements")
@@ -89,8 +85,7 @@ def test_criterion_4_cover_connectivity_iff_nontrivial():
 def test_criterion_5_event_detector_equivalence():
     """10^4 random configurations, drawn in turn on 500 networks.  Each
     network's 20 are labelled in one _cover_labels call, and every verdict is
-    compared with the union-find and the cycle detector; detect_event also
-    judges each network's first configuration."""
+    compared with the union-find and the cycle detector."""
     rng = np.random.default_rng(5)
     total = 10_000
     agree = 0
@@ -98,17 +93,12 @@ def test_criterion_5_event_detector_equivalence():
     marks = [random_marks(rng, pairs[k % len(pairs)][0]) for k in range(total)]
     for j, (net, gauge) in enumerate(pairs):
         drawn = marks[j::len(pairs)]
-        keys, u, v, _ = net.interior_edges
-        opened = np.array([[edge_open[k] for _, edge_open in drawn] for k in keys],
-                          dtype=bool).reshape(len(keys), len(drawn))
-        balanced = _balanced(_cover_labels(len(net.interior), u, v, gauge.interior_signs, opened))
-        for s, (signs, edge_open) in enumerate(drawn):
-            cfg = SimpleNamespace(network=net, edge_open=edge_open)
-            verdicts = {bool(balanced[s]), union_find_balanced(cfg, gauge),
-                        cycles_balanced(cfg, gauge)}
-            if s == 0:
-                cfg = make_cluster_configuration(net, signs, edge_open)
-                verdicts.add(detect_event(cfg, gauge))
+        _, u, v, _ = net.interior_edges
+        balanced = _balanced(_cover_labels(len(net.interior), u, v, gauge.interior_signs,
+                                           opened_columns(net, drawn)))
+        for s, (_, edge_open) in enumerate(drawn):
+            verdicts = {bool(balanced[s]), union_find_balanced(net, edge_open, gauge),
+                        cycles_balanced(edge_open, gauge)}
             agree += len(verdicts) == 1
     report("criterion 5 (cover labelling / union-find / cycle detectors, 10^4 configs)",
            agree == total, f"{agree}/{total} agreements")

@@ -1,16 +1,14 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
-                  VertexSigns, are_gauge_equivalent, build_double_cover,
-                  conditional_moment, covering_isomorphism, cover, detect_event,
-                  edge_key, estimate_event_probability, fundamental_domain, gff,
-                  holonomy, is_cover_connected, is_trivial, lift_path,
-                  make_cluster_configuration, sample_cluster_configuration,
-                  sample_gff, save_network, load_network, sign_flip_transform,
-                  two_point_connectivity)
+                  VertexSigns, apply_gauge_transform, are_gauge_equivalent,
+                  build_double_cover, conditional_moment, cover, edge_key,
+                  estimate_event_probability, gff, holonomy, is_trivial,
+                  save_network, load_network, two_point_connectivity)
 
 from conftest import pendant_triangle, random_network, random_trivial_gauge
 
@@ -92,7 +90,7 @@ def test_interior_lifts_read_the_cover_ids(pt):
 
 def test_trivial_gauge_gives_two_disjoint_copies(pt_net):
     cov = build_double_cover(pt_net, GaugeField.all_plus(pt_net))
-    assert not is_cover_connected(cov)
+    assert not cov.cover_network.is_connected()
     assert bfs_component_count(cov.cover_network) == 2
 
 
@@ -102,7 +100,7 @@ def test_pt_twisted_cover_connected_8_vertices(pt):
     assert len(cov.cover_network.vertices) == 8
     assert len(cov.cover_network.edges) == 8
     assert bfs_component_count(cov.cover_network) == 1
-    assert is_cover_connected(cov)
+    assert cov.cover_network.is_connected()
 
 
 def test_single_minus_edge_cover_is_a_matching():
@@ -116,50 +114,74 @@ def test_single_minus_edge_cover_is_a_matching():
 
 
 def test_lift_path_examples(pt):
+    """A lift changes sheet across each -1 edge: with PT's triangle open, its
+    holonomy -1 joins x's two lifts, which all signs +1 keep apart, and with
+    only the -1 edge yz open, (y,1) joins (z,2) and not (z,1)."""
     net, gauge = pt
-    cov = build_double_cover(net, gauge)
-    lifted = lift_path(cov, DiscretePath(net, ("x", "y", "z", "x")), start_sheet=1)
-    assert lifted.vertices[0] == "(x,1)" and lifted.vertices[-1] == "(x,2)"
-    trivial_cov = build_double_cover(net, GaugeField.all_plus(net))
-    lifted2 = lift_path(trivial_cov, DiscretePath(net, ("x", "y", "z", "x")), 1)
-    assert lifted2.vertices[-1] == lifted2.vertices[0]
-    lifted3 = lift_path(cov, DiscretePath(net, ("y", "z")), 1)
-    assert lifted3.vertices == ("(y,1)", "(z,2)")
+    keys, u, v, _ = net.interior_edges
+    x, y, z = (net.interior_index[a] for a in "xyz")
+    triangle = np.ones((len(keys), 1), dtype=bool)
+    lab = cover._cover_labels(3, u, v, gauge.interior_signs, triangle)[0]
+    assert lab[x, 0] == lab[x, 1]
+    plain = cover._cover_labels(3, u, v, np.ones_like(gauge.interior_signs), triangle)[0]
+    assert plain[x, 0] != plain[x, 1]
+    lab = cover._cover_labels(3, u, v, gauge.interior_signs,
+                              np.array([[k == ("y", "z")] for k in keys]))[0]
+    assert lab[y, 0] == lab[z, 1] != lab[z, 0]
 
 
-def test_loop_traversed_twice_returns_to_start():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        net, gauge = random_network(rng, max_interior=6)
-        cov = build_double_cover(net, gauge)
-        start = str(rng.choice(net.vertices))
-        verts = [start]
-        for _ in range(int(rng.integers(2, 8))):
-            nbrs = [w for w, _ in net.adjacency[verts[-1]]]
-            verts.append(str(nbrs[int(rng.integers(0, len(nbrs)))]))
-        loop_vs = tuple(verts + verts[-2::-1])  # out-and-back loop
-        doubled = DiscretePath(net, loop_vs + loop_vs[1:])
-        lifted = lift_path(cov, doubled, 1)
-        assert lifted.vertices[-1] == lifted.vertices[0]
+def fundamental_cycles(net):
+    """The fundamental cycles of a breadth-first spanning forest of net's
+    interior edges, each a closed vertex sequence: a non-forest edge's ends
+    joined through the forest."""
+    keys = net.interior_edges[0]
+    adj = {x: [] for x in net.interior}
+    for a, b in keys:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent, depth = {}, {}
+    for root in net.interior:
+        if root in parent:
+            continue
+        parent[root], depth[root], queue = None, 0, [root]
+        for w in queue:
+            for x in adj[w]:
+                if x not in parent:
+                    parent[x], depth[x] = w, depth[w] + 1
+                    queue.append(x)
+    cycles = []
+    for a, b in keys:
+        if parent[a] == b or parent[b] == a:
+            continue
+        up, down = [a], [b]
+        while up[-1] != down[-1]:
+            deeper = up if depth[up[-1]] >= depth[down[-1]] else down
+            deeper.append(parent[deeper[-1]])
+        cycles.append(tuple(up + down[-2::-1] + [a]))
+    return cycles
 
 
 def test_lift_consistent_with_holonomy():
+    """With exactly one simple cycle open, a vertex of the cycle has both
+    lifts in one cover component iff the cycle's holonomy is -1, and every
+    other vertex has them apart: the fundamental cycles of 40 random
+    networks, labelled in one call per network, both holonomies drawn."""
     rng = np.random.default_rng(29)
+    seen = set()
     for _ in range(40):
         net, gauge = random_network(rng, max_interior=7)
-        cov = build_double_cover(net, gauge)
-        start = str(rng.choice(net.vertices))
-        verts = [start]
-        for _ in range(int(rng.integers(1, 9))):
-            nbrs = [w for w, _ in net.adjacency[verts[-1]]]
-            verts.append(str(nbrs[int(rng.integers(0, len(nbrs)))]))
-        loop = DiscretePath(net, tuple(verts + verts[-2::-1]))
-        lifted = lift_path(cov, loop, 2)
-        h = holonomy(gauge, loop)
-        if h == 1:
-            assert lifted.vertices[-1] == lifted.vertices[0]
-        else:
-            assert lifted.vertices[-1] == cov.deck[lifted.vertices[0]]
+        keys, u, v, _ = net.interior_edges
+        cycles = fundamental_cycles(net)
+        opened = np.array([[edge_key(a, b) in set(map(edge_key, c, c[1:])) for c in cycles]
+                           for a, b in keys], dtype=bool).reshape(len(keys), len(cycles))
+        lab = cover._cover_labels(len(net.interior), u, v, gauge.interior_signs, opened)
+        for c, col in zip(cycles, lab):
+            h = holonomy(gauge, DiscretePath(net, c))
+            seen.add(h)
+            joined = col[:, 0] == col[:, 1]
+            on_cycle = np.isin(np.array(net.interior), c)
+            assert np.all(joined == (on_cycle & (h == -1)))
+    assert seen == {1, -1}
 
 
 def test_cover_connectivity_iff_nontrivial_on_random_inputs():
@@ -170,45 +192,41 @@ def test_cover_connectivity_iff_nontrivial_on_random_inputs():
             gauge = random_trivial_gauge(rng, net)
         cov = build_double_cover(net, gauge)
         trivial, _ = is_trivial(gauge)
-        assert is_cover_connected(cov) == (not trivial)
+        assert cov.cover_network.is_connected() == (not trivial)
 
 
 def test_fundamental_domain(pt):
+    """The sheet-1 lifts are a fundamental domain: the projection maps them
+    one to one onto the base vertices, and the deck onto the other lifts."""
     net, gauge = pt
     cov = build_double_cover(net, gauge)
-    dom = fundamental_domain(cov)
+    dom = [w for w in cov.cover_network.vertices if cov.sheet[w] == 1]
     assert set(dom) == {"(b,1)", "(x,1)", "(y,1)", "(z,1)"}
-    assert sorted(cov.projection[v] for v in dom) == sorted(net.vertices)
-    assert {cov.deck[v] for v in dom} == set(cov.cover_network.vertices) - set(dom)
+    assert sorted(cov.projection[w] for w in dom) == sorted(net.vertices)
+    assert {cov.deck[w] for w in dom} == set(cov.cover_network.vertices) - set(dom)
 
 
 def test_covering_isomorphism_examples(pt_net):
+    """Swapping the sheets over the vertices where vs is -1 maps the double
+    cover of sigma onto that of vs . sigma: on each of the 8 open subsets of
+    PT's triangle, the kernel's cover components for vs . sigma are those
+    for sigma with the lifts swapped there, for vs the identity, -1 at y
+    (which moves the -1 edge from xy to yz) and -1 everywhere (the deck)."""
     net = pt_net
+    keys, u, v, _ = net.interior_edges
     s1 = GaugeField.with_minus_edges(net, [("x", "y")])
-    vs_id = VertexSigns.all_plus(net)
-    iso = covering_isomorphism(s1, s1, vs_id)
-    assert all(iso[v] == v for v in iso)
-    # flipping y swaps the sheet exactly over y
+    opened = np.array(list(itertools.product((False, True), repeat=len(keys)))).T
+    lab = cover._cover_labels(3, u, v, s1.interior_signs, opened)
     vs_y = VertexSigns.with_minus_vertices(net, ["y"])
-    s2 = GaugeField.with_minus_edges(net, [("y", "z")])
-    iso2 = covering_isomorphism(s1, s2, vs_y)
-    cov = build_double_cover(net, s1)
-    for v in iso2:
-        if cov.projection[v] == "y":
-            assert iso2[v] == cov.deck[v]  # sheet swapped (shared id space)
-        else:
-            assert iso2[v] == v
-    # global -1 is the deck involution
-    vs_all = VertexSigns(net, {v: -1 for v in net.vertices})
-    iso3 = covering_isomorphism(s1, s1, vs_all)
-    assert all(iso3[v] == cov.deck[v] for v in iso3)
-
-
-def test_covering_isomorphism_rejects_wrong_certificate(pt):
-    net, gauge = pt
-    vs = VertexSigns.with_minus_vertices(net, ["y"])
-    with pytest.raises(ValueError, match="does not transform"):
-        covering_isomorphism(gauge, gauge, vs)
+    assert apply_gauge_transform(vs_y, s1) == GaugeField.with_minus_edges(net, [("y", "z")])
+    for vs in (VertexSigns.all_plus(net), vs_y,
+               VertexSigns(net, {w: -1 for w in net.vertices})):
+        swap = np.array([vs.signs[x] == -1 for x in net.interior])
+        moved = np.where(swap[:, None], lab[:, :, ::-1], lab)
+        got = cover._cover_labels(3, u, v, apply_gauge_transform(vs, s1).interior_signs, opened)
+        for a, b in zip(moved.reshape(len(lab), -1), got.reshape(len(lab), -1)):
+            pairs = set(zip(a.tolist(), b.tolist()))  # one to one: the same partition
+            assert len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
 def test_cover_export_roundtrips(pt, tmp_path):
@@ -222,8 +240,8 @@ def test_cover_export_roundtrips(pt, tmp_path):
 
 def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
     """Each public balance question is decided by the double-cover labelling
-    kernel: one labelling per configuration or pair of gauge fields, and one
-    per batch, of the batch's width, in an estimator."""
+    kernel: one labelling per pair of gauge fields, and one per batch, of the
+    batch's width, in an estimator."""
     widths = []
     real = cover._cover_labels
 
@@ -234,15 +252,7 @@ def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
     for owner in (cover, gff):  # gff holds the name it imported
         monkeypatch.setattr(owner, "_cover_labels", counting)
     net, gauge = pendant_triangle()
-    signs = {v: 1 for v in net.interior}
-    config = make_cluster_configuration(net, signs, {edge_key("y", "z"): True})
     queries = {
-        "make_cluster_configuration":
-            lambda: make_cluster_configuration(net, signs, {edge_key("x", "y"): True}),
-        "sample_cluster_configuration":
-            lambda: sample_cluster_configuration(sample_gff(net, 1), net, 2),
-        "detect_event": lambda: detect_event(config, gauge),
-        "sign_flip_transform": lambda: sign_flip_transform(config, gauge),
         "are_gauge_equivalent": lambda: are_gauge_equivalent(gauge, gauge),
         "is_trivial": lambda: is_trivial(gauge),
     }

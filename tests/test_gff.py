@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 import ggff
-from ggff import (Edge, ElectricalNetwork, GaugeField, GffSample, VertexSigns,
-                  apply_gauge_transform, detect_event, estimate_event_probability,
-                  conditional_moment, green, make_cluster_configuration,
-                  open_probability, sample_cluster_configuration,
-                  sample_cover_gff_batch, sample_cover_gff_and_project,
-                  sample_gff, sample_metric_field, sample_twisted_gff,
-                  sign_flip_transform, twisted_green, two_point_connectivity,
-                  edge_key, load_network, spectral, subdivide)
-from ggff.cover import _balanced, _cover_labels
-from ggff.gff import _field_laplacian, _fields, _open_marks, _sample_cover_block
+from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
+                  apply_gauge_transform, estimate_event_probability,
+                  conditional_moment, green, open_probability,
+                  sample_cover_gff_batch, sample_metric_field, twisted_green,
+                  two_point_connectivity, edge_key, load_network, spectral, subdivide)
+from ggff.cover import _balanced, _cover_labels, _label_sign
+from ggff.gff import _field_laplacian, _fields, _open_marks
 from ggff.seeds import substream
 
 from conftest import (ParityUnionFind, cycles_balanced, pendant_triangle, polar_annulus,
@@ -35,17 +32,11 @@ def empirical_cov(block):
 
 def test_sampler_determinism(pt):
     net, gauge = pt
-    assert sample_gff(net, 42).values == sample_gff(net, 42).values
-    assert sample_twisted_gff(net, gauge, 42).values == \
-        sample_twisted_gff(net, gauge, 42).values
-    assert sample_gff(net, 42).values != sample_gff(net, 43).values
-
-
-def test_gff_sample_boundary_is_zero(pt_net):
-    s = sample_gff(pt_net, 0)
-    assert s.value("b") == 0.0
-    assert set(s.values) == set(pt_net.interior)
-    assert all(np.isfinite(v) for v in s.values.values())
+    for sigma in (None, gauge):
+        lap = _field_laplacian(net, sigma)
+        assert np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(42), 1))
+    lap = _field_laplacian(net)
+    assert not np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(43), 1))
 
 
 def test_gff_empirical_covariance(pt_net):
@@ -85,9 +76,10 @@ def test_fields_equal_the_green_cholesky_sampler():
     rng = np.random.default_rng(31)
     cases = [pendant_triangle(), load_network(NETWORKS / "annulus-6x8.json")]
     for net, gauge in cases:
-        cov, phi, _, _ = _sample_cover_block(net, gauge, 7, 64)
-        assert _relative_gap(phi, reference_fields(cov.cover_network, None,
-                                                   substream(7), 64)) <= 1e-12
+        sample_cover_gff_batch(net, gauge, 7, 64)
+        cover_net = vars(gauge)["_double_cover"].cover_network  # cached by that call
+        phi = _fields(_field_laplacian(cover_net), substream(7), 64)
+        assert _relative_gap(phi, reference_fields(cover_net, None, substream(7), 64)) <= 1e-12
     cases += [random_network(rng) for _ in range(30)] + [polar_annulus(49, 24)]
     assert len(cases[-1][0].interior) > spectral.DENSE_MAX_ORDER
     for seed, (net, gauge) in enumerate(cases):
@@ -168,15 +160,19 @@ def test_cover_projection_trivial_gauge(pt_net):
 
 
 def test_cover_project_single_sample_consistency(pt):
+    """A one-column sample_cover_gff_batch is the sheet sum and difference,
+    scaled by 1/sqrt(2), of the field _fields draws on the cover that the
+    call cached on the gauge."""
     net, gauge = pt
-    cov_sample, plus, minus = sample_cover_gff_and_project(net, gauge, seed=8)
+    plus, minus = sample_cover_gff_batch(net, gauge, seed=8, n=1)
+    cover_net = vars(gauge)["_double_cover"].cover_network
+    phi = _fields(_field_laplacian(cover_net), substream(8), 1)[:, 0]
+    idx = cover_net.interior_index
     inv = 1 / math.sqrt(2)
-    for x in net.interior:
-        a = cov_sample.values[f"({x},1)"]
-        b = cov_sample.values[f"({x},2)"]
-        assert plus.values[x] == pytest.approx(inv * (a + b), abs=1e-15)
-        assert minus.values[x] == pytest.approx(inv * (a - b), abs=1e-15)
-    assert plus.kind == "untwisted" and minus.kind == "twisted"
+    for i, x in enumerate(net.interior):
+        a, b = phi[idx[f"({x},1)"]], phi[idx[f"({x},2)"]]
+        assert plus[i, 0] == pytest.approx(inv * (a + b), abs=1e-15)
+        assert minus[i, 0] == pytest.approx(inv * (a - b), abs=1e-15)
 
 
 def test_open_probability_values():
@@ -215,29 +211,26 @@ def test_open_probability_against_discretized_bridge():
 
 
 def test_cluster_configuration_structure(pt):
-    net, gauge = pt
-    s = sample_gff(net, 11)
-    cfg = sample_cluster_configuration(s, net, 12)
-    assert sample_cluster_configuration(s, net, 12).edge_open == cfg.edge_open
-    assert cfg.edge_open[edge_key("b", "x")] is False  # boundary edges stay closed
-    for k, o in cfg.edge_open.items():
-        if o:
-            assert cfg.vertex_sign[k[0]] == cfg.vertex_sign[k[1]] != 0
-    # components consistent under recomputation
-    rebuilt = make_cluster_configuration(net, cfg.vertex_sign, cfg.edge_open)
-    assert rebuilt.components == cfg.components
+    """A sampled configuration: the same seeds give the same marks, an open
+    edge joins two vertices of one nonzero sign, and the open subgraph's
+    labels put the two ends of every open edge in one cluster."""
+    net, _ = pt
+    _, iu, iv, c = net.interior_edges
+    phi = _fields(_field_laplacian(net), substream(11), 8)
+    opened = _open_marks(phi, iu, iv, c, substream(12))
+    assert np.array_equal(_open_marks(phi, iu, iv, c, substream(12)), opened)
+    assert opened.any()
+    assert np.all((np.sign(phi[iu]) == np.sign(phi[iv])) & (phi[iu] != 0) | ~opened)
+    plain = labels(net, np.ones_like(iu), opened)[:, :, 0]
+    assert np.all((plain[:, iu] == plain[:, iv]).T | ~opened)
 
 
 def test_opposite_sign_edges_always_closed(pt_net):
-    rng = np.random.default_rng(13)
+    _, iu, iv, c = pt_net.interior_edges
     for seed in range(30):
-        s = sample_gff(pt_net, seed)
-        cfg = sample_cluster_configuration(s, pt_net, seed + 1000)
-        for k, o in cfg.edge_open.items():
-            u, v = k
-            if u in cfg.vertex_sign and v in cfg.vertex_sign:
-                if cfg.vertex_sign[u] != cfg.vertex_sign[v]:
-                    assert not o
+        phi = _fields(_field_laplacian(pt_net), substream(seed), 1)
+        opened = _open_marks(phi, iu, iv, c, substream(seed + 1000))
+        assert not opened[np.sign(phi[iu]) != np.sign(phi[iv])].any()
 
 
 def test_empirical_open_rate_matches_formula(pt_net):
@@ -309,43 +302,38 @@ def test_open_marks_match_the_sign_rule():
             check(spread, eu, ev, c, seed + 5)
 
 
-def per_edge_configuration(gff, network, seed):
-    """The edge-by-edge opening rule: one uniform per interior edge in sorted
-    key order, the edge open when it falls below open_probability."""
+def per_edge_marks(values, network, seed):
+    """The edge-by-edge opening rule on a field given as {vertex: value}: one
+    uniform per interior edge in sorted key order, the edge open when it
+    falls below open_probability."""
     ints = set(network.interior)
     int_edges = [k for k in network.sorted_edge_keys if k[0] in ints and k[1] in ints]
     draws = substream(seed).random(len(int_edges))
-    edge_open = {k: False for k in network.sorted_edge_keys}
-    for k, u in zip(int_edges, draws):
-        p = open_probability(network.edge_map[k].conductance,
-                             gff.values[k[0]], gff.values[k[1]])
-        edge_open[k] = bool(u < p)
-    signs = {v: int(np.sign(gff.values[v])) for v in network.interior}
-    return make_cluster_configuration(network, signs, edge_open)
+    return [bool(u < open_probability(network.edge_map[k].conductance,
+                                      values[k[0]], values[k[1]]))
+            for k, u in zip(int_edges, draws)]
 
 
 def test_cluster_configuration_follows_the_per_edge_rule(pt):
-    """The vectorised opening rule gives the per-edge rule's marks, signs and
-    components, on PT, the 6 x 8 annulus and 20 random networks, at several
-    seeds each, and on PT fields with zero and opposite-sign values."""
+    """The vectorised opening rule _open_marks gives the per-edge rule's
+    marks, on PT, the 6 x 8 annulus and 20 random networks, at several seeds
+    each, and on PT fields with zero and opposite-sign values."""
     rng = np.random.default_rng(22)
     networks = [pt[0], load_network(NETWORKS / "annulus-6x8.json")[0]]
     networks += [random_network(rng)[0] for _ in range(20)]
-    samples = [(net, sample_gff(net, seed)) for net in networks for seed in (1, 2, 3)]
-    samples += [(pt[0], GffSample(pt[0], values, "untwisted", (0,)))
-                for values in ({"x": 0.0, "y": 1.0, "z": 1.5},
-                               {"x": -1.0, "y": 1.0, "z": 0.5},
-                               {"x": -0.3, "y": -2.0, "z": -1.0})]
-    for net, field in samples:
+    samples = [(net, _fields(_field_laplacian(net), substream(seed), 1)[:, 0])
+               for net in networks for seed in (1, 2, 3)]
+    assert pt[0].interior == ("x", "y", "z")
+    samples += [(pt[0], np.array(values))
+                for values in ([0.0, 1.0, 1.5], [-1.0, 1.0, 0.5], [-0.3, -2.0, -1.0])]
+    for net, phi in samples:
+        _, iu, iv, c = net.interior_edges
         for seed in (10, 11, 12):
-            got = sample_cluster_configuration(field, net, seed)
-            want = per_edge_configuration(field, net, seed)
-            assert got.edge_open == want.edge_open
-            assert got.vertex_sign == want.vertex_sign
-            assert got.components == want.components
+            got = _open_marks(phi[:, None], iu, iv, c, substream(seed))[:, 0]
+            assert got.tolist() == per_edge_marks(dict(zip(net.interior, phi)), net, seed)
 
 
-def brute_force_balanced(net, gauge, signs, edge_open):
+def brute_force_balanced(edge_open, gauge):
     """Oracle: per open component, try every sign assignment exhaustively."""
     open_edges = [k for k, o in edge_open.items() if o]
     verts = sorted({v for k in open_edges for v in k})
@@ -393,83 +381,93 @@ def random_marks(rng, net):
     return signs, edge_open
 
 
-def random_configuration(rng, net):
-    return make_cluster_configuration(net, *random_marks(rng, net))
+def opened_columns(net, marks):
+    """random_marks draws as _cover_labels' opened array: one row per
+    interior edge of net, one column per draw."""
+    keys = net.interior_edges[0]
+    return np.array([[edge_open[k] for _, edge_open in marks] for k in keys],
+                    dtype=bool).reshape(len(keys), len(marks))
+
+
+def labels(net, rel, opened):
+    """_cover_labels of the opened columns on net's interior edges, signed rel."""
+    _, u, v, _ = net.interior_edges
+    return _cover_labels(len(net.interior), u, v, rel, opened)
 
 
 def test_detect_event_trivial_cases(pt):
     net, gauge = pt
-    empty = make_cluster_configuration(net, {v: 1 for v in net.interior}, {})
-    assert detect_event(empty, gauge)
-    full = make_cluster_configuration(
-        net, {v: 1 for v in net.interior},
-        {edge_key("x", "y"): True, edge_key("y", "z"): True, edge_key("z", "x"): True})
-    assert not detect_event(full, gauge)  # the triangle has sign product -1
+    opened = np.array([[False, True]] * len(net.interior_edges[0]))
+    # with nothing open PT is in the event; its triangle has sign product -1
+    assert _balanced(labels(net, gauge.interior_signs, opened)).tolist() == [True, False]
 
 
 def test_detect_event_methods_agree_with_brute_force():
+    """The kernel's verdict, the union-find and the cycle detector each agree
+    with exhaustive search on 400 random networks, one configuration each."""
     rng = np.random.default_rng(15)
     for _ in range(400):
         net, gauge = random_network(rng, max_interior=7)
-        cfg = random_configuration(rng, net)
-        verdicts = (detect_event(cfg, gauge), union_find_balanced(cfg, gauge),
-                    cycles_balanced(cfg, gauge))
-        oracle = brute_force_balanced(net, gauge, cfg.vertex_sign, cfg.edge_open)
-        assert verdicts == (oracle,) * 3
+        marks = [random_marks(rng, net)]
+        balanced = _balanced(labels(net, gauge.interior_signs, opened_columns(net, marks)))
+        for (_, edge_open), got in zip(marks, balanced):
+            verdicts = (bool(got), union_find_balanced(net, edge_open, gauge),
+                        cycles_balanced(edge_open, gauge))
+            assert verdicts == (brute_force_balanced(edge_open, gauge),) * 3
 
 
 def test_detect_event_gauge_invariance():
     rng = np.random.default_rng(16)
     for _ in range(60):
         net, gauge = random_network(rng, max_interior=7)
-        cfg = random_configuration(rng, net)
+        opened = opened_columns(net, [random_marks(rng, net)])
         vs = VertexSigns(net, {v: (-1 if rng.random() < 0.5 else 1)
                                for v in net.vertices})
-        assert detect_event(cfg, gauge) == detect_event(cfg, apply_gauge_transform(vs, gauge))
+        assert np.array_equal(
+            _balanced(labels(net, gauge.interior_signs, opened)),
+            _balanced(labels(net, apply_gauge_transform(vs, gauge).interior_signs, opened)))
 
 
 def test_sign_flip_transform_examples(pt):
     net, gauge = pt
-    # only the -1 edge yz open, both endpoints positive: z flips
-    cfg = make_cluster_configuration(net, {"x": 1, "y": 1, "z": 1},
-                                     {edge_key("y", "z"): True})
-    tau = sign_flip_transform(cfg, gauge)
-    assert tau == {"x": 1, "y": 1, "z": -1}
-    assert sign_flip_transform(cfg, gauge) == tau  # deterministic
-    # no -1 edges open: identity
-    cfg2 = make_cluster_configuration(net, {"x": 1, "y": 1, "z": -1},
-                                      {edge_key("x", "y"): True})
-    assert sign_flip_transform(cfg2, gauge) == {"x": 1, "y": 1, "z": 1}
-
-
-def test_sign_flip_transform_rejects_unbalanced(pt):
-    net, gauge = pt
-    cfg = make_cluster_configuration(
-        net, {v: 1 for v in net.interior},
-        {edge_key("x", "y"): True, edge_key("y", "z"): True, edge_key("z", "x"): True})
-    with pytest.raises(ValueError, match="not in the topological event"):
-        sign_flip_transform(cfg, gauge)
+    # only the -1 edge yz open: z flips; only the +1 edge xy open: no flip
+    opened = np.array([[k == ("y", "z"), k == ("x", "y")] for k in net.interior_edges[0]])
+    lab = labels(net, gauge.interior_signs, opened)
+    assert _balanced(lab).all()
+    tau = _label_sign(lab[:, :, 0])
+    assert tau.tolist() == [[1, 1, -1], [1, 1, 1]]
+    assert np.array_equal(_label_sign(labels(net, gauge.interior_signs, opened)[:, :, 0]),
+                          tau)  # deterministic
 
 
 def test_sign_flip_transform_properties():
+    """On 60 random configurations in the event, the kernel's tau is +-1,
+    makes every open edge's sign product +1, keeps the sign of each open
+    cluster's smallest vertex, and leaves a cluster whose open edges are all
+    +1 alone; the clusters are the open subgraph's, labelled unsigned."""
     rng = np.random.default_rng(17)
     accepted = 0
     while accepted < 60:
         net, gauge = random_network(rng, max_interior=7)
-        cfg = random_configuration(rng, net)
-        if not detect_event(cfg, gauge):
+        signs, edge_open = random_marks(rng, net)
+        opened = opened_columns(net, [(signs, edge_open)])
+        lab = labels(net, gauge.interior_signs, opened)
+        if not _balanced(lab)[0]:
             continue
         accepted += 1
-        tau = sign_flip_transform(cfg, gauge)
-        assert set(tau) == set(net.interior)
+        tau = dict(zip(net.interior, _label_sign(lab[0, :, 0]).tolist()))
         assert all(t in (-1, 1) for t in tau.values())
-        for (u, v), o in cfg.edge_open.items():
+        for (u, v), o in edge_open.items():
             if o:
                 assert tau[u] * gauge.signs[(u, v)] * tau[v] == 1
-        for comp in cfg.components:
+        clusters = {}
+        plain = labels(net, np.ones_like(gauge.interior_signs), opened)[0, :, 0]
+        for x, cluster in zip(net.interior, plain.tolist()):
+            clusters.setdefault(cluster, []).append(x)
+        for comp in clusters.values():
             assert tau[min(comp)] == 1  # smallest id keeps its original sign
             # a component whose open edges are all +1 is left alone entirely
-            if all(gauge.signs[k] == 1 for k, o in cfg.edge_open.items()
+            if all(gauge.signs[k] == 1 for k, o in edge_open.items()
                    if o and k[0] in comp):
                 assert all(tau[v] == 1 for v in comp)
 
@@ -592,26 +590,6 @@ def test_event_and_conditional_law_on_general_networks():
         assert abs(cm.estimate - cm.target) <= 4 * max(cm.std_error, 1e-12)
         cn = two_point_connectivity(net, (x, y), 60_000, seed=trial + 90)
         assert abs(cn.estimate - cn.target) <= 4 * max(cn.std_error, 1e-12)
-
-
-def test_make_cluster_configuration_enforces_invariants(pt_net):
-    with pytest.raises(ValueError, match="boundary"):
-        make_cluster_configuration(pt_net, {v: 1 for v in pt_net.interior},
-                                   {edge_key("b", "x"): True})
-    with pytest.raises(ValueError, match="signs"):
-        make_cluster_configuration(pt_net, {"x": 1, "y": -1, "z": 1},
-                                   {edge_key("x", "y"): True})
-    with pytest.raises(ValueError, match=r"\('b', 'y'\) is not an edge"):
-        make_cluster_configuration(pt_net, {v: 1 for v in pt_net.interior},
-                                   {("x", "y"): True, ("b", "y"): False})
-    # keys in either order name the same edge: the -1 triangle is open
-    reversed_keys = make_cluster_configuration(
-        pt_net, {v: 1 for v in pt_net.interior},
-        {("y", "x"): True, ("z", "y"): True, ("z", "x"): True})
-    assert [k for k, o in reversed_keys.edge_open.items() if o] == \
-        [("x", "y"), ("x", "z"), ("y", "z")]
-    assert reversed_keys.components == (frozenset("xyz"),)
-    assert not detect_event(reversed_keys, GaugeField.with_minus_edges(pt_net, [("y", "z")]))
 
 
 def _union_find_column(m, edges):

@@ -7,8 +7,7 @@ import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   NetworkFormatError, edge_key, load_network, save_network,
                   spectral, subdivide, validate)
-from ggff.gff import (_field_laplacian, detect_event, make_cluster_configuration,
-                      sample_cluster_configuration, sample_gff)
+from ggff.gff import _field_laplacian, estimate_event_probability, two_point_connectivity
 from ggff.loopsoup import LoopSoupSampler
 
 from conftest import pendant_triangle, random_network, with_conductances
@@ -246,8 +245,7 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     _field_laplacian(net)
     _field_laplacian(net, gauge)
     LoopSoupSampler(net, 0.5)
-    config = sample_cluster_configuration(sample_gff(net, 1), net, 2)
-    detect_event(config, gauge)
+    estimate_event_probability(net, gauge, 8, 1)
     assert sorted(builds) == ["interior_degrees", "interior_edges", "interior_index",
                               "interior_signs"]
 
@@ -302,7 +300,9 @@ def test_integer_view_matches_a_derivation_from_the_edges():
 
 
 def test_configuration_on_a_network_without_interior_edges():
+    """On the star no edge can open: every sample is in the event, and no
+    two interior vertices share a cluster."""
     star = star_network()
-    config = make_cluster_configuration(star, {"x": 1, "y": -1, "z": 1}, {})
-    assert config.components == (frozenset("x"), frozenset("y"), frozenset("z"))
-    assert detect_event(config, GaugeField.all_plus(star))
+    gauge = GaugeField.all_plus(star)
+    assert estimate_event_probability(star, gauge, 16, 1, batch_size=4).estimate == 1.0
+    assert two_point_connectivity(star, ("x", "y"), 16, 2, batch_size=4).estimate == 0.0

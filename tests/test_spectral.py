@@ -368,7 +368,7 @@ def test_operations_on_one_network_share_its_factors(monkeypatch):
 
 
 def test_cover_fields_on_one_gauge_share_its_cover(monkeypatch):
-    """Three cover-field calls on one loaded 6 x 8 annulus build its double
+    """Two cover-field calls on one loaded 6 x 8 annulus build its double
     cover once, cached on the gauge, so the order-96 cover Laplacian is
     factored once; each call keeps the bits of the same call on fresh objects,
     and a network the gauge does not belong to is still refused."""
@@ -377,11 +377,9 @@ def test_cover_fields_on_one_gauge_share_its_cover(monkeypatch):
                 ggff.sample_cover_gff_batch(net, gauge, 2, 3)]
 
     fresh = [result_bytes(runs(*load_network(NETWORKS / "annulus-6x8.json"))[k]) for k in (0, 1)]
-    project = ggff.sample_cover_gff_and_project(*load_network(NETWORKS / "annulus-6x8.json"), 5)
     calls = factor_orders(monkeypatch, "cho_factor")
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
     assert [result_bytes(r) for r in runs(net, gauge)] == fresh
-    assert ggff.sample_cover_gff_and_project(net, gauge, 5) == project
     assert calls == [96]
     with pytest.raises(ValueError, match="different network"):  # the cache keeps the check
         ggff.sample_cover_gff_batch(polar_annulus(5, 8)[0], gauge, 1, 4)
