@@ -303,8 +303,7 @@ def cmd_gauge(args) -> int:
             ok = apply_gauge_transform(cert2, gauge).signs == other.signs
             checks.append(_check_exact("equivalence certificate verifies exactly",
                                        0.0 if ok else 1.0, 0.0))
-    return _emit(_finish(report, checks) if checks else {**report, "checks": [],
-                                                         "all_passed": True}, args)
+    return _emit(_finish(report, checks), args)
 
 
 def cmd_metric_grid(args) -> int:

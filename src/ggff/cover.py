@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .network import Edge, ElectricalNetwork, GaugeField, _frozen
 
 
 def cover_vertex_id(base_vertex: str, sheet: int) -> str:
+    """The id of base_vertex's lift to sheet 1 or 2."""
     return f"({base_vertex},{sheet})"
 
 
@@ -31,14 +31,6 @@ class DoubleCover:
     base: ElectricalNetwork
     gauge: GaugeField
     cover_network: ElectricalNetwork
-    projection: Mapping[str, str]     # cover vertex -> base vertex
-    deck: Mapping[str, str]           # sheet-swap involution on cover vertices
-    sheet: Mapping[str, int]          # cover vertex -> 1 or 2
-
-    def lift(self, base_vertex: str, sheet: int) -> str:
-        if sheet not in (1, 2):
-            raise ValueError("sheet must be 1 or 2")
-        return cover_vertex_id(base_vertex, sheet)
 
     @cached_property
     def interior_lifts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -52,16 +44,7 @@ class DoubleCover:
 def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleCover:
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
-    vertices: list[str] = []
-    projection: dict[str, str] = {}
-    deck: dict[str, str] = {}
-    sheet: dict[str, int] = {}
-    for v in network.vertices:
-        v1, v2 = cover_vertex_id(v, 1), cover_vertex_id(v, 2)
-        vertices.extend([v1, v2])
-        projection[v1] = projection[v2] = v
-        deck[v1], deck[v2] = v2, v1
-        sheet[v1], sheet[v2] = 1, 2
+    vertices = [cover_vertex_id(v, s) for v in network.vertices for s in (1, 2)]
     edges: list[Edge] = []
     for key in network.sorted_edge_keys:
         e = network.edge_map[key]
@@ -78,8 +61,7 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
     cover_net = ElectricalNetwork(
         vertices=tuple(vertices), boundary=boundary, edges=tuple(edges),
         name=f"{network.name}^db" if network.name else "")
-    return DoubleCover(base=network, gauge=gauge, cover_network=cover_net,
-                       projection=projection, deck=deck, sheet=sheet)
+    return DoubleCover(base=network, gauge=gauge, cover_network=cover_net)
 
 
 # Bounds the nodes of the graph one connected_components call labels (2*m per

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cover import _balanced, _cover_labels, _label_sign
 from .network import ElectricalNetwork, GaugeField, VertexSigns
 
 
@@ -67,8 +68,6 @@ def are_gauge_equivalent(sigma: GaugeField, sigma_prime: GaugeField) -> Optional
     On a connected network exactly two certificates exist (vs and -vs); the
     returned one has +1 at the smallest vertex id.
     """
-    from .cover import _balanced, _cover_labels, _label_sign  # cover imports this module
-
     if sigma.network != sigma_prime.network:
         raise ValueError("gauge fields live on different networks")
     net = sigma.network

@@ -61,15 +61,6 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
     return u < np.negative(x, out=x)
 
 
-def _field_laplacian(network: ElectricalNetwork,
-                     gauge: Optional[GaugeField] = None) -> spectral.LaplacianMatrix:
-    """spectral.descending_laplacian(network, gauge), its inverse_factor built
-    before worker threads share it."""
-    lap = spectral.descending_laplacian(network, gauge)
-    lap.inverse_factor
-    return lap
-
-
 def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:
     """n samples of covariance G = lap^-1 as columns.  With lap descending and
     J the reversal, lap.color applies J C^-T J, the lower Cholesky factor of G,
@@ -79,10 +70,10 @@ def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> 
 
 def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samples: int,
                      seed: int, threads: int, batch_size: int):
-    """(L, total): L from _field_laplacian, and the run_batches total of
+    """(L, total): L = descending_laplacian(network), and the run_batches total of
     reduce(phi, lab) over batches of _fields of L and the _cover_labels of
     their open subgraphs, the interior edges carrying the signs rel."""
-    lap = _field_laplacian(network)
+    lap = spectral.descending_laplacian(network)
     _, u, v, c = network.interior_edges
 
     def worker(bi: int, bn: int):
@@ -107,7 +98,7 @@ def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     cov = spectral.cached_on(gauge, "_double_cover", lambda: build_double_cover(network, gauge))
-    phi = _fields(_field_laplacian(cov.cover_network), substream(seed), n)
+    phi = _fields(spectral.descending_laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)
     return inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
@@ -125,6 +116,8 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
                                batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
     """Monte Carlo probability that a field sample's sign clusters are all
     balanced; the closed-form target sqrt(det G_sigma / det G) is attached."""
+    if gauge.network != network:  # refused before the draws, which run without L_sigma
+        raise ValueError("gauge field belongs to a different network")
     lap, hits = _cluster_batches(network, gauge.interior_signs,
                                  lambda phi, lab: int(_balanced(lab).sum()),
                                  n_samples, seed, threads, batch_size)
@@ -153,6 +146,7 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     tau being the canonical recoloring; the target is G_sigma(x,y)."""
     ix, iy = _interior_pair(network, pair,
                             "conditional moments are defined at interior vertices")
+    target = spectral.restricted_green(network, pair, gauge).value(*pair)
 
     def moments(phi: np.ndarray, lab: np.ndarray) -> np.ndarray:
         tau = _label_sign(lab[:, [ix, iy], 0])
@@ -168,7 +162,6 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
     mean, se = mean_se(s1, s2, acc)
-    target = spectral.restricted_green(network, pair, gauge).value(*pair)
     return EstimatorReport(float(mean), float(se), n_samples, acc, seed, target=target)
 
 
@@ -217,10 +210,8 @@ def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
     """
     if grid_points_per_edge < 2:
         raise ValueError("need at least 2 grid points per edge")
-    if gauge.network != network:
-        raise ValueError("gauge field belongs to a different network")
     rng = substream(seed)
-    phi = _fields(_field_laplacian(network, gauge), rng, 1)[:, 0]
+    phi = _fields(spectral.descending_laplacian(network, gauge), rng, 1)[:, 0]
     vertex_values = dict(zip(network.interior, map(float, phi)))
 
     def val(v: str) -> float:

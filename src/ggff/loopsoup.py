@@ -49,7 +49,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import spectral
-from .gff import _field_laplacian
 from .network import ElectricalNetwork, GaugeField
 from .seeds import batch_plan, mean_se, run_batches, substream, substreams
 
@@ -356,9 +355,10 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     alpha*G(x,x) and second moment alpha*(1+alpha)*G(x,x)^2, the occupation
     marginal being Gamma(alpha) with scale G(x,x).
     """
+    # L_sigma factored as L is: equal operators' log dets cancel exactly
+    lap, lap_s = (spectral.descending_laplacian(network),
+                  spectral.descending_laplacian(network, gauge))
     sampler = LoopSoupSampler(network, alpha)
-    lap = sampler._lap  # L_sigma factored as L is: equal operators' log dets cancel exactly
-    lap_s = spectral.descending_laplacian(network, gauge)
     m = len(sampler.interior)
 
     def reduce(total, soups, _) -> np.ndarray:
@@ -420,13 +420,14 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     alpha = 1/2, with an independent twisted field on the right side."""
     from scipy.special import erfinv
 
+    untwisted, twisted = (spectral.descending_laplacian(network),
+                          spectral.descending_laplacian(network, gauge))
     sampler = LoopSoupSampler(network, 0.5)
     m = len(sampler.interior)
-    twisted = _field_laplacian(network, gauge)
     # exact decile grid of the untwisted square field per vertex, once for
     # the twisted and once for the untwisted field: P(phi^2 <= t) = erf(sqrt(t / (2 G(x,x))))
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
-    grids = np.tile(np.outer(sampler._lap.inverse_diagonal, deciles), (2, 1))  # (2m, 9)
+    grids = np.tile(np.outer(untwisted.inverse_diagonal, deciles), (2, 1))  # (2m, 9)
 
     def reduce(total, soups, normals) -> np.ndarray:
         # rows x = (left, right), then the counts of the twisted and untwisted
@@ -435,7 +436,7 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
         # each operator colouring the stack of all soups' columns in one call
         x = _occupations(soups, _holonomies(_batch_loops(soups), gauge) == -1)
         z = normals.reshape(len(soups), 2, m, 1)
-        squares = np.concatenate((twisted.color(z[:, 0]), sampler._lap.color(z[:, 1])),
+        squares = np.concatenate((twisted.color(z[:, 0]), untwisted.color(z[:, 1])),
                                  axis=1)[:, :, 0] ** 2  # phi_sigma^2, then phi^2
         x[:, m:] += 0.5 * squares[:, :m]
         below = np.column_stack([np.count_nonzero(squares <= g, axis=0) for g in grids.T])

@@ -11,9 +11,10 @@ and banded above it, where no dense matrix is formed.
 Determinants are accumulated as log determinants, so ratios never overflow.
 The `*_of` forms take operators already factored, so that a caller needing
 several quantities of one operator factors it once; a Green matrix is formed
-in full only where all its entries are used.  The descending L and L_sigma
-that fields and loop soups are drawn from are factored once per network and
-gauge and cached there (descending_laplacian), with their Green diagonals.
+in full only where all its entries are used.  L and L_sigma have one
+accessor per order, which factors each once per network and gauge and caches
+it there: laplacian and twisted_laplacian in sorted order, for the closed
+forms, and descending_laplacian, for the fields and loop soups drawn from it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .cover import DoubleCover, build_double_cover
+from .gauge import apply_gauge_transform
 from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexSigns
 
 # operators up to this order are factored densely and larger ones in banded
@@ -126,8 +128,8 @@ class LaplacianMatrix:
     def inverse_factor(self) -> np.ndarray | None:
         """C^-1, read-only, from one triangular inversion on the dense route,
         built on first read; None on the banded route, where it would be a
-        dense m x m array.  An operator shared by worker threads is read here
-        before they start."""
+        dense m x m array.  descending_laplacian builds it before returning,
+        so worker threads sharing an operator only read it."""
         if self.factor[2]:
             return None
         inv, _ = sla.lapack.dtrtri(np.tril(self.factor[0]), lower=1, overwrite_c=1)
@@ -194,8 +196,6 @@ class GreenMatrix:
 def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
               descending: bool = False) -> LaplacianMatrix:
     """The diagonal W(x), then each of network.interior_edges both ways."""
-    if gauge is not None and gauge.network != network:
-        raise ValueError("gauge field belongs to a different network")
     _, u, v, c = network.interior_edges
     w = -c if gauge is None else -(gauge.interior_signs * c)
     d = np.arange(len(network.interior), dtype=np.intp)
@@ -203,15 +203,6 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
                           np.concatenate((network.interior_degrees, w, w)), kind, descending)
     lap.factor  # positive definiteness is part of the contract
     return lap
-
-
-def laplacian(network: ElectricalNetwork, descending: bool = False) -> LaplacianMatrix:
-    return _assemble(network, None, "untwisted", descending)
-
-
-def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField,
-                      descending: bool = False) -> LaplacianMatrix:
-    return _assemble(network, gauge, "twisted", descending)
 
 
 def cached_on(owner, name: str, build):
@@ -224,18 +215,36 @@ def cached_on(owner, name: str, build):
     return cache[name]
 
 
+def _cached_laplacian(network: ElectricalNetwork, gauge: GaugeField | None,
+                      descending: bool) -> LaplacianMatrix:
+    """L, or L_sigma with a gauge, in the given order: assembled and factored
+    on first use and cached on network, or on gauge, for every later reader."""
+    if gauge is not None and gauge.network != network:
+        raise ValueError("gauge field belongs to a different network")
+    return cached_on(network if gauge is None else gauge,
+                     "_descending_laplacian" if descending else "_laplacian",
+                     lambda: _assemble(network, gauge, "untwisted" if gauge is None else "twisted",
+                                       descending))
+
+
+def laplacian(network: ElectricalNetwork) -> LaplacianMatrix:
+    """L in sorted order, cached on network."""
+    return _cached_laplacian(network, None, False)
+
+
+def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> LaplacianMatrix:
+    """L_sigma in sorted order, cached on gauge."""
+    return _cached_laplacian(network, gauge, False)
+
+
 def descending_laplacian(network: ElectricalNetwork,
                          gauge: GaugeField | None = None) -> LaplacianMatrix:
     """L, or L_sigma with a gauge, in descending order: the operator that
-    fields and loop soups are drawn from.  Assembled and factored on first
-    use and cached on network, or on gauge, for every later reader."""
-    if gauge is None:
-        return cached_on(network, "_descending_laplacian",
-                         lambda: laplacian(network, descending=True))
-    if gauge.network != network:
-        raise ValueError("gauge field belongs to a different network")
-    return cached_on(gauge, "_descending_laplacian",
-                     lambda: twisted_laplacian(network, gauge, descending=True))
+    fields and loop soups are drawn from, cached on network, or on gauge, with
+    its inverse_factor built, so that worker threads sharing it only read it."""
+    lap = _cached_laplacian(network, gauge, True)
+    lap.inverse_factor
+    return lap
 
 
 def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:
@@ -262,9 +271,9 @@ def restricted_green(network: ElectricalNetwork, vertices,
                      gauge: GaugeField | None = None) -> GreenMatrix:
     """G, or G_sigma when a gauge is given, on vertices x vertices.
 
-    Factors the Laplacian once and solves only for the listed vertices'
-    columns, so the full inverse is never formed.  Equals the matching block
-    of green() or twisted_green().
+    Reads the cached Laplacian's factor and solves only for the listed
+    vertices' columns, so the full inverse is never formed.  Equals the
+    matching block of green() or twisted_green().
     """
     vertices = tuple(vertices)
     lap = laplacian(network) if gauge is None else twisted_laplacian(network, gauge)
@@ -399,8 +408,6 @@ def write_csv(matrix: GreenMatrix | LaplacianMatrix, path) -> None:
 def gauge_covariance_residual(network: ElectricalNetwork, gauge: GaugeField,
                               vs: VertexSigns) -> float:
     """max |G_{vs.sigma}(x,y) - vs(x) G_sigma(x,y) vs(y)| over interior pairs."""
-    from .gauge import apply_gauge_transform
-
     return gauge_covariance_residual_of(
         vs, twisted_green(network, gauge),
         twisted_green(network, apply_gauge_transform(vs, gauge)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
+from ggff.cover import cover_vertex_id
 from ggff.loopsoup import Loop, LoopSoupSample, LoopSoupSampler
 
 
@@ -18,6 +19,18 @@ def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
                Edge("yz", "y", "z", 1.0), Edge("zx", "z", "x", 1.0)),
         name="PT")
     return net, GaugeField.with_minus_edges(net, [("y", "z")])
+
+
+def cover_maps(net: ElectricalNetwork) -> tuple[dict, dict, dict]:
+    """(projection, deck, sheet) on the cover vertices, read off the ids
+    cover_vertex_id gives the two lifts of each base vertex."""
+    projection, deck, sheet = {}, {}, {}
+    for v in net.vertices:
+        one, two = cover_vertex_id(v, 1), cover_vertex_id(v, 2)
+        projection[one] = projection[two] = v
+        deck[one], deck[two] = two, one
+        sheet[one], sheet[two] = 1, 2
+    return projection, deck, sheet
 
 
 def factor_orders(monkeypatch, name: str) -> list[int]:

@@ -9,8 +9,9 @@ from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
                   build_double_cover, conditional_moment, cover, edge_key,
                   estimate_event_probability, gff, holonomy, is_trivial,
                   save_network, load_network, two_point_connectivity)
+from ggff import gauge as gauge_module
 
-from conftest import pendant_triangle, random_network, random_trivial_gauge
+from conftest import cover_maps, pendant_triangle, random_network, random_trivial_gauge
 
 
 def bfs_component_count(net: ElectricalNetwork) -> int:
@@ -35,26 +36,28 @@ def test_cover_structure_invariants(pt):
     net, gauge = pt
     cov = build_double_cover(net, gauge)
     cn = cov.cover_network
+    projection, deck, sheet = cover_maps(net)
+    assert set(cn.vertices) == set(projection)
     assert len(cn.vertices) == 2 * len(net.vertices)
     assert len(cn.edges) == 2 * len(net.edges)
     # deck: fixed-point-free involution, automorphism, projection-compatible
     for v in cn.vertices:
-        assert cov.deck[v] != v and cov.deck[cov.deck[v]] == v
-        assert cov.projection[cov.deck[v]] == cov.projection[v]
+        assert deck[v] != v and deck[deck[v]] == v
+        assert projection[deck[v]] == projection[v]
     for k in cn.sorted_edge_keys:
-        assert edge_key(cov.deck[k[0]], cov.deck[k[1]]) in cn.edge_map
+        assert edge_key(deck[k[0]], deck[k[1]]) in cn.edge_map
         # conductances pulled back from the base
-        assert cn.edge_map[k].conductance == net.conductance(
-            cov.projection[k[0]], cov.projection[k[1]])
-    assert cn.boundary == frozenset(cov.lift(v, s) for v in net.boundary for s in (1, 2))
+        assert cn.edge_map[k].conductance == net.conductance(projection[k[0]], projection[k[1]])
+    assert cn.boundary == frozenset(cover.cover_vertex_id(v, s)
+                                    for v in net.boundary for s in (1, 2))
     # edge rule: -1 edges cross sheets, +1 edges stay
     for k in cn.sorted_edge_keys:
         u, v = k
-        base = edge_key(cov.projection[u], cov.projection[v])
+        base = edge_key(projection[u], projection[v])
         if gauge.signs[base] == 1:
-            assert cov.sheet[u] == cov.sheet[v]
+            assert sheet[u] == sheet[v]
         else:
-            assert cov.sheet[u] != cov.sheet[v]
+            assert sheet[u] != sheet[v]
 
 
 def test_interior_lifts_read_the_cover_ids(pt):
@@ -73,13 +76,14 @@ def test_interior_lifts_read_the_cover_ids(pt):
     for net, gauge in cases:
         cov = build_double_cover(net, gauge)
         idx = cov.cover_network.interior_index
+        _, deck_ids, _ = cover_maps(net)
         one, two = cov.interior_lifts
         assert one.dtype == two.dtype == np.intp
-        assert one.tolist() == [idx[cov.lift(x, 1)] for x in net.interior]
-        assert two.tolist() == [idx[cov.lift(x, 2)] for x in net.interior]
+        assert one.tolist() == [idx[cover.cover_vertex_id(x, 1)] for x in net.interior]
+        assert two.tolist() == [idx[cover.cover_vertex_id(x, 2)] for x in net.interior]
         deck = np.empty(len(idx), dtype=np.intp)
         deck[one], deck[two] = two, one
-        assert deck.tolist() == [idx[cov.deck[a]] for a in cov.cover_network.interior]
+        assert deck.tolist() == [idx[deck_ids[a]] for a in cov.cover_network.interior]
         for a in (one, two):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -200,10 +204,11 @@ def test_fundamental_domain(pt):
     one to one onto the base vertices, and the deck onto the other lifts."""
     net, gauge = pt
     cov = build_double_cover(net, gauge)
-    dom = [w for w in cov.cover_network.vertices if cov.sheet[w] == 1]
+    projection, deck, sheet = cover_maps(net)
+    dom = [w for w in cov.cover_network.vertices if sheet[w] == 1]
     assert set(dom) == {"(b,1)", "(x,1)", "(y,1)", "(z,1)"}
-    assert sorted(cov.projection[w] for w in dom) == sorted(net.vertices)
-    assert {cov.deck[w] for w in dom} == set(cov.cover_network.vertices) - set(dom)
+    assert sorted(projection[w] for w in dom) == sorted(net.vertices)
+    assert {deck[w] for w in dom} == set(cov.cover_network.vertices) - set(dom)
 
 
 def test_covering_isomorphism_examples(pt_net):
@@ -249,7 +254,7 @@ def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
         widths.append(opened.shape[1])
         return real(m, edge_u, edge_v, rel, opened)
 
-    for owner in (cover, gff):  # gff holds the name it imported
+    for owner in (cover, gauge_module, gff):  # gauge and gff hold the names they imported
         monkeypatch.setattr(owner, "_cover_labels", counting)
     net, gauge = pendant_triangle()
     queries = {

@@ -12,12 +12,12 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
                   sample_cover_gff_batch, sample_metric_field, twisted_green,
                   two_point_connectivity, edge_key, load_network, spectral, subdivide)
 from ggff.cover import _balanced, _cover_labels, _label_sign
-from ggff.gff import _field_laplacian, _fields, _open_marks
+from ggff.gff import _fields, _open_marks
 from ggff.seeds import substream
 
 from conftest import (ParityUnionFind, cycles_balanced, pendant_triangle, polar_annulus,
                       random_network, reference_fields,
-                      union_find_balanced)
+                      union_find_balanced, with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -33,29 +33,29 @@ def empirical_cov(block):
 def test_sampler_determinism(pt):
     net, gauge = pt
     for sigma in (None, gauge):
-        lap = _field_laplacian(net, sigma)
+        lap = spectral.descending_laplacian(net, sigma)
         assert np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(42), 1))
-    lap = _field_laplacian(net)
+    lap = spectral.descending_laplacian(net)
     assert not np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(43), 1))
 
 
 def test_gff_empirical_covariance(pt_net):
     n = 100_000
-    block = _fields(_field_laplacian(pt_net), substream(1), n)
+    block = _fields(spectral.descending_laplacian(pt_net), substream(1), n)
     g = green(pt_net).entries
     assert np.all(np.abs(empirical_cov(block) - g) <= cov_tolerance(np.diag(g), n))
 
 
 def test_single_interior_vertex_variance():
     net = ElectricalNetwork(("b", "x"), frozenset({"b"}), (Edge("e", "b", "x", 2.0),))
-    block = _fields(_field_laplacian(net), substream(2), 100_000)
+    block = _fields(spectral.descending_laplacian(net), substream(2), 100_000)
     assert np.var(block) == pytest.approx(0.5, abs=4 * 0.5 * math.sqrt(2 / 100_000))
 
 
 def test_twisted_empirical_moments(pt):
     net, gauge = pt
     n = 100_000
-    block = _fields(_field_laplacian(net, gauge), substream(3), n)
+    block = _fields(spectral.descending_laplacian(net, gauge), substream(3), n)
     gs = twisted_green(net, gauge).entries
     emp = empirical_cov(block)
     assert np.all(np.abs(emp - gs) <= cov_tolerance(np.diag(gs) + 0.5, n))
@@ -78,13 +78,13 @@ def test_fields_equal_the_green_cholesky_sampler():
     for net, gauge in cases:
         sample_cover_gff_batch(net, gauge, 7, 64)
         cover_net = vars(gauge)["_double_cover"].cover_network  # cached by that call
-        phi = _fields(_field_laplacian(cover_net), substream(7), 64)
+        phi = _fields(spectral.descending_laplacian(cover_net), substream(7), 64)
         assert _relative_gap(phi, reference_fields(cover_net, None, substream(7), 64)) <= 1e-12
     cases += [random_network(rng) for _ in range(30)] + [polar_annulus(49, 24)]
     assert len(cases[-1][0].interior) > spectral.DENSE_MAX_ORDER
     for seed, (net, gauge) in enumerate(cases):
         for sigma in (None, gauge):
-            got = _fields(_field_laplacian(net, sigma), substream(seed), 64)
+            got = _fields(spectral.descending_laplacian(net, sigma), substream(seed), 64)
             assert _relative_gap(got, reference_fields(net, sigma, substream(seed), 64)) <= 1e-12
 
 
@@ -122,6 +122,24 @@ def test_estimators_on_the_banded_route_form_no_square_array():
         assert abs(rep.estimate - rep.target) <= 4 * rep.std_error
 
 
+@pytest.mark.parametrize("operation", ["event", "moment", "metric field"])
+def test_a_gauge_of_another_network_is_refused_before_any_draw(pt, monkeypatch, operation):
+    """A gauge field of another network is refused before a field is drawn,
+    whether that network has another size, whose signs would not broadcast
+    in a batch, or the same size, where the Monte Carlo would run to its end."""
+    net, _ = pt
+    drawn = []
+    monkeypatch.setattr(ggff.gff, "_fields", lambda *args: drawn.append(args))
+    equal_size = with_conductances(net, [2.0 * e.conductance for e in net.edges])
+    run = {"event": lambda g: estimate_event_probability(net, g, 1000, 1),
+           "moment": lambda g: conditional_moment(net, g, ("x", "y"), 1000, 1),
+           "metric field": lambda g: sample_metric_field(net, g, 4, 1)}[operation]
+    for other in (polar_annulus(6, 8)[1], GaugeField.with_minus_edges(equal_size, [("y", "z")])):
+        with pytest.raises(ValueError, match="different network"):
+            run(other)
+    assert drawn == []
+
+
 def test_trivial_gauge_certificate_conjugation():
     rng = np.random.default_rng(4)
     net, _ = random_network(rng, max_interior=5)
@@ -131,7 +149,7 @@ def test_trivial_gauge_certificate_conjugation():
     ok, cert = ggff.is_trivial(gauge)
     assert ok
     n = 60_000
-    block = _fields(_field_laplacian(net, gauge), substream(5), n)
+    block = _fields(spectral.descending_laplacian(net, gauge), substream(5), n)
     s = np.array([cert.signs[v] for v in net.interior])
     g = green(net).entries
     emp = empirical_cov(s[:, None] * block)
@@ -166,7 +184,7 @@ def test_cover_project_single_sample_consistency(pt):
     net, gauge = pt
     plus, minus = sample_cover_gff_batch(net, gauge, seed=8, n=1)
     cover_net = vars(gauge)["_double_cover"].cover_network
-    phi = _fields(_field_laplacian(cover_net), substream(8), 1)[:, 0]
+    phi = _fields(spectral.descending_laplacian(cover_net), substream(8), 1)[:, 0]
     idx = cover_net.interior_index
     inv = 1 / math.sqrt(2)
     for i, x in enumerate(net.interior):
@@ -216,7 +234,7 @@ def test_cluster_configuration_structure(pt):
     labels put the two ends of every open edge in one cluster."""
     net, _ = pt
     _, iu, iv, c = net.interior_edges
-    phi = _fields(_field_laplacian(net), substream(11), 8)
+    phi = _fields(spectral.descending_laplacian(net), substream(11), 8)
     opened = _open_marks(phi, iu, iv, c, substream(12))
     assert np.array_equal(_open_marks(phi, iu, iv, c, substream(12)), opened)
     assert opened.any()
@@ -228,7 +246,7 @@ def test_cluster_configuration_structure(pt):
 def test_opposite_sign_edges_always_closed(pt_net):
     _, iu, iv, c = pt_net.interior_edges
     for seed in range(30):
-        phi = _fields(_field_laplacian(pt_net), substream(seed), 1)
+        phi = _fields(spectral.descending_laplacian(pt_net), substream(seed), 1)
         opened = _open_marks(phi, iu, iv, c, substream(seed + 1000))
         assert not opened[np.sign(phi[iu]) != np.sign(phi[iv])].any()
 
@@ -239,7 +257,7 @@ def test_empirical_open_rate_matches_formula(pt_net):
     # the Bernoulli frequency with the integrated formula on the same samples
     n = 60_000
     rng = substream(14)
-    phi = _fields(_field_laplacian(pt_net), rng, n)
+    phi = _fields(spectral.descending_laplacian(pt_net), rng, n)
     keys, iu, iv, c = pt_net.interior_edges
     opened = _open_marks(phi, iu, iv, c, rng)
     probs = np.where(np.sign(phi[iu]) == np.sign(phi[iv]),
@@ -294,7 +312,7 @@ def test_open_marks_match_the_sign_rule():
     annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
     _, eu, ev, c = annulus.interior_edges
     for seed in range(3):
-        phi = _fields(_field_laplacian(annulus), substream(seed), 64)
+        phi = _fields(spectral.descending_laplacian(annulus), substream(seed), 64)
         check(phi, eu, ev, c, seed + 2)
         spread = phi * 10.0 ** substream(seed, 1).uniform(-200, 200, phi.shape)
         spread[substream(seed, 2).random(phi.shape) < 0.05] = 0.0
@@ -321,7 +339,7 @@ def test_cluster_configuration_follows_the_per_edge_rule(pt):
     rng = np.random.default_rng(22)
     networks = [pt[0], load_network(NETWORKS / "annulus-6x8.json")[0]]
     networks += [random_network(rng)[0] for _ in range(20)]
-    samples = [(net, _fields(_field_laplacian(net), substream(seed), 1)[:, 0])
+    samples = [(net, _fields(spectral.descending_laplacian(net), substream(seed), 1)[:, 0])
                for net in networks for seed in (1, 2, 3)]
     assert pt[0].interior == ("x", "y", "z")
     samples += [(pt[0], np.array(values))

@@ -14,7 +14,7 @@ from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, 
                   sample_loop_soup, soup_moments, split_by_holonomy,
                   negative_holonomy_mass)
 from ggff import load_network, loopsoup, spectral
-from ggff.gff import _field_laplacian, _fields
+from ggff.gff import _fields
 from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
 from ggff.seeds import batch_plan, substream
 
@@ -217,7 +217,7 @@ def test_hitting_probabilities_of_an_array_stack_the_scalar_calls(monkeypatch, t
     rng = np.random.default_rng(43)
     for net in (polar_annulus(6, 8)[0], holed_grid()[0]):
         m = len(net.interior)
-        for lap in (spectral.laplacian(net, descending=True), spectral.laplacian(net)):
+        for lap in (spectral.descending_laplacian(net), spectral.laplacian(net)):
             assert lap.factor[2] == (threshold == 0)
             for s in (np.arange(m), rng.integers(0, m, 17)):
                 stacked = np.stack([lap.hitting_probabilities(t) for t in s.tolist()], axis=1)
@@ -371,7 +371,7 @@ def kl_features(net, gauge):
     from scipy.special import erfinv
 
     sampler = LoopSoupSampler(net, 0.5)
-    twisted = _field_laplacian(net, gauge)
+    twisted = spectral.descending_laplacian(net, gauge)
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
     grids = np.outer(sampler._lap.inverse_diagonal, deciles)
 

@@ -7,7 +7,7 @@ import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   NetworkFormatError, edge_key, load_network, save_network,
                   spectral, subdivide, validate)
-from ggff.gff import _field_laplacian, estimate_event_probability, two_point_connectivity
+from ggff.gff import estimate_event_probability, two_point_connectivity
 from ggff.loopsoup import LoopSoupSampler
 
 from conftest import pendant_triangle, random_network, with_conductances
@@ -242,8 +242,8 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     spectral.twisted_laplacian(net, gauge)
     spectral.restricted_green(net, ("x", "z"), gauge)
     spectral.loop_mass(net)
-    _field_laplacian(net)
-    _field_laplacian(net, gauge)
+    spectral.descending_laplacian(net)
+    spectral.descending_laplacian(net, gauge)
     LoopSoupSampler(net, 0.5)
     estimate_event_probability(net, gauge, 8, 1)
     assert sorted(builds) == ["interior_degrees", "interior_edges", "interior_index",

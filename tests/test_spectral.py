@@ -18,12 +18,12 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                   subspace_determinants, subspace_log_determinants, write_csv)
 from ggff import load_network, spectral
 from ggff.cli import identity_checks
-from ggff.cover import build_double_cover
+from ggff.cover import build_double_cover, cover_vertex_id
 from ggff.loopsoup import LoopSoupSampler
 from ggff.spectral import cover_laplacian, gauge_covariance_residual
 
-from conftest import (factor_orders, polar_annulus, random_network, random_trivial_gauge,
-                      with_conductances)
+from conftest import (cover_maps, factor_orders, polar_annulus, random_network,
+                      random_trivial_gauge, with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -148,16 +148,17 @@ def cover_green_relations_by_pairs(net, gauge):
     cov = build_double_cover(net, gauge)
     g, gs, gdb = green(net), twisted_green(net, gauge), ggff.cover_green(cov)
     idx = {v: i for i, v in enumerate(gdb.interior_order)}
+    _, swap, _ = cover_maps(net)
     m = len(g.interior_order)
     g11, g12 = np.zeros((m, m)), np.zeros((m, m))
     for i, x in enumerate(g.interior_order):
         for j, y in enumerate(g.interior_order):
-            g11[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 1)]]
-            g12[i, j] = gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 2)]]
+            g11[i, j] = gdb.entries[idx[cover_vertex_id(x, 1)], idx[cover_vertex_id(y, 1)]]
+            g12[i, j] = gdb.entries[idx[cover_vertex_id(x, 1)], idx[cover_vertex_id(y, 2)]]
     deck = np.zeros_like(gdb.entries)
     for a in gdb.interior_order:
         for b in gdb.interior_order:
-            deck[idx[a], idx[b]] = gdb.entries[idx[cov.deck[a]], idx[cov.deck[b]]]
+            deck[idx[a], idx[b]] = gdb.entries[idx[swap[a]], idx[swap[b]]]
     return (float(np.max(np.abs(g.entries - (g11 + g12)))),
             float(np.max(np.abs(gs.entries - (g11 - g12)))),
             float(np.max(np.abs(deck - gdb.entries))))
@@ -178,7 +179,7 @@ def test_cover_off_sheet_green_vanishes_for_all_plus(pt_net):
     idx = {v: i for i, v in enumerate(gdb.interior_order)}
     for x in pt_net.interior:
         for y in pt_net.interior:
-            assert abs(gdb.entries[idx[cov.lift(x, 1)], idx[cov.lift(y, 2)]]) < 1e-12
+            assert abs(gdb.entries[idx[cover_vertex_id(x, 1)], idx[cover_vertex_id(y, 2)]]) < 1e-12
 
 
 def test_subspace_determinants_pt(pt):
@@ -284,18 +285,23 @@ def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
     assert np.array_equal(chol, np.tril(chol))
     assert np.max(np.abs(chol @ chol.T - lap.entries)) < 1e-12
     assert np.array_equal(g.entries, twisted_green(net, gauge).entries)
+    assert twisted_laplacian(net, gauge) is lap and calls == [3]  # cached on the gauge
     calls.clear()
     green(net)
     restricted_green(net, ["y"])
-    assert calls == [3, 3]  # one factor per Laplacian assembled
+    restricted_green(net, ["y"], gauge)
+    assert calls == [3]  # L once, cached on the network; L_sigma read from the gauge
     # one identity suite: L, L_sigma, L_{vs.sigma}, the cover Laplacian, its
     # two sheet-symmetric blocks and the four subdivided Laplacians, each
-    # factored once; every subdivision of these two stays on the dense route
-    for network, sigma in (pt, load_network(NETWORKS / "annulus-6x8.json")):
-        calls.clear()
-        identity_checks(network, sigma)
-        assert len(calls) == 10 and banded == []
-        assert max(calls) <= spectral.DENSE_MAX_ORDER
+    # factored once; a second suite reads L and L_sigma from the network and
+    # the gauge; every subdivision of these two stays on the dense route
+    for name in ("pt", "annulus-6x8"):
+        network, sigma = load_network(NETWORKS / f"{name}.json")
+        for factors in (10, 8):
+            calls.clear()
+            identity_checks(network, sigma)
+            assert len(calls) == factors and banded == []
+            assert max(calls) <= spectral.DENSE_MAX_ORDER
 
 
 FACTORED_OPERATIONS = {
@@ -357,13 +363,14 @@ def test_operations_on_one_network_share_its_factors(monkeypatch):
     L and L_sigma once each in descending order, where they are cached for
     the fields, soups and targets of every later call, plus the moment
     target's sorted L_sigma and the cover Laplacian: 4 factorizations where
-    fresh networks make 10.  Every result keeps the bits of the same call on
-    a fresh network."""
+    fresh networks make 10.  Run again, they factor nothing more.  Every
+    result keeps the bits of the same call on a fresh network."""
     fresh = {name: result_bytes(factored_operation(name)()) for name in FACTORED_OPERATIONS}
     calls = factor_orders(monkeypatch, "cho_factor")
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
-    for name, run in factored_operations(net, gauge).items():
-        assert result_bytes(run()) == fresh[name], name
+    for _ in range(2):
+        for name, run in factored_operations(net, gauge).items():
+            assert result_bytes(run()) == fresh[name], name
     assert calls == [48, 48, 48, 96]
 
 
@@ -470,15 +477,28 @@ def test_only_spectral_factors_a_matrix():
 
 def test_only_the_accessor_assembles_a_descending_laplacian():
     """Fields and soups read spectral.descending_laplacian, which caches L on
-    the network and L_sigma on the gauge; no other code in the package asks
-    for a descending operator."""
+    the network and L_sigma on the gauge; the sorted-order accessors take no
+    order, and no code outside ggff.spectral assembles an operator."""
+    for accessor in (laplacian, twisted_laplacian):
+        assert "descending" not in inspect.signature(accessor).parameters
+    source = Path(spectral.__file__).read_text()
     accessor = inspect.getsource(spectral.descending_laplacian)
+    assert source.count("_cached_laplacian(network, gauge, True)") == 1
+    assert "_cached_laplacian(network, gauge, True)" in accessor
     found = [f"{path.name}: {line.strip()}"
-             for path in Path(ggff.__file__).parent.glob("*.py")
+             for path in Path(ggff.__file__).parent.glob("*.py") if path.name != "spectral.py"
              for line in path.read_text().splitlines()
-             if "descending=True" in line and not (path.name == "spectral.py" and line in accessor)]
+             if re.search(r"_assemble\(|_cached_laplacian\(|descending=", line)]
     assert found == []
-    assert accessor.count("descending=True") == 2
+
+
+def test_the_descending_accessor_builds_the_inverse_factor(pt):
+    """Worker threads share a descending operator and only read it: on the
+    dense route its inverse_factor is built before the accessor returns it."""
+    net, gauge = pt
+    for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
+        assert not lap.factor[2]
+        assert "inverse_factor" in vars(lap) and lap.inverse_factor is not None
 
 
 # a vertex's degree, or a cover vertex's id, formed outside the module that caches it
@@ -530,26 +550,31 @@ def test_only_spectral_chooses_an_elimination_order(pt, monkeypatch):
     assert all(sorted_order)
 
 
-def _both_routes(monkeypatch, network, vertices, gauge=None):
-    """restricted_green by the banded route, then by the dense route."""
+def _both_routes(monkeypatch, net, gauge, n: int) -> tuple[list, int]:
+    """restricted_green on net subdivided n times, without and with the gauge,
+    by the banded route, then by the dense route, and the subdivision's
+    order.  Each route has a subdivision of its own, since a network and its
+    gauge keep the factors their first reader made."""
     routes = []
     for threshold in (0, 10 ** 9):
+        sub, gauge_n = subdivide(net, gauge, n)
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "DENSE_MAX_ORDER", threshold)
-            routes.append(restricted_green(network, vertices, gauge))
-    return routes
+            routes.append([restricted_green(sub.network, net.interior, sigma)
+                           for sigma in (None, gauge_n)])
+            assert laplacian(sub.network).factor[2] is (threshold == 0)
+    return list(zip(*routes)), len(sub.network.interior)
 
 
 def _routes_agree(monkeypatch, net, gauge, n: int) -> int:
     """Both routes on net subdivided n times agree to 1e-12 relative, with and
     without the gauge; returns the subdivision's order."""
-    sub, gauge_n = subdivide(net, gauge, n)
-    for sigma in (None, gauge_n):
-        banded, dense = _both_routes(monkeypatch, sub.network, net.interior, sigma)
+    routes, order = _both_routes(monkeypatch, net, gauge, n)
+    for banded, dense in routes:
         assert banded.interior_order == dense.interior_order == net.interior
         assert banded.kind == dense.kind
         assert np.max(np.abs(banded.entries - dense.entries)) <= 1e-12 * np.max(np.abs(dense.entries))
-    return len(sub.network.interior)
+    return order
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -594,7 +619,7 @@ def fourier_log_dets(rings: int, sites: int) -> tuple[float, float]:
 def test_annulus_ladder_matches_the_fourier_product(monkeypatch, rings, sites):
     """det_ratio, negative_holonomy_mass and loop_mass up to 19,104 interior
     vertices.  Above DENSE_MAX_ORDER neither a dense factor nor a dense
-    matrix is formed."""
+    matrix is formed; below it, L and L_sigma are each factored once."""
     net, gauge = polar_annulus(rings, sites)
     dense = factor_orders(monkeypatch, "cho_factor")
     reads = []
@@ -609,8 +634,8 @@ def test_annulus_ladder_matches_the_fourier_product(monkeypatch, rings, sites):
     assert loop_mass(net) == pytest.approx(rings * sites * math.log(4) - log_det, rel=1e-10, abs=0)
     if len(net.interior) > spectral.DENSE_MAX_ORDER:
         assert dense == [] and reads == []
-    else:
-        assert len(dense) == len(reads) == 5
+    else:  # L and L_sigma, each factored once and cached on the network and the gauge
+        assert len(dense) == len(reads) == 2
 
 
 def continuum_event_probability(rings: int, sites: int) -> float:
@@ -640,8 +665,8 @@ def test_banded_factor_reproduces_the_renumbered_operator(pt, monkeypatch):
     pos being the reversal for a descending operator."""
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
     net, gauge = pt
-    for descending in (False, True):
-        lap = twisted_laplacian(net, gauge, descending)
+    for descending, lap in ((False, twisted_laplacian(net, gauge)),
+                            (True, spectral.descending_laplacian(net, gauge))):
         chol, (_, pos, banded) = lap.cholesky(), lap.factor
         assert banded and lap.interior_order == net.interior
         assert not descending or pos.tolist() == [2, 1, 0]
