@@ -81,13 +81,13 @@ def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
 
     vs = _alternating_signs(net)
     cov = build_double_cover(net, gauge)
+    gauge_vs = apply_gauge_transform(vs, gauge)
     lap, lap_s = spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)
-    lap_vs = spectral.twisted_laplacian(net, apply_gauge_transform(vs, gauge))
     lap_db = spectral.cover_laplacian(cov)
 
     checks: list[dict] = []
-    ratio = spectral.det_ratio_of(lap, lap_s)
-    neg_mass = spectral.negative_holonomy_mass_of(net, lap, lap_s)
+    ratio = spectral.det_ratio(net, gauge)
+    neg_mass = spectral.negative_holonomy_mass(net, gauge)
     checks.append(_check_exact("det_ratio = exp(-negative_holonomy_mass)",
                                ratio - math.exp(-neg_mass)))
     checks.append({"name": "det_ratio in (0, 1]", "kind": "closed-form",
@@ -113,9 +113,9 @@ def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
 
     checks.append(_check_exact("gauge covariance residual (alternating transform)",
                                spectral.gauge_covariance_residual_of(
-                                   vs, gs, spectral.green_of(lap_vs))))
+                                   vs, gs, spectral.twisted_green(net, gauge_vs))))
     checks.append(_check_exact("det_ratio gauge invariance",
-                               spectral.det_ratio_of(lap, lap_vs) - ratio))
+                               spectral.det_ratio(net, gauge_vs) - ratio))
 
     checks.append(_check_exact("twisted Green diagonal positivity margin",
                                min(0.0, float(np.min(np.diag(gs.entries))))))

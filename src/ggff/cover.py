@@ -103,10 +103,10 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
     hop = ((lifts * edge_v + (sheet ^ (rel == -1))).ravel() - tails)[order].astype(np.int32)
     marks = opened[np.tile(np.arange(len(edge_u)), lifts)[order]]
     per_call = max(1, _COVER_NODES_PER_CALL // max(w, 1))
-    shift = w * np.arange(min(n, per_call))[:, None]
-    counts = np.tile(np.bincount(tails, minlength=w), len(shift))
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-    tails = (tails[order] + shift).astype(np.int32)
+    shift = w * np.arange(min(n, per_call), dtype=np.int32)[:, None]
+    indptr = np.concatenate(([0], np.cumsum(np.tile(np.bincount(tails, minlength=w), len(shift)))),
+                            dtype=np.int32)
+    tails = tails[order].astype(np.int32) + shift
     lab = np.empty((w * n, stride), dtype=np.intp)
     for s0 in range(0, n, per_call):
         k = min(n, s0 + per_call) - s0

@@ -62,18 +62,21 @@ def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
 
 
 def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n samples of covariance G = lap^-1 as columns.  With lap descending and
-    J the reversal, lap.color applies J C^-T J, the lower Cholesky factor of G,
-    so for the same draws z the samples are chol(G) @ z up to rounding."""
+    """n samples of covariance G = lap^-1 as columns.  On the dense route,
+    where lap's factor C is taken in reversed order J, lap.color applies
+    J C^-T J, the lower Cholesky factor of G, so for the same draws z the
+    samples are chol(G) @ z up to rounding; banded, it applies the same in
+    reverse Cuthill-McKee order."""
     return lap.color(rng.standard_normal((len(lap.interior_order), n)))
 
 
 def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samples: int,
                      seed: int, threads: int, batch_size: int):
-    """(L, total): L = descending_laplacian(network), and the run_batches total of
-    reduce(phi, lab) over batches of _fields of L and the _cover_labels of
-    their open subgraphs, the interior edges carrying the signs rel."""
-    lap = spectral.descending_laplacian(network)
+    """The run_batches total of reduce(phi, lab) over batches of _fields of
+    L = laplacian(network) and the _cover_labels of their open subgraphs, the
+    interior edges carrying the signs rel."""
+    lap = spectral.laplacian(network)
+    lap.inverse_factor  # built before the workers, which only read it
     _, u, v, c = network.interior_edges
 
     def worker(bi: int, bn: int):
@@ -82,7 +85,7 @@ def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samp
         return reduce(phi, _cover_labels(len(network.interior), u, v, rel,
                                          _open_marks(phi, u, v, c, rng)))
 
-    return lap, run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    return run_batches(batch_plan(n_samples, batch_size), worker, threads)
 
 
 def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
@@ -98,7 +101,7 @@ def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     cov = spectral.cached_on(gauge, "_double_cover", lambda: build_double_cover(network, gauge))
-    phi = _fields(spectral.descending_laplacian(cov.cover_network), substream(seed), n)
+    phi = _fields(spectral.laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)
     return inv * (phi[i1] + phi[i2]), inv * (phi[i1] - phi[i2])
@@ -118,14 +121,12 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     balanced; the closed-form target sqrt(det G_sigma / det G) is attached."""
     if gauge.network != network:  # refused before the draws, which run without L_sigma
         raise ValueError("gauge field belongs to a different network")
-    lap, hits = _cluster_batches(network, gauge.interior_signs,
-                                 lambda phi, lab: int(_balanced(lab).sum()),
-                                 n_samples, seed, threads, batch_size)
+    hits = _cluster_batches(network, gauge.interior_signs,
+                            lambda phi, lab: int(_balanced(lab).sum()),
+                            n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    # L_sigma factored as L is: equal operators' log determinants round alike
-    target = spectral.det_ratio_of(lap, spectral.descending_laplacian(network, gauge))
-    return EstimatorReport(p, se, n_samples, hits, seed, target=target)
+    return EstimatorReport(p, se, n_samples, hits, seed, target=spectral.det_ratio(network, gauge))
 
 
 def _interior_pair(network: ElectricalNetwork, pair: tuple[str, str],
@@ -156,8 +157,8 @@ def conditional_moment(network: ElectricalNetwork, gauge: GaugeField,
         return np.array([np.cumsum(np.append(0.0, g))[-1],
                          np.cumsum(np.append(0.0, g * g))[-1], len(g)])
 
-    _, (s1, s2, accepted) = _cluster_batches(network, gauge.interior_signs, moments,
-                                             n_samples, seed, threads, batch_size)
+    s1, s2, accepted = _cluster_batches(network, gauge.interior_signs, moments,
+                                        n_samples, seed, threads, batch_size)
     acc = int(accepted)
     if acc == 0:
         raise RuntimeError("conditioning event never occurred")
@@ -171,12 +172,12 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
     """Probability that two interior vertices share a sign cluster; the target
     is (2/pi) arcsin(G(x,y)/sqrt(G(x,x)G(y,y)))."""
     ix, iy = _interior_pair(network, pair, "connectivity is defined at interior vertices")
-    lap, hits = _cluster_batches(network, np.ones(len(network.interior_edges[0]), dtype=np.intp),
-                                 lambda phi, lab: int((lab[:, ix, 0] == lab[:, iy, 0]).sum()),
-                                 n_samples, seed, threads, batch_size)
+    hits = _cluster_batches(network, np.ones(len(network.interior_edges[0]), dtype=np.intp),
+                            lambda phi, lab: int((lab[:, ix, 0] == lab[:, iy, 0]).sum()),
+                            n_samples, seed, threads, batch_size)
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    g = lap.inverse(np.array([ix, iy]))
+    g = spectral.laplacian(network).inverse(np.array([ix, iy]))
     target = (2.0 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1]))
     return EstimatorReport(p, se, n_samples, hits, seed, target=target)
 
@@ -211,7 +212,7 @@ def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
     if grid_points_per_edge < 2:
         raise ValueError("need at least 2 grid points per edge")
     rng = substream(seed)
-    phi = _fields(spectral.descending_laplacian(network, gauge), rng, 1)[:, 0]
+    phi = _fields(spectral.twisted_laplacian(network, gauge), rng, 1)[:, 0]
     vertex_values = dict(zip(network.interior, map(float, phi)))
 
     def val(v: str) -> float:

@@ -1,18 +1,20 @@
 """Continuous-time random walk loop soups and isomorphism checks.
 
-Sampling is exact, by vertex elimination over the sorted interior order.
-Loops whose minimal vertex is v_i live in the network with all smaller
-interior vertices removed (the walk is killed there, and at the boundary).
+Sampling is exact, by vertex elimination in any order (Lawler and Trujillo
+Ferreras, "Random walk loop soup", Trans. AMS 2007): here v_0, v_1, ... are
+the rows of the network's cached Laplacian factor from the last up, so the
+sorted interior on the dense route.  Loops whose first vertex in that order
+is v_i live in the network with v_0..v_{i-1} removed (the walk is killed
+there, and at the boundary).
 Their number is Poisson with mean alpha * (-log(1 - r_i)), where r_i is the
 jump chain's return probability to v_i, and each loop concatenates a
 logarithmically distributed number of independent excursions from v_i.
 Holding times at every visit of x are exponential with rate W(x).
 
 All r_i, and the hitting probabilities that steer each excursion, come from
-one Cholesky factor of the Laplacian in descending interior order: eliminating
-the vertices after v_i leaves the pivot D_i = W_i (1 - r_i), so
--log(1 - r_i) = log(W_i / D_i) and the level masses add up to loop_mass
-(Lawler and Trujillo Ferreras, "Random walk loop soup", Trans. AMS 2007).
+that factor: eliminating the vertices after v_i leaves the pivot
+D_i = W_i (1 - r_i), so -log(1 - r_i) = log(W_i / D_i) and the level masses
+add up to loop_mass.
 On the dense route every level's h becomes one table of transition CDFs,
 m x J floats for J interior jumps, and a jump bisects it; on the banded route
 h is one solve per level, and each jump forms its own weights from it.  The
@@ -96,25 +98,30 @@ class OccupationField:
 class _SoupElimination:
     """A network's alpha-free elimination data, shared read-only by all its
     LoopSoupSamplers: the jumps, the return probabilities and level masses
-    from its descending L, and the transition table or the banded jump lists."""
+    from its cached L, the levels' order, and the transition table or the
+    banded jump lists."""
 
     def __init__(self, network: ElectricalNetwork):
         self.interior = network.interior
         self.w = network.interior_degrees
         self.mean_holding = 1.0 / self.w
-        # the jumps by source, then target, leaving out the boundary, which kills;
-        # jump 2e runs along interior edge e from u to v, 2e + 1 back
+        self._lap = spectral.laplacian(network)
+        pos = self._lap.factor[1]
+        # v_0, v_1, ...: the factor's rows from the last up, sorted when dense
+        self.levels = tuple(np.argsort(-pos).tolist())
+        # the jumps by source, then by the target's row in the factor, last
+        # row first, leaving out the boundary, which kills; jump 2e runs along
+        # interior edge e from u to v, 2e + 1 back
         _, u, v, c = network.interior_edges
         self._jump_source = np.stack((u, v), axis=1).ravel()
-        jump = np.lexsort((np.stack((v, u), axis=1).ravel(), self._jump_source))
+        jump = np.lexsort((-pos[np.stack((v, u), axis=1).ravel()], self._jump_source))
         src, dst = self._jump_source[jump], self._jump_source[jump ^ 1]  # 2e + 1 reverses 2e
         prob = np.repeat(c, 2)[jump] / self.w[src]  # P(x, y) = C(e) / W(x)
         vertices = np.arange(len(self.interior))
         first, last = np.searchsorted(src, vertices), np.searchsorted(src, vertices, "right") - 1
-        # v_i's row of the descending factor, below its diagonal, has the sum
-        # of squares W_i - D_i = W_i r_i: exactly 0.0 with no later neighbour,
+        # v_i's row of the factor, below its diagonal, has the sum of squares
+        # W_i - D_i = W_i r_i: exactly 0.0 with no neighbour in an earlier row,
         # where W_i minus the squared pivot need not be
-        self._lap = spectral.descending_laplacian(network)
         self.return_prob = self._lap.below_diagonal_squares() / self.w
         self.level_mass = -np.log1p(-self.return_prob)
         for a in (self.mean_holding, self._jump_source, self.return_prob, self.level_mass):
@@ -130,7 +137,7 @@ class _SoupElimination:
 
     def _transition_rows(self, src, dst, prob, first) -> list[memoryview]:
         """Row i of the m x J table: each source's running sum of P(x, y) h_i(y)
-        in target order, restarted at each source.  The sums add one rank
+        in the order of its jumps, restarted at each source.  The sums add one rank
         within a source at a time, so each entry rounds as the sum acc += P h
         over the source's jumps would; a cumsum along the row would not."""
         table = self._lap.hitting_probabilities(np.arange(len(self.interior))).T[:, dst]
@@ -154,27 +161,29 @@ class LoopSoupSampler:
                                                   lambda: _SoupElimination(network))))
         self.network = network
         self.alpha = float(alpha)
-        self._cum_mass = np.cumsum(self.alpha * self.level_mass).tolist()
+        self._cum_mass = np.cumsum(self.alpha * np.take(self.level_mass, self.levels)).tolist()
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
         """Loops arrive as one unit-rate Poisson process on [0, alpha * loop
-        mass), a point's level being the cell of the cumulative level masses
-        it falls in.  An excursion from v_i jumps from x to y with weight
-        P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1} or the boundary).
-        Levels and excursion counts are drawn before the walks, which leave them be.
-        Dense, a jump bisects x's slice of level i's row of the transition table;
-        banded, x's weights are formed at each jump from h, one solve per level."""
-        cum_mass, gap = self._cum_mass, rng.standard_exponential
+        mass), a point's level being the cell of the cumulative level masses,
+        in the levels' order, it falls in.  An excursion from v_i jumps from x
+        to y with weight P(x, y) h(y), h(y) = P_y(reach v_i before v_0..v_{i-1}
+        or the boundary).  Levels and excursion counts are drawn before the
+        walks, which leave them be.  Dense, a jump bisects x's slice of level
+        i's row of the transition table; banded, x's weights are formed at each
+        jump from h, one solve per level."""
+        cum_mass, order, gap = self._cum_mass, self.levels, rng.standard_exponential
         levels, t = [], gap()
         while t < cum_mass[-1]:
-            levels.append(bisect_right(cum_mass, t))
+            levels.append(order[bisect_right(cum_mass, t)])
             t += gap()
         sizes = [int(rng.logseries(self.return_prob[i])) for i in levels]
         # uniforms come from the generator in blocks of 32
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
         m, path, ends, loops, level = len(self.interior), [], [0], (), -1
-        # killed targets come first in each source's jumps and the last one has
-        # h > 0, so no rounding of the uniform picks a zero-weight target
+        # killed targets, later in the factor, come first in each source's
+        # jumps and the last one has h > 0, so no rounding of the uniform
+        # picks a zero-weight target
         for i, size in zip(levels, sizes):
             x, left = i, size  # left: excursions not yet back at v_i
             if self._rows is None:
@@ -356,8 +365,8 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     marginal being Gamma(alpha) with scale G(x,x).
     """
     # L_sigma factored as L is: equal operators' log dets cancel exactly
-    lap, lap_s = (spectral.descending_laplacian(network),
-                  spectral.descending_laplacian(network, gauge))
+    count_target = alpha * spectral.loop_mass(network)
+    negative_count_target = alpha * spectral.negative_holonomy_mass(network, gauge)
     sampler = LoopSoupSampler(network, alpha)
     m = len(sampler.interior)
 
@@ -375,20 +384,20 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
     s1, s2, s4 = _soup_sums(sampler, reduce, 3 * (m + 2), 0, n_soups, seed, threads,
                             batch_size).reshape(3, m + 2)
     n = n_soups
-    gdiag = lap.inverse_diagonal
+    gdiag = spectral.laplacian(network).inverse_diagonal
     mean, se = mean_se(s1, s2, n)
     second, second_se = mean_se(s2, s4, n)
     return SoupMomentsReport(
         vertices=sampler.interior, n_soups=n, alpha=alpha, seed=seed,
         count_mean=float(mean[0]), count_se=float(se[0]),
         count_var=float(max(s2[0] / n - (s1[0] / n) ** 2, 0.0)),
-        count_target=alpha * spectral.loop_mass_of(network, lap),
+        count_target=count_target,
         occupation_mean=mean[2:], occupation_mean_se=se[2:],
         occupation_mean_target=alpha * gdiag,
         occupation_second=second[2:], occupation_second_se=second_se[2:],
         occupation_second_target=alpha * (1.0 + alpha) * gdiag ** 2,
         negative_count_mean=float(mean[1]), negative_count_se=float(se[1]),
-        negative_count_target=alpha * spectral.negative_holonomy_mass_of(network, lap, lap_s),
+        negative_count_target=negative_count_target,
     )
 
 
@@ -420,8 +429,8 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
     alpha = 1/2, with an independent twisted field on the right side."""
     from scipy.special import erfinv
 
-    untwisted, twisted = (spectral.descending_laplacian(network),
-                          spectral.descending_laplacian(network, gauge))
+    untwisted, twisted = spectral.laplacian(network), spectral.twisted_laplacian(network, gauge)
+    untwisted.inverse_factor, twisted.inverse_factor  # built before the workers, which read them
     sampler = LoopSoupSampler(network, 0.5)
     m = len(sampler.interior)
     # exact decile grid of the untwisted square field per vertex, once for

@@ -249,7 +249,11 @@ def validate(network: ElectricalNetwork) -> ValidationReport:
     if not (network.vertex_set - network.boundary):
         problems.append("empty interior")
     keys: set[EdgeKey] = set()
+    edge_ids: set[str] = set()
     for e in network.edges:
+        if e.id in edge_ids:
+            problems.append(f"duplicate edge id {e.id!r}")
+        edge_ids.add(e.id)
         if e.u == e.v:
             problems.append(f"self-loop at {e.u!r} (edge {e.id!r})")
             continue

@@ -11,10 +11,10 @@ and banded above it, where no dense matrix is formed.
 Determinants are accumulated as log determinants, so ratios never overflow.
 The `*_of` forms take operators already factored, so that a caller needing
 several quantities of one operator factors it once; a Green matrix is formed
-in full only where all its entries are used.  L and L_sigma have one
-accessor per order, which factors each once per network and gauge and caches
-it there: laplacian and twisted_laplacian in sorted order, for the closed
-forms, and descending_laplacian, for the fields and loop soups drawn from it.
+in full only where all its entries are used.  The factor's order follows its
+route alone: the sorted interior reversed when dense, reverse Cuthill-McKee
+when banded.  laplacian and twisted_laplacian factor L and L_sigma once per
+network and gauge and cache them there, for closed forms and samplers alike.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class LaplacianMatrix:
 
     Held as its nonzero entries, at positions (rows, cols) in interior_order,
     which every method takes and returns.  Its factor C C^T holds position i
-    in row pos[i]: reversed if descending, else by RCM if banded, else as is.
+    in row pos[i]: reversed when dense, by reverse Cuthill-McKee when banded.
     """
 
     interior_order: tuple[str, ...]
@@ -53,7 +53,6 @@ class LaplacianMatrix:
     cols: np.ndarray
     values: np.ndarray
     kind: str  # "untwisted" | "twisted" | "cover"
-    descending: bool = False
 
     @property
     def entries(self) -> np.ndarray:
@@ -67,18 +66,17 @@ class LaplacianMatrix:
         """(c, pos, banded), its arrays read-only.  Up to DENSE_MAX_ORDER, c is
         cho_factor's array, whose lower triangle is C; above it, c[k, j] = C[j + k, j]."""
         m = len(self.interior_order)
-        pos = np.arange(m)[::-1] if self.descending else np.arange(m)
         banded = m > DENSE_MAX_ORDER
         try:
-            if not banded:  # pos is its own inverse here
+            if not banded:  # the reversal, which is its own inverse
+                pos = np.arange(m)[::-1]
                 c = sla.cho_factor(self.entries[np.ix_(pos, pos)], lower=True)[0]
             else:
                 from scipy.sparse import coo_array  # only the banded route needs scipy.sparse
                 from scipy.sparse.csgraph import reverse_cuthill_mckee
-                if not self.descending:
-                    pos = np.argsort(reverse_cuthill_mckee(
-                        coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
-                        symmetric_mode=True))
+                pos = np.argsort(reverse_cuthill_mckee(
+                    coo_array((self.values, (self.rows, self.cols)), shape=(m, m)).tocsr(),
+                    symmetric_mode=True))
                 r, c = pos[self.rows], pos[self.cols]
                 low = r >= c
                 band = np.zeros((int(np.max(r[low] - c[low])) + 1, m))
@@ -127,9 +125,9 @@ class LaplacianMatrix:
     @cached_property
     def inverse_factor(self) -> np.ndarray | None:
         """C^-1, read-only, from one triangular inversion on the dense route,
-        built on first read; None on the banded route, where it would be a
-        dense m x m array.  descending_laplacian builds it before returning,
-        so worker threads sharing an operator only read it."""
+        built on first read, which no closed form makes; None on the banded
+        route, where it would be a dense m x m array.  A sampler reads it
+        before its worker threads start, so that they only read it."""
         if self.factor[2]:
             return None
         inv, _ = sla.lapack.dtrtri(np.tril(self.factor[0]), lower=1, overwrite_c=1)
@@ -138,7 +136,8 @@ class LaplacianMatrix:
 
     def hitting_probabilities(self, s: int | np.ndarray) -> np.ndarray:
         """For the walk killed at the boundary and at every vertex after
-        interior_order[s] in the factor's order, the chance from each vertex,
+        interior_order[s] in the factor's order (dense, the reversal: every
+        vertex before it in sorted order), the chance from each vertex,
         by position in interior_order, of reaching interior_order[s]; 0.0
         exactly where it is killed.  With q = pos[s], the leading q + 1 rows of
         C factor the operator on the vertices not killed, so this is row q of
@@ -193,14 +192,13 @@ class GreenMatrix:
         return float(self.entries[self.interior_order.index(x), self.interior_order.index(y)])
 
 
-def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str,
-              descending: bool = False) -> LaplacianMatrix:
+def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str) -> LaplacianMatrix:
     """The diagonal W(x), then each of network.interior_edges both ways."""
     _, u, v, c = network.interior_edges
     w = -c if gauge is None else -(gauge.interior_signs * c)
     d = np.arange(len(network.interior), dtype=np.intp)
     lap = LaplacianMatrix(network.interior, np.concatenate((d, u, v)), np.concatenate((d, v, u)),
-                          np.concatenate((network.interior_degrees, w, w)), kind, descending)
+                          np.concatenate((network.interior_degrees, w, w)), kind)
     lap.factor  # positive definiteness is part of the contract
     return lap
 
@@ -215,36 +213,16 @@ def cached_on(owner, name: str, build):
     return cache[name]
 
 
-def _cached_laplacian(network: ElectricalNetwork, gauge: GaugeField | None,
-                      descending: bool) -> LaplacianMatrix:
-    """L, or L_sigma with a gauge, in the given order: assembled and factored
-    on first use and cached on network, or on gauge, for every later reader."""
-    if gauge is not None and gauge.network != network:
-        raise ValueError("gauge field belongs to a different network")
-    return cached_on(network if gauge is None else gauge,
-                     "_descending_laplacian" if descending else "_laplacian",
-                     lambda: _assemble(network, gauge, "untwisted" if gauge is None else "twisted",
-                                       descending))
-
-
 def laplacian(network: ElectricalNetwork) -> LaplacianMatrix:
-    """L in sorted order, cached on network."""
-    return _cached_laplacian(network, None, False)
+    """L: assembled and factored on first use and cached on network."""
+    return cached_on(network, "_laplacian", lambda: _assemble(network, None, "untwisted"))
 
 
 def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> LaplacianMatrix:
-    """L_sigma in sorted order, cached on gauge."""
-    return _cached_laplacian(network, gauge, False)
-
-
-def descending_laplacian(network: ElectricalNetwork,
-                         gauge: GaugeField | None = None) -> LaplacianMatrix:
-    """L, or L_sigma with a gauge, in descending order: the operator that
-    fields and loop soups are drawn from, cached on network, or on gauge, with
-    its inverse_factor built, so that worker threads sharing it only read it."""
-    lap = _cached_laplacian(network, gauge, True)
-    lap.inverse_factor
-    return lap
+    """L_sigma: assembled and factored on first use and cached on gauge."""
+    if gauge.network != network:
+        raise ValueError("gauge field belongs to a different network")
+    return cached_on(gauge, "_laplacian", lambda: _assemble(network, gauge, "twisted"))
 
 
 def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:
@@ -294,27 +272,20 @@ def det_ratio(network: ElectricalNetwork, gauge: GaugeField) -> float:
 
     Always in (0, 1]; equals 1 exactly when no interior cycle has holonomy -1.
     """
-    return det_ratio_of(laplacian(network), twisted_laplacian(network, gauge))
-
-
-def det_ratio_of(lap: LaplacianMatrix, lap_s: LaplacianMatrix) -> float:
-    """det_ratio from the untwisted and the twisted Laplacian."""
-    return float(np.exp(0.5 * (lap.log_det() - lap_s.log_det())))
+    return float(np.exp(0.5 * (laplacian(network).log_det()
+                               - twisted_laplacian(network, gauge).log_det())))
 
 
 def loop_mass(network: ElectricalNetwork) -> float:
     """log(det G * prod W): total measure of loops visiting >= 2 vertices."""
-    return loop_mass_of(network, laplacian(network))
-
-
-def loop_mass_of(network: ElectricalNetwork, lap: LaplacianMatrix) -> float:
-    """loop_mass, or twisted_loop_mass, from network's Laplacian lap."""
+    lap = laplacian(network)  # refuses a non-positive-definite L before any log
     return float(sum(np.log(network.interior_degrees)) - lap.log_det())
 
 
 def twisted_loop_mass(network: ElectricalNetwork, gauge: GaugeField) -> float:
     """Same with the twisted Green function; the signed-measure total."""
-    return loop_mass_of(network, twisted_laplacian(network, gauge))
+    lap = twisted_laplacian(network, gauge)
+    return float(sum(np.log(network.interior_degrees)) - lap.log_det())
 
 
 def negative_holonomy_mass(network: ElectricalNetwork, gauge: GaugeField) -> float:
@@ -322,14 +293,7 @@ def negative_holonomy_mass(network: ElectricalNetwork, gauge: GaugeField) -> flo
 
     Satisfies det_ratio = exp(-negative_holonomy_mass).
     """
-    return negative_holonomy_mass_of(network, laplacian(network),
-                                     twisted_laplacian(network, gauge))
-
-
-def negative_holonomy_mass_of(network: ElectricalNetwork, lap: LaplacianMatrix,
-                              lap_s: LaplacianMatrix) -> float:
-    """negative_holonomy_mass from network's untwisted and twisted Laplacian."""
-    return 0.5 * (loop_mass_of(network, lap) - loop_mass_of(network, lap_s))
+    return 0.5 * (loop_mass(network) - twisted_loop_mass(network, gauge))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 from bisect import bisect_right
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
 from ggff.cover import cover_vertex_id
 from ggff.loopsoup import Loop, LoopSoupSample, LoopSoupSampler
+
+NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
 
 def pendant_triangle() -> tuple[ElectricalNetwork, GaugeField]:
@@ -145,11 +149,43 @@ def random_network(rng: np.random.Generator, max_interior: int = 12,
 
 def reference_fields(network: ElectricalNetwork, gauge: Optional[GaugeField],
                      rng: np.random.Generator, n: int) -> np.ndarray:
-    """A reference field sampler: n columns chol(G) @ z, G the Green matrix
-    (twisted by gauge unless it is None) in sorted interior order, from the
-    draws z = rng.standard_normal((interior count, n))."""
-    g = spectral.green(network) if gauge is None else spectral.twisted_green(network, gauge)
-    return np.linalg.cholesky(g.entries) @ rng.standard_normal((len(network.interior), n))
+    """A reference field sampler from the draws z = rng.standard_normal((m, n)),
+    G the Green matrix (twisted by gauge unless it is None) and pos the order
+    of its Laplacian's factor: with G renumbered into that order and then
+    reversed, its lower Cholesky factor times z, renumbered and reversed
+    alike, by position in the sorted interior.  When pos is the reversal, as
+    on the dense route, this is chol(G) @ z, bit for bit."""
+    lap = (spectral.laplacian(network) if gauge is None
+           else spectral.twisted_laplacian(network, gauge))
+    pos, inv = lap.factor[1], np.argsort(lap.factor[1])
+    g = spectral.green_of(lap).entries[np.ix_(inv, inv)][::-1, ::-1]
+    z = rng.standard_normal((len(network.interior), n))
+    return (np.linalg.cholesky(g) @ z[pos][::-1])[::-1][pos]
+
+
+def renumbered(net: ElectricalNetwork, gauge: GaugeField,
+               pos: np.ndarray) -> tuple[ElectricalNetwork, GaugeField]:
+    """net and gauge with every vertex renamed, so that the renamed sorted
+    interior, reversed, is the factor order pos of net: interior vertex i
+    becomes the vertex at index m - 1 - pos[i].  So the dense route on the
+    renamed network eliminates in the order pos gives."""
+    m = len(net.interior)
+    name = {v: f"i{m - 1 - p:07d}" for v, p in zip(net.interior, pos.tolist())}
+    name.update((b, f"b{b}") for b in net.boundary)
+    renamed = ElectricalNetwork(
+        tuple(name[v] for v in net.vertices), frozenset(name[b] for b in net.boundary),
+        tuple(Edge(e.id, name[e.u], name[e.v], e.conductance) for e in net.edges), net.name)
+    return renamed, GaugeField(renamed, {edge_key(name[u], name[v]): s
+                                         for (u, v), s in gauge.signs.items()})
+
+
+def duplicate_edge_id_pt() -> dict:
+    """networks/pt.json with edge #0's id set to "e1" and edge #1's id dropped,
+    so that the parser's default id for edge #1, e1, repeats edge #0's."""
+    data = json.loads((NETWORKS / "pt.json").read_text())
+    data["edges"][0]["id"] = "e1"
+    del data["edges"][1]["id"]
+    return data
 
 
 def random_trivial_gauge(rng: np.random.Generator, net: ElectricalNetwork) -> GaugeField:

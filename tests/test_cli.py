@@ -10,7 +10,8 @@ import pytest
 from ggff import GaugeField, cli, load_network, save_network, spectral
 from ggff.cli import main
 
-from conftest import factor_orders, holed_grid, polar_annulus, with_conductances
+from conftest import (duplicate_edge_id_pt, factor_orders, holed_grid, polar_annulus,
+                      with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -49,6 +50,18 @@ def test_validate_ok_and_failing(tmp_path, pt_file):
     code, rep = run(["validate", "--network", str(bad_file)], tmp_path / "vb.json")
     assert code == 1 and not rep["all_passed"]
     assert any("empty boundary" in p for p in rep["problems"])
+
+
+def test_duplicate_edge_ids_fail_validate_and_exit_2(tmp_path, capsys):
+    """validate names the id and fails; a command that needs the network exits 2."""
+    network = tmp_path / "dup.json"
+    network.write_text(json.dumps(duplicate_edge_id_pt()))
+    code, rep = run(["validate", "--network", str(network)], tmp_path / "v.json")
+    assert code == 1 and rep["problems"] == ["duplicate edge id 'e1'"]
+    assert main(["identities", "--network", str(network),
+                 "--output", str(tmp_path / "i.json")]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate edge id 'e1'" in err and "Traceback" not in err
 
 
 def test_malformed_file_exits_2(tmp_path):
@@ -243,6 +256,31 @@ def _without(text: str, *keys: str) -> list[str]:
             if not line.lstrip().startswith(tuple(f'"{k}"' for k in keys))]
 
 
+def numeric_diff(golden: str, fresh: str, *keys: str) -> str:
+    """One line per numeric field, keys left out, whose value differs between
+    two reports: its path (a check by its name), the golden and the fresh
+    value, and their absolute and relative difference."""
+    lines = []
+
+    def walk(path: str, a, b) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for k in a:
+                if k in b and k not in keys:
+                    walk(f"{path}.{k}" if path else k, a[k], b[k])
+        elif isinstance(a, list) and isinstance(b, list):
+            for i, (x, y) in enumerate(zip(a, b)):
+                label = x.get("name", i) if isinstance(x, dict) else i
+                walk(f"{path}[{label}]", x, y)
+        elif (all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+              and a != b):
+            gap = abs(b - a)
+            rel = gap / abs(a) if a else float("inf")
+            lines.append(f"{path}: golden {a!r}, fresh {b!r}, abs {gap:.3g}, rel {rel:.3g}")
+
+    walk("", json.loads(golden), json.loads(fresh))
+    return "\n".join(["numeric fields that differ:", *lines])
+
+
 _GOLDEN_CHILD = """
 import json, sys
 from ggff.cli import main
@@ -286,7 +324,8 @@ def test_reports_match_golden_up_to_timestamp(golden_reports, command):
     code, text = golden_reports[command, 1]
     golden = (GOLDEN / f"{command}.json").read_text()
     assert code == 0
-    assert _without(text, "timestamp") == _without(golden, "timestamp")
+    assert _without(text, "timestamp") == _without(golden, "timestamp"), \
+        numeric_diff(golden, text, "timestamp")
 
 
 @pytest.mark.parametrize("command", THREADED_GOLDEN_RUNS)
@@ -296,7 +335,8 @@ def test_golden_reports_hold_at_two_threads(golden_reports, command):
     code, text = golden_reports[command, 2]
     golden = (GOLDEN / f"{command}.json").read_text()
     assert code == 0 and '"threads": 2' in text
-    assert _without(text, "timestamp", "threads") == _without(golden, "timestamp", "threads")
+    assert _without(text, "timestamp", "threads") == _without(golden, "timestamp", "threads"), \
+        numeric_diff(golden, text, "timestamp", "threads")
 
 
 def test_identities_pass_past_the_float_range_of_determinants(tmp_path):

@@ -32,30 +32,29 @@ def empirical_cov(block):
 
 def test_sampler_determinism(pt):
     net, gauge = pt
-    for sigma in (None, gauge):
-        lap = spectral.descending_laplacian(net, sigma)
+    for lap in (spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)):
         assert np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(42), 1))
-    lap = spectral.descending_laplacian(net)
+    lap = spectral.laplacian(net)
     assert not np.array_equal(_fields(lap, substream(42), 1), _fields(lap, substream(43), 1))
 
 
 def test_gff_empirical_covariance(pt_net):
     n = 100_000
-    block = _fields(spectral.descending_laplacian(pt_net), substream(1), n)
+    block = _fields(spectral.laplacian(pt_net), substream(1), n)
     g = green(pt_net).entries
     assert np.all(np.abs(empirical_cov(block) - g) <= cov_tolerance(np.diag(g), n))
 
 
 def test_single_interior_vertex_variance():
     net = ElectricalNetwork(("b", "x"), frozenset({"b"}), (Edge("e", "b", "x", 2.0),))
-    block = _fields(spectral.descending_laplacian(net), substream(2), 100_000)
+    block = _fields(spectral.laplacian(net), substream(2), 100_000)
     assert np.var(block) == pytest.approx(0.5, abs=4 * 0.5 * math.sqrt(2 / 100_000))
 
 
 def test_twisted_empirical_moments(pt):
     net, gauge = pt
     n = 100_000
-    block = _fields(spectral.descending_laplacian(net, gauge), substream(3), n)
+    block = _fields(spectral.twisted_laplacian(net, gauge), substream(3), n)
     gs = twisted_green(net, gauge).entries
     emp = empirical_cov(block)
     assert np.all(np.abs(emp - gs) <= cov_tolerance(np.diag(gs) + 0.5, n))
@@ -70,21 +69,24 @@ def _relative_gap(got, want):
 
 def test_fields_equal_the_green_cholesky_sampler():
     """On the same draws, the fields from the Laplacian's factor are the
-    reference's chol(G) @ z to 1e-12 relative: plain and twisted on PT, the
-    6 x 8 annulus, 30 random networks and polar_annulus(49, 24), whose 1,176
-    vertices take the banded route, and on the double covers of the first two."""
+    reference's Cholesky factor of G, taken in the factor's order, times z to
+    1e-12 relative: plain and twisted on PT, the 6 x 8 annulus, 30 random
+    networks and polar_annulus(49, 24), whose 1,176 vertices take the banded
+    route in reverse Cuthill-McKee order, and on the double covers of the
+    first two.  On the dense route the reference is chol(G) @ z."""
     rng = np.random.default_rng(31)
     cases = [pendant_triangle(), load_network(NETWORKS / "annulus-6x8.json")]
     for net, gauge in cases:
         sample_cover_gff_batch(net, gauge, 7, 64)
         cover_net = vars(gauge)["_double_cover"].cover_network  # cached by that call
-        phi = _fields(spectral.descending_laplacian(cover_net), substream(7), 64)
+        phi = _fields(spectral.laplacian(cover_net), substream(7), 64)
         assert _relative_gap(phi, reference_fields(cover_net, None, substream(7), 64)) <= 1e-12
     cases += [random_network(rng) for _ in range(30)] + [polar_annulus(49, 24)]
     assert len(cases[-1][0].interior) > spectral.DENSE_MAX_ORDER
     for seed, (net, gauge) in enumerate(cases):
         for sigma in (None, gauge):
-            got = _fields(spectral.descending_laplacian(net, sigma), substream(seed), 64)
+            lap = spectral.twisted_laplacian(net, sigma) if sigma else spectral.laplacian(net)
+            got = _fields(lap, substream(seed), 64)
             assert _relative_gap(got, reference_fields(net, sigma, substream(seed), 64)) <= 1e-12
 
 
@@ -149,7 +151,7 @@ def test_trivial_gauge_certificate_conjugation():
     ok, cert = ggff.is_trivial(gauge)
     assert ok
     n = 60_000
-    block = _fields(spectral.descending_laplacian(net, gauge), substream(5), n)
+    block = _fields(spectral.twisted_laplacian(net, gauge), substream(5), n)
     s = np.array([cert.signs[v] for v in net.interior])
     g = green(net).entries
     emp = empirical_cov(s[:, None] * block)
@@ -184,7 +186,7 @@ def test_cover_project_single_sample_consistency(pt):
     net, gauge = pt
     plus, minus = sample_cover_gff_batch(net, gauge, seed=8, n=1)
     cover_net = vars(gauge)["_double_cover"].cover_network
-    phi = _fields(spectral.descending_laplacian(cover_net), substream(8), 1)[:, 0]
+    phi = _fields(spectral.laplacian(cover_net), substream(8), 1)[:, 0]
     idx = cover_net.interior_index
     inv = 1 / math.sqrt(2)
     for i, x in enumerate(net.interior):
@@ -234,7 +236,7 @@ def test_cluster_configuration_structure(pt):
     labels put the two ends of every open edge in one cluster."""
     net, _ = pt
     _, iu, iv, c = net.interior_edges
-    phi = _fields(spectral.descending_laplacian(net), substream(11), 8)
+    phi = _fields(spectral.laplacian(net), substream(11), 8)
     opened = _open_marks(phi, iu, iv, c, substream(12))
     assert np.array_equal(_open_marks(phi, iu, iv, c, substream(12)), opened)
     assert opened.any()
@@ -246,7 +248,7 @@ def test_cluster_configuration_structure(pt):
 def test_opposite_sign_edges_always_closed(pt_net):
     _, iu, iv, c = pt_net.interior_edges
     for seed in range(30):
-        phi = _fields(spectral.descending_laplacian(pt_net), substream(seed), 1)
+        phi = _fields(spectral.laplacian(pt_net), substream(seed), 1)
         opened = _open_marks(phi, iu, iv, c, substream(seed + 1000))
         assert not opened[np.sign(phi[iu]) != np.sign(phi[iv])].any()
 
@@ -257,7 +259,7 @@ def test_empirical_open_rate_matches_formula(pt_net):
     # the Bernoulli frequency with the integrated formula on the same samples
     n = 60_000
     rng = substream(14)
-    phi = _fields(spectral.descending_laplacian(pt_net), rng, n)
+    phi = _fields(spectral.laplacian(pt_net), rng, n)
     keys, iu, iv, c = pt_net.interior_edges
     opened = _open_marks(phi, iu, iv, c, rng)
     probs = np.where(np.sign(phi[iu]) == np.sign(phi[iv]),
@@ -312,7 +314,7 @@ def test_open_marks_match_the_sign_rule():
     annulus = load_network(NETWORKS / "annulus-6x8.json")[0]
     _, eu, ev, c = annulus.interior_edges
     for seed in range(3):
-        phi = _fields(spectral.descending_laplacian(annulus), substream(seed), 64)
+        phi = _fields(spectral.laplacian(annulus), substream(seed), 64)
         check(phi, eu, ev, c, seed + 2)
         spread = phi * 10.0 ** substream(seed, 1).uniform(-200, 200, phi.shape)
         spread[substream(seed, 2).random(phi.shape) < 0.05] = 0.0
@@ -339,7 +341,7 @@ def test_cluster_configuration_follows_the_per_edge_rule(pt):
     rng = np.random.default_rng(22)
     networks = [pt[0], load_network(NETWORKS / "annulus-6x8.json")[0]]
     networks += [random_network(rng)[0] for _ in range(20)]
-    samples = [(net, _fields(spectral.descending_laplacian(net), substream(seed), 1)[:, 0])
+    samples = [(net, _fields(spectral.laplacian(net), substream(seed), 1)[:, 0])
                for net in networks for seed in (1, 2, 3)]
     assert pt[0].interior == ("x", "y", "z")
     samples += [(pt[0], np.array(values))

@@ -19,7 +19,7 @@ from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_
 from ggff.seeds import batch_plan, substream
 
 from conftest import (RejectionSoupSampler, factor_orders, holed_grid, pendant_triangle,
-                      polar_annulus, random_network)
+                      polar_annulus, random_network, renumbered)
 
 SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -125,66 +125,77 @@ def test_hitting_probabilities_match_linear_solves():
         assert not np.any(np.tril(h, -1))
 
 
+def banded_and_renamed_dense(monkeypatch, make) -> tuple:
+    """(banded, dense, perm): the sampler of make()'s network on the banded
+    route, whose factor takes reverse Cuthill-McKee order pos, the sampler of
+    the same network renamed so that the dense route eliminates in order pos
+    (conftest.renumbered), and perm, each vertex's index in the renamed
+    network."""
+    net, gauge = make()
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "DENSE_MAX_ORDER", 0)
+        banded = LoopSoupSampler(net, 0.5)
+    pos = banded._lap.factor[1]
+    assert banded._lap.factor[2] and not np.array_equal(pos, np.arange(len(pos))[::-1])
+    dense = LoopSoupSampler(renumbered(net, gauge, pos)[0], 0.5)
+    perm = len(pos) - 1 - pos
+    assert not dense._lap.factor[2] and np.array_equal(dense._lap.factor[1][perm], pos)
+    return banded, dense, perm
+
+
 def test_hitting_probabilities_follow_the_factor_order(monkeypatch):
     """Banded in reverse Cuthill-McKee order, a vertex's row is killed at the
-    vertices after it in that order: the dense factor of the operator
-    renumbered into that order gives the same rows."""
-    net, _ = holed_grid()
-    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
-    banded = spectral.laplacian(net)
-    _, pos, _ = banded.factor
-    monkeypatch.undo()
-    order = np.argsort(pos)
-    a = banded.entries[np.ix_(order, order)]
-    dense = spectral.LaplacianMatrix(tuple(net.interior[k] for k in order), *np.nonzero(a),
-                                     a[a != 0], "untwisted")
-    for s in range(0, len(pos), 7):
-        row = banded.hitting_probabilities(s)
-        same = dense.hitting_probabilities(pos[s])[pos]
+    vertices after it in that order: the dense factor of the network renamed
+    into that order gives the same rows."""
+    banded, dense, perm = banded_and_renamed_dense(monkeypatch, holed_grid)
+    for s in range(0, len(perm), 7):
+        row = banded._lap.hitting_probabilities(s)
+        same = dense._lap.hitting_probabilities(perm[s])[perm]
         assert np.max(np.abs(row - same)) <= 1e-12
         assert np.array_equal(row == 0.0, same == 0.0) and row[s] == pytest.approx(1.0)
 
 
 def test_no_later_interior_neighbour_gives_exactly_zero(monkeypatch):
-    """Such a vertex roots no multi-vertex loop; its r_i must be 0.0 exactly,
-    not a rounding residue, so that sample_with skips it.  Checked with the
-    factor on the dense and on the banded route, each on networks of its own,
-    since a network keeps the route its first sampler took."""
+    """A vertex with no interior neighbour later in the levels' order, that
+    is, in an earlier row of the factor (dense: later in sorted order;
+    banded: before it in reverse Cuthill-McKee order), roots no multi-vertex
+    loop; its r_i must be 0.0 exactly, not a rounding residue, so that
+    sample_with skips it.  Checked with the factor on the dense and on the
+    banded route, each on networks of its own, since a network keeps the
+    route its first sampler took."""
     seen = 0
     for threshold in (spectral.DENSE_MAX_ORDER, 0):
         monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
         for net in [pendant_triangle()[0]] + elimination_test_networks():
             sampler = LoopSoupSampler(net, 0.5)
+            pos = sampler._lap.factor[1]
             assert sampler._lap.factor[2] == (threshold == 0)
             for i, v in enumerate(net.interior):
-                if all(net.interior_index.get(w, -1) <= i for w, _ in net.adjacency[v]):
+                if all(pos[net.interior_index[w]] > pos[i]
+                       for w, _ in net.adjacency[v] if w in net.interior_index):
                     assert sampler.return_prob[i] == 0.0
                     assert sampler.level_mass[i] == 0.0
                     seen += 1
                 else:
                     assert sampler.return_prob[i] > 0.0
-    assert seen >= 2 * 34  # at least the last vertex of every network, on each route
+    assert seen >= 2 * 34  # at least the first row's vertex of every network, on each route
 
 
 @pytest.mark.parametrize("make", [lambda: polar_annulus(6, 8), holed_grid],
                          ids=["annulus-6x8", "holed-grid"])
 def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
-    """The sampler's banded factor keeps the descending sorted order: its return
-    probabilities equal the dense route's, with the same exact zeros.  Each
-    route samples an equal network of its own, since a network keeps the
-    route its first sampler took."""
-    dense = LoopSoupSampler(make()[0], 0.5)
-    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
+    """The sampler's banded factor, in reverse Cuthill-McKee order, gives the
+    return and hitting probabilities of the dense route on the network
+    renamed into that order, with the same exact zeros; the banded set-up
+    factors no dense matrix."""
     calls = factor_orders(monkeypatch, "cho_factor")
-    net, _ = make()
-    banded = LoopSoupSampler(net, 0.5)
-    assert calls == []
-    assert not dense._lap.factor[2] and banded._lap.factor[2]
-    assert np.max(np.abs(banded.return_prob - dense.return_prob)) <= 1e-14
-    assert np.array_equal(banded.return_prob == 0.0, dense.return_prob == 0.0)
-    assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(net), abs=1e-10)
+    banded, dense, perm = banded_and_renamed_dense(monkeypatch, make)
+    assert calls == [len(perm)]  # the renamed network's dense factor only
+    assert np.max(np.abs(banded.return_prob - dense.return_prob[perm])) <= 1e-14
+    assert np.array_equal(banded.return_prob == 0.0, dense.return_prob[perm] == 0.0)
+    assert float(np.sum(banded.level_mass)) == pytest.approx(loop_mass(banded.network), abs=1e-10)
     h_banded = sampler_hitting_probabilities(banded)
-    h_dense = sampler_hitting_probabilities(dense)
+    h_dense = sampler_hitting_probabilities(dense)[np.ix_(perm, perm)]
     assert np.max(np.abs(h_banded - h_dense)) <= 1e-12
     assert np.array_equal(h_banded == 0.0, h_dense == 0.0)
 
@@ -193,18 +204,24 @@ def test_banded_route_gives_the_dense_return_probabilities(monkeypatch, make):
                          ids=["annulus-6x8", "holed-grid"])
 def test_banded_walk_draws_the_table_walks_loops(monkeypatch, make):
     """The banded route forms each jump's weights from h, the dense one bisects
-    its transition table.  The routes' h agree to 1e-12, so only a uniform
-    that close to a step of a transition CDF could choose differently.  Each
-    route samples an equal network of its own."""
-    dense = LoopSoupSampler(make()[0], 0.5)
-    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
-    banded = LoopSoupSampler(make()[0], 0.5)
-    assert not dense._lap.factor[2] and banded._lap.factor[2]
+    its transition table.  On the network renamed into the banded factor's
+    order, the dense route takes the levels and each source's jumps in the
+    same order, and the routes' h agree to 1e-12, so only a uniform that
+    close to a step of a transition CDF could choose differently."""
+    banded, dense, perm = banded_and_renamed_dense(monkeypatch, make)
     assert dense._rows is not None and banded._rows is None
+    # the renamed network's interior indices and interior edge positions in net's
+    vertex = np.argsort(perm)
+    _, u, v, _ = banded.network.interior_edges
+    position = {(a, b): k for k, (a, b) in enumerate(zip(u.tolist(), v.tolist()))}
+    _, u2, v2, _ = dense.network.interior_edges
+    edge = np.array([position[min(a, b), max(a, b)]
+                     for a, b in zip(vertex[u2].tolist(), vertex[v2].tolist())])
     loops = 0
     for seed in range(200):
-        soup = dense.sample(seed)
-        assert soup.loops == banded.sample(seed).loops, seed
+        soup = banded.sample(seed)
+        assert list(soup.loops) == [Loop(vertex[lp.skeleton], edge[lp.edges], lp.holding_times)
+                                    for lp in dense.sample(seed).loops], seed
         loops += len(soup.loops)
     assert loops > 800
 
@@ -212,12 +229,12 @@ def test_banded_walk_draws_the_table_walks_loops(monkeypatch, make):
 @pytest.mark.parametrize("threshold", [spectral.DENSE_MAX_ORDER, 0], ids=["dense", "banded"])
 def test_hitting_probabilities_of_an_array_stack_the_scalar_calls(monkeypatch, threshold):
     """One column per position, in the order given, bit for bit the scalar
-    call's, for every factor order on either route."""
+    call's, for L and L_sigma on either route."""
     monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
     rng = np.random.default_rng(43)
-    for net in (polar_annulus(6, 8)[0], holed_grid()[0]):
+    for net, gauge in (polar_annulus(6, 8), holed_grid()):
         m = len(net.interior)
-        for lap in (spectral.descending_laplacian(net), spectral.laplacian(net)):
+        for lap in (spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)):
             assert lap.factor[2] == (threshold == 0)
             for s in (np.arange(m), rng.integers(0, m, 17)):
                 stacked = np.stack([lap.hitting_probabilities(t) for t in s.tolist()], axis=1)
@@ -267,7 +284,7 @@ def test_banded_soup_forms_no_square_array():
 
 def test_annulus_ids_sort_in_lattice_order_past_100_rings():
     """On 199 x 96 the sorted interior runs ring by ring, so no interior edge
-    spans more than one ring of 96 sites in the order LoopSoupSampler keeps."""
+    spans more than one ring of 96 sites in sorted order."""
     net, _ = polar_annulus(199, 96)
     _, u, v, _ = net.interior_edges
     assert int(np.max(np.abs(u - v))) == 96
@@ -302,7 +319,7 @@ def test_sampler_setup_is_one_cholesky_and_no_solve(monkeypatch):
 def test_soup_checks_share_one_elimination(monkeypatch):
     """soup_moments at alpha = 0.7, then kl_isomorphism_check at 1/2, on one
     network: their samplers share one factor, which is the network's cached
-    descending L, one transition table and one set of level masses, and each
+    L, one transition table and one set of level masses, and each
     keeps its own alpha's cumulative masses.  L and L_sigma are factored once."""
     net, gauge = polar_annulus(6, 8)
     samplers, real = [], LoopSoupSampler.__init__
@@ -317,7 +334,7 @@ def test_soup_checks_share_one_elimination(monkeypatch):
     kl_isomorphism_check(net, gauge, 8, 2)
     assert calls == [48, 48]
     moments, kl = samplers
-    assert moments._lap is kl._lap is spectral.descending_laplacian(net)
+    assert moments._lap is kl._lap is spectral.laplacian(net)
     assert moments._rows is kl._rows and moments.level_mass is kl.level_mass
     for sampler, alpha in ((moments, 0.7), (kl, 0.5)):
         assert sampler.alpha == alpha
@@ -371,7 +388,7 @@ def kl_features(net, gauge):
     from scipy.special import erfinv
 
     sampler = LoopSoupSampler(net, 0.5)
-    twisted = spectral.descending_laplacian(net, gauge)
+    twisted = spectral.twisted_laplacian(net, gauge)
     deciles = np.array([2.0 * erfinv(k / 10.0) ** 2 for k in range(1, 10)])
     grids = np.outer(sampler._lap.inverse_diagonal, deciles)
 

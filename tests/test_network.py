@@ -10,7 +10,7 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
 from ggff.gff import estimate_event_probability, two_point_connectivity
 from ggff.loopsoup import LoopSoupSampler
 
-from conftest import pendant_triangle, random_network, with_conductances
+from conftest import duplicate_edge_id_pt, pendant_triangle, random_network, with_conductances
 
 
 def test_pt_is_valid():
@@ -46,6 +46,12 @@ def test_self_loop_duplicate_and_disconnection_reported():
     net = ElectricalNetwork(("b", "x", "y"), frozenset({"b"}),
                             (Edge("e0", "b", "x", 1.0),))
     assert any("disconnected" in p for p in validate(net).problems)
+
+
+def test_duplicate_edge_id_is_refused_by_name():
+    """Subdivision would otherwise make two vertices e1#1."""
+    with pytest.raises(InvalidNetworkError, match="^duplicate edge id 'e1'$"):
+        load_network(json.dumps(duplicate_edge_id_pt()))
 
 
 def test_non_finite_conductance_rejected():
@@ -242,8 +248,6 @@ def test_integer_view_is_built_once_per_network(monkeypatch):
     spectral.twisted_laplacian(net, gauge)
     spectral.restricted_green(net, ("x", "z"), gauge)
     spectral.loop_mass(net)
-    spectral.descending_laplacian(net)
-    spectral.descending_laplacian(net, gauge)
     LoopSoupSampler(net, 0.5)
     estimate_event_probability(net, gauge, 8, 1)
     assert sorted(builds) == ["interior_degrees", "interior_edges", "interior_index",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import inspect
 import math
@@ -282,8 +283,8 @@ def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
     g = spectral.green_of(lap)
     assert calls == [3]
     assert log_det == pytest.approx(math.log(7), abs=1e-12)
-    assert np.array_equal(chol, np.tril(chol))
-    assert np.max(np.abs(chol @ chol.T - lap.entries)) < 1e-12
+    assert np.array_equal(chol, np.tril(chol))  # its rows in reversed order, the dense route's
+    assert np.max(np.abs(chol @ chol.T - lap.entries[::-1, ::-1])) < 1e-12
     assert np.array_equal(g.entries, twisted_green(net, gauge).entries)
     assert twisted_laplacian(net, gauge) is lap and calls == [3]  # cached on the gauge
     calls.clear()
@@ -339,9 +340,8 @@ def result_bytes(result) -> list[bytes]:
 @pytest.mark.parametrize("operation", sorted(FACTORED_OPERATIONS))
 def test_each_operation_factors_each_operator_once(monkeypatch, operation):
     """On the 6 x 8 annulus: L, L_sigma and the cover Laplacian are factored
-    once per operation, in the descending order a loop-soup sampler keeps
-    where a field is drawn or a soup sampled; fields and targets read those
-    factors, and no Green matrix is factored."""
+    once per operation, in the one order of their route; fields, soups and
+    targets read those factors, and no Green matrix is factored."""
     run = factored_operation(operation)
     orders = factor_orders(monkeypatch, "cho_factor")
     green_orders = []
@@ -360,18 +360,17 @@ def test_each_operation_factors_each_operator_once(monkeypatch, operation):
 
 def test_operations_on_one_network_share_its_factors(monkeypatch):
     """Run in sequence on one loaded 6 x 8 annulus, the six operations factor
-    L and L_sigma once each in descending order, where they are cached for
-    the fields, soups and targets of every later call, plus the moment
-    target's sorted L_sigma and the cover Laplacian: 4 factorizations where
-    fresh networks make 10.  Run again, they factor nothing more.  Every
-    result keeps the bits of the same call on a fresh network."""
+    L and L_sigma once each, where they are cached for the fields, soups and
+    targets of every later call, plus the cover Laplacian: 3 factorizations
+    where fresh networks make 10.  Run again, they factor nothing more.
+    Every result keeps the bits of the same call on a fresh network."""
     fresh = {name: result_bytes(factored_operation(name)()) for name in FACTORED_OPERATIONS}
     calls = factor_orders(monkeypatch, "cho_factor")
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
     for _ in range(2):
         for name, run in factored_operations(net, gauge).items():
             assert result_bytes(run()) == fresh[name], name
-    assert calls == [48, 48, 48, 96]
+    assert calls == [48, 48, 96]
 
 
 def test_cover_fields_on_one_gauge_share_its_cover(monkeypatch):
@@ -404,7 +403,7 @@ def test_cached_arrays_are_read_only(monkeypatch):
         sampler = LoopSoupSampler(net, 0.5)
         arrays = [sampler.w, sampler.mean_holding, sampler._jump_source,
                   sampler.return_prob, sampler.level_mass]
-        for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
+        for lap in (spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)):
             assert lap.factor[2] == (threshold == 0)
             arrays += [*lap.factor[:2], lap.inverse_diagonal]
             arrays += [] if lap.factor[2] else [lap.inverse_factor]
@@ -421,7 +420,7 @@ def test_a_network_frees_its_caches_with_itself():
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
     for run in factored_operations(net, gauge).values():
         run()
-    refs = [weakref.ref(net), weakref.ref(gauge), weakref.ref(spectral.descending_laplacian(net))]
+    refs = [weakref.ref(net), weakref.ref(gauge), weakref.ref(spectral.laplacian(net))]
     del net, gauge, run
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
@@ -442,13 +441,13 @@ def test_equal_operators_give_exact_targets(name):
                                           ("annulus-49x24", True)])
 def test_stacked_color_equals_each_column_alone(name, banded):
     """color on a (k, m, 1) stack gives, item by item, the bits of color on
-    that item's column alone, for L and L_sigma in descending order: the
+    that item's column alone, for L and L_sigma: the
     same product on the dense route, the same solve on the banded one.  The
     stack is a strided view, as the soup check passes it."""
     net, gauge = (load_network(NETWORKS / "pt.json") if name == "pt"
                   else polar_annulus(*map(int, name.split("-")[1].split("x"))))
     rng = np.random.default_rng(3)
-    for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
+    for lap in (spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)):
         assert lap.factor[2] is banded
         lap.inverse_factor
         m = len(lap.interior_order)
@@ -475,30 +474,50 @@ def test_only_spectral_factors_a_matrix():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def test_only_the_accessor_assembles_a_descending_laplacian():
-    """Fields and soups read spectral.descending_laplacian, which caches L on
-    the network and L_sigma on the gauge; the sorted-order accessors take no
-    order, and no code outside ggff.spectral assembles an operator."""
-    for accessor in (laplacian, twisted_laplacian):
-        assert "descending" not in inspect.signature(accessor).parameters
-    source = Path(spectral.__file__).read_text()
-    accessor = inspect.getsource(spectral.descending_laplacian)
-    assert source.count("_cached_laplacian(network, gauge, True)") == 1
-    assert "_cached_laplacian(network, gauge, True)" in accessor
+def test_only_the_accessors_cover_laplacian_and_blocks_build_a_laplacian():
+    """Closed forms, estimators, soups and cover fields read L and L_sigma
+    from laplacian and twisted_laplacian, which take no order and cache the
+    operators on the network and the gauge.  Besides them, only
+    cover_laplacian and the cover's sheet-symmetric blocks build a
+    LaplacianMatrix, no module but ggff.spectral builds one, and no name in
+    the package speaks of a second, descending order."""
+    assert list(inspect.signature(laplacian).parameters) == ["network"]
+    assert list(inspect.signature(twisted_laplacian).parameters) == ["network", "gauge"]
+    builds = re.compile(r"(?<!def )\b(?:_assemble|LaplacianMatrix)\(")
+    builders = {name for name, fn in inspect.getmembers(spectral, inspect.isfunction)
+                if fn.__module__ == spectral.__name__ and builds.search(inspect.getsource(fn))}
+    assert builders == {"_assemble", "laplacian", "twisted_laplacian", "cover_laplacian",
+                        "subspace_log_determinants_of"}
     found = [f"{path.name}: {line.strip()}"
-             for path in Path(ggff.__file__).parent.glob("*.py") if path.name != "spectral.py"
+             for path in Path(ggff.__file__).parent.glob("*.py")
              for line in path.read_text().splitlines()
-             if re.search(r"_assemble\(|_cached_laplacian\(|descending=", line)]
+             if "descending" in line.lower() or path.name != "spectral.py" and builds.search(line)]
     assert found == []
 
 
-def test_the_descending_accessor_builds_the_inverse_factor(pt):
-    """Worker threads share a descending operator and only read it: on the
-    dense route its inverse_factor is built before the accessor returns it."""
-    net, gauge = pt
-    for lap in (spectral.descending_laplacian(net), spectral.descending_laplacian(net, gauge)):
-        assert not lap.factor[2]
-        assert "inverse_factor" in vars(lap) and lap.inverse_factor is not None
+def test_samplers_build_the_inverse_factor_before_their_workers(monkeypatch):
+    """Worker threads share L and L_sigma and only read them: on the dense
+    route each sampler builds the inverse_factor its workers read before it
+    starts them.  Closed forms never build one: an identity suite, with its
+    fresh L_{vs.sigma}, cover Laplacian and subdivisions, inverts no factor."""
+    net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+    inversions, built = [], []
+    real = spectral.sla.lapack.dtrtri
+    monkeypatch.setattr(spectral.sla.lapack, "dtrtri",
+                        lambda c, *args, **kw: inversions.append(len(c)) or real(c, *args, **kw))
+
+    def starting(*args, run):
+        built.append([name for name, owner in (("L", net), ("L_sigma", gauge))
+                      if "inverse_factor" in vars(vars(owner)["_laplacian"])])
+        return run(*args)
+
+    for module in (ggff.gff, ggff.loopsoup):
+        monkeypatch.setattr(module, "run_batches", functools.partial(starting, run=module.run_batches))
+    identity_checks(net, gauge)
+    assert inversions == [] and built == []
+    ggff.estimate_event_probability(net, gauge, 64, 1, threads=2, batch_size=32)
+    ggff.kl_isomorphism_check(net, gauge, 8, 1, threads=2, batch_size=4)
+    assert built == [["L"], ["L", "L_sigma"]] and inversions == [48, 48]
 
 
 # a vertex's degree, or a cover vertex's id, formed outside the module that caches it
@@ -660,20 +679,37 @@ def test_annulus_ladder_converges_to_the_continuum():
     assert all(3.8 <= a / b <= 4.2 for a, b in zip(gaps, gaps[1:]))
 
 
-def test_banded_factor_reproduces_the_renumbered_operator(pt, monkeypatch):
-    """C C^T is the operator with position i of interior_order in row pos[i],
-    pos being the reversal for a descending operator."""
-    monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", 0)
-    net, gauge = pt
-    for descending, lap in ((False, twisted_laplacian(net, gauge)),
-                            (True, spectral.descending_laplacian(net, gauge))):
-        chol, (_, pos, banded) = lap.cholesky(), lap.factor
-        assert banded and lap.interior_order == net.interior
-        assert not descending or pos.tolist() == [2, 1, 0]
-        renumbered = lap.entries[np.ix_(np.argsort(pos), np.argsort(pos))]
-        assert np.array_equal(chol, np.tril(chol))
-        assert np.max(np.abs(chol @ chol.T - renumbered)) < 1e-12
-        assert lap.log_det() == pytest.approx(math.log(7), abs=1e-12)
+def test_banded_factor_reproduces_the_renumbered_operator(monkeypatch):
+    """The factor's order follows its route alone: pos is the reversal on the
+    dense route and reverse Cuthill-McKee's on the banded one (DENSE_MAX_ORDER
+    patched to 0), and C C^T is the operator with position i of
+    interior_order in row pos[i], for L, L_sigma, the cover Laplacian and a
+    subdivided L of the 6 x 8 annulus.  Both routes give one log determinant."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    log_dets = []
+    for threshold in (spectral.DENSE_MAX_ORDER, 0):
+        monkeypatch.setattr(spectral, "DENSE_MAX_ORDER", threshold)
+        net, gauge = load_network(NETWORKS / "annulus-6x8.json")
+        sub, _ = subdivide(net, gauge, 3)
+        laps = (laplacian(net), twisted_laplacian(net, gauge),
+                cover_laplacian(build_double_cover(net, gauge)), laplacian(sub.network))
+        for lap in laps:
+            chol, (_, pos, banded) = lap.cholesky(), lap.factor
+            m = len(lap.interior_order)
+            assert banded is (threshold == 0)
+            if banded:
+                a = coo_array((lap.values, (lap.rows, lap.cols)), shape=(m, m)).tocsr()
+                rcm = reverse_cuthill_mckee(a, symmetric_mode=True)
+                assert np.array_equal(pos, np.argsort(rcm))
+            else:
+                assert np.array_equal(pos, np.arange(m)[::-1])
+            renumbered = lap.entries[np.ix_(np.argsort(pos), np.argsort(pos))]
+            assert np.array_equal(chol, np.tril(chol))
+            assert np.max(np.abs(chol @ chol.T - renumbered)) < 1e-12
+        log_dets.append([lap.log_det() for lap in laps])
+    assert np.allclose(*log_dets, rtol=1e-12, atol=0)
 
 
 def test_non_positive_definite_operator_on_the_banded_route_raises(pt, monkeypatch):
