@@ -83,8 +83,10 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
     gives 2*low and 2*low + 1.  Each edge enters the labelled graph once per
     lift of its edge_u end, in a row pattern sorted by tail and fixed for the
     call: an open edge points to its head, a closed one to its tail (a loop).
-    Returns lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
-    number in the component of (s, v, sheet).  Hence, in column s:
+    Each chunk's marks are gathered from opened as it is labelled.  Returns
+    int32 lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
+    number in the component of (s, v, sheet); node numbers stay below
+    2*m*n, which must fit int32.  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
     - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
       (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
@@ -98,26 +100,31 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
     n = opened.shape[1]
     lifts = 2 if (rel == -1).any() else 1
     w, sheet, stride = lifts * m, np.arange(lifts)[:, None], 2 // lifts
+    if 2 * w * n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
     tails = (lifts * edge_u + sheet).ravel()
     order = np.argsort(tails, kind="stable")
     hop = ((lifts * edge_v + (sheet ^ (rel == -1))).ravel() - tails)[order].astype(np.int32)
-    marks = opened[np.tile(np.arange(len(edge_u)), lifts)[order]]
+    rows = np.tile(np.arange(len(edge_u)), lifts)[order]  # each pattern entry's row of opened
     per_call = max(1, _COVER_NODES_PER_CALL // max(w, 1))
     shift = w * np.arange(min(n, per_call), dtype=np.int32)[:, None]
     indptr = np.concatenate(([0], np.cumsum(np.tile(np.bincount(tails, minlength=w), len(shift)))),
                             dtype=np.int32)
     tails = tails[order].astype(np.int32) + shift
-    lab = np.empty((w * n, stride), dtype=np.intp)
+    data = np.ones(tails.size)
+    lab = np.empty((w * n, stride), dtype=np.int32)
     for s0 in range(0, n, per_call):
         k = min(n, s0 + per_call) - s0
-        cols = (tails[:k] + marks[:, s0:s0 + k].T * hop).ravel()
+        cols = (tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel()
         count, part = connected_components(
-            csr_array((np.ones(cols.size), cols, indptr[:w * k + 1]), shape=(w * k, w * k)),
+            csr_array((data[:cols.size], cols, indptr[:w * k + 1]), shape=(w * k, w * k)),
             directed=True, connection="weak")
-        low = np.full(count, w * k, dtype=np.intp)
-        np.minimum.at(low, part, np.arange(w * k))
-        np.take(stride * (low + w * s0), part, out=lab[w * s0:w * (s0 + k), 0])
-    lab[:, 1:] = lab[:, :1] + 1  # the second copy's labels (no such column when signed)
+        low = np.full(count, w * k, dtype=np.int32)
+        np.minimum.at(low, part, np.arange(w * k, dtype=np.int32))
+        chunk = lab[w * s0:w * (s0 + k)]
+        np.take(stride * (low + w * s0), part, out=chunk[:, 0])
+        if stride == 2:  # the second copy's labels; signed, the cover labelled both lifts
+            np.add(chunk[:, 0], 1, out=chunk[:, 1])
     return lab.reshape(n, m, 2)
 
 

@@ -45,20 +45,34 @@ class EstimatorReport:
         return asdict(self)
 
 
+# (edge, sample) pairs per row block of _open_marks, which bounds its float
+# temporaries to four such blocks whatever the batch
+_OPEN_BLOCK = 1 << 16
+
+
 def _open_marks(phi: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray,
                 edge_c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero-free marks of the interior edges for each sample column of phi:
     edge i is open with probability open_probability(edge_c[i], a, b) at its
     ends' values a, b, from one uniform per edge and column in row order.  A
-    zero end, a sign change or a product a*b that underflows closes the edge."""
-    ab = phi[edge_u, :] * phi[edge_v, :]
-    u = rng.random(ab.shape)
-    # where ab > 0, ab is |ab| and -expm1(-2 C ab) is in [0, 1); elsewhere it is
-    # at most -0.0, which no u in [0, 1) falls below, so one comparison decides
-    x = np.multiply(-2.0 * edge_c[:, None], ab, out=ab)
-    with np.errstate(over="ignore"):  # exp of -2 C ab overflows only where ab < 0
-        np.expm1(x, out=x)
-    return u < np.negative(x, out=x)
+    zero end, a sign change or a product a*b that underflows closes the edge.
+    Edges are taken in row blocks; each float64 uniform is one draw from the
+    stream, so the blocks' draws are the one-shot (E, n) draw's."""
+    e, n = len(edge_u), phi.shape[1]
+    marks = np.empty((e, n), dtype=bool)
+    rows = max(1, _OPEN_BLOCK // max(n, 1))
+    ab, u = np.empty((2, min(rows, e), n))
+    for r0 in range(0, e, rows):
+        k = min(e, r0 + rows) - r0
+        x = np.multiply(phi[edge_u[r0:r0 + k]], phi[edge_v[r0:r0 + k]], out=ab[:k])
+        rng.random(out=u[:k])
+        # where ab > 0, ab is |ab| and -expm1(-2 C ab) is in [0, 1); elsewhere it
+        # is at most -0.0, which no u in [0, 1) falls below, so one comparison decides
+        np.multiply(-2.0 * edge_c[r0:r0 + k, None], x, out=x)
+        with np.errstate(over="ignore"):  # exp of -2 C ab overflows only where ab < 0
+            np.expm1(x, out=x)
+        np.less(u[:k], np.negative(x, out=x), out=marks[r0:r0 + k])
+    return marks
 
 
 def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> np.ndarray:

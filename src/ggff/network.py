@@ -405,12 +405,11 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
         mid = (n + 1) // 2
         keys_here: list[EdgeKey] = []
         for k in range(1, n + 1):
-            ne = Edge(f"{e.id}#{k}", path[k - 1], path[k], cond)
-            new_edges.append(ne)
-            sign = gauge.signs[key] if (k == mid) else 1
-            new_signs[ne.key] = sign
-            parent_edge[ne.key] = key
-            keys_here.append(ne.key)
+            new_edges.append(Edge(f"{e.id}#{k}", path[k - 1], path[k], cond))
+            sub_key = edge_key(path[k - 1], path[k])
+            new_signs[sub_key] = gauge.signs[key] if k == mid else 1
+            parent_edge[sub_key] = key
+            keys_here.append(sub_key)
         edges_of[key] = tuple(keys_here)
 
     sub = ElectricalNetwork(vertices=tuple(new_vertices), boundary=network.boundary,

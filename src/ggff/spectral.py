@@ -38,6 +38,10 @@ DENSE_MAX_ORDER = 1000
 # columns of the inverse that inverse_diagonal solves for at once
 _DIAGONAL_BLOCK = 64
 
+# entries per row block in which banded color fills and reads its solve's
+# Fortran-order array: np.take into or out of one allocates a full temporary
+_COLOR_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class LaplacianMatrix:
@@ -159,15 +163,24 @@ class LaplacianMatrix:
         """W z by position in interior_order, W = P^T C^-T P^T with P^T x = x[pos],
         so that W W^T = A^-1: for standard normal z, columns of covariance A^-1.
         Dense, a product with inverse_factor; banded, one transposed solve in
-        the band.  A stack z of shape (k, m, n) is coloured with matmul
+        the band, in place in a Fortran-order copy in the factor's order,
+        filled and read by row blocks: beside z and the result it holds one
+        (m, n) array.  A stack z of shape (k, m, n) is coloured with matmul
         semantics, each item to the bit as alone: by the same product, which
         matmul runs item by item, or by its own solve."""
         c, pos, banded = self.factor
-        if banded and z.ndim == 3:
-            return np.stack([self.color(item) for item in z])
-        z = np.take(z, pos, axis=-2)  # contiguous operands multiply fastest
-        return np.take(sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0] if banded
-                       else self.inverse_factor.T @ z, pos, axis=-2)
+        if not banded:  # contiguous operands multiply fastest
+            return np.take(self.inverse_factor.T @ np.take(z, pos, axis=-2), pos, axis=-2)
+        out = np.empty(z.shape)
+        m, n = z.shape[-2:]
+        rows, b = max(1, _COLOR_BLOCK // max(n, 1)), np.empty((m, n), order="F")
+        for item, res in zip(z.reshape(-1, m, n), out.reshape(-1, m, n)):
+            for r0 in range(0, m, rows):
+                b[r0:r0 + rows] = item[pos[r0:r0 + rows]]
+            sla.lapack.dtbtrs(c, b, uplo="L", trans="T", overwrite_b=True)
+            for r0 in range(0, m, rows):
+                res[r0:r0 + rows] = b[pos[r0:r0 + rows]]
+        return out
 
     def below_diagonal_squares(self) -> np.ndarray:
         """Row sums of squares of C below its diagonal, by position in interior_order."""

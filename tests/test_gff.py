@@ -12,7 +12,7 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
                   sample_cover_gff_batch, sample_metric_field, twisted_green,
                   two_point_connectivity, edge_key, load_network, spectral, subdivide)
 from ggff.cover import _balanced, _cover_labels, _label_sign
-from ggff.gff import _fields, _open_marks
+from ggff.gff import _OPEN_BLOCK, _fields, _open_marks
 from ggff.seeds import substream
 
 from conftest import (ParityUnionFind, cycles_balanced, pendant_triangle, polar_annulus,
@@ -90,6 +90,17 @@ def test_fields_equal_the_green_cholesky_sampler():
             assert _relative_gap(got, reference_fields(net, sigma, substream(seed), 64)) <= 1e-12
 
 
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak, in bytes, of what it allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_estimators_on_the_banded_route_form_no_square_array():
     """On polar_annulus(49, 24), 1,176 interior vertices, above
     DENSE_MAX_ORDER, the event and connectivity estimators draw their fields
@@ -98,8 +109,6 @@ def test_estimators_on_the_banded_route_form_no_square_array():
     small, because the labelling kernel's graph grows with the batch.  A
     first run, untraced, on an equal network (the traced run would otherwise
     read its cached factors), loads the modules the banded route imports."""
-    import tracemalloc
-
     net, gauge = polar_annulus(49, 24)
     m = len(net.interior)
     assert m > spectral.DENSE_MAX_ORDER
@@ -109,12 +118,7 @@ def test_estimators_on_the_banded_route_form_no_square_array():
                 two_point_connectivity(net, ("r25s00", "r25s12"), 256, 2, batch_size=8))
 
     run(*polar_annulus(49, 24))
-    tracemalloc.start()
-    try:
-        event, same = run(net, gauge)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (event, same), peak = _traced_peak(lambda: run(net, gauge))
     assert peak < m * m * 8 / 4
     assert event.target == pytest.approx(ggff.det_ratio(net, gauge), rel=1e-10)
     g = ggff.restricted_green(net, ("r25s00", "r25s12")).entries
@@ -122,6 +126,46 @@ def test_estimators_on_the_banded_route_form_no_square_array():
         (2 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1])), rel=1e-10)
     for rep in (event, same):
         assert abs(rep.estimate - rep.target) <= 4 * rep.std_error
+
+
+def test_dense_estimator_batches_hold_a_bounded_working_set():
+    """One 2,048-sample batch of each estimator on polar_annulus(24, 12), 288
+    interior vertices on the dense route, allocates less than four (m, n)
+    float arrays at any time: the edge products and uniforms are formed in
+    row blocks, and the int32 labels take half the fields' bytes.  A first
+    run on an equal network loads the modules."""
+    pair = ("r12s11", "r12s00")
+
+    def calls(net, gauge):
+        return (lambda: estimate_event_probability(net, gauge, 2048, 1, batch_size=2048),
+                lambda: conditional_moment(net, gauge, pair, 2048, 1, batch_size=2048),
+                lambda: two_point_connectivity(net, pair, 2048, 1, batch_size=2048))
+
+    for call in calls(*polar_annulus(24, 12)):
+        call()
+    net, gauge = polar_annulus(24, 12)
+    m, n = len(net.interior), 2048
+    assert m <= spectral.DENSE_MAX_ORDER
+    for call in calls(net, gauge):
+        rep, peak = _traced_peak(call)
+        assert rep.n_samples == n
+        assert peak < 4 * m * n * 8
+
+
+def test_cover_labels_hold_only_their_labels_and_a_chunk():
+    """_cover_labels on 2,048 columns of annulus marks, signed and unsigned,
+    allocates at most 6 MB beyond the int32 labels it returns: each chunk's
+    marks are gathered as it is labelled, and the unsigned labels' second
+    column is written in place, a signed batch forming none."""
+    net, gauge = polar_annulus(24, 12)
+    m, n = len(net.interior), 2048
+    _, u, v, c = net.interior_edges
+    opened = _open_marks(_fields(spectral.laplacian(net), substream(5), n), u, v, c, substream(6))
+    _cover_labels(m, u, v, gauge.interior_signs, opened[:, :1])  # loads scipy.sparse
+    for rel in (gauge.interior_signs, np.ones_like(gauge.interior_signs)):
+        lab, peak = _traced_peak(lambda: _cover_labels(m, u, v, rel, opened))
+        assert lab.dtype == np.int32 and lab.shape == (n, m, 2)
+        assert peak < lab.nbytes + 6e6
 
 
 @pytest.mark.parametrize("operation", ["event", "moment", "metric field"])
@@ -278,7 +322,10 @@ def test_open_marks_match_the_sign_rule():
     uniforms and leaving the generator in the same state: on signed zeros,
     opposite signs, a product that underflows to 0, products whose open
     probability saturates at 1.0, one that overflows to inf, and on seeded
-    fields, sampled annulus blocks and values spread over 400 decades."""
+    fields, sampled annulus blocks and values spread over 400 decades.  The
+    product rule draws every uniform at once, as _open_marks did before its
+    row blocks, so the blocks are checked against it where they divide
+    neither the edges nor the samples."""
     def reference(phi, edge_u, edge_v, edge_c, rng):
         a, b = phi[edge_u, :], phi[edge_v, :]
         u = rng.random((len(edge_u), phi.shape[1]))
@@ -320,6 +367,13 @@ def test_open_marks_match_the_sign_rule():
         spread[substream(seed, 2).random(phi.shape) < 0.05] = 0.0
         with np.errstate(over="ignore", under="ignore"):
             check(spread, eu, ev, c, seed + 5)
+    # 24 x 12 annulus at 4,097 samples: the row blocks divide neither its 564
+    # edges nor the samples
+    annulus = polar_annulus(24, 12)[0]
+    _, eu, ev, c = annulus.interior_edges
+    assert len(eu) % (_OPEN_BLOCK // 4097) and 4097 % (_OPEN_BLOCK // 4097)
+    for n in (4097, 1, 0):
+        check(_fields(spectral.laplacian(annulus), substream(n), n), eu, ev, c, n + 8)
 
 
 def per_edge_marks(values, network, seed):

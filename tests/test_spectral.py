@@ -458,6 +458,35 @@ def test_stacked_color_equals_each_column_alone(name, banded):
             assert item.tobytes() == lap.color(column.copy()).tobytes()
 
 
+def test_banded_color_equals_the_one_shot_solve():
+    """Banded color, which fills and reads its solve's Fortran-order array by
+    row blocks, gives the bits of the one-shot form, which gathered the whole
+    draw into the factor's order, let dtbtrs copy it and gathered the whole
+    result back: on polar_annulus(49, 24) for L and L_sigma, for an (m, n)
+    draw whose row blocks do not divide m, for the strided (k, m, 1) stack
+    the soup check passes and for a (k, m, n) stack."""
+    import scipy.linalg as sla
+
+    def one_shot(lap, z):
+        c, pos, _ = lap.factor
+        if z.ndim == 3:
+            return np.stack([one_shot(lap, item) for item in z])
+        z = np.take(z, pos, axis=-2)
+        return np.take(sla.lapack.dtbtrs(c, z, uplo="L", trans="T")[0], pos, axis=-2)
+
+    net, gauge = polar_annulus(49, 24)
+    rng = np.random.default_rng(5)
+    for lap in (spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)):
+        assert lap.factor[2]
+        m, n = len(lap.interior_order), 300
+        assert m % (spectral._COLOR_BLOCK // n)
+        for z in (rng.standard_normal((m, n)), rng.standard_normal((4, 2, m, 1))[:, 1],
+                  rng.standard_normal((3, m, n))):
+            got = lap.color(z)
+            assert got.shape == z.shape
+            assert got.tobytes() == one_shot(lap, z).tobytes()
+
+
 # a factorization or triangular inversion, by its name in numpy or scipy
 FACTORIZATION = re.compile(
     r"\.(?:cholesky|cho_factor|cholesky_banded|dtrtri|inv)\b"
