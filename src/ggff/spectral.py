@@ -35,7 +35,7 @@ from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexS
 # 2.1 ms, order 464 dense 7.3 ms vs banded 3.5 ms
 DENSE_MAX_ORDER = 1000
 
-# columns of the inverse that inverse_diagonal solves for at once
+# columns of the inverse that the banded route solves for at once
 _DIAGONAL_BLOCK = 64
 
 # entries per row block in which banded color fills and reads its solve's
@@ -103,16 +103,27 @@ class LaplacianMatrix:
         return 2.0 * float(np.sum(np.log(c[0] if banded else np.diag(c))))
 
     def inverse(self, sel: np.ndarray | None = None) -> np.ndarray:
-        """The sel x sel block of the inverse (sel: positions in
-        interior_order), or all of it.  Banded, with E the selected unit
-        columns and Y = C^-1 E, the block is E^T A^-1 E = Y^T Y."""
+        """The sel x sel block of the inverse (sel: positions in interior_order),
+        or all of it.  Dense: all of it by dpotri, mirrored, so exactly symmetric;
+        a block by cho_solve.  Banded: E^T A^-1 E = Y^T Y, E the selected unit
+        columns, Y = C^-1 E, which is 0.0 above each unit row: _DIAGONAL_BLOCK
+        columns at a time, in the factor's order, solve from their first one on."""
         c, pos, banded = self.factor
-        rows = pos if sel is None else pos[sel]
-        rhs = np.zeros((len(pos), len(rows)), order="F")  # dtbtrs solves in place
-        rhs[rows, np.arange(len(rows))] = 1.0
+        m, rows = len(pos), pos if sel is None else pos[sel]
+        if sel is None and not banded:  # half the flops of a solve against the identity
+            x = sla.lapack.dpotri(c, lower=1)[0]
+            return np.where(np.tri(m, dtype=bool), x, x.T)[np.ix_(pos, pos)]
+        y = np.zeros((m, len(rows)), order="F")  # dtbtrs solves in place
         if not banded:
-            return sla.cho_solve((c, True), rhs, check_finite=False)[rows]
-        y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
+            y[rows, np.arange(len(rows))] = 1.0
+            return sla.cho_solve((c, True), y, check_finite=False)[rows]
+        order = np.argsort(rows, kind="stable")
+        for j in range(0, len(rows), _DIAGONAL_BLOCK):
+            cols = order[j:j + _DIAGONAL_BLOCK]
+            r0 = rows[cols[0]]
+            b = np.zeros((m - r0, len(cols)), order="F")
+            b[rows[cols] - r0, np.arange(len(cols))] = 1.0
+            y[r0:, cols] = sla.lapack.dtbtrs(c[:, r0:], b, uplo="L", overwrite_b=True)[0]
         return y.T @ y
 
     @cached_property
@@ -354,14 +365,18 @@ def subspace_log_determinants(network: ElectricalNetwork,
 
 def subspace_log_determinants_of(cov: DoubleCover,
                                  lap: LaplacianMatrix) -> tuple[float, float]:
-    """subspace_log_determinants from the cover's Laplacian."""
+    """subspace_log_determinants from the cover Laplacian's entries, each
+    block entry 0.5 * ((A11 + A22) +- (A12 + A21)): no 2m x 2m array."""
     one, two = cov.interior_lifts
-    a = lap.entries
-    same = a[np.ix_(one, one)] + a[np.ix_(two, two)]
-    cross = a[np.ix_(one, two)] + a[np.ix_(two, one)]
-    blocks = (0.5 * (same + cross), 0.5 * (same - cross))
-    return tuple(LaplacianMatrix(cov.base.interior, *np.nonzero(b), b[b != 0], "cover").log_det()
-                 for b in blocks)
+    m, lift = len(one), np.empty(2 * len(one), dtype=np.intp)
+    lift[np.concatenate((one, two))] = np.arange(2 * m)  # sheet * m + base position
+    (sr, br), (sc, bc) = np.divmod(lift[lap.rows], m), np.divmod(lift[lap.cols], m)
+    pairs, at = np.unique(br * m + bc, return_inverse=True)  # row-major, as np.nonzero
+    a = np.zeros((4, len(pairs)))  # A11, A12, A21, A22 on each base pair; absent: 0.0
+    a[2 * sr + sc, at] = lap.values
+    same, cross = a[0] + a[3], a[1] + a[2]
+    return tuple(LaplacianMatrix(cov.base.interior, *np.divmod(pairs[b != 0], m), b[b != 0],
+                                 "cover").log_det() for b in (0.5 * (same + cross), 0.5 * (same - cross)))
 
 
 def subspace_determinants(network: ElectricalNetwork, gauge: GaugeField) -> tuple[float, float]:

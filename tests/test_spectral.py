@@ -487,6 +487,109 @@ def test_banded_color_equals_the_one_shot_solve():
             assert got.tobytes() == one_shot(lap, z).tobytes()
 
 
+def one_shot_inverse(lap, sel=None):
+    """The sel x sel block of lap's inverse as the banded route formed it in
+    one solve: Y = C^-1 E over the whole band for every selected unit column
+    at once, then Y^T Y."""
+    import scipy.linalg as sla
+
+    c, pos, _ = lap.factor
+    rows = pos if sel is None else pos[sel]
+    rhs = np.zeros((len(pos), len(rows)), order="F")
+    rhs[rows, np.arange(len(rows))] = 1.0
+    y, _ = sla.lapack.dtbtrs(c, rhs, uplo="L", overwrite_b=True)
+    return y.T @ y
+
+
+@pytest.mark.parametrize("case", ["annulus-49x24", "annulus-24x12 at N = 3"])
+def test_banded_inverse_equals_the_one_shot_solve(case):
+    """Banded inverse, which solves each block of columns from its first unit
+    row on only, gives the one-shot solve's bits for a scattered selection,
+    for the full inverse and for inverse_diagonal, of L and L_sigma: on
+    polar_annulus(49, 24) and on the 24 x 12 annulus subdivided at N = 3, as
+    the identity suite subdivides it."""
+    net, gauge = polar_annulus(*map(int, case.split()[0].split("-")[1].split("x")))
+    if case.endswith("N = 3"):
+        sub, gauge = subdivide(net, gauge, 3)
+        net = sub.network
+    rng = np.random.default_rng(7)
+    for lap in (laplacian(net), twisted_laplacian(net, gauge)):
+        m = len(lap.interior_order)
+        assert lap.factor[2]
+        sel = rng.permutation(m)[:300]
+        assert lap.inverse(sel).tobytes() == one_shot_inverse(lap, sel).tobytes()
+        assert lap.inverse().tobytes() == one_shot_inverse(lap).tobytes()
+        inv, b = np.argsort(lap.factor[1]), spectral._DIAGONAL_BLOCK
+        diagonal = np.concatenate([np.diag(one_shot_inverse(lap, inv[j:j + b]))
+                                   for j in range(0, m, b)])[lap.factor[1]]
+        assert lap.inverse_diagonal.tobytes() == diagonal.tobytes()
+
+
+def test_dense_inverse_equals_the_solve_against_the_identity():
+    """The dense full inverse, from dpotri on the cached factor, is the
+    cho_solve of the identity to 1e-13 relative, and exactly symmetric: for
+    L and L_sigma of PT, the 6 x 8 and 24 x 12 annuli and 20 random networks
+    with conductances from 0.5 to 2."""
+    import scipy.linalg as sla
+
+    rng = np.random.default_rng(43)
+    cases = [load_network(NETWORKS / "pt.json"), load_network(NETWORKS / "annulus-6x8.json"),
+             polar_annulus(24, 12)] + [random_network(rng) for _ in range(20)]
+    for net, gauge in cases:
+        for lap in (laplacian(net), twisted_laplacian(net, gauge)):
+            c, pos, banded = lap.factor
+            assert not banded
+            oracle = sla.cho_solve((c, True), np.eye(len(pos)))[np.ix_(pos, pos)]
+            got = lap.inverse()
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def dense_sheet_blocks(cov, lap) -> tuple[float, float]:
+    """subspace_log_determinants_of as it formed the two sheet-symmetric
+    blocks from the cover Laplacian's dense 2m x 2m array."""
+    one, two = cov.interior_lifts
+    a = lap.entries
+    same = a[np.ix_(one, one)] + a[np.ix_(two, two)]
+    cross = a[np.ix_(one, two)] + a[np.ix_(two, one)]
+    return tuple(LaplacianMatrix(cov.base.interior, *np.nonzero(b), b[b != 0], "cover").log_det()
+                 for b in (0.5 * (same + cross), 0.5 * (same - cross)))
+
+
+def test_sheet_blocks_equal_the_dense_construction():
+    """On 30 random networks with conductances from 0.5 to 2 and mixed signs,
+    both sheet-symmetric log determinants are those of the blocks cut from
+    the cover Laplacian's dense array, bit for bit."""
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        net, gauge = random_network(rng, max_interior=20)
+        cov = build_double_cover(net, gauge)
+        lap = cover_laplacian(cov)
+        assert spectral.subspace_log_determinants_of(cov, lap) == dense_sheet_blocks(cov, lap)
+
+
+def test_sheet_blocks_form_no_cover_sized_square_array():
+    """On polar_annulus(49, 24), whose cover has 2,352 interior vertices, the
+    sheet-symmetric blocks peak below a quarter of one (2m)^2 float64 array
+    (about 11 MB), and give the dense construction's log determinants."""
+    import tracemalloc
+
+    net, gauge = polar_annulus(49, 24)
+    cov = build_double_cover(net, gauge)
+    lap = cover_laplacian(cov)
+    cov.interior_lifts
+    m2 = len(lap.interior_order)
+    assert m2 == 2352
+    tracemalloc.start()
+    try:
+        got = spectral.subspace_log_determinants_of(cov, lap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m2 * m2 * 8 / 4
+    assert got == dense_sheet_blocks(cov, lap)
+
+
 # a factorization or triangular inversion, by its name in numpy or scipy
 FACTORIZATION = re.compile(
     r"\.(?:cholesky|cho_factor|cholesky_banded|dtrtri|inv)\b"
@@ -528,7 +631,9 @@ def test_samplers_build_the_inverse_factor_before_their_workers(monkeypatch):
     """Worker threads share L and L_sigma and only read them: on the dense
     route each sampler builds the inverse_factor its workers read before it
     starts them.  Closed forms never build one: an identity suite, with its
-    fresh L_{vs.sigma}, cover Laplacian and subdivisions, inverts no factor."""
+    fresh L_{vs.sigma}, cover Laplacian and subdivisions, builds no
+    inverse_factor and calls no dtrtri (its full Green matrices come from
+    dpotri)."""
     net, gauge = load_network(NETWORKS / "annulus-6x8.json")
     inversions, built = [], []
     real = spectral.sla.lapack.dtrtri
