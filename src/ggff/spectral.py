@@ -35,7 +35,7 @@ from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexS
 # 2.1 ms, order 464 dense 7.3 ms vs banded 3.5 ms
 DENSE_MAX_ORDER = 1000
 
-# columns of the inverse that the banded route solves for at once
+# columns of the inverse solved at once by inverse_diagonal and banded inverse
 _DIAGONAL_BLOCK = 64
 
 # entries per row block in which banded color fills and reads its solve's

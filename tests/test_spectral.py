@@ -501,16 +501,16 @@ def one_shot_inverse(lap, sel=None):
     return y.T @ y
 
 
-@pytest.mark.parametrize("case", ["annulus-49x24", "annulus-24x12 at N = 3"])
-def test_banded_inverse_equals_the_one_shot_solve(case):
+@pytest.mark.parametrize("rings, sites, n", [(49, 24, 1), (24, 12, 3)])
+def test_banded_inverse_equals_the_one_shot_solve(rings, sites, n):
     """Banded inverse, which solves each block of columns from its first unit
     row on only, gives the one-shot solve's bits for a scattered selection,
     for the full inverse and for inverse_diagonal, of L and L_sigma: on
     polar_annulus(49, 24) and on the 24 x 12 annulus subdivided at N = 3, as
     the identity suite subdivides it."""
-    net, gauge = polar_annulus(*map(int, case.split()[0].split("-")[1].split("x")))
-    if case.endswith("N = 3"):
-        sub, gauge = subdivide(net, gauge, 3)
+    net, gauge = polar_annulus(rings, sites)
+    if n > 1:
+        sub, gauge = subdivide(net, gauge, n)
         net = sub.network
     rng = np.random.default_rng(7)
     for lap in (laplacian(net), twisted_laplacian(net, gauge)):
