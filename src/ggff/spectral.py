@@ -113,7 +113,7 @@ class LaplacianMatrix:
         if sel is None and not banded:  # half the flops of a solve against the identity
             x = sla.lapack.dpotri(c, lower=1)[0]
             return np.where(np.tri(m, dtype=bool), x, x.T)[np.ix_(pos, pos)]
-        y = np.zeros((m, len(rows)), order="F")  # dtbtrs solves in place
+        y = np.zeros((m, len(rows)), order="F")
         if not banded:
             y[rows, np.arange(len(rows))] = 1.0
             return sla.cho_solve((c, True), y, check_finite=False)[rows]
@@ -121,7 +121,7 @@ class LaplacianMatrix:
         for j in range(0, len(rows), _DIAGONAL_BLOCK):
             cols = order[j:j + _DIAGONAL_BLOCK]
             r0 = rows[cols[0]]
-            b = np.zeros((m - r0, len(cols)), order="F")
+            b = np.zeros((m - r0, len(cols)), order="F")  # dtbtrs solves in place
             b[rows[cols] - r0, np.arange(len(cols))] = 1.0
             y[r0:, cols] = sla.lapack.dtbtrs(c[:, r0:], b, uplo="L", overwrite_b=True)[0]
         return y.T @ y
