@@ -8,7 +8,8 @@ exactly when their holonomy is -1.
 The labelling kernel _cover_labels decides every balance question of the
 package: a signed graph is balanced (admits vertex signs making every edge's
 sign product +1) exactly when no vertex has both lifts in one component of
-its double cover.
+its double cover.  It labels the +1 clusters first, and then the double cover
+of their quotient by the -1 edges, which has the same components.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
     return DoubleCover(base=network, gauge=gauge, cover_network=cover_net)
 
 
-# Bounds the nodes of the graph one connected_components call labels (2*m per
-# sample for the double cover, m for an unsigned subgraph), and so the memory
-# a batch's labelling takes at once.
+# Bounds the nodes of the open +1 subgraph that one connected_components call
+# labels (m per sample), and so the samples of one chunk, whose quotient cover
+# a second call labels, and the memory a batch's labelling takes at once.
 _COVER_NODES_PER_CALL = 1 << 16
 
 
@@ -78,15 +79,17 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
 
     Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
     joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
-    With no sign -1 the cover is two copies of the open subgraph, so that
-    subgraph (node s*m + v, of smallest label low) is labelled instead and
-    gives 2*low and 2*low + 1.  Each edge enters the labelled graph once per
-    lift of its edge_u end, in a row pattern sorted by tail and fixed for the
-    call: an open edge points to its head, a closed one to its tail (a loop).
-    Each chunk's marks are gathered from opened as it is labelled.  Returns
-    int32 lab of shape (n, m, 2), lab[s, v, sheet] being the smallest node
-    number in the component of (s, v, sheet); node numbers stay below
-    2*m*n, which must fit int32.  Hence, in column s:
+    Stage 1 labels the open +1 subgraph (node s*m + v): each +1 edge enters
+    once, in a row pattern sorted by tail and fixed for the call, an open edge
+    pointing to its head, a closed one to its tail (a loop); a +1 cluster of
+    smallest vertex low lifts to sheets labelled 2*low and 2*low + 1.  Stage 2
+    labels the double cover of the quotient by these clusters over the open
+    -1 edges, each such edge two nodes, one per pair of sheets it joins; each
+    touched sheet takes the smallest label in its component.  Each chunk's
+    marks are gathered from opened as it is labelled.  Returns int32 lab of
+    shape (n, m, 2), lab[s, v, sheet] being the smallest node number in the
+    component of (s, v, sheet); node numbers stay below 2*m*n, which must fit
+    int32.  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
     - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
       (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
@@ -97,34 +100,47 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
+    def components(indices, indptr):
+        graph = csr_array((data[:indices.size], indices, indptr), shape=(len(indptr) - 1,) * 2)
+        return connected_components(graph, directed=True, connection="weak")
+
     n = opened.shape[1]
-    lifts = 2 if (rel == -1).any() else 1
-    w, sheet, stride = lifts * m, np.arange(lifts)[:, None], 2 // lifts
-    if 2 * w * n > np.iinfo(np.int32).max:
+    if 2 * m * n > np.iinfo(np.int32).max:
         raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
-    tails = (lifts * edge_u + sheet).ravel()
-    order = np.argsort(tails, kind="stable")
-    hop = ((lifts * edge_v + (sheet ^ (rel == -1))).ravel() - tails)[order].astype(np.int32)
-    rows = np.tile(np.arange(len(edge_u)), lifts)[order]  # each pattern entry's row of opened
-    per_call = max(1, _COVER_NODES_PER_CALL // max(w, 1))
-    shift = w * np.arange(min(n, per_call), dtype=np.int32)[:, None]
-    indptr = np.concatenate(([0], np.cumsum(np.tile(np.bincount(tails, minlength=w), len(shift)))),
-                            dtype=np.int32)
-    tails = tails[order].astype(np.int32) + shift
-    data = np.ones(tails.size)
-    lab = np.empty((w * n, stride), dtype=np.int32)
+    plus, minus = np.flatnonzero(rel == 1), np.flatnonzero(rel == -1)
+    rows = plus[np.argsort(edge_u[plus], kind="stable")]  # each pattern entry's row of opened
+    hop = (edge_v[rows] - edge_u[rows]).astype(np.int32)
+    ends_of = np.stack((edge_u[minus], edge_v[minus]))
+    per_call = max(1, _COVER_NODES_PER_CALL // max(m, 1))
+    shift = np.arange(min(n, per_call), dtype=np.int32)[:, None]
+    indptr = np.zeros(m * len(shift) + 1, dtype=np.int32)
+    indptr[1:] = (np.cumsum(np.bincount(edge_u[rows], minlength=m)) + len(rows) * shift).ravel()
+    tails = edge_u[rows].astype(np.int32) + m * shift
+    data = np.ones(max(tails.size, 4 * len(minus) * len(shift)))  # the arcs of either stage
+    lab = np.empty((m * n, 2), dtype=np.int32)
     for s0 in range(0, n, per_call):
         k = min(n, s0 + per_call) - s0
-        cols = (tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel()
-        count, part = connected_components(
-            csr_array((data[:cols.size], cols, indptr[:w * k + 1]), shape=(w * k, w * k)),
-            directed=True, connection="weak")
-        low = np.full(count, w * k, dtype=np.int32)
-        np.minimum.at(low, part, np.arange(w * k, dtype=np.int32))
-        chunk = lab[w * s0:w * (s0 + k)]
-        np.take(stride * (low + w * s0), part, out=chunk[:, 0])
-        if stride == 2:  # the second copy's labels; signed, the cover labelled both lifts
-            np.add(chunk[:, 0], 1, out=chunk[:, 1])
+        count, part = components((tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel(),
+                                 indptr[:m * k + 1])
+        low = np.full(count, m * k, dtype=np.int32)
+        np.minimum.at(low, part, np.arange(m * k, dtype=np.int32))
+        low = 2 * (low + m * s0)  # each +1 cluster's labels, low and low + 1, as one int64
+        pairs = np.stack((low, low + 1), axis=1).view(np.int64)[:, 0]
+        e, t = np.nonzero(opened[minus, s0:s0 + k])
+        if e.size:  # touched cluster r's sheets are quotient nodes 2r and 2r + 1
+            ends = part[ends_of[:, e] + m * t]
+            node = np.zeros(count, dtype=np.int32)
+            node[ends] = 1
+            ids = np.flatnonzero(node)
+            a, b = 2 * (np.cumsum(node, dtype=np.int32) - 1)[ends]
+            q = 2 * len(ids)  # no arcs; then open -1 edge j's q + 2j + t to a + t and b + 1 - t
+            qcount, qpart = components(np.stack((a, b + 1, a + 1, b), axis=1).ravel(),
+                                       np.arange(-2 * q, 4 * e.size + 1, 2, dtype=np.int32).clip(0))
+            qlow = np.full(qcount, 2 * m * n, dtype=np.int32)
+            np.minimum.at(qlow, qpart[:q], pairs[ids].view(np.int32))
+            pairs[ids] = qlow[qpart[:q]].view(np.int64)
+        chunk = lab[m * s0:m * (s0 + k)]
+        np.take(pairs, part, out=chunk.view(np.int64)[:, 0])
     return lab.reshape(n, m, 2)
 
 

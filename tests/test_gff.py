@@ -155,8 +155,9 @@ def test_dense_estimator_batches_hold_a_bounded_working_set():
 def test_cover_labels_hold_only_their_labels_and_a_chunk():
     """_cover_labels on 2,048 columns of annulus marks, signed and unsigned,
     allocates at most 6 MB beyond the int32 labels it returns: each chunk's
-    marks are gathered as it is labelled, and the unsigned labels' second
-    column is written in place, a signed batch forming none."""
+    marks are gathered as it is labelled, its open -1 edges' quotient cover
+    is formed for that chunk alone, and both sheets' labels are written in
+    place."""
     net, gauge = polar_annulus(24, 12)
     m, n = len(net.interior), 2048
     _, u, v, c = net.interior_edges
@@ -680,12 +681,48 @@ def _union_find_column(m, edges):
     return ok, [sign * lowest_sign[root] for root, sign in found], [r for r, _ in found]
 
 
+def doubled_lift_labels(m, edge_u, edge_v, rel, opened):
+    """The labels _cover_labels must return, read off the double cover of
+    every open subgraph at once: cover node 2*(s*m + v) + sheet, an open +1
+    edge joining the same-sheet lifts of its ends and an open -1 edge the
+    cross lifts, each node labelled with the smallest node of its component."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    nodes = 2 * m * opened.shape[1]
+    e, s = np.nonzero(opened)
+    sheet = np.arange(2)[:, None]
+    tails = 2 * (s * m + edge_u[e]) + sheet
+    heads = 2 * (s * m + edge_v[e]) + (sheet ^ (rel[e] == -1))
+    _, part = connected_components(
+        coo_array((np.ones(tails.size), (tails.ravel(), heads.ravel())), shape=(nodes, nodes)),
+        directed=True, connection="weak")
+    low = np.full(nodes, nodes)
+    np.minimum.at(low, part, np.arange(nodes))
+    return low[part].astype(np.int32).reshape(-1, m, 2)
+
+
+def assert_matches_union_find(lab, m, eu, ev, rel, opened):
+    """Each column of lab gives the union-find's event verdict, its tau in
+    the event, and its classes: x and y share one iff lab[s, x, 0] is one of
+    y's labels."""
+    balanced = _balanced(lab)
+    for s in range(opened.shape[1]):
+        cols = np.flatnonzero(opened[:, s])
+        ok, tau, roots = _union_find_column(m, zip(eu[cols], ev[cols], rel[cols]))
+        assert balanced[s] == ok
+        if ok:
+            assert list(1 - 2 * (lab[s, :, 0] % 2)) == tau
+        for x, y in itertools.product(range(m), repeat=2):
+            assert (lab[s, x, 0] in (lab[s, y, 0], lab[s, y, 1])) == (roots[x] == roots[y])
+
+
 def test_cover_labels_match_union_find_column_by_column(monkeypatch):
     """Event, tau at every vertex and same-cluster for every pair, on batches
     split over many labelling calls, one sample per call on the larger
     networks; the star has no edge between interior vertices.  All signs +1
-    take the unsigned path, whose labels must equal the double cover's, which
-    one more -1 edge, closed in every column, forces."""
+    leave the second stage empty, and must give the labels the doubled-lift
+    oracle reads off the double cover itself."""
     rng = np.random.default_rng(21)
     star = ElectricalNetwork(("b", "x", "y", "z"), frozenset({"b"}),
                              tuple(Edge(f"e{v}", "b", v, 1.0) for v in "xyz"))
@@ -697,29 +734,64 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
         m, rel, plus = len(net.interior), gauge.interior_signs, np.ones_like(gauge.interior_signs)
         opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
         opened[:, 0] = False
-        forced = (np.append(eu, 0), np.append(ev, m - 1), np.append(plus, -1),
-                  np.vstack((opened, np.zeros((1, opened.shape[1]), dtype=bool))))
+        oracle = doubled_lift_labels(m, eu, ev, plus, opened)
         one_call = _cover_labels(m, eu, ev, rel, opened)
-        assert np.array_equal(_cover_labels(m, eu, ev, plus, opened),
-                              _cover_labels(m, *forced))
+        assert np.array_equal(_cover_labels(m, eu, ev, plus, opened), oracle)
         monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
         lab = _cover_labels(m, eu, ev, rel, opened)
         same = _cover_labels(m, eu, ev, plus, opened)
-        assert np.array_equal(same, _cover_labels(m, *forced))
+        assert np.array_equal(same, oracle)
         monkeypatch.undo()
-        for args in ((eu, ev, plus, opened), forced):
-            assert _cover_labels(m, *args[:3], args[3][:, :0]).shape == (0, m, 2)
+        for signs in (rel, plus):
+            assert _cover_labels(m, eu, ev, signs, opened[:, :0]).shape == (0, m, 2)
         assert np.array_equal(lab, one_call)
-        balanced = _balanced(lab)
-        assert balanced[0] and np.all(lab[0, :, 0] == 2 * np.arange(m))
-        for s in range(opened.shape[1]):
-            cols = np.flatnonzero(opened[:, s])
-            ok, tau, roots = _union_find_column(
-                m, zip(eu[cols], ev[cols], rel[cols]))
-            assert balanced[s] == ok
-            if ok:
-                assert list(1 - 2 * (lab[s, :, 0] % 2)) == tau
-            for x, y in itertools.product(range(m), repeat=2):
-                joined = roots[x] == roots[y]
-                assert (lab[s, x, 0] in (lab[s, y, 0], lab[s, y, 1])) == joined
-                assert (same[s, x, 0] == same[s, y, 0]) == joined
+        assert _balanced(lab)[0] and np.all(lab[0, :, 0] == 2 * np.arange(m))
+        assert_matches_union_find(lab, m, eu, ev, rel, opened)
+        assert_matches_union_find(same, m, eu, ev, plus, opened)
+
+
+def test_cover_labels_equal_the_doubled_lift_labels(monkeypatch):
+    """The two-stage kernel returns the doubled-lift oracle's labels bit for
+    bit: on 2,048 columns of annulus marks in one call, and on 30 random
+    networks with their drawn signs, all +1 and all -1, in calls of at most
+    100 nodes."""
+    net, gauge = polar_annulus(24, 12)
+    m, (_, u, v, c) = len(net.interior), net.interior_edges
+    opened = _open_marks(_fields(spectral.laplacian(net), substream(5), 2048), u, v, c, substream(6))
+    rel = gauge.interior_signs
+    assert (_cover_labels(m, u, v, rel, opened).tobytes()
+            == doubled_lift_labels(m, u, v, rel, opened).tobytes())
+    rng = np.random.default_rng(23)
+    monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
+    for _ in range(30):
+        net, gauge = random_network(rng)
+        m, (_, u, v, _) = len(net.interior), net.interior_edges
+        opened = rng.random((len(u), 30)) < rng.uniform(0.2, 0.9)
+        for rel in (gauge.interior_signs, np.ones_like(u), -np.ones_like(u)):
+            assert (_cover_labels(m, u, v, rel, opened).tobytes()
+                    == doubled_lift_labels(m, u, v, rel, opened).tobytes())
+
+
+def test_cover_labels_of_targeted_quotients():
+    """Six vertices, +1 edges 0-1, 2-3, 4-5 and 1-2, -1 edges 0-2, 1-2, 3-4,
+    0-3 and 5-0.  Columns: a -1 edge inside one +1 cluster, {0, 1, 2}
+    (unbalanced); in +1 clusters {0, 1}, {2, 3} and {4, 5}, -1 edges 1-2 and
+    3-4 through all three (a path, balanced), then also 0-3, closing an even
+    cycle through two (balanced), then also 5-0, closing an odd cycle through
+    all three (unbalanced); no -1 edge open; and nothing open.  Each column
+    agrees with the union-find and the doubled-lift oracle, and a batch of no
+    columns gives no labels."""
+    eu = np.array([0, 2, 4, 1, 0, 1, 3, 0, 5])
+    ev = np.array([1, 3, 5, 2, 2, 2, 4, 3, 0])
+    rel = np.array([1, 1, 1, 1, -1, -1, -1, -1, -1])
+    opened = np.array([[1, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0],
+                       [1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0],
+                       [0, 1, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0]], dtype=bool)
+    lab = _cover_labels(6, eu, ev, rel, opened)
+    assert lab.tobytes() == doubled_lift_labels(6, eu, ev, rel, opened).tobytes()
+    assert _balanced(lab).tolist() == [False, True, True, False, True, True]
+    assert lab[0, :3].tolist() == [[0, 0]] * 3 and lab[3].tolist() == [[36, 36]] * 6
+    assert lab[1, :, 0].tolist() == [12, 12, 13, 13, 12, 12]
+    assert_matches_union_find(lab, 6, eu, ev, rel, opened)
+    empty = _cover_labels(6, eu, ev, rel, opened[:, :0])
+    assert empty.shape == (0, 6, 2) and empty.dtype == np.int32

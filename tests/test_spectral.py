@@ -545,6 +545,22 @@ def test_dense_inverse_equals_the_solve_against_the_identity():
             assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
+def test_dense_green_matrices_are_taken_as_they_are():
+    """On the dense route green_of keeps the exactly symmetric inverse as it
+    is: asymmetry 0.0, and the entries' bits are the inverse's, which are
+    those of 0.5 (G + G^T): for L, L_sigma and the cover Laplacian of PT and
+    the 6 x 8 and 24 x 12 annuli."""
+    cases = [load_network(NETWORKS / "pt.json"), load_network(NETWORKS / "annulus-6x8.json"),
+             polar_annulus(24, 12)]
+    for net, gauge in cases:
+        for lap in (laplacian(net), twisted_laplacian(net, gauge),
+                    cover_laplacian(build_double_cover(net, gauge))):
+            g, inverse = spectral.green_of(lap), lap.inverse()
+            assert not lap.factor[2] and g.asymmetry == 0.0
+            assert g.entries.tobytes() == inverse.tobytes()
+            assert g.entries.tobytes() == (0.5 * (inverse + inverse.T)).tobytes()
+
+
 def dense_sheet_blocks(cov, lap) -> tuple[float, float]:
     """subspace_log_determinants_of as it formed the two sheet-symmetric
     blocks from the cover Laplacian's dense 2m x 2m array."""
