@@ -65,9 +65,8 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
     return DoubleCover(base=network, gauge=gauge, cover_network=cover_net)
 
 
-# Bounds the nodes of the open +1 subgraph that one connected_components call
-# labels (m per sample), and so the samples of one chunk, whose quotient cover
-# a second call labels, and the memory a batch's labelling takes at once.
+# Bounds the nodes (m per sample) of the open +1 subgraph one connected_components
+# call labels, so the samples of a chunk and the memory its labelling takes.
 _COVER_NODES_PER_CALL = 1 << 16
 
 
@@ -79,17 +78,17 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
 
     Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
     joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
-    Stage 1 labels the open +1 subgraph (node s*m + v): each +1 edge enters
-    once, in a row pattern sorted by tail and fixed for the call, an open edge
-    pointing to its head, a closed one to its tail (a loop); a +1 cluster of
-    smallest vertex low lifts to sheets labelled 2*low and 2*low + 1.  Stage 2
-    labels the double cover of the quotient by these clusters over the open
-    -1 edges, each such edge two nodes, one per pair of sheets it joins; each
-    touched sheet takes the smallest label in its component.  Each chunk's
-    marks are gathered from opened as it is labelled.  Returns int32 lab of
-    shape (n, m, 2), lab[s, v, sheet] being the smallest node number in the
-    component of (s, v, sheet); node numbers stay below 2*m*n, which must fit
-    int32.  Hence, in column s:
+    Stage 1 labels the open +1 subgraph (node s*m + v), each +1 edge once in
+    a row pattern sorted by tail and fixed for the call, an open edge pointing
+    to its head, a closed one to its tail (a loop); a +1 cluster of smallest
+    vertex low lifts to sheets labelled 2*low and 2*low + 1.  Stage 2 joins
+    these sheets along the open -1 edges, the double cover of the quotient by
+    the clusters: a cluster all of whose -1 edge ends lie on one edge is
+    folded into the other end's sheets, and a second call labels the rest,
+    each edge there two nodes, one per pair of sheets it joins.  Each chunk's
+    marks are gathered as it is labelled.  Returns int32 lab of shape
+    (n, m, 2), lab[s, v, sheet] the smallest node number in the component of
+    (s, v, sheet), below 2*m*n, which must fit int32.  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
     - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
       (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
@@ -110,7 +109,6 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
     plus, minus = np.flatnonzero(rel == 1), np.flatnonzero(rel == -1)
     rows = plus[np.argsort(edge_u[plus], kind="stable")]  # each pattern entry's row of opened
     hop = (edge_v[rows] - edge_u[rows]).astype(np.int32)
-    ends_of = np.stack((edge_u[minus], edge_v[minus]))
     per_call = max(1, _COVER_NODES_PER_CALL // max(m, 1))
     shift = np.arange(min(n, per_call), dtype=np.int32)[:, None]
     indptr = np.zeros(m * len(shift) + 1, dtype=np.int32)
@@ -122,25 +120,29 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
         k = min(n, s0 + per_call) - s0
         count, part = components((tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel(),
                                  indptr[:m * k + 1])
-        low = np.full(count, m * k, dtype=np.int32)
-        np.minimum.at(low, part, np.arange(m * k, dtype=np.int32))
-        low = 2 * (low + m * s0)  # each +1 cluster's labels, low and low + 1, as one int64
-        pairs = np.stack((low, low + 1), axis=1).view(np.int64)[:, 0]
+        low = np.full(count, 2 * m * n, dtype=np.int32)  # each +1 cluster's sheet-0 label
+        np.minimum.at(low, part, np.arange(2 * m * s0, 2 * m * (s0 + k), 2, dtype=np.int32))
+        sheets = np.stack((low, low + 1), axis=1)
         e, t = np.nonzero(opened[minus, s0:s0 + k])
-        if e.size:  # touched cluster r's sheets are quotient nodes 2r and 2r + 1
-            ends = part[ends_of[:, e] + m * t]
-            node = np.zeros(count, dtype=np.int32)
-            node[ends] = 1
-            ids = np.flatnonzero(node)
-            a, b = 2 * (np.cumsum(node, dtype=np.int32) - 1)[ends]
-            q = 2 * len(ids)  # no arcs; then open -1 edge j's q + 2j + t to a + t and b + 1 - t
-            qcount, qpart = components(np.stack((a, b + 1, a + 1, b), axis=1).ravel(),
-                                       np.arange(-2 * q, 4 * e.size + 1, 2, dtype=np.int32).clip(0))
-            qlow = np.full(qcount, 2 * m * n, dtype=np.int32)
-            np.minimum.at(qlow, qpart[:q], pairs[ids].view(np.int32))
-            pairs[ids] = qlow[qpart[:q]].view(np.int64)
-        chunk = lab[m * s0:m * (s0 + k)]
-        np.take(pairs, part, out=chunk.view(np.int64)[:, 0])
+        if e.size:  # open -1 edge j joins clusters a[j] and b[j]
+            a, b = part[np.stack((edge_u[minus], edge_v[minus]))[:, e] + m * t]
+            deg = np.bincount(a, minlength=count) + np.bincount(b, minlength=count)
+            a, b = np.where(deg[b] == 1, (a, b), (b, a))  # a leaf cluster, if either is one, at b
+            fold = deg[b] == 1 + (a == b)  # b's only -1 edge: b's sheets join a's, crossed
+            np.minimum.at(sheets, a[fold], sheets[b[fold], ::-1])
+            if not fold.all():  # the rest: touched cluster r's sheets are nodes 2r and 2r + 1
+                ids, ends = np.unique(np.compress(~fold, (a, b), axis=1), return_inverse=True)
+                x, y = 2 * ends.reshape(2, -1).astype(np.int32)
+                q = 2 * len(ids)  # then -1 edge j's nodes q + 2j + t, joining x + t and y + 1 - t
+                qcount, qpart = components(
+                    np.stack((x, y + 1, x + 1, y), axis=1).ravel(),
+                    np.arange(-2 * q, 4 * x.size + 1, 2, dtype=np.int32).clip(0))
+                qlow = np.full(qcount, 2 * m * n, dtype=np.int32)
+                np.minimum.at(qlow, qpart[:q], sheets[ids].ravel())
+                sheets[ids] = qlow[qpart[:q]].reshape(-1, 2)
+            sheets[b[fold]] = sheets[a[fold], ::-1]
+        chunk = lab[m * s0:m * (s0 + k)]  # both labels of a node moved as one int64
+        np.take(sheets.view(np.int64)[:, 0], part, out=chunk.view(np.int64)[:, 0])
     return lab.reshape(n, m, 2)
 
 

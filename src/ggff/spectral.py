@@ -255,8 +255,7 @@ def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenM
 
 
 def green_of(lap: LaplacianMatrix) -> GreenMatrix:
-    """The full inverse of a Laplacian, from its cached factor.  On the dense
-    route it is exactly symmetric, so it is neither scanned nor averaged."""
+    """The full inverse of a Laplacian, from its cached factor; as it is if dense, so symmetric."""
     if not lap.factor[2]:
         return GreenMatrix(lap.interior_order, lap.inverse(), lap.kind, 0.0)
     return _symmetric_green(lap.interior_order, lap.inverse(), lap.kind)
