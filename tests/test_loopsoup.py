@@ -748,18 +748,23 @@ def test_alpha_must_be_positive(pt_net):
             LoopSoupSampler(pt_net, alpha)
 
 
-@pytest.mark.parametrize("network, seed", [("pt", 10), ("annulus-6x8", 11)])
-def test_soup_dump_and_summary_match_golden(tmp_path, network, seed):
-    """The loop dump and the summary of one soup at alpha 1/2 keep every byte
-    of tests/golden/soups/, recorded by the h-transform sampler: loops from
+@pytest.mark.parametrize("network, alpha, seed", [
+    ("pt", 0.5, 10), ("annulus-6x8", 0.5, 11), ("annulus-6x8", 2.0, 6)])
+def test_soup_dump_and_summary_match_golden(tmp_path, network, alpha, seed):
+    """The loop dump and the summary of one soup keep every byte of
+    tests/golden/soups/, recorded by the h-transform sampler: loops from
     one Poisson process over the level masses, then their excursion counts,
     then uniforms in blocks of 32, holding times in one draw per soup.  A
-    change to how the sampler draws re-records them, in a commit of their own."""
+    change to how the sampler draws re-records them, in a commit of their own.
+    The annulus soup at alpha 2, seed 6, holds 22 loops with jumps, one of
+    holonomy -1 and three of two or more excursions, so that its dump pins
+    where each loop starts and its summary the holonomy split."""
     net, gauge = load_network(NETWORKS / f"{network}.json")
-    soup = sample_loop_soup(net, 0.5, seed=seed)
+    soup = sample_loop_soup(net, alpha, seed=seed)
     dump_loops_jsonl(soup, tmp_path / "loops.jsonl")
     summary = json.dumps(soup_summary_dict(soup, gauge), indent=2) + "\n"
-    stem = SOUP_GOLDEN / f"{network}-seed{seed}"
+    stem = SOUP_GOLDEN / (f"{network}-seed{seed}" if alpha == 0.5
+                          else f"{network}-alpha{alpha:g}-seed{seed}")
     assert (tmp_path / "loops.jsonl").read_bytes() == stem.with_suffix(".jsonl").read_bytes()
     assert summary == stem.with_name(stem.name + "-summary.json").read_text()
 
