@@ -25,40 +25,43 @@ Jump-free loops never leave one vertex; at x their durations form a Poisson
 process with intensity alpha * exp(-W(x) t) dt / t, whose total is a
 Gamma(alpha, rate W(x)) variable.  They all have holonomy +1, and every
 functional of the soup considered here sees them only through these totals,
-so a sample keeps them as one array, jump_free, next to its loops with jumps.
+so a sample keeps them as one array, jump_free, next to its loops with jumps:
+one flat integer path, cut at offsets, whose Loops are formed on first read.
 
 The checks, soup_moments and kl_isomorphism_check, have the estimators'
 batch-worker shape: a worker samples its batch's soups one by one, soup s
 of batch i from the stream SeedSequence([seed, i, s]), the batch's streams
 computed at once by seeds.substreams, and draws the normals of kl's fields
 from each soup's stream right after its soup.  It then reduces the soups
-at once, with one holonomy gather over all their loops, the holonomy split
-as a mask over those loops, one bincount for all their occupation fields,
-one colouring call per operator for kl's fields, and sums that add the
-soups' rows in soup order, to the bit of a sum taken soup by soup.  A batch
-of large soups is reduced in a few consecutive parts, so that a worker
-holds a few MB.
+at once, one array per soup and none per loop, with one holonomy gather
+over all their loops, the holonomy split as a mask over those loops, one
+bincount for all their occupation fields, one colouring call per operator
+for kl's fields, and sums that add the soups' rows in soup order, to the
+bit of a sum taken soup by soup.  A batch of large soups is reduced in a
+few consecutive parts, so that a worker holds a few MB.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate, chain
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import accumulate, chain, pairwise
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import spectral
-from .network import ElectricalNetwork, GaugeField
+from .network import ElectricalNetwork, GaugeField, _frozen
 from .seeds import batch_plan, mean_se, run_batches, substream, substreams
 
 
 def _equal_fields(a, b) -> bool:
     """== for the dataclasses below: one type, equal fields, arrays compared whole."""
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
     return type(a) is type(b) and all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-                                      for x, y in zip(vars(a).values(), vars(b).values()))
+                                      for x, y in pairs)
 
 
 @dataclass(frozen=True)
@@ -74,20 +77,45 @@ class Loop:
     __eq__ = _equal_fields
 
 
+# a soup with no loop with jumps: its skeleton, edges, holding times and ends
+_NO_LOOPS = (_frozen([], np.intp), _frozen([], np.intp), _frozen([], float), _frozen([0], np.intp))
+
+
 @dataclass(frozen=True)
 class LoopSoupSample:
-    """The loops with two or more visits, and the jump-free loops' total time
-    at each interior vertex, in network.interior order."""
+    """The loops with two or more visits as one flat path, loop k being Loop k's fields
+    cut at ends[k]:ends[k + 1]; the jump-free loops' total time at each interior
+    vertex, in network.interior order."""
 
     network: ElectricalNetwork
-    loops: tuple[Loop, ...]
+    skeleton: np.ndarray
+    edges: np.ndarray
+    holding_times: np.ndarray
+    ends: np.ndarray
     jump_free: np.ndarray
     alpha: float
     seed: int
     __eq__ = _equal_fields
 
+    @classmethod
+    def from_loops(cls, network: ElectricalNetwork, loops: Sequence[Loop], jump_free: np.ndarray,
+                   alpha: float, seed: int) -> LoopSoupSample:
+        """The sample of these loops, whose loops are these very objects."""
+        flat = [np.concatenate([getattr(lp, f.name) for lp in loops] + [empty])
+                for f, empty in zip(fields(Loop), _NO_LOOPS)]
+        soup = cls(network, *flat, np.array([0, *accumulate(len(lp.edges) for lp in loops)]),
+                   jump_free, alpha, seed)
+        vars(soup)["loops"] = tuple(loops)
+        return soup
+
+    @cached_property
+    def loops(self) -> tuple[Loop, ...]:
+        """One Loop per loop, views of the flat path, formed on first read."""
+        return tuple(Loop(self.skeleton[a:b], self.edges[a:b], self.holding_times[a:b])
+                     for a, b in pairwise(self.ends.tolist()))
+
     def multi_vertex_count(self) -> int:
-        return len(self.loops)
+        return len(self.ends) - 1
 
 
 @dataclass(frozen=True)
@@ -180,7 +208,7 @@ class LoopSoupSampler:
         sizes = [int(rng.logseries(self.return_prob[i])) for i in levels]
         # uniforms come from the generator in blocks of 32
         uniforms = chain.from_iterable(iter(lambda: rng.random(32).tolist(), None))
-        m, path, ends, loops, level = len(self.interior), [], [0], (), -1
+        m, path, ends, level = len(self.interior), [], [0], -1
         # killed targets, later in the factor, come first in each source's
         # jumps and the last one has h > 0, so no rounding of the uniform
         # picks a zero-weight target
@@ -205,15 +233,15 @@ class LoopSoupSampler:
                     path.append(jump)
                     left -= x == i
             ends.append(len(path))
+        flat = _NO_LOOPS
         if path:  # exponential holding times, one draw for the whole soup
             path = np.array(path)
-            skeleton, edges = self._jump_source[path], path >> 1
-            times = gap(len(path)) * self.mean_holding[skeleton]
-            loops = tuple(Loop(skeleton[a:b], edges[a:b], times[a:b])
-                          for a, b in zip(ends, ends[1:]))
+            skeleton = self._jump_source[path]
+            flat = (skeleton, path >> 1, gap(len(path)) * self.mean_holding[skeleton],
+                    np.array(ends))
         # Gamma(alpha, rate W) totals: numpy's gamma(alpha, scale) is this product
         jump_free = rng.standard_gamma(self.alpha, m) * self.mean_holding
-        return LoopSoupSample(self.network, loops, jump_free, self.alpha, seed)
+        return LoopSoupSample(self.network, *flat, jump_free, self.alpha, seed)
 
     def sample(self, seed: int) -> LoopSoupSample:
         return self.sample_with(substream(seed), seed)
@@ -226,8 +254,11 @@ def sample_loop_soup(network: ElectricalNetwork, alpha: float, seed: int) -> Loo
     return LoopSoupSampler(network, alpha).sample(seed)
 
 
-def _batch_loops(soups: Sequence[LoopSoupSample]) -> list[Loop]:
-    return [lp for soup in soups for lp in soup.loops]
+def _loop_starts(soups: Sequence[LoopSoupSample]) -> np.ndarray:
+    """Each loop's first position in the soups' paths concatenated in order."""
+    jumps = [len(soup.edges) for soup in soups]
+    return (np.concatenate([soup.ends[:-1] for soup in soups])
+            + np.repeat(np.cumsum(jumps) - jumps, [len(soup.ends) - 1 for soup in soups]))
 
 
 def _occupations(soups: Sequence[LoopSoupSample],
@@ -239,13 +270,11 @@ def _occupations(soups: Sequence[LoopSoupSample],
     visits in its second half, with no jump-free total there."""
     n, m = len(soups), len(soups[0].jump_free)
     width = m if minus is None else 2 * m
-    loops = _batch_loops(soups)
-    base = np.repeat(np.arange(0, n * width, width), [len(soup.loops) for soup in soups])
+    visits = np.concatenate([soup.skeleton for soup in soups])
+    times = np.concatenate([soup.holding_times for soup in soups])
+    visits += np.repeat(np.arange(0, n * width, width), [len(soup.skeleton) for soup in soups])
     if minus is not None:
-        base += m * minus
-    visits = np.concatenate([lp.skeleton for lp in loops] + [np.zeros(0, np.intp)])
-    times = np.concatenate([lp.holding_times for lp in loops] + [np.zeros(0)])
-    visits += np.repeat(base, [len(lp.skeleton) for lp in loops])
+        visits += np.repeat(m * minus, np.diff(_loop_starts(soups), append=len(visits)))
     # bincount returns integer zeros, whatever its weights, when no soup has loops
     occ = np.bincount(visits, times, n * width).astype(float, copy=False).reshape(n, width)
     occ[:, :m] += [soup.jump_free for soup in soups]
@@ -257,17 +286,15 @@ def occupation_field(soup: LoopSoupSample) -> OccupationField:
     return OccupationField(dict(zip(soup.network.interior, _occupations((soup,))[0].tolist())))
 
 
-def _holonomies(loops: Sequence[Loop], gauge: GaugeField) -> np.ndarray:
-    """Each loop's holonomy, the parity of its -1 edges as one product of signs."""
-    if not loops:
-        return np.ones(0, dtype=np.intp)
-    starts = list(accumulate((len(lp.edges) for lp in loops[:-1]), initial=0))
-    edges = np.concatenate([lp.edges for lp in loops])
-    return np.multiply.reduceat(gauge.interior_signs[edges], starts)
+def _holonomies(soups: Sequence[LoopSoupSample], gauge: GaugeField) -> np.ndarray:
+    """Each loop's holonomy, soup by soup, the parity of its -1 edges as one
+    product of signs over the soups' edges, cut at the loops' starts."""
+    edges = np.concatenate([soup.edges for soup in soups])
+    return np.multiply.reduceat(gauge.interior_signs[edges], _loop_starts(soups))
 
 
 def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:
-    return int(_holonomies((loop,), gauge)[0])
+    return int(np.prod(gauge.interior_signs[loop.edges]))
 
 
 def split_by_holonomy(soup: LoopSoupSample,
@@ -276,12 +303,12 @@ def split_by_holonomy(soup: LoopSoupSample,
     loops all go to the +1 part."""
     if gauge.network != soup.network:
         raise ValueError("soup and gauge field live on different networks")
-    signs = _holonomies(soup.loops, gauge).tolist()
-    plus = tuple(lp for lp, h in zip(soup.loops, signs) if h == 1)
-    minus = tuple(lp for lp, h in zip(soup.loops, signs) if h == -1)
-    return (LoopSoupSample(soup.network, plus, soup.jump_free, soup.alpha, soup.seed),
-            LoopSoupSample(soup.network, minus, np.zeros_like(soup.jump_free),
-                           soup.alpha, soup.seed))
+    signs = _holonomies((soup,), gauge).tolist()
+    plus = [lp for lp, h in zip(soup.loops, signs) if h == 1]
+    minus = [lp for lp, h in zip(soup.loops, signs) if h == -1]
+    return (LoopSoupSample.from_loops(soup.network, plus, soup.jump_free, soup.alpha, soup.seed),
+            LoopSoupSample.from_loops(soup.network, minus, np.zeros_like(soup.jump_free),
+                                      soup.alpha, soup.seed))
 
 
 # interior vertices, jumps and held normals, summed over the soups a batch
@@ -309,7 +336,7 @@ def _soup_sums(sampler: LoopSoupSampler, reduce, width: int, draws: int, n_soups
             soups.append(soup)
             if draws:
                 normals.append(rng.standard_normal(draws))
-            held += m + draws + sum(len(lp.skeleton) for lp in soup.loops)
+            held += m + draws + len(soup.skeleton)
             if held >= _REDUCE_BLOCK or s == bn - 1:
                 total = reduce(total, soups, np.array(normals).reshape(len(soups), draws))
                 soups, normals, held = [], [], 0
@@ -372,8 +399,8 @@ def soup_moments(network: ElectricalNetwork, alpha: float, n_soups: int, seed: i
 
     def reduce(total, soups, _) -> np.ndarray:
         # rows x = (loop count, holonomy -1 count, occupation field)
-        counts = [len(soup.loops) for soup in soups]
-        minus = _holonomies(_batch_loops(soups), gauge) == -1
+        counts = [len(soup.ends) - 1 for soup in soups]
+        minus = _holonomies(soups, gauge) == -1
         x = np.empty((len(soups), m + 2))
         x[:, 0] = counts
         x[:, 1] = np.bincount(np.repeat(np.arange(len(soups)), counts)[minus],
@@ -443,7 +470,7 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
         # square fields under their deciles; each soup's 2m normals, drawn
         # from its stream after its soup, colour to its phi_sigma and its phi,
         # each operator colouring the stack of all soups' columns in one call
-        x = _occupations(soups, _holonomies(_batch_loops(soups), gauge) == -1)
+        x = _occupations(soups, _holonomies(soups, gauge) == -1)
         z = normals.reshape(len(soups), 2, m, 1)
         squares = np.concatenate((twisted.color(z[:, 0]), untwisted.color(z[:, 1])),
                                  axis=1)[:, :, 0] ** 2  # phi_sigma^2, then phi^2

@@ -360,4 +360,4 @@ class RejectionSoupSampler(LoopSoupSampler):
                 times = rng.exponential(scale=self.mean_holding[skeleton])
                 loops.append(Loop(np.array(skeleton), np.array(edges), times))
         jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
-        return LoopSoupSample(self.network, tuple(loops), jump_free, self.alpha, seed)
+        return LoopSoupSample.from_loops(self.network, loops, jump_free, self.alpha, seed)

@@ -15,7 +15,8 @@ from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, 
                   negative_holonomy_mass)
 from ggff import load_network, loopsoup, spectral
 from ggff.gff import _fields
-from ggff.loopsoup import Loop, LoopSoupSampler, dump_loops_jsonl, soup_summary_dict
+from ggff.loopsoup import (Loop, LoopSoupSample, LoopSoupSampler, dump_loops_jsonl,
+                           soup_summary_dict)
 from ggff.seeds import batch_plan, substream
 
 from conftest import (RejectionSoupSampler, factor_orders, holed_grid, pendant_triangle,
@@ -34,7 +35,8 @@ def test_sampler_determinism(pt_net):
 
 
 def test_loops_and_soups_compare_by_value(pt_net):
-    """== answers, without raising, over the numpy fields of loops and soups."""
+    """== answers, without raising, over the numpy fields of loops and soups;
+    a soup's loops, once read, take no part."""
     soup = sample_loop_soup(pt_net, 0.5, seed=0)
     loop = soup.loops[0]
     copy = Loop(loop.skeleton.copy(), loop.edges.copy(), loop.holding_times.copy())
@@ -43,9 +45,42 @@ def test_loops_and_soups_compare_by_value(pt_net):
     assert loop != other and not loop == other
     assert loop != loop.skeleton and soup != loop
     assert soup == dataclasses.replace(soup, jump_free=soup.jump_free.copy())
-    assert soup != dataclasses.replace(soup, loops=soup.loops[1:])
+    assert soup != LoopSoupSample.from_loops(pt_net, soup.loops[1:], soup.jump_free, 0.5, 0)
+    assert soup == LoopSoupSample.from_loops(pt_net, soup.loops, soup.jump_free, 0.5, 0)
+    assert soup == sample_loop_soup(pt_net, 0.5, seed=0)
     assert soup != dataclasses.replace(soup, jump_free=soup.jump_free + 1.0)
     assert soup != dataclasses.replace(soup, seed=soup.seed + 1)
+
+
+def test_loops_are_views_of_the_flat_path_formed_once():
+    """A soup's loops, formed on first read, are the same tuple on the next
+    read, and each loop is the flat arrays cut at ends; a soup of given loops
+    hands back those very objects."""
+    net, _ = polar_annulus(6, 8)
+    soup = sample_loop_soup(net, 2.0, seed=6)
+    loops = soup.loops
+    assert soup.loops is loops and len(loops) == soup.multi_vertex_count() == 22
+    cuts = soup.ends.tolist()
+    assert cuts[0] == 0 and cuts[-1] == len(soup.skeleton) == len(soup.edges)
+    for lp, a, b in zip(loops, cuts, cuts[1:]):
+        assert b - a >= 2
+        for name in ("skeleton", "edges", "holding_times"):
+            assert getattr(lp, name).tolist() == getattr(soup, name)[a:b].tolist()
+            assert np.shares_memory(getattr(lp, name), getattr(soup, name))
+    rebuilt = LoopSoupSample.from_loops(net, loops, soup.jump_free, 2.0, 6)
+    assert rebuilt == soup and all(x is y for x, y in zip(rebuilt.loops, loops))
+
+
+def test_soup_checks_form_no_loop_objects(monkeypatch):
+    """soup_moments and kl_isomorphism_check on the 6 x 8 annulus reduce
+    200 soups each from their flat paths, constructing no Loop."""
+    net, gauge = polar_annulus(6, 8)
+    made, real = [], Loop.__init__
+    monkeypatch.setattr(Loop, "__init__", lambda self, *args: made.append(1) or real(self, *args))
+    moments = soup_moments(net, 0.5, 200, 3, gauge=gauge)
+    kl_isomorphism_check(net, gauge, 200, 4)
+    assert made == [] and moments.count_mean > 0
+    assert len(sample_loop_soup(net, 0.5, seed=3).loops) == len(made) > 0
 
 
 def test_return_probabilities_pt(pt_net):
@@ -377,7 +412,7 @@ def moment_features(net, alpha, gauge):
     sampler = LoopSoupSampler(net, alpha)
 
     def features(soup, _):
-        neg = np.count_nonzero(loopsoup._holonomies(soup.loops, gauge) == -1)
+        neg = np.count_nonzero(loopsoup._holonomies((soup,), gauge) == -1)
         x = np.concatenate(([soup.multi_vertex_count(), neg], per_soup_occupation(soup)))
         return np.array((x, x ** 2, x ** 4))
 
@@ -584,7 +619,7 @@ def test_occupation_field_empty_and_sums(pt):
                     manual[v] += float(t)
                 assert occupation_field(soup).local_time == manual
                 assert sampler.occupation_vector(soup).tolist() == list(manual.values())
-    empty = ggff.LoopSoupSample(pt[0], (), np.zeros(3), 0.5, 0)
+    empty = ggff.LoopSoupSample.from_loops(pt[0], (), np.zeros(3), 0.5, 0)
     assert all(t == 0.0 for t in occupation_field(empty).local_time.values())
 
 
