@@ -70,25 +70,42 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
 _COVER_NODES_PER_CALL = 1 << 16
 
 
-def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray,
-                  opened: np.ndarray) -> np.ndarray:
+def _cover_pattern(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray,
+                   n: int) -> tuple:
+    """_cover_labels' read-only +1 row pattern, -1 edge ends and arc data for up to n
+    samples a chunk, edge i joining vertices edge_u[i] and edge_v[i] of 0..m-1 with
+    sign rel[i]: a call's batches share one, a smaller batch reading a slice."""
+    plus, minus = np.flatnonzero(rel == 1), np.flatnonzero(rel == -1)
+    rows = plus[np.argsort(edge_u[plus], kind="stable")]  # each pattern entry's row of opened
+    shift = np.arange(max(1, min(n, _COVER_NODES_PER_CALL // max(m, 1))), dtype=np.int32)[:, None]
+    indptr = np.zeros(m * len(shift) + 1, dtype=np.int32)
+    indptr[1:] = (np.cumsum(np.bincount(edge_u[rows], minlength=m)) + len(rows) * shift).ravel()
+    tails = edge_u[rows].astype(np.int32) + m * shift
+    data = np.ones(max(tails.size, 4 * len(minus) * len(shift)))  # the arcs of either stage
+    pattern = (rows, (edge_v[rows] - edge_u[rows]).astype(np.int32), indptr, tails, data,
+               minus, np.stack((edge_u[minus], edge_v[minus])))
+    for a in pattern:
+        a.flags.writeable = False
+    return m, *pattern
+
+
+def _cover_labels(pattern: tuple, opened: np.ndarray) -> np.ndarray:
     """Component labels of the double covers of the open subgraphs, one per
-    column of opened (edge i joins vertices edge_u[i] and edge_v[i] of
-    0..m-1, with sign rel[i]).
+    column of opened, on the network and signs of _cover_pattern's pattern.
 
     Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
     joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
     Stage 1 labels the open +1 subgraph (node s*m + v), each +1 edge once in
-    a row pattern sorted by tail and fixed for the call, an open edge pointing
-    to its head, a closed one to its tail (a loop); a +1 cluster of smallest
-    vertex low lifts to sheets labelled 2*low and 2*low + 1.  Stage 2 joins
-    these sheets along the open -1 edges, the double cover of the quotient by
-    the clusters: a cluster all of whose -1 edge ends lie on one edge is
-    folded into the other end's sheets, and a second call labels the rest,
-    each edge there two nodes, one per pair of sheets it joins.  Each chunk's
-    marks are gathered as it is labelled.  Returns int32 lab of shape
-    (n, m, 2), lab[s, v, sheet] the smallest node number in the component of
-    (s, v, sheet), below 2*m*n, which must fit int32.  Hence, in column s:
+    the pattern's rows, sorted by tail, an open edge pointing to its head, a
+    closed one to its tail (a loop); a +1 cluster of smallest vertex low lifts
+    to sheets labelled 2*low and 2*low + 1.  Stage 2 joins these sheets along
+    the open -1 edges, the double cover of the quotient by the clusters: a
+    cluster all of whose -1 edge ends lie on one edge is folded into the other
+    end's sheets, and a second call labels the rest, each edge there two
+    nodes, one per pair of sheets it joins.  Each chunk's marks are gathered as
+    it is labelled.  Returns int32 lab of shape (n, m, 2), lab[s, v, sheet] the
+    smallest node number in the component of (s, v, sheet), below 2*m*n, which
+    must fit int32.  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
     - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
       (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
@@ -103,21 +120,13 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
         graph = csr_array((data[:indices.size], indices, indptr), shape=(len(indptr) - 1,) * 2)
         return connected_components(graph, directed=True, connection="weak")
 
+    m, rows, hop, indptr, tails, data, minus, minus_uv = pattern
     n = opened.shape[1]
     if 2 * m * n > np.iinfo(np.int32).max:
         raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
-    plus, minus = np.flatnonzero(rel == 1), np.flatnonzero(rel == -1)
-    rows = plus[np.argsort(edge_u[plus], kind="stable")]  # each pattern entry's row of opened
-    hop = (edge_v[rows] - edge_u[rows]).astype(np.int32)
-    per_call = max(1, _COVER_NODES_PER_CALL // max(m, 1))
-    shift = np.arange(min(n, per_call), dtype=np.int32)[:, None]
-    indptr = np.zeros(m * len(shift) + 1, dtype=np.int32)
-    indptr[1:] = (np.cumsum(np.bincount(edge_u[rows], minlength=m)) + len(rows) * shift).ravel()
-    tails = edge_u[rows].astype(np.int32) + m * shift
-    data = np.ones(max(tails.size, 4 * len(minus) * len(shift)))  # the arcs of either stage
     lab = np.empty((m * n, 2), dtype=np.int32)
-    for s0 in range(0, n, per_call):
-        k = min(n, s0 + per_call) - s0
+    for s0 in range(0, n, len(tails)):
+        k = min(n, s0 + len(tails)) - s0
         count, part = components((tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel(),
                                  indptr[:m * k + 1])
         low = np.full(count, 2 * m * n, dtype=np.int32)  # each +1 cluster's sheet-0 label
@@ -125,7 +134,7 @@ def _cover_labels(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarra
         sheets = np.stack((low, low + 1), axis=1)
         e, t = np.nonzero(opened[minus, s0:s0 + k])
         if e.size:  # open -1 edge j joins clusters a[j] and b[j]
-            a, b = part[np.stack((edge_u[minus], edge_v[minus]))[:, e] + m * t]
+            a, b = part[minus_uv[:, e] + m * t]
             deg = np.bincount(a, minlength=count) + np.bincount(b, minlength=count)
             a, b = np.where(deg[b] == 1, (a, b), (b, a))  # a leaf cluster, if either is one, at b
             fold = deg[b] == 1 + (a == b)  # b's only -1 edge: b's sheets join a's, crossed

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cover import _balanced, _cover_labels, _label_sign
+from .cover import _balanced, _cover_labels, _cover_pattern, _label_sign
 from .network import ElectricalNetwork, GaugeField, VertexSigns
 
 
@@ -77,7 +77,7 @@ def are_gauge_equivalent(sigma: GaugeField, sigma_prime: GaugeField) -> Optional
     u = np.array([idx[a] for a, _ in keys], dtype=np.intp)
     v = np.array([idx[b] for _, b in keys], dtype=np.intp)
     rel = np.array([sigma.signs[k] * sigma_prime.signs[k] for k in keys], dtype=np.intp)
-    lab = _cover_labels(len(order), u, v, rel, np.ones((len(keys), 1), dtype=bool))
+    lab = _cover_labels(_cover_pattern(len(order), u, v, rel, 1), np.ones((len(keys), 1), bool))
     if not _balanced(lab)[0]:
         return None
     return VertexSigns(net, dict(zip(order, _label_sign(lab[0, :, 0]).tolist())))

@@ -27,7 +27,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import spectral
-from .cover import _balanced, _cover_labels, _label_sign, build_double_cover
+from .cover import _balanced, _cover_labels, _cover_pattern, _label_sign, build_double_cover
 from .network import EdgeKey, ElectricalNetwork, GaugeField
 from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
 
@@ -89,17 +89,17 @@ def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samp
     """The run_batches total of reduce(phi, lab) over batches of _fields of
     L = laplacian(network) and the _cover_labels of their open subgraphs, the
     interior edges carrying the signs rel."""
-    lap = spectral.laplacian(network)
-    lap.inverse_factor  # built before the workers, which only read it
+    lap, plan = spectral.laplacian(network), batch_plan(n_samples, batch_size)
+    lap.inverse_factor  # built before the workers, which only read it and the pattern
     _, u, v, c = network.interior_edges
+    pattern = _cover_pattern(len(network.interior), u, v, rel, plan[0][1])
 
     def worker(bi: int, bn: int):
         rng = substream(seed, bi)
         phi = _fields(lap, rng, bn)
-        return reduce(phi, _cover_labels(len(network.interior), u, v, rel,
-                                         _open_marks(phi, u, v, c, rng)))
+        return reduce(phi, _cover_labels(pattern, _open_marks(phi, u, v, c, rng)))
 
-    return run_batches(batch_plan(n_samples, batch_size), worker, threads)
+    return run_batches(plan, worker, threads)
 
 
 def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,

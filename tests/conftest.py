@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
-from ggff.cover import cover_vertex_id
+from ggff.cover import _cover_labels, _cover_pattern, cover_vertex_id
 from ggff.loopsoup import Loop, LoopSoupSample, LoopSoupSampler
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -35,6 +35,11 @@ def cover_maps(net: ElectricalNetwork) -> tuple[dict, dict, dict]:
         deck[one], deck[two] = two, one
         sheet[one], sheet[two] = 1, 2
     return projection, deck, sheet
+
+
+def cover_labels(m: int, edge_u, edge_v, rel, opened: np.ndarray) -> np.ndarray:
+    """_cover_labels of the opened columns, its pattern built for all of them."""
+    return _cover_labels(_cover_pattern(m, edge_u, edge_v, rel, opened.shape[1]), opened)
 
 
 def factor_orders(monkeypatch, name: str) -> list[int]:

@@ -11,10 +11,10 @@ import numpy as np
 from ggff import (GaugeField, conditional_moment, estimate_event_probability,
                   is_trivial, kl_isomorphism_check, two_point_connectivity)
 from ggff.cli import identity_checks
-from ggff.cover import _balanced, _cover_labels, build_double_cover
+from ggff.cover import _balanced, build_double_cover
 from ggff.loopsoup import soup_moments
 
-from conftest import (cycles_balanced, pendant_triangle, random_network,
+from conftest import (cover_labels, cycles_balanced, pendant_triangle, random_network,
                       random_trivial_gauge, union_find_balanced)
 from test_gff import opened_columns, random_marks
 
@@ -94,8 +94,8 @@ def test_criterion_5_event_detector_equivalence():
     for j, (net, gauge) in enumerate(pairs):
         drawn = marks[j::len(pairs)]
         _, u, v, _ = net.interior_edges
-        balanced = _balanced(_cover_labels(len(net.interior), u, v, gauge.interior_signs,
-                                           opened_columns(net, drawn)))
+        balanced = _balanced(cover_labels(len(net.interior), u, v, gauge.interior_signs,
+                                          opened_columns(net, drawn)))
         for s, (_, edge_open) in enumerate(drawn):
             verdicts = {bool(balanced[s]), union_find_balanced(net, edge_open, gauge),
                         cycles_balanced(edge_open, gauge)}

@@ -11,7 +11,8 @@ from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
                   save_network, load_network, two_point_connectivity)
 from ggff import gauge as gauge_module
 
-from conftest import cover_maps, pendant_triangle, random_network, random_trivial_gauge
+from conftest import (cover_labels, cover_maps, pendant_triangle, random_network,
+                      random_trivial_gauge)
 
 
 def bfs_component_count(net: ElectricalNetwork) -> int:
@@ -125,12 +126,12 @@ def test_lift_path_examples(pt):
     keys, u, v, _ = net.interior_edges
     x, y, z = (net.interior_index[a] for a in "xyz")
     triangle = np.ones((len(keys), 1), dtype=bool)
-    lab = cover._cover_labels(3, u, v, gauge.interior_signs, triangle)[0]
+    lab = cover_labels(3, u, v, gauge.interior_signs, triangle)[0]
     assert lab[x, 0] == lab[x, 1]
-    plain = cover._cover_labels(3, u, v, np.ones_like(gauge.interior_signs), triangle)[0]
+    plain = cover_labels(3, u, v, np.ones_like(gauge.interior_signs), triangle)[0]
     assert plain[x, 0] != plain[x, 1]
-    lab = cover._cover_labels(3, u, v, gauge.interior_signs,
-                              np.array([[k == ("y", "z")] for k in keys]))[0]
+    lab = cover_labels(3, u, v, gauge.interior_signs,
+                       np.array([[k == ("y", "z")] for k in keys]))[0]
     assert lab[y, 0] == lab[z, 1] != lab[z, 0]
 
 
@@ -178,7 +179,7 @@ def test_lift_consistent_with_holonomy():
         cycles = fundamental_cycles(net)
         opened = np.array([[edge_key(a, b) in set(map(edge_key, c, c[1:])) for c in cycles]
                            for a, b in keys], dtype=bool).reshape(len(keys), len(cycles))
-        lab = cover._cover_labels(len(net.interior), u, v, gauge.interior_signs, opened)
+        lab = cover_labels(len(net.interior), u, v, gauge.interior_signs, opened)
         for c, col in zip(cycles, lab):
             h = holonomy(gauge, DiscretePath(net, c))
             seen.add(h)
@@ -221,14 +222,14 @@ def test_covering_isomorphism_examples(pt_net):
     keys, u, v, _ = net.interior_edges
     s1 = GaugeField.with_minus_edges(net, [("x", "y")])
     opened = np.array(list(itertools.product((False, True), repeat=len(keys)))).T
-    lab = cover._cover_labels(3, u, v, s1.interior_signs, opened)
+    lab = cover_labels(3, u, v, s1.interior_signs, opened)
     vs_y = VertexSigns.with_minus_vertices(net, ["y"])
     assert apply_gauge_transform(vs_y, s1) == GaugeField.with_minus_edges(net, [("y", "z")])
     for vs in (VertexSigns.all_plus(net), vs_y,
                VertexSigns(net, {w: -1 for w in net.vertices})):
         swap = np.array([vs.signs[x] == -1 for x in net.interior])
         moved = np.where(swap[:, None], lab[:, :, ::-1], lab)
-        got = cover._cover_labels(3, u, v, apply_gauge_transform(vs, s1).interior_signs, opened)
+        got = cover_labels(3, u, v, apply_gauge_transform(vs, s1).interior_signs, opened)
         for a, b in zip(moved.reshape(len(lab), -1), got.reshape(len(lab), -1)):
             pairs = set(zip(a.tolist(), b.tolist()))  # one to one: the same partition
             assert len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
@@ -246,16 +247,24 @@ def test_cover_export_roundtrips(pt, tmp_path):
 def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
     """Each public balance question is decided by the double-cover labelling
     kernel: one labelling per pair of gauge fields, and one per batch, of the
-    batch's width, in an estimator."""
-    widths = []
-    real = cover._cover_labels
+    batch's width, in an estimator, whose batches share one pattern built for
+    the largest."""
+    widths, patterns = [], []
+    real, real_pattern = cover._cover_labels, cover._cover_pattern
 
-    def counting(m, edge_u, edge_v, rel, opened):
+    def counting(pattern, opened):
         widths.append(opened.shape[1])
-        return real(m, edge_u, edge_v, rel, opened)
+        assert pattern is patterns[-1]
+        return real(pattern, opened)
+
+    def building(m, edge_u, edge_v, rel, n):
+        patterns.append(real_pattern(m, edge_u, edge_v, rel, n))
+        widths.append(("pattern", n))
+        return patterns[-1]
 
     for owner in (cover, gauge_module, gff):  # gauge and gff hold the names they imported
         monkeypatch.setattr(owner, "_cover_labels", counting)
+        monkeypatch.setattr(owner, "_cover_pattern", building)
     net, gauge = pendant_triangle()
     queries = {
         "are_gauge_equivalent": lambda: are_gauge_equivalent(gauge, gauge),
@@ -272,4 +281,5 @@ def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
     for name, query in {**queries, **estimators}.items():
         widths.clear()
         query()
-        assert widths == ([4, 4, 2] if name in estimators else [1]), name
+        assert widths == ([("pattern", 4), 4, 4, 2] if name in estimators
+                          else [("pattern", 1), 1]), name

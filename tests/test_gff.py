@@ -11,12 +11,12 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
                   conditional_moment, green, open_probability,
                   sample_cover_gff_batch, sample_metric_field, twisted_green,
                   two_point_connectivity, edge_key, load_network, spectral, subdivide)
-from ggff.cover import _balanced, _cover_labels, _label_sign
+from ggff.cover import _balanced, _label_sign
 from ggff.gff import _OPEN_BLOCK, _fields, _open_marks
 from ggff.seeds import substream
 
-from conftest import (ParityUnionFind, cycles_balanced, pendant_triangle, polar_annulus,
-                      random_network, reference_fields,
+from conftest import (ParityUnionFind, cover_labels, cycles_balanced, pendant_triangle,
+                      polar_annulus, random_network, reference_fields,
                       union_find_balanced, with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -162,9 +162,9 @@ def test_cover_labels_hold_only_their_labels_and_a_chunk():
     m, n = len(net.interior), 2048
     _, u, v, c = net.interior_edges
     opened = _open_marks(_fields(spectral.laplacian(net), substream(5), n), u, v, c, substream(6))
-    _cover_labels(m, u, v, gauge.interior_signs, opened[:, :1])  # loads scipy.sparse
+    cover_labels(m, u, v, gauge.interior_signs, opened[:, :1])  # loads scipy.sparse
     for rel in (gauge.interior_signs, np.ones_like(gauge.interior_signs)):
-        lab, peak = _traced_peak(lambda: _cover_labels(m, u, v, rel, opened))
+        lab, peak = _traced_peak(lambda: cover_labels(m, u, v, rel, opened))
         assert lab.dtype == np.int32 and lab.shape == (n, m, 2)
         assert peak < lab.nbytes + 6e6
 
@@ -467,7 +467,7 @@ def opened_columns(net, marks):
 def labels(net, rel, opened):
     """_cover_labels of the opened columns on net's interior edges, signed rel."""
     _, u, v, _ = net.interior_edges
-    return _cover_labels(len(net.interior), u, v, rel, opened)
+    return cover_labels(len(net.interior), u, v, rel, opened)
 
 
 def test_detect_event_trivial_cases(pt):
@@ -735,15 +735,15 @@ def test_cover_labels_match_union_find_column_by_column(monkeypatch):
         opened = rng.random((len(rel), 40)) < rng.uniform(0.2, 0.9)
         opened[:, 0] = False
         oracle = doubled_lift_labels(m, eu, ev, plus, opened)
-        one_call = _cover_labels(m, eu, ev, rel, opened)
-        assert np.array_equal(_cover_labels(m, eu, ev, plus, opened), oracle)
+        one_call = cover_labels(m, eu, ev, rel, opened)
+        assert np.array_equal(cover_labels(m, eu, ev, plus, opened), oracle)
         monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
-        lab = _cover_labels(m, eu, ev, rel, opened)
-        same = _cover_labels(m, eu, ev, plus, opened)
+        lab = cover_labels(m, eu, ev, rel, opened)
+        same = cover_labels(m, eu, ev, plus, opened)
         assert np.array_equal(same, oracle)
         monkeypatch.undo()
         for signs in (rel, plus):
-            assert _cover_labels(m, eu, ev, signs, opened[:, :0]).shape == (0, m, 2)
+            assert cover_labels(m, eu, ev, signs, opened[:, :0]).shape == (0, m, 2)
         assert np.array_equal(lab, one_call)
         assert _balanced(lab)[0] and np.all(lab[0, :, 0] == 2 * np.arange(m))
         assert_matches_union_find(lab, m, eu, ev, rel, opened)
@@ -759,7 +759,7 @@ def test_cover_labels_equal_the_doubled_lift_labels(monkeypatch):
     m, (_, u, v, c) = len(net.interior), net.interior_edges
     opened = _open_marks(_fields(spectral.laplacian(net), substream(5), 2048), u, v, c, substream(6))
     rel = gauge.interior_signs
-    assert (_cover_labels(m, u, v, rel, opened).tobytes()
+    assert (cover_labels(m, u, v, rel, opened).tobytes()
             == doubled_lift_labels(m, u, v, rel, opened).tobytes())
     rng = np.random.default_rng(23)
     monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", 100)
@@ -768,7 +768,7 @@ def test_cover_labels_equal_the_doubled_lift_labels(monkeypatch):
         m, (_, u, v, _) = len(net.interior), net.interior_edges
         opened = rng.random((len(u), 30)) < rng.uniform(0.2, 0.9)
         for rel in (gauge.interior_signs, np.ones_like(u), -np.ones_like(u)):
-            assert (_cover_labels(m, u, v, rel, opened).tobytes()
+            assert (cover_labels(m, u, v, rel, opened).tobytes()
                     == doubled_lift_labels(m, u, v, rel, opened).tobytes())
 
 
@@ -787,11 +787,11 @@ def test_cover_labels_of_targeted_quotients():
     opened = np.array([[1, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0], [0, 1, 1, 1, 1, 0],
                        [1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0],
                        [0, 1, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0]], dtype=bool)
-    lab = _cover_labels(6, eu, ev, rel, opened)
+    lab = cover_labels(6, eu, ev, rel, opened)
     assert lab.tobytes() == doubled_lift_labels(6, eu, ev, rel, opened).tobytes()
     assert _balanced(lab).tolist() == [False, True, True, False, True, True]
     assert lab[0, :3].tolist() == [[0, 0]] * 3 and lab[3].tolist() == [[36, 36]] * 6
     assert lab[1, :, 0].tolist() == [12, 12, 13, 13, 12, 12]
     assert_matches_union_find(lab, 6, eu, ev, rel, opened)
-    empty = _cover_labels(6, eu, ev, rel, opened[:, :0])
+    empty = cover_labels(6, eu, ev, rel, opened[:, :0])
     assert empty.shape == (0, 6, 2) and empty.dtype == np.int32
