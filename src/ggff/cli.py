@@ -374,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("loopsoup-test", help="loop soup count/occupation/isomorphism checks")
     common(sp)
     sp.add_argument("--soups", type=int, default=10_000)
-    sp.add_argument("--alpha", type=float, default=0.5)
+    sp.add_argument("--alpha", type=float, default=0.5,
+                    help="soup intensity of the loop count and occupation checks; the "
+                         "split-soup isomorphism checks run at alpha = 1/2 whatever it is")
     sp.set_defaults(func=cmd_loopsoup_test)
 
     sp = sub.add_parser("gauge", help="triviality/equivalence with certificates")
