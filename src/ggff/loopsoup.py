@@ -83,9 +83,9 @@ _NO_LOOPS = (_frozen([], np.intp), _frozen([], np.intp), _frozen([], float), _fr
 
 @dataclass(frozen=True)
 class LoopSoupSample:
-    """The loops with two or more visits as one flat path, loop k being Loop k's fields
-    cut at ends[k]:ends[k + 1]; the jump-free loops' total time at each interior
-    vertex, in network.interior order."""
+    """The loops with two or more visits as one flat path, loop k's Loop fields at
+    ends[k]:ends[k + 1] of skeleton, edges and holding_times; and the jump-free
+    loops' total time at each interior vertex, in network.interior order."""
 
     network: ElectricalNetwork
     skeleton: np.ndarray

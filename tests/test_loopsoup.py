@@ -784,7 +784,8 @@ def test_alpha_must_be_positive(pt_net):
 
 
 @pytest.mark.parametrize("network, alpha, seed", [
-    ("pt", 0.5, 10), ("annulus-6x8", 0.5, 11), ("annulus-6x8", 2.0, 6)])
+    ("pt", 0.5, 10), ("annulus-6x8", 0.5, 11), ("annulus-6x8", 2.0, 6)],
+    ids=["pt-10", "annulus-6x8-11", "annulus-6x8-alpha2-6"])
 def test_soup_dump_and_summary_match_golden(tmp_path, network, alpha, seed):
     """The loop dump and the summary of one soup keep every byte of
     tests/golden/soups/, recorded by the h-transform sampler: loops from
