@@ -7,14 +7,12 @@ reproducible Monte Carlo estimators tying everything together.
 """
 
 from .cover import DoubleCover, build_double_cover
-from .gauge import (DiscretePath, apply_gauge_transform, are_gauge_equivalent,
-                    holonomy, is_trivial)
+from .gauge import apply_gauge_transform, are_gauge_equivalent, is_trivial
 from .gff import (EstimatorReport, MetricFieldGrid, conditional_moment,
                   estimate_event_probability, open_probability,
                   sample_cover_gff_batch, sample_metric_field,
                   two_point_connectivity)
-from .loopsoup import (Loop, LoopSoupSample, LoopSoupSampler, OccupationField,
-                       kl_isomorphism_check, loop_holonomy, occupation_field,
+from .loopsoup import (Loop, LoopSoupSample, LoopSoupSampler, kl_isomorphism_check,
                        sample_loop_soup, soup_moments, split_by_holonomy)
 from .network import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
                       NetworkFormatError, SubdividedNetwork, VertexSigns,

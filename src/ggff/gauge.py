@@ -1,54 +1,18 @@
-"""Holonomy, gauge transformations, and gauge equivalence with certificates.
+"""Gauge transformations, and gauge equivalence with certificates.
 
-The gauge group is {-1,+1}.  The holonomy of a path is the product of the
-edge signs it traverses; it is invariant on loops under gauge transformations,
-and two gauge fields are equivalent exactly when all loop holonomies agree.
+The gauge group is {-1,+1}.  The holonomy of a loop, the product of the edge
+signs it traverses, is invariant under gauge transformations, and two gauge
+fields are equivalent exactly when all loop holonomies agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cover import _balanced, _cover_labels, _cover_pattern, _label_sign
-from .network import ElectricalNetwork, GaugeField, VertexSigns
-
-
-@dataclass(frozen=True)
-class DiscretePath:
-    """A nearest-neighbor path, given by its ordered vertex sequence."""
-
-    network: ElectricalNetwork
-    vertices: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 1:
-            raise ValueError("a path has at least one vertex")
-        for v in self.vertices:
-            if v not in self.network.vertex_set:
-                raise ValueError(f"unknown vertex {v!r}")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if not self.network.has_edge(a, b):
-                raise ValueError(f"consecutive vertices {a!r},{b!r} are not adjacent")
-
-    @property
-    def is_loop(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-    def reversed(self) -> "DiscretePath":
-        return DiscretePath(self.network, tuple(reversed(self.vertices)))
-
-
-def holonomy(gauge: GaugeField, path: DiscretePath) -> int:
-    """Product of gauge signs over the traversed edges; +1 for a single vertex."""
-    if path.network != gauge.network:
-        raise ValueError("path and gauge field live on different networks")
-    h = 1
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        h *= gauge.sign(a, b)
-    return h
+from .network import GaugeField, VertexSigns
 
 
 def apply_gauge_transform(vs: VertexSigns, gauge: GaugeField) -> GaugeField:

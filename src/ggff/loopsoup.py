@@ -47,8 +47,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain, pairwise
-from typing import Mapping, Optional, Sequence
+from itertools import chain, pairwise
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,30 +97,11 @@ class LoopSoupSample:
     seed: int
     __eq__ = _equal_fields
 
-    @classmethod
-    def from_loops(cls, network: ElectricalNetwork, loops: Sequence[Loop], jump_free: np.ndarray,
-                   alpha: float, seed: int) -> LoopSoupSample:
-        """The sample of these loops, whose loops are these very objects."""
-        flat = [np.concatenate([getattr(lp, f.name) for lp in loops] + [empty])
-                for f, empty in zip(fields(Loop), _NO_LOOPS)]
-        soup = cls(network, *flat, np.array([0, *accumulate(len(lp.edges) for lp in loops)]),
-                   jump_free, alpha, seed)
-        vars(soup)["loops"] = tuple(loops)
-        return soup
-
     @cached_property
     def loops(self) -> tuple[Loop, ...]:
         """One Loop per loop, views of the flat path, formed on first read."""
         return tuple(Loop(self.skeleton[a:b], self.edges[a:b], self.holding_times[a:b])
                      for a, b in pairwise(self.ends.tolist()))
-
-    def multi_vertex_count(self) -> int:
-        return len(self.ends) - 1
-
-
-@dataclass(frozen=True)
-class OccupationField:
-    local_time: Mapping[str, float]
 
 
 class _SoupElimination:
@@ -281,11 +262,6 @@ def _occupations(soups: Sequence[LoopSoupSample],
     return occ
 
 
-def occupation_field(soup: LoopSoupSample) -> OccupationField:
-    """Total time every loop of the soup spends at each interior vertex."""
-    return OccupationField(dict(zip(soup.network.interior, _occupations((soup,))[0].tolist())))
-
-
 def _holonomies(soups: Sequence[LoopSoupSample], gauge: GaugeField) -> np.ndarray:
     """Each loop's holonomy, soup by soup, the parity of its -1 edges as one
     product of signs over the soups' edges, cut at the loops' starts."""
@@ -293,22 +269,22 @@ def _holonomies(soups: Sequence[LoopSoupSample], gauge: GaugeField) -> np.ndarra
     return np.multiply.reduceat(gauge.interior_signs[edges], _loop_starts(soups))
 
 
-def loop_holonomy(gauge: GaugeField, loop: Loop) -> int:
-    return int(np.prod(gauge.interior_signs[loop.edges]))
-
-
 def split_by_holonomy(soup: LoopSoupSample,
                       gauge: GaugeField) -> tuple[LoopSoupSample, LoopSoupSample]:
-    """Partition into the holonomy +1 and holonomy -1 sub-soups; the jump-free
-    loops all go to the +1 part."""
+    """Partition into the holonomy +1 and holonomy -1 sub-soups, each keeping
+    its loops in order; the jump-free loops all go to the +1 part."""
     if gauge.network != soup.network:
         raise ValueError("soup and gauge field live on different networks")
-    signs = _holonomies((soup,), gauge).tolist()
-    plus = [lp for lp, h in zip(soup.loops, signs) if h == 1]
-    minus = [lp for lp, h in zip(soup.loops, signs) if h == -1]
-    return (LoopSoupSample.from_loops(soup.network, plus, soup.jump_free, soup.alpha, soup.seed),
-            LoopSoupSample.from_loops(soup.network, minus, np.zeros_like(soup.jump_free),
-                                      soup.alpha, soup.seed))
+    lengths = np.diff(soup.ends)
+    minus = _holonomies((soup,), gauge) == -1
+
+    def part(loops: np.ndarray, jump_free: np.ndarray) -> LoopSoupSample:
+        visits = np.repeat(loops, lengths)
+        return LoopSoupSample(soup.network, soup.skeleton[visits], soup.edges[visits],
+                              soup.holding_times[visits], np.cumsum([0, *lengths[loops]]),
+                              jump_free, soup.alpha, soup.seed)
+
+    return part(~minus, soup.jump_free), part(minus, np.zeros_like(soup.jump_free))
 
 
 # interior vertices, jumps and held normals, summed over the soups a batch
@@ -495,12 +471,11 @@ def kl_isomorphism_check(network: ElectricalNetwork, gauge: GaugeField,
 
 
 def soup_summary_dict(soup: LoopSoupSample, gauge: Optional[GaugeField] = None) -> dict:
-    out = {"alpha": soup.alpha, "seed": soup.seed,
-           "n_loops_multi_vertex": soup.multi_vertex_count(),
-           "occupation_field": occupation_field(soup).local_time}
+    out = {"alpha": soup.alpha, "seed": soup.seed, "n_loops_multi_vertex": len(soup.ends) - 1,
+           "occupation_field": dict(zip(soup.network.interior, _occupations((soup,))[0].tolist()))}
     if gauge is not None:
         plus, minus = split_by_holonomy(soup, gauge)
-        out["counts_by_holonomy"] = {"+1": len(plus.loops), "-1": len(minus.loops)}
+        out["counts_by_holonomy"] = {"+1": len(plus.ends) - 1, "-1": len(minus.ends) - 1}
     return out
 
 
@@ -508,9 +483,8 @@ def dump_loops_jsonl(soup: LoopSoupSample, path) -> None:
     """Full loop dump, one JSON object per line (the skeleton's vertex ids,
     formed here, and the holding times); the jump-free totals follow as one
     single-vertex line per interior vertex."""
-    ids = soup.network.interior
-    lines = [([ids[j] for j in lp.skeleton.tolist()], lp.holding_times.tolist())
-             for lp in soup.loops]
+    ids, visits, held = soup.network.interior, soup.skeleton.tolist(), soup.holding_times.tolist()
+    lines = [([ids[j] for j in visits[a:b]], held[a:b]) for a, b in pairwise(soup.ends.tolist())]
     lines += [([v], [t]) for v, t in zip(ids, soup.jump_free.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         for skeleton, times in lines:

@@ -100,12 +100,6 @@ class ElectricalNetwork:
         """Total conductance emanating from v (all neighbors, boundary included)."""
         return sum(c for _, c in self.adjacency[v])
 
-    def conductance(self, u: str, v: str) -> float:
-        return self.edge_map[edge_key(u, v)].conductance
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self.edge_map
-
     @cached_property
     def interior_index(self) -> dict[str, int]:
         """Position of each interior vertex in `interior`."""
@@ -157,7 +151,7 @@ class ElectricalNetwork:
 
 @dataclass(frozen=True)
 class GaugeField:
-    """A sign in {-1,+1} attached to every edge of a network."""
+    """A sign in {-1,+1}, a Python int, attached to every edge of a network."""
 
     network: ElectricalNetwork
     signs: Mapping[EdgeKey, int]
@@ -168,8 +162,9 @@ class GaugeField:
         if want != got:
             raise ValueError("gauge field domain must be exactly the edge set")
         for k, s in self.signs.items():
-            if s not in (-1, 1):
-                raise ValueError(f"gauge sign on {k} must be -1 or +1, got {s}")
+            # save_network writes True as true, which loads refuse, and cannot write np.int64
+            if type(s) is not int or s not in (-1, 1):
+                raise ValueError(f"gauge sign on {k} must be the int -1 or +1, got {s!r}")
 
     @classmethod
     def all_plus(cls, network: ElectricalNetwork) -> "GaugeField":
@@ -200,7 +195,8 @@ class GaugeField:
 
 @dataclass(frozen=True)
 class VertexSigns:
-    """A sign in {-1,+1} attached to every vertex; induces a gauge transformation."""
+    """A sign in {-1,+1}, a Python int, attached to every vertex; induces a gauge
+    transformation."""
 
     network: ElectricalNetwork
     signs: Mapping[str, int]
@@ -209,8 +205,8 @@ class VertexSigns:
         if set(self.signs) != self.network.vertex_set:
             raise ValueError("vertex signs domain must be exactly the vertex set")
         for v, s in self.signs.items():
-            if s not in (-1, 1):
-                raise ValueError(f"vertex sign on {v} must be -1 or +1, got {s}")
+            if type(s) is not int or s not in (-1, 1):
+                raise ValueError(f"vertex sign on {v} must be the int -1 or +1, got {s!r}")
 
     @classmethod
     def all_plus(cls, network: ElectricalNetwork) -> "VertexSigns":
@@ -348,17 +344,9 @@ def save_network(network: ElectricalNetwork, path, gauge: Optional[GaugeField] =
 
 @dataclass(frozen=True)
 class SubdividedNetwork:
-    """Result of replacing every edge by an N-edge path of conductance N*C(e).
-
-    `parent_edge` maps each new edge key to the original edge key; `edges_of`
-    lists each original edge's path in order from its smaller endpoint.
-    `parent_vertex` is the identity embedding of the original vertices.
-    """
+    """Result of replacing every edge by an N-edge path of conductance N*C(e)."""
 
     network: ElectricalNetwork
-    parent_edge: Mapping[EdgeKey, EdgeKey]
-    parent_vertex: Mapping[str, str]
-    edges_of: Mapping[EdgeKey, tuple[EdgeKey, ...]]
     n: int
 
 
@@ -368,9 +356,10 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
 
     New conductances are n*C(e).  A +1 edge yields all +1 sub-edges; a -1 edge
     puts the -1 on the middle sub-edge (position (n+1)/2) and +1 elsewhere.
-    New vertex ids are "<edge id>#<k>", k = 1..n-1, counted from the smaller
-    endpoint of the parent edge.  Raises InvalidNetworkError for an invalid
-    network, or when some n*C(e) overflows; a valid input makes a valid output.
+    New vertex ids are "<edge id>#<k>", k = 1..n-1, and sub-edge ids
+    "<edge id>#<k>", k = 1..n, both counted from the smaller endpoint of the
+    parent edge.  Raises InvalidNetworkError for an invalid network, or when
+    some n*C(e) overflows; a valid input makes a valid output.
     """
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
@@ -385,8 +374,6 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
     new_vertices: list[str] = list(network.vertices)
     new_edges: list[Edge] = []
     new_signs: dict[EdgeKey, int] = {}
-    parent_edge: dict[EdgeKey, EdgeKey] = {}
-    edges_of: dict[EdgeKey, tuple[EdgeKey, ...]] = {}
     vset = set(network.vertices)
 
     for key in network.sorted_edge_keys:
@@ -403,19 +390,11 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
         path.append(hi)
         cond = n * e.conductance
         mid = (n + 1) // 2
-        keys_here: list[EdgeKey] = []
         for k in range(1, n + 1):
             new_edges.append(Edge(f"{e.id}#{k}", path[k - 1], path[k], cond))
-            sub_key = edge_key(path[k - 1], path[k])
-            new_signs[sub_key] = gauge.signs[key] if k == mid else 1
-            parent_edge[sub_key] = key
-            keys_here.append(sub_key)
-        edges_of[key] = tuple(keys_here)
+            new_signs[edge_key(path[k - 1], path[k])] = gauge.signs[key] if k == mid else 1
 
     sub = ElectricalNetwork(vertices=tuple(new_vertices), boundary=network.boundary,
                             edges=tuple(new_edges),
                             name=f"{network.name}^({n})" if network.name else "")
-    result = SubdividedNetwork(network=sub, parent_edge=parent_edge,
-                               parent_vertex={v: v for v in network.vertices},
-                               edges_of=edges_of, n=n)
-    return result, GaugeField(sub, new_signs)
+    return SubdividedNetwork(network=sub, n=n), GaugeField(sub, new_signs)

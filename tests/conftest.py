@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from bisect import bisect_right
 from pathlib import Path
 from typing import Optional
@@ -9,7 +10,7 @@ import pytest
 
 from ggff import Edge, ElectricalNetwork, GaugeField, edge_key, spectral
 from ggff.cover import _cover_labels, _cover_pattern, cover_vertex_id
-from ggff.loopsoup import Loop, LoopSoupSample, LoopSoupSampler
+from ggff.loopsoup import LoopSoupSample, LoopSoupSampler
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
 
@@ -35,6 +36,11 @@ def cover_maps(net: ElectricalNetwork) -> tuple[dict, dict, dict]:
         deck[one], deck[two] = two, one
         sheet[one], sheet[two] = 1, 2
     return projection, deck, sheet
+
+
+def path_holonomy(gauge: GaugeField, *vertices: str) -> int:
+    """The product of the gauge's signs along consecutive vertex ids; +1 for one vertex."""
+    return math.prod(gauge.sign(a, b) for a, b in zip(vertices, vertices[1:]))
 
 
 def cover_labels(m: int, edge_u, edge_v, rel, opened: np.ndarray) -> np.ndarray:
@@ -351,18 +357,21 @@ class RejectionSoupSampler(LoopSoupSampler):
         raise RuntimeError(f"excursion sampling exceeded {EXCURSION_ATTEMPT_CAP} attempts")
 
     def sample_with(self, rng: np.random.Generator, seed: int) -> LoopSoupSample:
-        loops: list[Loop] = []
+        """Loop after loop, its excursions, then its holding times, appended
+        to the soup's flat path."""
+        skeleton, edges, times, ends = [], [], [np.empty(0)], [0]
         means = (self.alpha * self.level_mass).tolist()
         for i, r in enumerate(self.return_prob.tolist()):
             if r <= 0.0:
                 continue
             for _ in range(rng.poisson(means[i])):
-                skeleton, edges = [], []
                 for _ in range(int(rng.logseries(r))):
                     path, steps = self._excursion(i, rng)
                     skeleton += path
                     edges += steps
-                times = rng.exponential(scale=self.mean_holding[skeleton])
-                loops.append(Loop(np.array(skeleton), np.array(edges), times))
+                times.append(rng.exponential(scale=self.mean_holding[skeleton[ends[-1]:]]))
+                ends.append(len(skeleton))
         jump_free = rng.standard_gamma(self.alpha, len(self.interior)) * self.mean_holding
-        return LoopSoupSample.from_loops(self.network, loops, jump_free, self.alpha, seed)
+        return LoopSoupSample(self.network, np.array(skeleton, dtype=np.intp),
+                              np.array(edges, dtype=np.intp), np.concatenate(times),
+                              np.array(ends), jump_free, self.alpha, seed)

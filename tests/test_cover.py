@@ -4,15 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
-                  VertexSigns, apply_gauge_transform, are_gauge_equivalent,
-                  build_double_cover, conditional_moment, cover, edge_key,
-                  estimate_event_probability, gff, holonomy, is_trivial,
-                  save_network, load_network, two_point_connectivity)
+from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns, apply_gauge_transform,
+                  are_gauge_equivalent, build_double_cover, conditional_moment, cover,
+                  edge_key, estimate_event_probability, gff, is_trivial, save_network,
+                  load_network, two_point_connectivity)
 from ggff import gauge as gauge_module
 
-from conftest import (cover_labels, cover_maps, pendant_triangle, random_network,
-                      random_trivial_gauge)
+from conftest import (cover_labels, cover_maps, path_holonomy, pendant_triangle,
+                      random_network, random_trivial_gauge)
 
 
 def bfs_component_count(net: ElectricalNetwork) -> int:
@@ -48,7 +47,8 @@ def test_cover_structure_invariants(pt):
     for k in cn.sorted_edge_keys:
         assert edge_key(deck[k[0]], deck[k[1]]) in cn.edge_map
         # conductances pulled back from the base
-        assert cn.edge_map[k].conductance == net.conductance(projection[k[0]], projection[k[1]])
+        base = net.edge_map[edge_key(projection[k[0]], projection[k[1]])]
+        assert cn.edge_map[k].conductance == base.conductance
     assert cn.boundary == frozenset(cover.cover_vertex_id(v, s)
                                     for v in net.boundary for s in (1, 2))
     # edge rule: -1 edges cross sheets, +1 edges stay
@@ -181,7 +181,7 @@ def test_lift_consistent_with_holonomy():
                            for a, b in keys], dtype=bool).reshape(len(keys), len(cycles))
         lab = cover_labels(len(net.interior), u, v, gauge.interior_signs, opened)
         for c, col in zip(cycles, lab):
-            h = holonomy(gauge, DiscretePath(net, c))
+            h = path_holonomy(gauge, *c)
             seen.add(h)
             joined = col[:, 0] == col[:, 1]
             on_cycle = np.isin(np.array(net.interior), c)

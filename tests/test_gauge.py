@@ -3,42 +3,31 @@ import itertools
 import numpy as np
 import pytest
 
-from ggff import (DiscretePath, Edge, ElectricalNetwork, GaugeField,
-                  VertexSigns, apply_gauge_transform, are_gauge_equivalent,
-                  holonomy, is_trivial)
+from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns, apply_gauge_transform,
+                  are_gauge_equivalent, is_trivial)
 
-from conftest import random_network
+from conftest import path_holonomy, random_network
 
-
-def path(net, *vs):
-    return DiscretePath(net, tuple(vs))
-
-
-def all_cycles_pt(net):
-    # the triangle, both orientations, rooted anywhere; enough for PT's cycle space
-    return [path(net, "x", "y", "z", "x"), path(net, "x", "z", "y", "x"),
-            path(net, "y", "z", "x", "y")]
+# the triangle, both orientations, rooted anywhere; enough for PT's cycle space
+PT_CYCLES = [("x", "y", "z", "x"), ("x", "z", "y", "x"), ("y", "z", "x", "y")]
 
 
 def test_holonomy_trivial_gauge_all_loops_plus(pt_net):
     gauge = GaugeField.all_plus(pt_net)
-    for lp in all_cycles_pt(pt_net):
-        assert holonomy(gauge, lp) == 1
+    for lp in PT_CYCLES:
+        assert path_holonomy(gauge, *lp) == 1
 
 
 def test_holonomy_pt_examples(pt):
     net, gauge = pt
-    assert holonomy(gauge, path(net, "x", "y", "z", "x")) == -1
-    assert holonomy(gauge, path(net, "y", "z", "y")) == 1
-    assert holonomy(gauge, path(net, "x")) == 1
-
-
-def test_holonomy_rejects_non_adjacent(pt_net):
-    with pytest.raises(ValueError, match="not adjacent"):
-        path(pt_net, "b", "y")
+    assert path_holonomy(gauge, "x", "y", "z", "x") == -1
+    assert path_holonomy(gauge, "y", "z", "y") == 1
+    assert path_holonomy(gauge, "x") == 1
 
 
 def test_holonomy_multiplicative_and_reversal_invariant():
+    """GaugeField.sign reads an edge's sign in either orientation, so a
+    walk's holonomy is the product of its two halves' and its reversal's."""
     rng = np.random.default_rng(5)
     for _ in range(40):
         net, gauge = random_network(rng, max_interior=6)
@@ -47,12 +36,10 @@ def test_holonomy_multiplicative_and_reversal_invariant():
         for _ in range(int(rng.integers(1, 12))):
             nbrs = [w for w, _ in net.adjacency[verts[-1]]]
             verts.append(str(nbrs[int(rng.integers(0, len(nbrs)))]))
-        p = path(net, *verts)
-        cut = int(rng.integers(1, len(verts))) if len(verts) > 1 else 1
-        p1 = path(net, *verts[:cut + 1]) if cut < len(verts) else p
-        p2 = path(net, *verts[cut:]) if cut < len(verts) else path(net, verts[-1])
-        assert holonomy(gauge, p) == holonomy(gauge, p1) * holonomy(gauge, p2)
-        assert holonomy(gauge, p.reversed()) == holonomy(gauge, p)
+        cut = int(rng.integers(1, len(verts)))
+        h = path_holonomy(gauge, *verts)
+        assert h == path_holonomy(gauge, *verts[:cut + 1]) * path_holonomy(gauge, *verts[cut:])
+        assert path_holonomy(gauge, *reversed(verts)) == h
 
 
 def test_apply_gauge_transform_identity(pt):
@@ -68,8 +55,8 @@ def test_apply_gauge_transform_example_preserves_cycle_holonomies(pt_net):
     vs = VertexSigns.with_minus_vertices(net, ["y"])
     out = apply_gauge_transform(vs, sigma)
     assert out.minus_edges() == (("y", "z"),)
-    for lp in all_cycles_pt(net):  # loop holonomies are transform invariants
-        assert holonomy(sigma, lp) == holonomy(out, lp)
+    for lp in PT_CYCLES:  # loop holonomies are transform invariants
+        assert path_holonomy(sigma, *lp) == path_holonomy(out, *lp)
 
 
 def test_apply_gauge_transform_is_involution():
@@ -175,6 +162,6 @@ def test_equivalent_fields_share_all_loop_holonomies():
             nbrs = [w for w, _ in net.adjacency[verts[-1]]]
             verts.append(str(nbrs[int(rng.integers(0, len(nbrs)))]))
         # walk back along the reversed walk: guaranteed loop
-        loop = DiscretePath(net, tuple(verts + verts[-2::-1]))
-        assert loop.is_loop
-        assert holonomy(sigma, loop) == holonomy(sigma_prime, loop)
+        loop = verts + verts[-2::-1]
+        assert loop[0] == loop[-1]
+        assert path_holonomy(sigma, *loop) == path_holonomy(sigma_prime, *loop)

@@ -9,18 +9,17 @@ import pytest
 from scipy import stats
 
 import ggff
-from ggff import (DiscretePath, GaugeField, VertexSigns, apply_gauge_transform, edge_key,
-                  green, kl_isomorphism_check, loop_holonomy, loop_mass, occupation_field,
-                  sample_loop_soup, soup_moments, split_by_holonomy,
-                  negative_holonomy_mass)
+from ggff import (GaugeField, VertexSigns, apply_gauge_transform, edge_key, green,
+                  kl_isomorphism_check, loop_mass, sample_loop_soup, soup_moments,
+                  split_by_holonomy, negative_holonomy_mass)
 from ggff import load_network, loopsoup, spectral
 from ggff.gff import _fields
-from ggff.loopsoup import (Loop, LoopSoupSample, LoopSoupSampler, dump_loops_jsonl,
-                           soup_summary_dict)
+from ggff.loopsoup import (Loop, LoopSoupSample, LoopSoupSampler, _holonomies, _NO_LOOPS,
+                           dump_loops_jsonl, soup_summary_dict)
 from ggff.seeds import batch_plan, substream
 
-from conftest import (RejectionSoupSampler, factor_orders, holed_grid, pendant_triangle,
-                      polar_annulus, random_network, renumbered)
+from conftest import (RejectionSoupSampler, factor_orders, holed_grid, path_holonomy,
+                      pendant_triangle, polar_annulus, random_network, renumbered)
 
 SOUP_GOLDEN = Path(__file__).resolve().parent / "golden" / "soups"
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -45,8 +44,12 @@ def test_loops_and_soups_compare_by_value(pt_net):
     assert loop != other and not loop == other
     assert loop != loop.skeleton and soup != loop
     assert soup == dataclasses.replace(soup, jump_free=soup.jump_free.copy())
-    assert soup != LoopSoupSample.from_loops(pt_net, soup.loops[1:], soup.jump_free, 0.5, 0)
-    assert soup == LoopSoupSample.from_loops(pt_net, soup.loops, soup.jump_free, 0.5, 0)
+    flat = soup.skeleton, soup.edges, soup.holding_times
+    a = int(soup.ends[1])  # the soup without its first loop
+    assert soup != LoopSoupSample(pt_net, *(x[a:] for x in flat), soup.ends[1:] - a,
+                                  soup.jump_free, 0.5, 0)
+    assert soup == LoopSoupSample(pt_net, *(x.copy() for x in flat), soup.ends.copy(),
+                                  soup.jump_free, 0.5, 0)
     assert soup == sample_loop_soup(pt_net, 0.5, seed=0)
     assert soup != dataclasses.replace(soup, jump_free=soup.jump_free + 1.0)
     assert soup != dataclasses.replace(soup, seed=soup.seed + 1)
@@ -54,12 +57,11 @@ def test_loops_and_soups_compare_by_value(pt_net):
 
 def test_loops_are_views_of_the_flat_path_formed_once():
     """A soup's loops, formed on first read, are the same tuple on the next
-    read, and each loop is the flat arrays cut at ends; a soup of given loops
-    hands back those very objects."""
+    read, and each loop is the flat arrays cut at ends."""
     net, _ = polar_annulus(6, 8)
     soup = sample_loop_soup(net, 2.0, seed=6)
     loops = soup.loops
-    assert soup.loops is loops and len(loops) == soup.multi_vertex_count() == 22
+    assert soup.loops is loops and len(loops) == len(soup.ends) - 1 == 22
     cuts = soup.ends.tolist()
     assert cuts[0] == 0 and cuts[-1] == len(soup.skeleton) == len(soup.edges)
     for lp, a, b in zip(loops, cuts, cuts[1:]):
@@ -67,8 +69,6 @@ def test_loops_are_views_of_the_flat_path_formed_once():
         for name in ("skeleton", "edges", "holding_times"):
             assert getattr(lp, name).tolist() == getattr(soup, name)[a:b].tolist()
             assert np.shares_memory(getattr(lp, name), getattr(soup, name))
-    rebuilt = LoopSoupSample.from_loops(net, loops, soup.jump_free, 2.0, 6)
-    assert rebuilt == soup and all(x is y for x, y in zip(rebuilt.loops, loops))
 
 
 def test_soup_checks_form_no_loop_objects(monkeypatch):
@@ -290,7 +290,8 @@ def test_transition_rows_are_the_running_sums_of_each_vertexs_weights():
                 assert [y for y, *_ in sampler._hops[a:b + 1]] == neighbours[x]
                 acc, sums = 0.0, []
                 for y in neighbours[x]:
-                    acc += net.conductance(ids[x], ids[y]) / net.weighted_degree(ids[x]) * h[y]
+                    c = net.edge_map[edge_key(ids[x], ids[y])].conductance
+                    acc += c / net.weighted_degree(ids[x]) * h[y]
                     sums.append(acc)
                 assert row[a:b + 1] == sums, (i, x)
 
@@ -412,8 +413,8 @@ def moment_features(net, alpha, gauge):
     sampler = LoopSoupSampler(net, alpha)
 
     def features(soup, _):
-        neg = np.count_nonzero(loopsoup._holonomies((soup,), gauge) == -1)
-        x = np.concatenate(([soup.multi_vertex_count(), neg], per_soup_occupation(soup)))
+        neg = np.count_nonzero(_holonomies((soup,), gauge) == -1)
+        x = np.concatenate(([len(soup.ends) - 1, neg], per_soup_occupation(soup)))
         return np.array((x, x ** 2, x ** 4))
 
     return sampler, features
@@ -521,9 +522,9 @@ def test_loops_respect_interior_adjacency(pt_net):
 
 
 def test_loop_edges_join_consecutive_visits_and_give_the_path_holonomy(pt):
-    """edges[k] joins skeleton[k] and skeleton[k + 1], cyclically, and
-    loop_holonomy equals the holonomy of the closed path of vertex ids as the
-    string-path walker of gauge.py finds it, on PT, the 6 x 8 annulus and 20
+    """edges[k] joins skeleton[k] and skeleton[k + 1], cyclically, and each
+    loop's holonomy from _holonomies equals the product of GaugeField.sign
+    along the closed path of vertex ids, on PT, the 6 x 8 annulus and 20
     seeded random networks."""
     rng = np.random.default_rng(43)
     cases = [pt, polar_annulus(6, 8)] + [random_network(rng) for _ in range(20)]
@@ -531,13 +532,13 @@ def test_loop_edges_join_consecutive_visits_and_give_the_path_holonomy(pt):
     for net, gauge in cases:
         _, u, v, _ = net.interior_edges
         for seed in range(10):
-            for lp in sample_loop_soup(net, 2.0, seed=seed).loops:
+            soup = sample_loop_soup(net, 2.0, seed=seed)
+            for lp, h in zip(soup.loops, _holonomies((soup,), gauge).tolist(), strict=True):
                 skel, n = lp.skeleton.tolist(), len(lp.skeleton)
                 for k, e in enumerate(lp.edges.tolist()):
                     assert {int(u[e]), int(v[e])} == {skel[k], skel[(k + 1) % n]}
                 ids = tuple(net.interior[j] for j in skel)
-                h = loop_holonomy(gauge, lp)
-                assert h == ggff.holonomy(gauge, DiscretePath(net, ids + ids[:1]))
+                assert h == path_holonomy(gauge, *ids, ids[0])
                 seen[h] += 1
     assert min(seen.values()) > 20, seen  # both holonomies, many times over
 
@@ -596,16 +597,17 @@ def test_empty_soup_probability_small_alpha(pt_net):
     alpha = 1e-3
     lam = alpha * loop_mass(pt_net)
     n = 4000
-    empty = sum(sample_loop_soup(pt_net, alpha, seed=s).multi_vertex_count() == 0
+    empty = sum(len(sample_loop_soup(pt_net, alpha, seed=s).ends) == 1
                 for s in range(n))
     p = math.exp(-lam)
     assert abs(empty / n - p) <= 4 * math.sqrt(p * (1 - p) / n) + 1e-12
 
 
 def test_occupation_field_empty_and_sums(pt):
-    """Both occupation views equal the visit-by-visit loop, followed by the
-    jump-free totals, to the bit, on the whole soup and on its holonomy -1
-    part."""
+    """Both occupation views, the vector and the summary's dict by vertex id,
+    equal the visit-by-visit loop, followed by the jump-free totals, to the
+    bit, on the whole soup and on its holonomy -1 part; a soup without loops
+    has none."""
     annulus, annulus_gauge = polar_annulus(6, 8)
     for net, gauge in (pt, (annulus, annulus_gauge)):
         sampler = LoopSoupSampler(net, 0.5)
@@ -617,10 +619,10 @@ def test_occupation_field_empty_and_sums(pt):
                         manual[net.interior[v]] += float(t)
                 for v, t in zip(net.interior, soup.jump_free):
                     manual[v] += float(t)
-                assert occupation_field(soup).local_time == manual
+                assert soup_summary_dict(soup)["occupation_field"] == manual
                 assert sampler.occupation_vector(soup).tolist() == list(manual.values())
-    empty = ggff.LoopSoupSample.from_loops(pt[0], (), np.zeros(3), 0.5, 0)
-    assert all(t == 0.0 for t in occupation_field(empty).local_time.values())
+    empty = LoopSoupSample(pt[0], *_NO_LOOPS, np.zeros(3), 0.5, 0)
+    assert LoopSoupSampler(pt[0], 0.5).occupation_vector(empty).tolist() == [0.0] * 3
 
 
 def test_le_jan_occupation_moments(pt_net, pt_gauge):
@@ -642,25 +644,24 @@ def test_occupation_mean_alpha_one(pt_net, pt_gauge):
 
 def test_split_by_holonomy_partition_and_occupation(pt):
     net, gauge = pt
+    sampler = LoopSoupSampler(net, 0.5)
     for seed in range(30):
         soup = sample_loop_soup(net, 0.5, seed=seed)
         plus, minus = split_by_holonomy(soup, gauge)
         assert len(plus.loops) + len(minus.loops) == len(soup.loops)
-        assert all(loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
-        assert all(loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
+        assert np.all(_holonomies((plus,), gauge) == 1)
+        assert np.all(_holonomies((minus,), gauge) == -1)
         assert plus.jump_free is soup.jump_free and not np.any(minus.jump_free)
-        occ = occupation_field(soup).local_time
-        op = occupation_field(plus).local_time
-        om = occupation_field(minus).local_time
-        for v in net.interior:
-            assert occ[v] == pytest.approx(op[v] + om[v], abs=1e-12)
+        parts = sampler.occupation_vector(plus) + sampler.occupation_vector(minus)
+        assert np.allclose(sampler.occupation_vector(soup), parts, rtol=0.0, atol=1e-12)
 
 
 def test_sampling_splitting_and_occupation_walk_no_vertex_ids(monkeypatch):
     """Loops are integer paths: sampling, splitting and occupation never call
     GaugeField.sign or edge_key, and the split is still a partition by the
-    parity of each loop's -1 edges, on the 6 x 8 annulus, whose cut makes
-    loops around the hole negative."""
+    parity of each loop's -1 edges, each part keeping the soup's loops in
+    order, on the 6 x 8 annulus, whose cut makes loops around the hole
+    negative."""
     net, gauge = polar_annulus(6, 8)
     sampler = LoopSoupSampler(net, 2.0)
 
@@ -678,15 +679,15 @@ def test_sampling_splitting_and_occupation_walk_no_vertex_ids(monkeypatch):
         soup = sampler.sample(seed)
         seed += 1
         plus, minus = split_by_holonomy(soup, gauge)
-        assert sorted(map(id, plus.loops + minus.loops)) == sorted(map(id, soup.loops))
-        odd = {id(lp): np.count_nonzero(gauge.interior_signs[lp.edges] == -1) % 2
-               for lp in soup.loops}
-        assert all(odd[id(lp)] == 0 and loop_holonomy(gauge, lp) == 1 for lp in plus.loops)
-        assert all(odd[id(lp)] == 1 and loop_holonomy(gauge, lp) == -1 for lp in minus.loops)
+        odd = [np.count_nonzero(gauge.interior_signs[lp.edges] == -1) % 2 for lp in soup.loops]
+        assert plus.loops == tuple(lp for lp, o in zip(soup.loops, odd) if o == 0)
+        assert minus.loops == tuple(lp for lp, o in zip(soup.loops, odd) if o == 1)
+        assert np.all(_holonomies((plus,), gauge) == 1)
+        assert np.all(_holonomies((minus,), gauge) == -1)
         whole = sampler.occupation_vector(soup)
         parts = sampler.occupation_vector(plus) + sampler.occupation_vector(minus)
         assert np.allclose(parts, whole, rtol=1e-12, atol=0.0)
-        assert list(occupation_field(soup).local_time.values()) == whole.tolist()
+        assert list(soup_summary_dict(soup)["occupation_field"].values()) == whole.tolist()
         negatives += len(minus.loops)
     assert negatives > 0
 
@@ -698,24 +699,25 @@ def test_split_trivial_gauge_negative_empty(pt_net):
     assert minus.loops == ()
 
 
-def crafted_loop(net, ids: tuple[str, ...]) -> Loop:
-    """The integer loop through the vertex ids, in order, back to the first:
-    interior indices and positions in net.interior_edges, a unit time each."""
+def crafted_soup(net, *loops: tuple[str, ...]) -> LoopSoupSample:
+    """The soup of the integer loops through each tuple of vertex ids, in
+    order, back to its first: interior indices and positions in
+    net.interior_edges, a unit time each, and no jump-free time."""
     position = {k: e for e, k in enumerate(net.interior_edges[0])}
-    return Loop(np.array([net.interior_index[v] for v in ids]),
-                np.array([position[edge_key(a, b)] for a, b in zip(ids, ids[1:] + ids[:1])]),
-                np.ones(len(ids)))
+    ids = [v for lp in loops for v in lp]
+    edges = [position[edge_key(a, b)] for lp in loops for a, b in zip(lp, lp[1:] + lp[:1])]
+    return LoopSoupSample(net, np.array([net.interior_index[v] for v in ids]), np.array(edges),
+                          np.ones(len(ids)), np.cumsum([0, *map(len, loops)]),
+                          np.zeros(len(net.interior)), 0.5, 0)
 
 
 def test_crafted_skeleton_even_traversals_positive(pt):
     net, gauge = pt
-    lp = crafted_loop(net, ("x", "y", "z", "x", "z", "y"))  # crosses yz twice
-    assert lp.skeleton.tolist() == [0, 1, 2, 0, 2, 1]
-    assert loop_holonomy(gauge, lp) == 1
-    lp2 = crafted_loop(net, ("y", "z"))  # out-and-back over the -1 edge
-    assert loop_holonomy(gauge, lp2) == 1
-    lp3 = crafted_loop(net, ("x", "y", "z"))  # the triangle
-    assert loop_holonomy(gauge, lp3) == -1
+    soup = crafted_soup(net, ("x", "y", "z", "x", "z", "y"),  # crosses yz twice
+                        ("y", "z"),  # out-and-back over the -1 edge
+                        ("x", "y", "z"))  # the triangle
+    assert soup.loops[0].skeleton.tolist() == [0, 1, 2, 0, 2, 1]
+    assert _holonomies((soup,), gauge).tolist() == [1, 1, -1]
 
 
 def test_holonomy_classification_gauge_invariant():
@@ -725,8 +727,7 @@ def test_holonomy_classification_gauge_invariant():
     transformed = apply_gauge_transform(vs, gauge)
     for seed in range(20):
         soup = sample_loop_soup(net, 0.6, seed=seed)
-        for lp in soup.loops:
-            assert loop_holonomy(gauge, lp) == loop_holonomy(transformed, lp)
+        assert np.array_equal(_holonomies((soup,), gauge), _holonomies((soup,), transformed))
 
 
 def test_negative_holonomy_count_mean(pt):
@@ -763,10 +764,10 @@ def test_soup_summary_and_dump(tmp_path, pt):
     net, gauge = pt
     soup = sample_loop_soup(net, 0.5, seed=10)
     summary = soup_summary_dict(soup, gauge)
-    assert summary["n_loops_multi_vertex"] == soup.multi_vertex_count()
+    assert summary["n_loops_multi_vertex"] == len(soup.ends) - 1 == len(soup.loops)
     assert set(summary["occupation_field"]) == set(net.interior)
     assert summary["counts_by_holonomy"]["+1"] + summary["counts_by_holonomy"]["-1"] \
-        == soup.multi_vertex_count()
+        == len(soup.ends) - 1
     path = tmp_path / "loops.jsonl"
     dump_loops_jsonl(soup, path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]

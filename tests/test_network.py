@@ -5,7 +5,7 @@ import pytest
 
 import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
-                  NetworkFormatError, edge_key, load_network, save_network,
+                  NetworkFormatError, VertexSigns, edge_key, load_network, save_network,
                   spectral, subdivide, validate)
 from ggff.gff import estimate_event_probability, two_point_connectivity
 from ggff.loopsoup import LoopSoupSampler
@@ -111,6 +111,26 @@ def test_load_rejects_booleans(field, words):
         load_network(json.dumps(data))
 
 
+@pytest.mark.parametrize("sign", [True, np.int64(-1), 1.0], ids=["True", "int64", "float"])
+def test_signs_must_be_python_ints(sign):
+    """save_network would write True as true, which load_network refuses,
+    and stop halfway through the file at an np.int64."""
+    net, gauge = pendant_triangle()
+    with pytest.raises(ValueError, match="must be the int -1 or \\+1"):
+        GaugeField(net, {**gauge.signs, edge_key("x", "y"): sign})
+    with pytest.raises(ValueError, match="must be the int -1 or \\+1"):
+        VertexSigns(net, {**VertexSigns.all_plus(net).signs, "y": sign})
+
+
+def test_random_gauges_round_trip_through_json(tmp_path):
+    rng = np.random.default_rng(17)
+    for k in range(10):
+        net, gauge = random_network(rng)
+        save_network(net, tmp_path / f"{k}.json", gauge)
+        loaded, loaded_gauge = load_network(tmp_path / f"{k}.json")
+        assert loaded == net and loaded_gauge.signs == gauge.signs
+
+
 @pytest.mark.parametrize("field, value", [
     ("vertices", 5), ("vertices", "bxyz"), ("vertices", {"b": 1}),
     ("boundary", "b"), ("boundary", None), ("edges", 4), ("edges", {"id": "bx"})])
@@ -140,8 +160,8 @@ def test_subdivide_identity_at_n1():
     sub, g1 = subdivide(net, gauge, 1)
     assert set(sub.network.vertices) == set(net.vertices)
     assert len(sub.network.edges) == len(net.edges)
-    assert {sub.parent_edge[k]: k for k in sub.parent_edge} == \
-        {k: k for k in (e.key for e in net.edges)}
+    # each edge's one sub-edge, id "<edge id>#1", joins the edge's own ends
+    assert {e.key: e.id for e in sub.network.edges} == {e.key: f"{e.id}#1" for e in net.edges}
     assert g1.signs == {e.key: gauge.signs[e.key] for e in net.edges}
 
 
@@ -152,7 +172,7 @@ def test_subdivide_single_minus_edge_n3():
     sub, g3 = subdivide(net, gauge, 3)
     # path a - e1#1 - e1#2 - x, conductances 3, middle edge sign -1
     assert set(sub.network.vertices) == {"a", "x", "e1#1", "e1#2"}
-    path_keys = sub.edges_of[edge_key("a", "x")]
+    path_keys = tuple({e.id: e.key for e in sub.network.edges}[f"e1#{k}"] for k in (1, 2, 3))
     assert path_keys == (edge_key("a", "e1#1"), edge_key("e1#1", "e1#2"),
                          edge_key("e1#2", "x"))
     assert [sub.network.edge_map[k].conductance for k in path_keys] == [3.0, 3.0, 3.0]
@@ -201,14 +221,17 @@ def test_subdivide_counts_and_parent_maps():
         assert validate(sub.network).ok
         assert len(sub.network.vertices) == len(net.vertices) + (n - 1) * len(net.edges)
         assert len(sub.network.edges) == n * len(net.edges)
-        # each original edge owns exactly n new ones; the union is everything
-        seen = [k for orig in sub.edges_of.values() for k in orig]
-        assert len(seen) == len(set(seen)) == len(sub.network.edges)
-        assert all(len(sub.edges_of[k]) == n for k in sub.edges_of)
-        assert sub.parent_vertex == {v: v for v in net.vertices}
-        # new conductances all n*C and minus signs only at middles of -1 parents
+        # each original edge owns exactly n new ones, "<edge id>#1".."<edge id>#n",
+        # at n times its conductance; the union is everything
+        ids = {e.id: e for e in sub.network.edges}
+        assert sorted(ids) == sorted(f"{e.id}#{k}" for e in net.edges for k in range(1, n + 1))
+        assert all(ids[f"{e.id}#{k}"].conductance == n * e.conductance
+                   for e in net.edges for k in range(1, n + 1))
+        # the original vertices come first, as they were
+        assert sub.network.vertices[:len(net.vertices)] == net.vertices
+        # minus signs only at middles of -1 parents
         minus = [k for k, s in gn.signs.items() if s == -1]
-        assert len(minus) == 1 and sub.parent_edge[minus[0]] == edge_key("y", "z")
+        assert minus == [ids[f"yz#{(n + 1) // 2}"].key]
         # determinism
         sub2, gn2 = subdivide(net, gauge, n)
         assert sub2.network == sub.network and gn2.signs == gn.signs
@@ -281,7 +304,7 @@ def test_integer_view_matches_a_derivation_from_the_edges():
         assert u.dtype == v.dtype == gauge.interior_signs.dtype == np.intp
         assert u.tolist() == [interior.index(a) for a, _ in keys]
         assert v.tolist() == [interior.index(b) for _, b in keys]
-        assert c.tolist() == [net.conductance(*k) for k in keys]
+        assert c.tolist() == [net.edge_map[k].conductance for k in keys]
         assert gauge.interior_signs.tolist() == [gauge.sign(*k) for k in keys]
         degrees = []
         for x in interior:

@@ -266,6 +266,26 @@ def test_restricted_green_equals_full_block(pt):
             assert np.max(np.abs(block_s.entries - full_s)) < 1e-12
 
 
+def test_det_ratio_by_the_determinant_lemma(pt):
+    """L_sigma - L is 2C_e on the (x, y) and (y, x) entries of each -1
+    interior edge, so det_ratio^-2 = det L_sigma / det L = det(I + K G[S, S]),
+    S the -1 edges' interior ends and G[S, S] from L's factor alone, on PT,
+    the 6 x 8 and 24 x 12 annuli and 20 random networks."""
+    rng = np.random.default_rng(37)
+    cases = [pt, polar_annulus(6, 8), polar_annulus(24, 12)]
+    cases += [random_network(rng) for _ in range(20)]
+    for net, gauge in cases:
+        _, u, v, c = net.interior_edges
+        minus = gauge.interior_signs == -1
+        ends = np.unique(np.concatenate((u[minus], v[minus])))
+        at = np.searchsorted(ends, (u[minus], v[minus]))
+        k = np.zeros((len(ends), len(ends)))
+        k[at[0], at[1]] = k[at[1], at[0]] = 2 * c[minus]
+        g = restricted_green(net, [net.interior[j] for j in ends.tolist()]).entries
+        lemma = np.linalg.det(np.eye(len(ends)) + k @ g)
+        assert abs(lemma * det_ratio(net, gauge) ** 2 - 1) < 1e-12
+
+
 def test_restricted_green_in_any_vertex_order(pt):
     net, gauge = pt
     block = restricted_green(net, ["z", "x"], gauge)
