@@ -21,17 +21,23 @@ import numpy as np
 from . import gff, loopsoup, spectral
 from .gauge import apply_gauge_transform, are_gauge_equivalent, is_trivial
 from .network import (ElectricalNetwork, GaugeField, InvalidNetworkError,
-                      NetworkFormatError, VertexSigns, load_network, subdivide,
-                      validate)
+                      NetworkFormatError, VertexSigns, load_network, subdivide)
 
 EXACT_TOL = 1e-10
 SUBDIVISION_TOL = 1e-8
 DEGENERATE_TOL = 1e-12  # for estimators with zero standard error
 
 
+def _verdict(name: str, kind: str, passed, tolerance: str | None = None, **fields) -> dict:
+    """A report's check: name, kind, fields, tolerance and passed, in that
+    order.  Only a diagnostic, whose passed is None, has no tolerance."""
+    tol = {} if kind == "diagnostic" else {"tolerance": tolerance}
+    return {"name": name, "kind": kind, **fields, **tol,
+            "passed": None if passed is None else bool(passed)}
+
+
 def _check_exact(name: str, residual: float, tol: float = EXACT_TOL) -> dict:
-    return {"name": name, "kind": "closed-form", "value": residual,
-            "tolerance": f"abs <= {tol:g}", "passed": bool(abs(residual) <= tol)}
+    return _verdict(name, "closed-form", abs(residual) <= tol, f"abs <= {tol:g}", value=residual)
 
 
 def _check_mc(name: str, estimate: float, target: float, se: float,
@@ -56,13 +62,8 @@ def _check_mc(name: str, estimate: float, target: float, se: float,
     else:
         passed = abs(estimate - target) <= DEGENERATE_TOL
         tol = f"abs <= {DEGENERATE_TOL:g} (zero standard error)"
-    return {"name": name, "kind": "monte-carlo", "estimate": estimate,
-            "target": target, "std_error": se, "tolerance": tol,
-            "passed": bool(passed)}
-
-
-def _info(name: str, **fields) -> dict:
-    return {"name": name, "kind": "diagnostic", **fields, "passed": None}
+    return _verdict(name, "monte-carlo", passed, tol, estimate=estimate, target=target,
+                    std_error=se)
 
 
 def _alternating_signs(net: ElectricalNetwork) -> VertexSigns:
@@ -90,9 +91,8 @@ def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
     neg_mass = spectral.negative_holonomy_mass(net, gauge)
     checks.append(_check_exact("det_ratio = exp(-negative_holonomy_mass)",
                                ratio - math.exp(-neg_mass)))
-    checks.append({"name": "det_ratio in (0, 1]", "kind": "closed-form",
-                   "value": ratio, "tolerance": "0 < value <= 1 + 1e-12",
-                   "passed": bool(0.0 < ratio <= 1.0 + 1e-12)})
+    checks.append(_verdict("det_ratio in (0, 1]", "closed-form", 0.0 < ratio <= 1.0 + 1e-12,
+                           "0 < value <= 1 + 1e-12", value=ratio))
 
     # determinant identities as log-determinant differences: the determinants
     # themselves overflow once a log-det passes about 709.8
@@ -176,18 +176,14 @@ def _finish(report: dict, checks: list[dict]) -> dict:
 def cmd_validate(args) -> int:
     try:
         net, _ = load_network(args.network)
-        rep = validate(net)
-        problems = rep.problems
-        name = net.name
+        problems, name = [], net.name
     except InvalidNetworkError as exc:
-        problems = exc.problems
-        name = ""
+        problems, name = exc.problems, ""
     report = _envelope(args, name, {})
     report["problems"] = problems
     report["all_passed"] = not problems
-    report["checks"] = [{"name": "network invariants", "kind": "closed-form",
-                         "value": problems, "tolerance": "no violations",
-                         "passed": not problems}]
+    report["checks"] = [_verdict("network invariants", "closed-form", not problems,
+                                 "no violations", value=problems)]
     return _emit(report, args)
 
 
@@ -238,8 +234,8 @@ def cmd_loopsoup_test(args) -> int:
     checks = [_check_mc("multi-vertex loop count mean = alpha * loop_mass",
                         mom.count_mean, mom.count_target, mom.count_se, 3.0,
                         mom.n_soups, poisson=True)]
-    checks.append(_info("multi-vertex loop count variance (Poisson: equals mean)",
-                        value=mom.count_var, target=mom.count_mean))
+    checks.append(_verdict("multi-vertex loop count variance (Poisson: equals mean)",
+                           "diagnostic", None, value=mom.count_var, target=mom.count_mean))
     checks.append(_check_mc("holonomy -1 loop count mean = alpha * negative_holonomy_mass",
                             mom.negative_count_mean, mom.negative_count_target,
                             mom.negative_count_se, 3.0, mom.n_soups, poisson=True))
@@ -255,22 +251,17 @@ def cmd_loopsoup_test(args) -> int:
     kl = loopsoup.kl_isomorphism_check(net, gauge, args.soups, args.seed,
                                        threads=args.threads)
     for i, v in enumerate(kl.vertices):
-        checks.append({"name": f"split-soup isomorphism mean at {v}", "kind": "monte-carlo",
-                       "estimate": float(kl.left_mean[i]), "target": float(kl.right_mean[i]),
-                       "std_error": None,
-                       "discrepancy_se": float(kl.mean_diff_se[i]),
-                       "tolerance": "4 standard errors",
-                       "passed": bool(abs(kl.mean_diff_se[i]) <= 4.0)})
-        checks.append({"name": f"split-soup isomorphism second moment at {v}",
-                       "kind": "monte-carlo",
-                       "discrepancy_se": float(kl.second_diff_se[i]),
-                       "tolerance": "4 standard errors",
-                       "passed": bool(abs(kl.second_diff_se[i]) <= 4.0)})
-    checks.append({"name": "stochastic domination of twisted square field",
-                   "kind": "monte-carlo",
-                   "worst_decile_margin_se": kl.domination_margin_se,
-                   "tolerance": ">= -4 standard errors",
-                   "passed": bool(kl.domination_margin_se >= -4.0)})
+        checks.append(_verdict(f"split-soup isomorphism mean at {v}", "monte-carlo",
+                               abs(kl.mean_diff_se[i]) <= 4.0, "4 standard errors",
+                               estimate=float(kl.left_mean[i]),
+                               target=float(kl.right_mean[i]), std_error=None,
+                               discrepancy_se=float(kl.mean_diff_se[i])))
+        checks.append(_verdict(f"split-soup isomorphism second moment at {v}", "monte-carlo",
+                               abs(kl.second_diff_se[i]) <= 4.0, "4 standard errors",
+                               discrepancy_se=float(kl.second_diff_se[i])))
+    checks.append(_verdict("stochastic domination of twisted square field", "monte-carlo",
+                           kl.domination_margin_se >= -4.0, ">= -4 standard errors",
+                           worst_decile_margin_se=kl.domination_margin_se))
     report = _envelope(args, net.name, {"soups": args.soups, "alpha": args.alpha})
     return _emit(_finish(report, checks), args)
 

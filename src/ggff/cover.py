@@ -30,7 +30,6 @@ def cover_vertex_id(base_vertex: str, sheet: int) -> str:
 @dataclass(frozen=True)
 class DoubleCover:
     base: ElectricalNetwork
-    gauge: GaugeField
     cover_network: ElectricalNetwork
 
     @cached_property
@@ -62,7 +61,7 @@ def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleC
     cover_net = ElectricalNetwork(
         vertices=tuple(vertices), boundary=boundary, edges=tuple(edges),
         name=f"{network.name}^db" if network.name else "")
-    return DoubleCover(base=network, gauge=gauge, cover_network=cover_net)
+    return DoubleCover(base=network, cover_network=cover_net)
 
 
 # Bounds the nodes (m per sample) of the open +1 subgraph one connected_components

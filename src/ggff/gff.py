@@ -205,11 +205,8 @@ class EdgeFieldSamples:
 
 @dataclass(frozen=True)
 class MetricFieldGrid:
-    network: ElectricalNetwork
-    gauge: GaugeField
     vertex_values: Mapping[str, float]
     edges: Mapping[EdgeKey, EdgeFieldSamples]
-    seed: int
 
 
 def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
@@ -255,4 +252,4 @@ def sample_metric_field(network: ElectricalNetwork, gauge: GaugeField,
         values = np.array([-below[u] if sign == -1 and u > mid else below[u] for u in grid])
         edges[k] = EdgeFieldSamples(grid, values,
                                     (below[mid], -below[mid]) if sign == -1 else None)
-    return MetricFieldGrid(network, gauge, vertex_values, edges, seed)
+    return MetricFieldGrid(vertex_values, edges)

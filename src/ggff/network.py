@@ -189,9 +189,6 @@ class GaugeField:
     def sign(self, u: str, v: str) -> int:
         return self.signs[edge_key(u, v)]
 
-    def minus_edges(self) -> tuple[EdgeKey, ...]:
-        return tuple(k for k in self.network.sorted_edge_keys if self.signs[k] == -1)
-
 
 @dataclass(frozen=True)
 class VertexSigns:
@@ -347,7 +344,6 @@ class SubdividedNetwork:
     """Result of replacing every edge by an N-edge path of conductance N*C(e)."""
 
     network: ElectricalNetwork
-    n: int
 
 
 def subdivide(network: ElectricalNetwork, gauge: GaugeField,
@@ -397,4 +393,4 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
     sub = ElectricalNetwork(vertices=tuple(new_vertices), boundary=network.boundary,
                             edges=tuple(new_edges),
                             name=f"{network.name}^({n})" if network.name else "")
-    return SubdividedNetwork(network=sub, n=n), GaugeField(sub, new_signs)
+    return SubdividedNetwork(network=sub), GaugeField(sub, new_signs)

@@ -107,7 +107,8 @@ class LaplacianMatrix:
         or all of it.  Dense: all of it by dpotri, mirrored, so exactly symmetric;
         a block by cho_solve.  Banded: E^T A^-1 E = Y^T Y, E the selected unit
         columns, Y = C^-1 E, which is 0.0 above each unit row: _DIAGONAL_BLOCK
-        columns at a time, in the factor's order, solve from their first one on."""
+        columns at a time, in the factor's order, solve from their first one on;
+        numpy forms Y^T Y as one symmetric rank-k update, so exactly symmetric."""
         c, pos, banded = self.factor
         m, rows = len(pos), pos if sel is None else pos[sel]
         if sel is None and not banded:  # half the flops of a solve against the identity
@@ -210,7 +211,6 @@ class GreenMatrix:
     interior_order: tuple[str, ...]
     entries: np.ndarray
     kind: str
-    asymmetry: float  # max |G - G^T| before symmetrization
 
     def value(self, x: str, y: str) -> float:
         return float(self.entries[self.interior_order.index(x), self.interior_order.index(y)])
@@ -249,16 +249,9 @@ def twisted_laplacian(network: ElectricalNetwork, gauge: GaugeField) -> Laplacia
     return cached_on(gauge, "_laplacian", lambda: _assemble(network, gauge, "twisted"))
 
 
-def _symmetric_green(order: tuple[str, ...], g: np.ndarray, kind: str) -> GreenMatrix:
-    asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
-    return GreenMatrix(order, 0.5 * (g + g.T), kind, asym)
-
-
 def green_of(lap: LaplacianMatrix) -> GreenMatrix:
-    """The full inverse of a Laplacian, from its cached factor; as it is if dense, so symmetric."""
-    if not lap.factor[2]:
-        return GreenMatrix(lap.interior_order, lap.inverse(), lap.kind, 0.0)
-    return _symmetric_green(lap.interior_order, lap.inverse(), lap.kind)
+    """The full inverse of a Laplacian, from its cached factor, exactly symmetric on both routes."""
+    return GreenMatrix(lap.interior_order, lap.inverse(), lap.kind)
 
 
 def green(network: ElectricalNetwork) -> GreenMatrix:
@@ -282,11 +275,13 @@ def restricted_green(network: ElectricalNetwork, vertices,
     vertices = tuple(vertices)
     lap = laplacian(network) if gauge is None else twisted_laplacian(network, gauge)
     sel = np.array([network.interior_index[v] for v in vertices], dtype=np.intp)
-    return _symmetric_green(vertices, lap.inverse(sel), lap.kind)
+    g = lap.inverse(sel)  # a dense route's block, from cho_solve, is not exactly symmetric
+    return GreenMatrix(vertices, 0.5 * (g + g.T), lap.kind)
 
 
 def cover_laplacian(cover: DoubleCover) -> LaplacianMatrix:
-    return _assemble(cover.cover_network, None, "cover")
+    """The cover's L: laplacian of its network, cached there."""
+    return laplacian(cover.cover_network)
 
 
 def cover_green(cover: DoubleCover) -> GreenMatrix:

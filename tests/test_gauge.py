@@ -54,7 +54,7 @@ def test_apply_gauge_transform_example_preserves_cycle_holonomies(pt_net):
     sigma = GaugeField.with_minus_edges(net, [("x", "y")])
     vs = VertexSigns.with_minus_vertices(net, ["y"])
     out = apply_gauge_transform(vs, sigma)
-    assert out.minus_edges() == (("y", "z"),)
+    assert [k for k in net.sorted_edge_keys if out.signs[k] == -1] == [("y", "z")]
     for lp in PT_CYCLES:  # loop holonomies are transform invariants
         assert path_holonomy(sigma, *lp) == path_holonomy(out, *lp)
 

@@ -1,12 +1,13 @@
-"""Every name a module of ggff imports is read in it: the check a linter
-would make, on the standard library's ast alone."""
+"""Every name a module of ggff or of its tests imports is read in it: the
+check a linter would make, on the standard library's ast alone."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ggff"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ggff"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +35,8 @@ def test_unused_imports_are_found():
                                           if p.name != "__init__.py"))
 def test_every_imported_name_is_read(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_every_name_a_test_module_imports_is_read(module):
+    assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
