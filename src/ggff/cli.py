@@ -21,7 +21,7 @@ import numpy as np
 from . import gff, loopsoup, spectral
 from .gauge import apply_gauge_transform, are_gauge_equivalent, is_trivial
 from .network import (ElectricalNetwork, GaugeField, InvalidNetworkError,
-                      NetworkFormatError, VertexSigns, load_network, subdivide)
+                      NetworkFormatError, VertexSigns, cached_on, load_network, subdivide)
 
 EXACT_TOL = 1e-10
 SUBDIVISION_TOL = 1e-8
@@ -66,23 +66,25 @@ def _check_mc(name: str, estimate: float, target: float, se: float,
                     std_error=se)
 
 
-def _alternating_signs(net: ElectricalNetwork) -> VertexSigns:
-    return VertexSigns(net, {v: (1 if i % 2 == 0 else -1)
-                             for i, v in enumerate(sorted(net.vertices))})
+def _alternating(net: ElectricalNetwork, gauge: GaugeField) -> tuple[VertexSigns, GaugeField]:
+    """The alternating vertex signs vs, in sorted id order, and vs.sigma."""
+    vs = VertexSigns(net, {v: (1 if i % 2 == 0 else -1)
+                           for i, v in enumerate(sorted(net.vertices))})
+    return vs, apply_gauge_transform(vs, gauge)
 
 
 def identity_checks(net: ElectricalNetwork, gauge: GaugeField) -> list[dict]:
     """The exact-identity suite at tolerance 1e-10 (1e-8 across two solves).
 
-    Each distinct operator is assembled and factored once: L, L_sigma,
-    L_{vs.sigma} for the alternating vertex signs vs, the cover Laplacian,
-    its two sheet-symmetric blocks, and the four subdivided Laplacians.
+    Each distinct operator is assembled and factored once per gauge: L on net;
+    L_sigma, L_{vs.sigma} for the alternating vertex signs vs, the cover's and
+    the four subdivided Laplacians through what gauge caches.  Only the cover
+    Laplacian's two sheet-symmetric blocks are factored on every call.
     """
     from .cover import build_double_cover
 
-    vs = _alternating_signs(net)
-    cov = build_double_cover(net, gauge)
-    gauge_vs = apply_gauge_transform(vs, gauge)
+    cov = build_double_cover(net, gauge)  # refuses a gauge of another network
+    vs, gauge_vs = cached_on(gauge, "_alternating", lambda: _alternating(net, gauge))
     lap, lap_s = spectral.laplacian(net), spectral.twisted_laplacian(net, gauge)
     lap_db = spectral.cover_laplacian(cov)
 

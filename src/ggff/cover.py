@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .network import Edge, ElectricalNetwork, GaugeField, _frozen
+from .network import Edge, ElectricalNetwork, GaugeField, _frozen, cached_on
 
 
 def cover_vertex_id(base_vertex: str, sheet: int) -> str:
@@ -42,8 +42,13 @@ class DoubleCover:
 
 
 def build_double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleCover:
+    """gauge's double cover of network: built on first use and cached on gauge."""
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
+    return cached_on(gauge, "_double_cover", lambda: _double_cover(network, gauge))
+
+
+def _double_cover(network: ElectricalNetwork, gauge: GaugeField) -> DoubleCover:
     vertices = [cover_vertex_id(v, s) for v in network.vertices for s in (1, 2)]
     edges: list[Edge] = []
     for key in network.sorted_edge_keys:

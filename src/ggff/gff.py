@@ -109,12 +109,9 @@ def sample_cover_gff_batch(network: ElectricalNetwork, gauge: GaugeField,
     Returns (plus, minus) arrays of shape (interior count, n) in interior
     order, each scaled by 1/sqrt(2); column j of plus has the untwisted law,
     of minus the twisted law, and the two are independent.  The cover is
-    built on first use and cached on gauge, with the factor its network
-    caches.
+    build_double_cover's, cached on gauge.
     """
-    if gauge.network != network:
-        raise ValueError("gauge field belongs to a different network")
-    cov = spectral.cached_on(gauge, "_double_cover", lambda: build_double_cover(network, gauge))
+    cov = build_double_cover(network, gauge)
     phi = _fields(spectral.laplacian(cov.cover_network), substream(seed), n)
     i1, i2 = cov.interior_lifts
     inv = 1.0 / math.sqrt(2.0)

@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import spectral
-from .network import ElectricalNetwork, GaugeField, _frozen
+from .network import ElectricalNetwork, GaugeField, _frozen, cached_on
 from .seeds import batch_plan, mean_se, run_batches, substream, substreams
 
 
@@ -166,8 +166,8 @@ class LoopSoupSampler:
     def __init__(self, network: ElectricalNetwork, alpha: float):
         if not 0.0 < alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        vars(self).update(vars(spectral.cached_on(network, "_soup_elimination",
-                                                  lambda: _SoupElimination(network))))
+        vars(self).update(vars(cached_on(network, "_soup_elimination",
+                                         lambda: _SoupElimination(network))))
         self.network = network
         self.alpha = float(alpha)
         self._cum_mass = np.cumsum(self.alpha * np.take(self.level_mass, self.levels)).tolist()

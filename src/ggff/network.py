@@ -40,6 +40,16 @@ def _frozen(values: list, dtype) -> np.ndarray:
     return a
 
 
+def cached_on(owner, name: str, build):
+    """owner's value called name, from build() on first use.  It is kept in
+    owner.__dict__, where functools.cached_property keeps its values, so it
+    dies with owner, and a frozen dataclass can hold it."""
+    cache = vars(owner)
+    if name not in cache:
+        cache[name] = build()
+    return cache[name]
+
+
 def edge_key(u: str, v: str) -> EdgeKey:
     """Canonical unordered key of an edge, endpoints sorted."""
     return (u, v) if u <= v else (v, u)
@@ -355,12 +365,17 @@ def subdivide(network: ElectricalNetwork, gauge: GaugeField,
     New vertex ids are "<edge id>#<k>", k = 1..n-1, and sub-edge ids
     "<edge id>#<k>", k = 1..n, both counted from the smaller endpoint of the
     parent edge.  Raises InvalidNetworkError for an invalid network, or when
-    some n*C(e) overflows; a valid input makes a valid output.
+    some n*C(e) overflows; a valid input makes a valid output.  Cached per n on gauge.
     """
     if gauge.network != network:
         raise ValueError("gauge field belongs to a different network")
     if n < 1 or n % 2 == 0:
         raise ValueError(f"subdivision count must be odd and >= 1, got {n}")
+    return cached_on(gauge, f"_subdivided_{n}", lambda: _subdivide(network, gauge, n))
+
+
+def _subdivide(network: ElectricalNetwork, gauge: GaugeField,
+               n: int) -> tuple[SubdividedNetwork, GaugeField]:
     problems = validate(network).problems or [
         f"conductance {n} x {e.conductance!r} on edge {e.id!r} overflows"
         for e in network.edges if not math.isfinite(n * e.conductance)]

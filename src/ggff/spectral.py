@@ -28,7 +28,7 @@ import scipy.linalg as sla
 
 from .cover import DoubleCover, build_double_cover
 from .gauge import apply_gauge_transform
-from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexSigns
+from .network import ElectricalNetwork, GaugeField, InvalidNetworkError, VertexSigns, cached_on
 
 # operators up to this order are factored densely and larger ones in banded
 # form; measured crossover, one BLAS thread: order 256 dense 1.8 ms vs banded
@@ -225,16 +225,6 @@ def _assemble(network: ElectricalNetwork, gauge: GaugeField | None, kind: str) -
                           np.concatenate((network.interior_degrees, w, w)), kind)
     lap.factor  # positive definiteness is part of the contract
     return lap
-
-
-def cached_on(owner, name: str, build):
-    """owner's value called name, from build() on first use.  It is kept in
-    owner.__dict__, where functools.cached_property keeps its values, so it
-    dies with owner, and a frozen dataclass can hold it."""
-    cache = vars(owner)
-    if name not in cache:
-        cache[name] = build()
-    return cache[name]
 
 
 def laplacian(network: ElectricalNetwork) -> LaplacianMatrix:

@@ -367,6 +367,21 @@ def test_identities_pass_on_grid20_by_the_banded_route(tmp_path, monkeypatch):
     assert len(dense) == 6 and max(dense) <= spectral.DENSE_MAX_ORDER
 
 
+@pytest.mark.parametrize("case", ["pt", "annulus-6x8", "holed_grid(20, 0)"])
+def test_a_repeated_suite_matches_a_fresh_one_byte_for_byte(case):
+    """A second suite on one gauge reads the cover, the subdivisions and
+    vs.sigma that the first cached on it, and reports the bytes of a suite on
+    a freshly loaded network.  holed_grid(20, 0)'s subdivisions are banded."""
+    def fresh():
+        return holed_grid(20, 0) if case.startswith("holed") else load_network(
+            NETWORKS / f"{case}.json")
+
+    net, gauge = fresh()
+    first = json.dumps(cli.identity_checks(net, gauge))
+    assert json.dumps(cli.identity_checks(net, gauge)) == first
+    assert json.dumps(cli.identity_checks(*fresh())) == first
+
+
 def test_non_positive_definite_subdivision_on_the_banded_route_exits_2(
         tmp_path, pt_file, monkeypatch, capsys):
     real = cli.subdivide

@@ -1,12 +1,14 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import ggff
 from ggff import (Edge, ElectricalNetwork, GaugeField, InvalidNetworkError,
-                  NetworkFormatError, VertexSigns, edge_key, load_network, save_network,
-                  spectral, subdivide, validate)
+                  NetworkFormatError, VertexSigns, build_double_cover, cli, edge_key,
+                  load_network, save_network, spectral, subdivide, validate)
 from ggff.gff import estimate_event_probability, two_point_connectivity
 from ggff.loopsoup import LoopSoupSampler
 
@@ -217,7 +219,7 @@ def test_subdivision_green_matches_hand_value():
 def test_subdivide_counts_and_parent_maps():
     net, gauge = pendant_triangle()
     for n in (3, 5):
-        sub, gn = subdivide(net, gauge, n)
+        sub, gn = first = subdivide(net, gauge, n)
         assert validate(sub.network).ok
         assert len(sub.network.vertices) == len(net.vertices) + (n - 1) * len(net.edges)
         assert len(sub.network.edges) == n * len(net.edges)
@@ -232,9 +234,33 @@ def test_subdivide_counts_and_parent_maps():
         # minus signs only at middles of -1 parents
         minus = [k for k, s in gn.signs.items() if s == -1]
         assert minus == [ids[f"yz#{(n + 1) // 2}"].key]
-        # determinism
-        sub2, gn2 = subdivide(net, gauge, n)
-        assert sub2.network == sub.network and gn2.signs == gn.signs
+        # determinism: a copy of the gauge subdivides to the same network and
+        # signs; the gauge itself returns its cached subdivision
+        sub2, gn2 = subdivide(net, GaugeField(net, dict(gauge.signs)), n)
+        assert sub2 is not sub and sub2.network == sub.network and gn2.signs == gn.signs
+        assert subdivide(net, gauge, n) is first
+
+
+def test_cached_builders_still_refuse_a_gauge_of_another_network():
+    """The different-network check runs before the gauge's cache is read."""
+    net, gauge = pendant_triangle()
+    cli.identity_checks(net, gauge)  # caches the cover, both subdivisions and vs.sigma
+    other = with_conductances(net, [2.0] * len(net.edges))
+    for build in (lambda: build_double_cover(other, gauge), lambda: subdivide(other, gauge, 3),
+                  lambda: cli.identity_checks(other, gauge)):
+        with pytest.raises(ValueError, match="different network"):
+            build()
+
+
+def test_the_cached_cover_and_subdivisions_die_with_the_gauge():
+    net, gauge = pendant_triangle()
+    cli.identity_checks(net, gauge)
+    refs = [weakref.ref(build_double_cover(net, gauge)),
+            *(weakref.ref(subdivide(net, gauge, n)[0].network) for n in (3, 5))]
+    assert all(r() is not None for r in refs)
+    del gauge
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
 
 
 def test_vertex_ids_normalized_to_strings():

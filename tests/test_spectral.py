@@ -376,11 +376,12 @@ def test_one_cholesky_factor_per_laplacian(pt, monkeypatch):
     assert calls == [3]  # L once, cached on the network; L_sigma read from the gauge
     # one identity suite: L, L_sigma, L_{vs.sigma}, the cover Laplacian, its
     # two sheet-symmetric blocks and the four subdivided Laplacians, each
-    # factored once; a second suite reads L and L_sigma from the network and
-    # the gauge; every subdivision of these two stays on the dense route
+    # factored once; a second suite on the same gauge factors only the two
+    # blocks, reading the rest from the network, the gauge and what the gauge
+    # caches; every subdivision of these two stays on the dense route
     for name in ("pt", "annulus-6x8"):
         network, sigma = load_network(NETWORKS / f"{name}.json")
-        for factors in (10, 8):
+        for factors in (10, 2):
             calls.clear()
             identity_checks(network, sigma)
             assert len(calls) == factors and banded == []
@@ -811,11 +812,11 @@ def test_only_spectral_chooses_an_elimination_order(pt, monkeypatch):
 def _both_routes(monkeypatch, net, gauge, n: int) -> tuple[list, int]:
     """restricted_green on net subdivided n times, without and with the gauge,
     by the banded route, then by the dense route, and the subdivision's
-    order.  Each route has a subdivision of its own, since a network and its
-    gauge keep the factors their first reader made."""
+    order.  Each route subdivides a copy of gauge of its own, since a gauge
+    caches its subdivisions and they keep the factors their first reader made."""
     routes = []
     for threshold in (0, 10 ** 9):
-        sub, gauge_n = subdivide(net, gauge, n)
+        sub, gauge_n = subdivide(net, GaugeField(net, dict(gauge.signs)), n)
         with monkeypatch.context() as mp:
             mp.setattr(spectral, "DENSE_MAX_ORDER", threshold)
             routes.append([restricted_green(sub.network, net.interior, sigma)
