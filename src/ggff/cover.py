@@ -93,6 +93,25 @@ def _cover_pattern(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarr
     return m, *pattern
 
 
+def _cover_table(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """_cover_labels of all 2^E open subgraphs of the E edges, read-only, of
+    shape (2^E, m, 2): configuration j opens edge e iff bit e of j is set."""
+    opened = (np.arange(1 << len(edge_u)) >> np.arange(len(edge_u))[:, None] & 1).astype(bool)
+    return _frozen(_cover_labels(_cover_pattern(m, edge_u, edge_v, rel, len(opened.T)), opened),
+                   np.int32)
+
+
+def _table_labels(table: np.ndarray, opened: np.ndarray) -> np.ndarray:
+    """_cover_labels of opened, bit for bit, from _cover_table's table: a label
+    is the smallest node 2*(s*m + v) + sheet of its component, so column s, of
+    configuration j = sum_e opened[e] << e, reads table[j] + 2*m*(s - j)."""
+    m, n = table.shape[1], opened.shape[1]
+    if 2 * m * n > np.iinfo(np.int32).max:  # as _cover_labels refuses
+        raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
+    code = (opened * (1 << np.arange(len(opened), dtype=np.int32))[:, None]).sum(0, np.int32)
+    return np.take(table, code, axis=0) + 2 * m * (np.arange(n, dtype=np.int32) - code)[:, None, None]
+
+
 def _cover_labels(pattern: tuple, opened: np.ndarray) -> np.ndarray:
     """Component labels of the double covers of the open subgraphs, one per
     column of opened, on the network and signs of _cover_pattern's pattern.

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
 
 from . import spectral
-from .cover import _balanced, _cover_labels, _cover_pattern, _label_sign, build_double_cover
+from .cover import (_balanced, _cover_labels, _cover_pattern, _cover_table, _label_sign,
+                    _table_labels, build_double_cover)
 from .network import EdgeKey, ElectricalNetwork, GaugeField
 from .seeds import DEFAULT_BATCH, batch_plan, mean_se, run_batches, substream
 
@@ -87,17 +89,19 @@ def _fields(lap: spectral.LaplacianMatrix, rng: np.random.Generator, n: int) -> 
 def _cluster_batches(network: ElectricalNetwork, rel: np.ndarray, reduce, n_samples: int,
                      seed: int, threads: int, batch_size: int):
     """The run_batches total of reduce(phi, lab) over batches of _fields of
-    L = laplacian(network) and the _cover_labels of their open subgraphs, the
-    interior edges carrying the signs rel."""
+    L = laplacian(network) and the _cover_labels of their open subgraphs, edges
+    signed rel: read off _cover_table's if the first batch has 2^E samples or
+    more, so that the table costs at most one batch's kernel call."""
     lap, plan = spectral.laplacian(network), batch_plan(n_samples, batch_size)
-    lap.inverse_factor  # built before the workers, which only read it and the pattern
-    _, u, v, c = network.interior_edges
-    pattern = _cover_pattern(len(network.interior), u, v, rel, plan[0][1])
+    lap.inverse_factor  # built before the workers, which only read it and the labels' arrays
+    (_, u, v, c), m = network.interior_edges, len(network.interior)
+    labels = (partial(_table_labels, _cover_table(m, u, v, rel)) if 1 << len(u) <= plan[0][1]
+              else partial(_cover_labels, _cover_pattern(m, u, v, rel, plan[0][1])))
 
     def worker(bi: int, bn: int):
         rng = substream(seed, bi)
         phi = _fields(lap, rng, bn)
-        return reduce(phi, _cover_labels(pattern, _open_marks(phi, u, v, c, rng)))
+        return reduce(phi, labels(_open_marks(phi, u, v, c, rng)))
 
     return run_batches(plan, worker, threads)
 

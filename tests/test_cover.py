@@ -248,7 +248,10 @@ def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
     """Each public balance question is decided by the double-cover labelling
     kernel: one labelling per pair of gauge fields, and one per batch, of the
     batch's width, in an estimator, whose batches share one pattern built for
-    the largest."""
+    the largest.  When the first batch has at least 2^E samples, an estimator
+    call instead labels all 2^E open subgraphs once, on one pattern, and no
+    batch: so with batches of 8 and of 4,096, on which the PT goldens' 4,000
+    samples run in one batch."""
     widths, patterns = [], []
     real, real_pattern = cover._cover_labels, cover._cover_pattern
 
@@ -283,3 +286,15 @@ def test_every_balance_query_reaches_the_one_kernel(monkeypatch):
         query()
         assert widths == ([("pattern", 4), 4, 4, 2] if name in estimators
                           else [("pattern", 1), 1]), name
+    table_runs = [
+        lambda: estimate_event_probability(net, gauge, 20, seed=1, batch_size=8),
+        lambda: conditional_moment(net, gauge, ("x", "y"), 20, seed=1, batch_size=16),
+        lambda: two_point_connectivity(net, ("x", "y"), 20, seed=1, batch_size=8, threads=2),
+        lambda: estimate_event_probability(net, gauge, 4000, seed=11),
+        lambda: conditional_moment(net, gauge, ("y", "z"), 4000, seed=11),
+        lambda: two_point_connectivity(net, ("x", "y"), 4000, seed=11),
+    ]
+    for query in table_runs:
+        widths.clear()
+        query()
+        assert widths == [("pattern", 8), 8]

@@ -11,7 +11,8 @@ from ggff import (Edge, ElectricalNetwork, GaugeField, VertexSigns,
                   conditional_moment, green, open_probability,
                   sample_cover_gff_batch, sample_metric_field, twisted_green,
                   two_point_connectivity, edge_key, load_network, spectral, subdivide)
-from ggff.cover import _balanced, _label_sign
+from ggff.cover import (_balanced, _cover_labels, _cover_pattern, _cover_table, _label_sign,
+                        _table_labels)
 from ggff.gff import _OPEN_BLOCK, _fields, _open_marks
 from ggff.seeds import substream
 
@@ -846,3 +847,91 @@ def test_cover_labels_of_targeted_quotients():
     assert_matches_union_find(lab, 6, eu, ev, rel, opened)
     empty = cover_labels(6, eu, ev, rel, opened[:, :0])
     assert empty.shape == (0, 6, 2) and empty.dtype == np.int32
+
+
+def small_networks(rng: np.random.Generator, count: int) -> list:
+    """PT, a star of three interior vertices on one boundary vertex, which has
+    no interior edge, and count random networks with at most 11 interior edges."""
+    star = ElectricalNetwork(("b", "x", "y", "z"), frozenset({"b"}),
+                             tuple(Edge(f"e{v}", "b", v, 1.0) for v in "xyz"))
+    cases = [pendant_triangle(), (star, GaugeField.all_plus(star))]
+    while len(cases) < count + 2:
+        net, gauge = random_network(rng, max_interior=8)
+        if len(net.interior_edges[0]) <= 11:
+            cases.append((net, gauge))
+    return cases
+
+
+def test_cover_table_labels_equal_the_kernel_column_by_column():
+    """_cover_table is the kernel's labels of every configuration, j opening
+    edge e iff bit e of j is set, and is read-only; _table_labels reads off it
+    the kernel's labels of every column, bit for bit: on PT, the star and 40
+    random networks with at most 11 interior edges, with their signs and all
+    +1, for every configuration in shuffled order and for random marks."""
+    rng = np.random.default_rng(34)
+    for net, gauge in small_networks(rng, 40):
+        _, u, v, _ = net.interior_edges
+        m, e = len(net.interior), len(u)
+        configs = np.array([[j >> k & 1 for j in range(1 << e)] for k in range(e)],
+                           dtype=bool).reshape(e, 1 << e)
+        opened = np.concatenate((configs[:, rng.permutation(1 << e)],
+                                 rng.random((e, 50)) < rng.uniform(0.2, 0.9)), axis=1)
+        for rel in (gauge.interior_signs, np.ones_like(u)):
+            table = _cover_table(m, u, v, rel)
+            assert table.tobytes() == cover_labels(m, u, v, rel, configs).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 1
+            lab = _table_labels(table, opened)
+            assert lab.dtype == np.int32 and lab.shape == (opened.shape[1], m, 2)
+            assert lab.tobytes() == cover_labels(m, u, v, rel, opened).tobytes()
+
+
+def test_label_overflow_is_refused_with_and_without_the_table():
+    """Labels, below 2*m*n, must fit int32: one column more than that allows
+    is refused by the kernel and by the table read alike, before any work."""
+    net, gauge = pendant_triangle()
+    _, u, v, _ = net.interior_edges
+    m, rel = len(net.interior), gauge.interior_signs
+    too_many = np.iinfo(np.int32).max // (2 * m) + 1
+    opened = np.broadcast_to(np.zeros((len(u), 1), dtype=bool), (len(u), too_many))
+    with pytest.raises(ValueError, match="overflow the int32 labels"):
+        _table_labels(_cover_table(m, u, v, rel), opened)
+    with pytest.raises(ValueError, match="overflow the int32 labels"):
+        _cover_labels(_cover_pattern(m, u, v, rel, 8), opened)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimators_read_the_kernel_labels_off_the_table(monkeypatch, threads):
+    """The three estimators' reports are bit for bit the same whether each
+    batch's labels are read off the call's table, with no kernel call per
+    batch, or the table is forced off, the kernel labelling every batch on
+    its pattern: on PT at first batches of 2^3 = 8 and 64 samples, and on
+    random networks at a first batch of 2^E, three batches or more each."""
+    def reports(net, gauge, pair, n, batch):
+        return [repr(report) for report in (
+            estimate_event_probability(net, gauge, n, 5, threads, batch),
+            conditional_moment(net, gauge, pair, n, 5, threads, batch),
+            two_point_connectivity(net, pair, n, 5, threads, batch))]
+
+    def per_batch_kernel(pattern, opened):
+        raise AssertionError("a batch was labelled by the kernel")
+
+    rng = np.random.default_rng(35)
+    net, gauge = pendant_triangle()
+    cases = [(net, gauge, 8, 20), (net, gauge, 64, 200)]
+    for net, gauge in small_networks(rng, 6)[2:]:
+        e = len(net.interior_edges[0])
+        if 2 <= e <= 6 and len(net.interior) >= 2:
+            cases.append((net, gauge, 1 << e, 3 << e))
+    assert len(cases) >= 4
+    for net, gauge, batch, n in cases:
+        pair = net.interior[:2]
+        with monkeypatch.context() as patch:
+            patch.setattr(ggff.gff, "_cover_labels", per_batch_kernel)
+            on = reports(net, gauge, pair, n, batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(ggff.gff, "_cover_table",
+                          lambda m, u, v, rel: _cover_pattern(m, u, v, rel, batch))
+            patch.setattr(ggff.gff, "_table_labels", _cover_labels)
+            off = reports(net, gauge, pair, n, batch)
+        assert on == off
