@@ -102,33 +102,28 @@ def _cover_table(m: int, edge_u: np.ndarray, edge_v: np.ndarray, rel: np.ndarray
 
 
 def _table_labels(table: np.ndarray, opened: np.ndarray) -> np.ndarray:
-    """_cover_labels of opened, bit for bit, from _cover_table's table: a label
-    is the smallest node 2*(s*m + v) + sheet of its component, so column s, of
-    configuration j = sum_e opened[e] << e, reads table[j] + 2*m*(s - j)."""
-    m, n = table.shape[1], opened.shape[1]
-    if 2 * m * n > np.iinfo(np.int32).max:  # as _cover_labels refuses
-        raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
+    """_cover_labels of opened, bit for bit, from _cover_table's table: column
+    s reads the row of its configuration j = sum_e opened[e] << e."""
     code = (opened * (1 << np.arange(len(opened), dtype=np.int32))[:, None]).sum(0, np.int32)
-    return np.take(table, code, axis=0) + 2 * m * (np.arange(n, dtype=np.int32) - code)[:, None, None]
+    return np.take(table, code, axis=0)
 
 
 def _cover_labels(pattern: tuple, opened: np.ndarray) -> np.ndarray:
     """Component labels of the double covers of the open subgraphs, one per
     column of opened, on the network and signs of _cover_pattern's pattern.
 
-    Cover node (s, v, sheet) is numbered 2*(s*m + v) + sheet: an open +1 edge
+    Cover node (v, sheet) of a sample is numbered 2*v + sheet: an open +1 edge
     joins the same-sheet lifts of its ends, an open -1 edge the cross lifts.
-    Stage 1 labels the open +1 subgraph (node s*m + v), each +1 edge once in
-    the pattern's rows, sorted by tail, an open edge pointing to its head, a
-    closed one to its tail (a loop); a +1 cluster of smallest vertex low lifts
-    to sheets labelled 2*low and 2*low + 1.  Stage 2 joins these sheets along
-    the open -1 edges, the double cover of the quotient by the clusters: a
-    cluster all of whose -1 edge ends lie on one edge is folded into the other
-    end's sheets, and a second call labels the rest, each edge there two
-    nodes, one per pair of sheets it joins.  Each chunk's marks are gathered as
-    it is labelled.  Returns int32 lab of shape (n, m, 2), lab[s, v, sheet] the
-    smallest node number in the component of (s, v, sheet), below 2*m*n, which
-    must fit int32.  Hence, in column s:
+    Stage 1 labels the open +1 subgraph (node s*m + v of a chunk), each +1
+    edge once in the pattern's rows, sorted by tail, an open edge pointing to
+    its head, a closed one to its tail (a loop); a +1 cluster of smallest
+    vertex low lifts to sheets labelled 2*low and 2*low + 1.  Stage 2 joins
+    these sheets along the open -1 edges, the double cover of the quotient by
+    the clusters, in a second call over the clusters they touch: two nodes a
+    cluster, one per sheet, and two an edge, one per pair of sheets it joins.
+    Each chunk's marks are gathered as it is labelled.  Returns int32 lab of
+    shape (n, m, 2), lab[s, v, sheet] the smallest node number, below 2*m, in
+    the component of (v, sheet) in sample s's cover.  Hence, in column s:
     - the open clusters are balanced iff no v has lab[s, v, 0] == lab[s, v, 1];
     - x and y share a cluster iff lab[s, x, 0] is lab[s, y, 0] or lab[s, y, 1]
       (with all signs +1, iff lab[s, x, 0] == lab[s, y, 0]);
@@ -145,34 +140,25 @@ def _cover_labels(pattern: tuple, opened: np.ndarray) -> np.ndarray:
 
     m, rows, hop, indptr, tails, data, minus, minus_uv = pattern
     n = opened.shape[1]
-    if 2 * m * n > np.iinfo(np.int32).max:
-        raise ValueError(f"{n} samples of {m} vertices overflow the int32 labels")
     lab = np.empty((m * n, 2), dtype=np.int32)
     for s0 in range(0, n, len(tails)):
         k = min(n, s0 + len(tails)) - s0
         count, part = components((tails[:k] + opened[rows, s0:s0 + k].T * hop).ravel(),
                                  indptr[:m * k + 1])
-        low = np.full(count, 2 * m * n, dtype=np.int32)  # each +1 cluster's sheet-0 label
-        np.minimum.at(low, part, np.arange(2 * m * s0, 2 * m * (s0 + k), 2, dtype=np.int32))
+        low = np.full(count, 2 * m, dtype=np.int32)  # each +1 cluster's sheet-0 label
+        np.minimum.at(low, part, np.tile(np.arange(0, 2 * m, 2, dtype=np.int32), k))
         sheets = np.stack((low, low + 1), axis=1)
         e, t = np.nonzero(opened[minus, s0:s0 + k])
-        if e.size:  # open -1 edge j joins clusters a[j] and b[j]
-            a, b = part[minus_uv[:, e] + m * t]
-            deg = np.bincount(a, minlength=count) + np.bincount(b, minlength=count)
-            a, b = np.where(deg[b] == 1, (a, b), (b, a))  # a leaf cluster, if either is one, at b
-            fold = deg[b] == 1 + (a == b)  # b's only -1 edge: b's sheets join a's, crossed
-            np.minimum.at(sheets, a[fold], sheets[b[fold], ::-1])
-            if not fold.all():  # the rest: touched cluster r's sheets are nodes 2r and 2r + 1
-                ids, ends = np.unique(np.compress(~fold, (a, b), axis=1), return_inverse=True)
-                x, y = 2 * ends.reshape(2, -1).astype(np.int32)
-                q = 2 * len(ids)  # then -1 edge j's nodes q + 2j + t, joining x + t and y + 1 - t
-                qcount, qpart = components(
-                    np.stack((x, y + 1, x + 1, y), axis=1).ravel(),
-                    np.arange(-2 * q, 4 * x.size + 1, 2, dtype=np.int32).clip(0))
-                qlow = np.full(qcount, 2 * m * n, dtype=np.int32)
-                np.minimum.at(qlow, qpart[:q], sheets[ids].ravel())
-                sheets[ids] = qlow[qpart[:q]].reshape(-1, 2)
-            sheets[b[fold]] = sheets[a[fold], ::-1]
+        if e.size:  # touched cluster ids[r]'s sheets are nodes 2r and 2r + 1
+            ids, ends = np.unique(part[minus_uv[:, e] + m * t], return_inverse=True)
+            x, y = 2 * ends.reshape(2, -1).astype(np.int32)  # edge j's ends' sheet-0 nodes
+            q = 2 * len(ids)  # then edge j's nodes q + 2j + t, joining x + t and y + 1 - t
+            qcount, qpart = components(
+                np.stack((x, y + 1, x + 1, y), axis=1).ravel(),
+                np.arange(-2 * q, 4 * x.size + 1, 2, dtype=np.int32).clip(0))
+            qlow = np.full(qcount, 2 * m, dtype=np.int32)
+            np.minimum.at(qlow, qpart[:q], sheets[ids].ravel())
+            sheets[ids] = qlow[qpart[:q]].reshape(-1, 2)
         chunk = lab[m * s0:m * (s0 + k)]  # both labels of a node moved as one int64
         np.take(sheets.view(np.int64)[:, 0], part, out=chunk.view(np.int64)[:, 0])
     return lab.reshape(n, m, 2)

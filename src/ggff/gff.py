@@ -129,6 +129,12 @@ def open_probability(conductance: float, a: float, b: float) -> float:
     return float(-np.expm1(-2.0 * conductance * abs(a * b)))
 
 
+def _proportion(hits: int, n_samples: int, seed: int, target: float) -> EstimatorReport:
+    """The report of hits among n_samples, with the binomial standard error."""
+    p = hits / n_samples
+    return EstimatorReport(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples, hits, seed, target)
+
+
 def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
                                n_samples: int, seed: int, threads: int = 1,
                                batch_size: int = DEFAULT_BATCH) -> EstimatorReport:
@@ -139,9 +145,7 @@ def estimate_event_probability(network: ElectricalNetwork, gauge: GaugeField,
     hits = _cluster_batches(network, gauge.interior_signs,
                             lambda phi, lab: int(_balanced(lab).sum()),
                             n_samples, seed, threads, batch_size)
-    p = hits / n_samples
-    se = math.sqrt(p * (1.0 - p) / n_samples)
-    return EstimatorReport(p, se, n_samples, hits, seed, target=spectral.det_ratio(network, gauge))
+    return _proportion(hits, n_samples, seed, spectral.det_ratio(network, gauge))
 
 
 def _interior_pair(network: ElectricalNetwork, pair: tuple[str, str],
@@ -190,11 +194,9 @@ def two_point_connectivity(network: ElectricalNetwork, pair: tuple[str, str],
     hits = _cluster_batches(network, np.ones(len(network.interior_edges[0]), dtype=np.intp),
                             lambda phi, lab: int((lab[:, ix, 0] == lab[:, iy, 0]).sum()),
                             n_samples, seed, threads, batch_size)
-    p = hits / n_samples
-    se = math.sqrt(p * (1.0 - p) / n_samples)
     g = spectral.laplacian(network).inverse(np.array([ix, iy]))
-    target = (2.0 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1]))
-    return EstimatorReport(p, se, n_samples, hits, seed, target=target)
+    return _proportion(hits, n_samples, seed,
+                       (2.0 / math.pi) * math.asin(g[0, 1] / math.sqrt(g[0, 0] * g[1, 1])))
 
 
 @dataclass(frozen=True)

@@ -214,11 +214,19 @@ def test_metric_grid_cli(tmp_path, pt_file):
     assert "middle_limit_below" not in rep["edges"]["x--y"]
 
 
+def child_env(**extra: str) -> dict:
+    """The environment, ggff's source directory first on PYTHONPATH, and extra:
+    pytest's pythonpath setting does not reach child processes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            **extra}
+
+
 def test_console_script_entry_point(tmp_path, pt_file):
     out = tmp_path / "r.json"
     proc = subprocess.run([sys.executable, "-m", "ggff.cli", "identities",
                            "--network", pt_file, "--output", str(out)],
-                          capture_output=True, text=True)
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["all_passed"]
 
@@ -302,9 +310,7 @@ def golden_reports(tmp_path_factory):
     which follows the host's core count unless it is fixed before numpy
     loads."""
     out = tmp_path_factory.mktemp("golden")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     keys = [(command, 1) for command in sorted(GOLDEN_RUNS)]
     keys += [(command, 2) for command in THREADED_GOLDEN_RUNS]
     runs = [(command, [*GOLDEN_RUNS[command], "--threads", str(threads)])

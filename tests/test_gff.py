@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,8 @@ from ggff.cover import (_balanced, _cover_labels, _cover_pattern, _cover_table, 
 from ggff.gff import _OPEN_BLOCK, _fields, _open_marks
 from ggff.seeds import substream
 
-from conftest import (ParityUnionFind, cover_labels, cycles_balanced, pendant_triangle,
-                      polar_annulus, random_network, reference_fields,
+from conftest import (ParityUnionFind, cover_labels, cycles_balanced, holed_grid,
+                      pendant_triangle, polar_annulus, random_network, reference_fields,
                       union_find_balanced, with_conductances)
 
 NETWORKS = Path(__file__).resolve().parent.parent / "networks"
@@ -737,7 +738,8 @@ def doubled_lift_labels(m, edge_u, edge_v, rel, opened):
     """The labels _cover_labels must return, read off the double cover of
     every open subgraph at once: cover node 2*(s*m + v) + sheet, an open +1
     edge joining the same-sheet lifts of its ends and an open -1 edge the
-    cross lifts, each node labelled with the smallest node of its component."""
+    cross lifts, each node labelled with the smallest node of its component
+    less 2*m*s, that node's number 2*v + sheet within its sample s."""
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
@@ -751,7 +753,8 @@ def doubled_lift_labels(m, edge_u, edge_v, rel, opened):
         directed=True, connection="weak")
     low = np.full(nodes, nodes)
     np.minimum.at(low, part, np.arange(nodes))
-    return low[part].astype(np.int32).reshape(-1, m, 2)
+    shift = 2 * m * np.arange(opened.shape[1])[:, None, None]
+    return (low[part].reshape(-1, m, 2) - shift).astype(np.int32)
 
 
 def assert_matches_union_find(lab, m, eu, ev, rel, opened):
@@ -842,8 +845,8 @@ def test_cover_labels_of_targeted_quotients():
     lab = cover_labels(6, eu, ev, rel, opened)
     assert lab.tobytes() == doubled_lift_labels(6, eu, ev, rel, opened).tobytes()
     assert _balanced(lab).tolist() == [False, True, True, False, True, True]
-    assert lab[0, :3].tolist() == [[0, 0]] * 3 and lab[3].tolist() == [[36, 36]] * 6
-    assert lab[1, :, 0].tolist() == [12, 12, 13, 13, 12, 12]
+    assert lab[0, :3].tolist() == [[0, 0]] * 3 and lab[3].tolist() == [[0, 0]] * 6
+    assert lab[1, :, 0].tolist() == [0, 0, 1, 1, 0, 0]
     assert_matches_union_find(lab, 6, eu, ev, rel, opened)
     empty = cover_labels(6, eu, ev, rel, opened[:, :0])
     assert empty.shape == (0, 6, 2) and empty.dtype == np.int32
@@ -886,18 +889,34 @@ def test_cover_table_labels_equal_the_kernel_column_by_column():
             assert lab.tobytes() == cover_labels(m, u, v, rel, opened).tobytes()
 
 
-def test_label_overflow_is_refused_with_and_without_the_table():
-    """Labels, below 2*m*n, must fit int32: one column more than that allows
-    is refused by the kernel and by the table read alike, before any work."""
-    net, gauge = pendant_triangle()
-    _, u, v, _ = net.interior_edges
-    m, rel = len(net.interior), gauge.interior_signs
-    too_many = np.iinfo(np.int32).max // (2 * m) + 1
-    opened = np.broadcast_to(np.zeros((len(u), 1), dtype=bool), (len(u), too_many))
-    with pytest.raises(ValueError, match="overflow the int32 labels"):
-        _table_labels(_cover_table(m, u, v, rel), opened)
-    with pytest.raises(ValueError, match="overflow the int32 labels"):
-        _cover_labels(_cover_pattern(m, u, v, rel, 8), opened)
+def test_labels_do_not_depend_on_where_a_column_sits_in_its_batch(monkeypatch):
+    """A column's labels, numbered within its own sample, lie below 2*m and
+    are the same labelled alone as inside a batch, and a permuted batch gets
+    the same labels, permuted: from the kernel in one call and in calls of at
+    most 100 nodes, on polar_annulus(12, 8), holed_grid() with its signs and
+    all -1 and 20 random networks, and from the table read on PT, the star
+    and 20 random networks with at most 11 interior edges."""
+    rng = np.random.default_rng(36)
+    (annulus, annulus_gauge), (grid, grid_gauge) = polar_annulus(12, 8), holed_grid()
+    cases = [(annulus, annulus_gauge.interior_signs), (grid, grid_gauge.interior_signs),
+             (grid, -np.ones_like(grid_gauge.interior_signs))]
+    cases += [(net, gauge.interior_signs) for net, gauge in
+              (random_network(rng) for _ in range(20))]
+    cases += [(net, gauge.interior_signs) for net, gauge in small_networks(rng, 20)]
+    for net, rel in cases:
+        m, (_, u, v, _) = len(net.interior), net.interior_edges
+        opened = rng.random((len(u), 40)) < rng.uniform(0.2, 0.9)
+        perm = rng.permutation(40)
+        readers = [lambda cols: cover_labels(m, u, v, rel, cols)]
+        if len(u) <= 11:
+            readers.append(partial(_table_labels, _cover_table(m, u, v, rel)))
+        for nodes, labels in itertools.product((1 << 16, 100), readers):
+            monkeypatch.setattr(ggff.cover, "_COVER_NODES_PER_CALL", nodes)
+            lab = labels(opened)
+            assert 0 <= lab.min() and lab.max() < 2 * m
+            assert np.array_equal(labels(opened[:, perm]), lab[perm])
+            for s in (0, 17, 39):
+                assert np.array_equal(labels(opened[:, s:s + 1]), lab[s:s + 1])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

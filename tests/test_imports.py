@@ -1,5 +1,5 @@
-"""Every name a module of ggff or of its tests imports is read in it: the
-check a linter would make, on the standard library's ast alone."""
+"""Every name a module of ggff, of its tests or of its benchmark imports is
+read in it: the check a linter would make, on the standard library's ast alone."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ggff"
+BENCH = TESTS.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +41,9 @@ def test_every_imported_name_is_read(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_every_name_a_test_module_imports_is_read(module):
     assert unused_imports((TESTS / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(str(p.relative_to(BENCH))
+                                          for p in [*BENCH.glob("*.py"), *BENCH.glob("tests/*.py")]))
+def test_every_name_a_bench_module_imports_is_read(module):
+    assert unused_imports((BENCH / module).read_text(encoding="utf-8")) == []
